@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import families, oeis, verify
-from .errors import OeisError, SizeLimitError
+from .errors import OeisError, PoleError, SizeLimitError
 from .exactnum import QPoly, QRational
 
 EXIT_OK = 0
@@ -102,13 +102,28 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _domain_error(message: str) -> int:
+    sys.stderr.write(f"qpb eval: error: {message}\n")
+    return EXIT_USAGE
+
+
 def cmd_eval(args) -> int:
     spec = families.FAMILIES[args.family]
-    value = _family_value(spec, args.n, args.k)
+    point = None
     if args.q is not None:
-        point = Fraction(args.q)
-        if isinstance(value, (QPoly, QRational)):
+        try:
+            point = Fraction(args.q)
+        except (ValueError, ZeroDivisionError):
+            return _domain_error(f"--q {args.q!r} is not a rational number")
+    try:
+        value = _family_value(spec, args.n, args.k)
+    except ValueError as exc:
+        return _domain_error(str(exc))
+    if point is not None and isinstance(value, (QPoly, QRational)):
+        try:
             value = value.eval_rational(point)
+        except PoleError as exc:
+            return _domain_error(str(exc))
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -3,7 +3,9 @@
 Four carriers, all immutable and exact (no floats anywhere):
 
 * ``QPoly``           Laurent polynomial in q with big-integer coefficients.
-* ``QRational``       normalized ratio of two QPoly.
+* ``QRational``       normalized ratio of two QPoly, reduced by an integer
+                      primitive remainder sequence (no rational
+                      coefficients in any intermediate step).
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
@@ -224,15 +226,12 @@ class QPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return QPoly()
-        q, r = _divmod_frac(list(self.coeffs), list(other.coeffs))
-        if any(r):
+        quo, rem = _divmod_int(self.coeffs, other.coeffs)
+        if quo is None:
+            raise ValueError("quotient has non-integer coefficients")
+        if any(rem):
             raise ValueError("division is not exact")
-        out = []
-        for c in q:
-            if c.denominator != 1:
-                raise ValueError("quotient has non-integer coefficients")
-            out.append(c.numerator)
-        return QPoly(out, self.min_exp - other.min_exp)
+        return QPoly(quo, self.min_exp - other.min_exp)
 
     # -- comparison, hashing, display -----------------------------------------
 
@@ -282,13 +281,23 @@ class QPoly:
         return cls([int(c) for c in d["coeffs"]], int(d["min_exp"]))
 
 
-def _divmod_frac(a: list[int], b: list[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division of coefficient lists over the rationals."""
-    r = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
-    for i in range(len(a) - len(b), -1, -1):
-        f = r[i + len(b) - 1] / lead
+def _divmod_int(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int] | None, list[int]]:
+    """Long division of coefficient lists (ascending) over the integers.
+
+    Returns ``(quotient, remainder)``.  The quotient is None when some
+    quotient coefficient is not an integer; the division over the
+    rationals then has a non-integral quotient, and it stops there.
+    """
+    r = list(a)
+    nb = len(b)
+    lead = b[-1]
+    quo = [0] * max(len(a) - nb + 1, 0)
+    for i in range(len(a) - nb, -1, -1):
+        f, m = divmod(r[i + nb - 1], lead)
+        if m:
+            return None, r
         quo[i] = f
         if f:
             for j, bj in enumerate(b):
@@ -305,31 +314,59 @@ def _content(cs: Sequence[int]) -> int:
     return g
 
 
+def _primitive(cs: Sequence[int]) -> list[int]:
+    """Primitive part with positive leading coefficient; [] for zero."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs:
+        return cs
+    g = _content(cs)
+    if cs[-1] < 0:
+        g = -g
+    if g != 1:
+        cs = [c // g for c in cs]
+    return cs
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times some nonzero integer.
+
+    Each step scales the partial remainder by lc(b)/g and subtracts
+    lr/g times b, where g = gcd(lr, lc(b)) for the current leading
+    coefficient lr, so no step leaves the integers.
+    """
+    r = list(a)
+    nb = len(b)
+    lead = b[-1]
+    while len(r) >= nb:
+        lr = r.pop()
+        if lr:
+            g = gcd(lr, lead)
+            s, f = lead // g, lr // g
+            if s != 1:
+                r = [s * c for c in r]
+            off = len(r) - nb + 1
+            for j in range(nb - 1):
+                r[off + j] -= f * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """GCD of two integer coefficient lists, primitive, positive leading."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
+    """GCD of two integer coefficient lists, primitive, positive leading.
 
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    fa, fb = trim(fa), trim(fb)
-    while fb:
-        _, r = _divmod_frac(fa, fb)  # type: ignore[arg-type]
-        fa, fb = fb, trim(r)
-    if not fa:
-        return []
-    denom = 1
-    for c in fa:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fa]
-    g = _content(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    Primitive polynomial remainder sequence over Z (Collins 1967, Brown
+    1971): pseudo-divide, then strip the content of every remainder.  By
+    Gauss's lemma the last nonzero remainder is the primitive gcd over Q.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a
 
 
 class QRational:
@@ -340,6 +377,12 @@ class QRational:
     no common polynomial factor over the rationals and no common integer
     content.  Any q-power freed during reduction lives in the numerator,
     which may therefore be a genuine Laurent polynomial.
+
+    The common factor is found over the integers alone: a primitive
+    remainder sequence yields the primitive gcd of numerator and
+    denominator, which by Gauss's lemma is their gcd over the rationals up
+    to a unit, and both are divided by it with integer long division.  The
+    integer content and the sign are then settled separately.
     """
 
     __slots__ = ("num", "den")
@@ -518,13 +561,10 @@ class QRational:
 
 
 def _exact_int_div(cs: list[int], by: list[int]) -> list[int]:
-    quo, rem = _divmod_frac(cs, by)
+    quo, rem = _divmod_int(cs, by)
+    assert quo is not None, "internal gcd quotient not integral"
     assert not any(rem), "internal gcd division left a remainder"
-    out = []
-    for c in quo:
-        assert c.denominator == 1, "internal gcd quotient not integral"
-        out.append(c.numerator)
-    return out
+    return quo
 
 
 class TruncatedSeries:

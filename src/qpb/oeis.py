@@ -2,8 +2,10 @@
 
 Sequences are fetched as b-files (lines of "index value", # comments
 allowed).  Resolution order: on-disk cache, then the network (unless
-offline), then the bundled fixture.  The cache directory comes from the
-QPB_CACHE_DIR environment variable, defaulting to ~/.cache/qpb.
+offline), then the bundled fixture.  A cache file that cannot be read or
+parsed counts as a miss; a later remote fetch overwrites it.  The cache
+directory comes from the QPB_CACHE_DIR environment variable, defaulting to
+~/.cache/qpb.
 """
 
 from __future__ import annotations
@@ -89,7 +91,10 @@ def fetch_sequence(
     cache = cache or cache_dir()
     cache_file = cache / f"{seq_id}.txt"
     if cache_file.exists():
-        terms, reader = _parse_bfile(cache_file.read_text())
+        try:
+            terms, reader = _parse_bfile(cache_file.read_text())
+        except (OSError, ValueError):  # unreadable or corrupt: a cache miss
+            terms = ()
         if terms:
             return SequenceFixture(seq_id, terms, "cache", reader)
     network_error: Exception | None = None

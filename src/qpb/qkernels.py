@@ -14,12 +14,16 @@ The three Stirling deformations, by recurrence:
 * shifted   S(n+1,k) = q**(k-1)*S(n,k-1) + [k]*S(n,k); equals
             q**C(k,2) times the carlitz value.
 
-All kernels return canonical QPoly/QRational values and are memoized; the
-caches only grow and never change an entry, so concurrent readers are safe.
+All kernels return canonical QPoly/QRational values and are memoized.
+The memo tables only grow and never change an entry.  Growth runs under
+one module lock, which re-checks the length once held, so concurrent
+callers never append a row twice; a read of a row that already exists
+takes no lock.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -44,6 +48,7 @@ STIRLING_VARIANTS = ("carlitz", "cigler", "shifted")
 _q_factorials: list[QPoly] = [QPoly.one()]
 _stirling_tables: dict[str, list[list[QPoly]]] = {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
 _classical_rows: list[list[int]] = [[1]]
+_grow_lock = threading.Lock()
 
 
 def q_int(n: int) -> QPoly:
@@ -57,9 +62,11 @@ def q_factorial(n: int) -> QPoly:
     """[n]! = [1][2]...[n]."""
     if n < 0:
         raise ValueError(f"q_factorial needs n >= 0, got {n}")
-    while len(_q_factorials) <= n:
-        k = len(_q_factorials)
-        _q_factorials.append(_q_factorials[k - 1] * q_int(k))
+    if len(_q_factorials) <= n:
+        with _grow_lock:
+            while len(_q_factorials) <= n:
+                k = len(_q_factorials)
+                _q_factorials.append(_q_factorials[k - 1] * q_int(k))
     return _q_factorials[n]
 
 
@@ -121,9 +128,11 @@ def q_stirling(variant: str, n: int, m: int) -> QPoly:
     if m > n:
         return QPoly.zero()
     rows = _stirling_tables[variant]
-    grow = _GROWERS[variant]
-    while len(rows) <= n:
-        grow(rows)
+    if len(rows) <= n:
+        grow = _GROWERS[variant]
+        with _grow_lock:
+            while len(rows) <= n:
+                grow(rows)
     return rows[n][m]
 
 
@@ -133,13 +142,15 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 needs n, k >= 0")
     if k > n:
         return 0
-    while len(_classical_rows) <= n:
-        i = len(_classical_rows)
-        prev = _classical_rows[-1]
-        row = [0] * (i + 1)
-        for m in range(1, i + 1):
-            row[m] = prev[m - 1] + m * (prev[m] if m < len(prev) else 0)
-        _classical_rows.append(row)
+    if len(_classical_rows) <= n:
+        with _grow_lock:
+            while len(_classical_rows) <= n:
+                i = len(_classical_rows)
+                prev = _classical_rows[-1]
+                row = [0] * (i + 1)
+                for m in range(1, i + 1):
+                    row[m] = prev[m - 1] + m * (prev[m] if m < len(prev) else 0)
+                _classical_rows.append(row)
     return _classical_rows[n][k]
 
 

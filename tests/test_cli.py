@@ -120,6 +120,28 @@ def test_size_limit_exit_code(capsys):
     assert "size limit" in err
 
 
+EXIT_CODE_CASES = [
+    (("eval", "--family", "at_q", "--n", "2", "--k", "2", "--q", "2/3"), 0),
+    # the cache file the test writes disagrees with the computed table
+    (("oeis", "--id", "A099594", "--offline"), 1),
+    (("eval", "--family", "at_q", "--n", "3", "--q", "abc"), 2),
+    (("eval", "--family", "at_q", "--n", "3", "--k", "2", "--q=-1"), 2),
+    (("eval", "--family", "at_q", "--n", "-1"), 2),
+    (("table", "--family", "permmatrix_q", "--max-n", "6", "--max-k", "6"), 3),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EXIT_CODE_CASES)
+def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, expected):
+    monkeypatch.setenv("QPB_CACHE_DIR", str(tmp_path))
+    (tmp_path / "A099594.txt").write_text("0 1\n1 1\n2 1\n3 1\n4 99\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    if expected >= 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+
 def test_flag_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--family", "not_a_family"])

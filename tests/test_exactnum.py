@@ -4,11 +4,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpb.errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
-from qpb.exactnum import IntMatrix, QPoly, QRational, TruncatedSeries
+from qpb.exactnum import IntMatrix, QPoly, QRational, TruncatedSeries, _primitive_gcd
 
 small_polys = st.builds(
     QPoly,
@@ -148,10 +148,39 @@ def test_qrational_normal_form_unique(a, b, scale):
     # common factors never leak into the normal form
     den = b + QPoly([1], 4)
     mult = scale + QPoly([2], 2)
+    assume(not mult.is_zero)
     direct = QRational(a, den)
     scaled = QRational(a * mult, den * mult)
     assert direct == scaled
     assert direct.num == scaled.num and direct.den == scaled.den
+
+
+@settings(max_examples=80)
+@given(small_polys, small_polys, small_polys)
+def test_qrational_cancels_any_common_factor(a, b, c):
+    assume(not b.is_zero and not c.is_zero)
+    assert QRational(a * c, b * c) == QRational(a, b)
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30), max_size=7),
+    st.lists(st.integers(min_value=-30, max_value=30), max_size=7),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4),
+)
+def test_primitive_gcd_matches_sympy(a, b, common):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    # a shared factor makes nontrivial gcds common rather than rare
+    a = list((QPoly(a) * QPoly(common)).coeffs) if any(a) else a
+    b = list((QPoly(b) * QPoly(common)).coeffs) if any(b) else b
+    assume(any(a) or any(b))
+    g = sympy.Poly(sympy.gcd(sympy.Poly(a[::-1], q), sympy.Poly(b[::-1], q)), q)
+    _, g = g.primitive()
+    if g.LC() < 0:
+        g = -g
+    expected = [int(c) for c in reversed(g.all_coeffs())]
+    assert _primitive_gcd(a, b) == expected
 
 
 @settings(max_examples=40)

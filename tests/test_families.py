@@ -7,7 +7,7 @@ import pytest
 
 from qpb import families as F
 from qpb.exactnum import QPoly, QRational
-from qpb.qkernels import q_factorial, q_stirling, stirling2
+from qpb.qkernels import q_factorial, q_int, q_stirling, stirling2
 
 NEGK_TABLE = (
     (1, 1, 1, 1, 1, 1),
@@ -190,6 +190,23 @@ def test_at_q_values():
     for n in range(7):
         for k in range(-4, 5):
             assert F.at_q_pb(n, k).eval_rational(1) == F.classical_pb(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(10, 3), (14, 2)])
+def test_at_q_large_cells_match_pointwise_sum(n, k):
+    # Reference: the defining sum evaluated in Fraction at each point, with
+    # no QRational anywhere, so it shares no gcd or division code with at_q_pb.
+    value = F.at_q_pb(n, k)
+    for r in (Fraction(2), Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7), Fraction(-5)):
+        total = Fraction(0)
+        for m in range(n + 1):
+            term = (
+                q_factorial(m).eval_rational(r)
+                * q_stirling("carlitz", n, m).eval_rational(r)
+                / q_int(m + 1).eval_rational(r) ** k
+            )
+            total += term if m % 2 == 0 else -term
+        assert value.eval_rational(r) == (-total if n % 2 else total)
 
 
 def test_triangle_classical_rows():

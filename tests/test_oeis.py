@@ -64,6 +64,13 @@ def test_remote_fetch_populates_cache_and_round_trips(tmp_path):
     assert len(calls) == 1
 
 
+def test_corrupt_cache_is_a_miss(tmp_path):
+    (tmp_path / "A099594.txt").write_text("0 1\n1 not-a-number\n")
+    fx = fetch_sequence("A099594", offline=True, transport=_boom, cache=tmp_path)
+    assert fx.source == "bundled"
+    assert fx.terms[:10] == EXPECTED_HEAD
+
+
 def test_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv("QPB_CACHE_DIR", str(tmp_path / "deep"))
     assert cache_dir() == tmp_path / "deep"

@@ -1,13 +1,17 @@
 """q-kernel tests, each derived value frozen from an independent oracle."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from qpb import qkernels
 from qpb.exactnum import QPoly, QRational, TruncatedSeries
 from qpb.objects import gen_set_partitions, inv_star
 from qpb.qkernels import (
+    STIRLING_VARIANTS,
     q_binomial,
     q_eulerian,
     q_exponential,
@@ -197,3 +201,59 @@ def test_ernst_polynomial_identity():
                 lhs = lhs + (term if i % 2 == 0 else -term)
             rhs = q_factorial(m) * QPoly.q(comb(m, 2)) * q_stirling("carlitz", n, m)
             assert lhs == rhs
+
+
+def _fresh_memo_tables(monkeypatch):
+    monkeypatch.setattr(qkernels, "_q_factorials", [QPoly.one()])
+    monkeypatch.setattr(
+        qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
+    )
+    monkeypatch.setattr(qkernels, "_classical_rows", [[1]])
+
+
+def _grow_all(top):
+    for n in range(top + 1):
+        q_factorial(n)
+        stirling2(n, n // 2)
+        for variant in STIRLING_VARIANTS:
+            q_stirling(variant, n, n // 2)
+
+
+def _memo_snapshot():
+    return (
+        list(qkernels._q_factorials),
+        {v: list(rows) for v, rows in qkernels._stirling_tables.items()},
+        list(qkernels._classical_rows),
+    )
+
+
+def test_memo_growth_is_thread_safe(monkeypatch):
+    top = 24
+    _fresh_memo_tables(monkeypatch)
+    _grow_all(top)
+    expected = _memo_snapshot()
+    for _ in range(5):
+        _fresh_memo_tables(monkeypatch)
+        start = threading.Barrier(4)
+        errors = []
+
+        def worker():
+            try:
+                start.wait(timeout=10)
+                _grow_all(top)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert _memo_snapshot() == expected
