@@ -65,9 +65,18 @@ def _table_cells(spec: families.FamilySpec, max_n: int, max_k: int):
                 yield n, k, _family_value(spec, n, k)
 
 
+def _domain_error(args, message: str) -> int:
+    sys.stderr.write(f"qpb {args.command}: error: {message}\n")
+    return EXIT_USAGE
+
+
 def cmd_table(args) -> int:
     spec = families.FAMILIES[args.family]
     # Bounds are rejected before any cell is computed.
+    if args.max_n < 0 or args.max_k < 0:
+        return _domain_error(
+            args, f"--max-n and --max-k must be >= 0, got {args.max_n} and {args.max_k}"
+        )
     if spec.max_cells is not None and args.max_n * args.max_k > spec.max_cells:
         raise SizeLimitError(
             f"family {spec.name} is enumeration-backed; max_n*max_k <= {spec.max_cells}"
@@ -102,11 +111,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _domain_error(message: str) -> int:
-    sys.stderr.write(f"qpb eval: error: {message}\n")
-    return EXIT_USAGE
-
-
 def cmd_eval(args) -> int:
     spec = families.FAMILIES[args.family]
     point = None
@@ -114,16 +118,16 @@ def cmd_eval(args) -> int:
         try:
             point = Fraction(args.q)
         except (ValueError, ZeroDivisionError):
-            return _domain_error(f"--q {args.q!r} is not a rational number")
+            return _domain_error(args, f"--q {args.q!r} is not a rational number")
     try:
         value = _family_value(spec, args.n, args.k)
     except ValueError as exc:
-        return _domain_error(str(exc))
+        return _domain_error(args, str(exc))
     if point is not None and isinstance(value, (QPoly, QRational)):
         try:
             value = value.eval_rational(point)
         except PoleError as exc:
-            return _domain_error(str(exc))
+            return _domain_error(args, str(exc))
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -665,18 +665,6 @@ class TruncatedSeries:
             out.append(t / lead)
         return TruncatedSeries(out)
 
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute ``inner`` (which must vanish at 0) for the variable."""
-        if inner.coeffs[0]:
-            raise ValueError("composition requires zero constant term")
-        n = min(self.order, inner.order)
-        zero = self._zero()
-        acc = TruncatedSeries([zero] * (n + 1))
-        for c in reversed(self.coeffs[: n + 1]):
-            acc = acc * inner
-            acc = TruncatedSeries([acc.coeffs[0] + c] + list(acc.coeffs[1:]))
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -158,6 +158,8 @@ def permmatrix_q_pb(n: int, k: int) -> QPoly:
     """Weight polynomial of rectangular permutation tableaux, graded by
     (number of 1s) - (number of columns).  No closed form is known; this is
     the enumeration result."""
+    if n < 0 or k < 0:
+        raise ValueError("permmatrix_q_pb needs n, k >= 0")
     return objects.class_poly("perm_matrix", n, k, "ones_minus_cols")
 
 
@@ -266,9 +268,6 @@ class Triangle:
 
     def leading_column(self) -> list[QRational]:
         return [row[0] for row in self.rows]
-
-    def entry(self, n: int, m: int) -> QRational:
-        return self.rows[n][m]
 
 
 def _as_qrational(v) -> QRational:

@@ -2,8 +2,7 @@
 
 q-integers, q-factorials, q-binomials, three q-deformations of the
 Stirling numbers of the second kind, two auxiliary Stirling-type arrays
-with a q parameter, the q-exponential series, and a q-analogue of the
-Eulerian numbers.
+with a q parameter, and the q-exponential series.
 
 The three Stirling deformations, by recurrence:
 
@@ -27,7 +26,6 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import NotPolynomialError
 from .exactnum import QPoly, QRational, TruncatedSeries
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "s2_q",
     "s2_inv_q",
     "q_exponential",
-    "q_eulerian",
 ]
 
 STIRLING_VARIANTS = ("carlitz", "cigler", "shifted")
@@ -197,25 +194,3 @@ def q_exponential(scale: QPoly, order: int) -> TruncatedSeries:
         coeffs.append(QRational(power, q_factorial(k)))
         power = power * scale
     return TruncatedSeries(coeffs)
-
-
-def q_eulerian(n: int, k: int) -> QPoly:
-    """q-Eulerian polynomial of rectangular permutation tableaux.
-
-    Specializes to Eulerian numbers at q=1, Narayana numbers at q=0, and
-    binomial coefficients at q=-1.  The defining sum is Laurent; the result
-    is asserted to be an honest polynomial.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"q_eulerian needs 0 <= k <= n, got ({n}, {k})")
-    acc = QPoly.zero()
-    for i in range(k):
-        binom_part = QPoly.q(k - i) * comb(n, i)
-        if i >= 1:
-            binom_part = binom_part + comb(n, i - 1)
-        term = (q_int(k - i) ** n) * binom_part.shift(k * i - k)
-        acc = acc + (term if i % 2 == 0 else -term)
-    acc = acc.shift(k - k * k)
-    if acc.min_exp < 0:
-        raise NotPolynomialError(f"q_eulerian({n}, {k}) produced exponent {acc.min_exp}")
-    return acc

@@ -68,9 +68,6 @@ class Board:
     def area(self) -> int:
         return self.rows * self.cols
 
-    def cell_count(self) -> int:
-        return sum(sum(r) for r in self.cells)
-
     def to_int_matrix(self) -> IntMatrix:
         return IntMatrix(self.cells)
 
@@ -104,21 +101,21 @@ def placement_from_permutation(perm: Sequence[int], board: Board) -> RookConfig:
 def gr_inv(config: RookConfig) -> int:
     """Uncancelled cells of the bounding rectangle: no rook weakly right in
     the row, none strictly below in the column."""
-    board = config.board
-    row_rook = [-1] * board.rows
-    col_rook = [-1] * board.cols
-    for i, j in config.rooks:
+    return _uncancelled_cells(config.board.rows, config.board.cols, config.rooks)
+
+
+def _uncancelled_cells(rows: int, cols: int, rooks) -> int:
+    row_rook = [-1] * rows
+    col_rook = [-1] * cols
+    for i, j in rooks:
         row_rook[i] = j
         col_rook[j] = i
     count = 0
-    for i in range(board.rows):
-        rj = row_rook[i]
-        for j in range(board.cols):
-            if rj >= j:
-                continue
-            if col_rook[j] > i:
-                continue
-            count += 1
+    for i, rj in enumerate(row_rook):
+        # Cells at or left of the row's rook are cancelled by it.
+        for j in range(rj + 1, cols):
+            if col_rook[j] <= i:
+                count += 1
     return count
 
 
@@ -153,24 +150,10 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
         raise SizeLimitError(f"board area {board.area} exceeds bound {max_area}")
     if k < 0 or k > min(board.rows, board.cols):
         raise ValueError(f"k must lie in [0, min(rows, cols)], got {k}")
-    # Inline gr_inv over reusable rook maps; placements dominate the cost.
     counts: dict[int, int] = {}
     rows, cols = board.rows, board.cols
     for rooks in rook_placements(board, k):
-        row_rook = [-1] * rows
-        col_rook = [-1] * cols
-        for i, j in rooks:
-            row_rook[i] = j
-            col_rook[j] = i
-        w = 0
-        for i in range(rows):
-            rj = row_rook[i]
-            for j in range(cols):
-                if rj >= j:
-                    continue
-                if col_rook[j] > i:
-                    continue
-                w += 1
+        w = _uncancelled_cells(rows, cols, rooks)
         counts[w] = counts.get(w, 0) + 1
     return QPoly.from_terms(counts)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import families, objects, rook
 from .errors import UnknownSuiteError
@@ -31,6 +31,14 @@ __all__ = [
     "gf_check_classical",
     "gf_check_cenkci",
     "gf_check_ernst",
+    "q1_collapse_check",
+    "Q1_COLLAPSE_FAMILIES",
+    "oracle_check",
+    "rook_full_square_check",
+    "rook_staircase_check",
+    "rook_reflection_check",
+    "rook_block_law_check",
+    "at_closed_form_check",
     "KNOWN_NEGK_TABLE",
 ]
 
@@ -280,74 +288,72 @@ def _suite_golden(max_n: int, max_k: int, order: int) -> list[CheckReport]:
     return reports
 
 
+# Families whose q = 1 value must collapse to a classical count, in report order.
+Q1_COLLAPSE_FAMILIES = ("ordered_q", "lonesum_q", "vesztergombi_q", "cenkci_q", "at_q", "permmatrix_q")
+
+
+def q1_collapse_check(family: str, n: int, k: int) -> CheckReport:
+    """The (n, k) member of a q-family at q = 1 against its classical count:
+    classical_pb_negk, or c_relative for permmatrix_q.  k >= 0 means the
+    negative branch; signed families are called with -k."""
+    spec = families.FAMILIES[family]
+    got = spec.fn(n, -k if spec.k_mode == "signed" else k).at_one()
+    want = families.c_relative(n, k) if family == "permmatrix_q" else families.classical_pb_negk(n, k)
+    return _pass_fail(
+        "q1-collapse", {"family": family, "n": n, "k": k}, got == want,
+        {"got": str(got), "want": str(want)},
+    )
+
+
 def _suite_q1_collapse(max_n: int, max_k: int, order: int) -> list[CheckReport]:
-    reports = []
-    for n in range(max_n + 1):
-        for k in range(max_k + 1):
-            classical = families.classical_pb_negk(n, k)
-            pairs = [
-                ("ordered_q", families.ordered_q_pb(n, k).at_one(), classical),
-                ("lonesum_q", families.lonesum_q_pb(n, k).at_one(), classical),
-                ("vesztergombi_q", families.vesztergombi_q_pb(n, k).at_one(), classical),
-                ("cenkci_q", families.cenkci_q_pb(n, -k).eval_rational(1), Fraction(classical)),
-                ("at_q", families.at_q_pb(n, -k).eval_rational(1), Fraction(classical)),
-            ]
-            if n * k <= 16:
-                pairs.append((
-                    "permmatrix_q",
-                    families.permmatrix_q_pb(n, k).at_one(),
-                    families.c_relative(n, k),
-                ))
-            for fam, got, want in pairs:
-                reports.append(_pass_fail(
-                    "q1-collapse", {"family": fam, "n": n, "k": k}, got == want,
-                    {"got": str(got), "want": str(want)},
-                ))
-    return reports
+    return [
+        q1_collapse_check(family, n, k)
+        for n in range(max_n + 1)
+        for k in range(max_k + 1)
+        for family in Q1_COLLAPSE_FAMILIES
+        if family != "permmatrix_q" or n * k <= 16
+    ]
+
+
+# Oracle name -> (enumeration, formula), each called with (n, k); k is None
+# for the single-index Fubini family.  The lambdas look the functions up
+# at call time, so a rebinding of the module attribute reaches them.
+_ORACLES: dict[str, tuple[Callable, Callable]] = {
+    "fubini": (lambda n, k: objects.fubini_oracle(n), lambda n, k: families.q_fubini(n)),
+    "ordered": (lambda n, k: objects.ordered_q_oracle(n, k),
+                lambda n, k: families.ordered_q_pb(n, k)),
+    "lonesum": (lambda n, k: objects.class_poly("lonesum", n, k, "nu_sum"),
+                lambda n, k: families.lonesum_q_pb(n, k)),
+    "vesztergombi": (lambda n, k: objects.vesztergombi_oracle(n, k),
+                     lambda n, k: families.vesztergombi_q_pb(n, k)),
+    "rook-band": (lambda n, k: rook.q_rook_number(rook.build_v_matrix(n, k), n + k),
+                  lambda n, k: families.vesztergombi_q_pb(n, k)),
+}
+
+
+def oracle_check(oracle: str, n: int, k: int | None = None) -> CheckReport:
+    """Brute-force enumeration against the formula route for one member.
+
+    ``oracle`` is one of fubini (n only), ordered, lonesum, vesztergombi and
+    rook-band (the q-rook number of the full band board).
+    """
+    enumerate_objects, formula = _ORACLES[oracle]
+    got = enumerate_objects(n, k)
+    want = formula(n, k)
+    return _pass_fail(
+        f"oracle-{oracle}", {"n": n} if k is None else {"n": n, "k": k}, got == want,
+        {"enumeration": str(got), "formula": str(want)},
+    )
 
 
 def _suite_oracles(max_n: int, max_k: int, order: int) -> list[CheckReport]:
-    reports = []
-    for n in range(min(max_n, 6) + 1):
-        got = objects.fubini_oracle(n)
-        want = families.q_fubini(n)
-        reports.append(_pass_fail(
-            "oracle-fubini", {"n": n}, got == want,
-            {"enumeration": str(got), "formula": str(want)},
-        ))
-    for n in range(min(max_n, 4) + 1):
-        for k in range(min(max_k, 4) + 1):
-            got = objects.ordered_q_oracle(n, k)
-            want = families.ordered_q_pb(n, k)
-            reports.append(_pass_fail(
-                "oracle-ordered", {"n": n, "k": k}, got == want,
-                {"enumeration": str(got), "formula": str(want)},
-            ))
-    for n in range(min(max_n, 3) + 1):
-        for k in range(min(max_k, 3) + 1):
-            got = objects.class_poly("lonesum", n, k, "nu_sum")
-            want = families.lonesum_q_pb(n, k)
-            reports.append(_pass_fail(
-                "oracle-lonesum", {"n": n, "k": k}, got == want,
-                {"enumeration": str(got), "formula": str(want)},
-            ))
-    for n in range(min(max_n, 3) + 1):
-        for k in range(min(max_k, 3) + 1):
-            got = objects.vesztergombi_oracle(n, k)
-            want = families.vesztergombi_q_pb(n, k)
-            reports.append(_pass_fail(
-                "oracle-vesztergombi", {"n": n, "k": k}, got == want,
-                {"enumeration": str(got), "formula": str(want)},
-            ))
-    for n in range(min(max_n, 3) + 1):
-        for k in range(min(max_k, 3) + 1):
-            board = rook.build_v_matrix(n, k)
-            got = rook.q_rook_number(board, n + k)
-            want = families.vesztergombi_q_pb(n, k)
-            reports.append(_pass_fail(
-                "oracle-rook-band", {"n": n, "k": k}, got == want,
-                {"rook": str(got), "formula": str(want)},
-            ))
+    reports = [oracle_check("fubini", n) for n in range(min(max_n, 6) + 1)]
+    for oracle, bound in (("ordered", 4), ("lonesum", 3), ("vesztergombi", 3), ("rook-band", 3)):
+        reports += [
+            oracle_check(oracle, n, k)
+            for n in range(min(max_n, bound) + 1)
+            for k in range(min(max_k, bound) + 1)
+        ]
     return reports
 
 
@@ -366,38 +372,69 @@ def _sample_square_boards(n: int, count: int, seed: int) -> list[rook.Board]:
     return out
 
 
+def _board_rows(board: rook.Board) -> list[list[int]]:
+    return [list(r) for r in board.cells]
+
+
+def rook_full_square_check(n: int) -> CheckReport:
+    """n rooks on the full n x n board give [n]!."""
+    got = rook.q_rook_number(rook.full_board(n, n), n)
+    want = q_factorial(n)
+    return _pass_fail("rook-full-square", {"n": n}, got == want, {"got": str(got), "want": str(want)})
+
+
+def rook_staircase_check(n: int, k: int) -> CheckReport:
+    """k rooks on the staircase H_n give q**C(n,2) * S_shifted(n+1, n+1-k)."""
+    got = rook.q_rook_number(rook.secondary_staircase(n), k)
+    want = QPoly.q(comb(n, 2)) * q_stirling("shifted", n + 1, n + 1 - k)
+    return _pass_fail(
+        "rook-staircase", {"n": n, "k": k}, got == want, {"got": str(got), "want": str(want)}
+    )
+
+
+def rook_reflection_check(n: int) -> CheckReport:
+    """Reflection law over every n x n board:
+    R_n(reflect_updown B) == q**C(n,2) * R_n(B)(1/q)."""
+    for idx, board in enumerate(_all_square_boards(n)):
+        lhs = rook.q_rook_number(rook.reflect_updown(board), n)
+        rhs = QPoly.q(comb(n, 2)) * rook.q_rook_number(board, n).subs_inv_q()
+        if lhs != rhs:
+            return _pass_fail(
+                "rook-reflection", {"n": n, "boards": "all"}, False,
+                {"index": idx, "board": _board_rows(board), "lhs": str(lhs), "rhs": str(rhs)},
+            )
+    return _pass_fail("rook-reflection", {"n": n, "boards": "all"}, True)
+
+
+def rook_block_law_check(pairs: Sequence[tuple[rook.Board, rook.Board]]) -> CheckReport:
+    """Block-composition law, squared-factorial form, for each square pair (A, B):
+      R_{a+b}(B/A) = sum_i R_{a-i}(A) * R_{b-i}(rot180 B) * ([i]!)**2 * q**(-i*i)
+    (the form consistent with the banded-permutation identity; the
+    single-factorial variant fails already on empty 2x2 blocks).  The
+    witness is the first pair that breaks the law."""
+    for a, b in pairs:
+        lhs = rook.q_rook_number(rook.block_over(b, a), a.rows + b.rows)
+        rhs = QPoly.zero()
+        for i in range(min(a.rows, b.rows) + 1):
+            f = q_factorial(i)
+            rhs = rhs + (
+                rook.q_rook_number(a, a.rows - i)
+                * rook.q_rook_number(rook.rotate_180(b), b.rows - i)
+                * f * f
+            ).shift(-i * i)
+        if lhs != rhs:
+            return _pass_fail(
+                "rook-block-law", {"pairs": len(pairs)}, False,
+                {"a": _board_rows(a), "b": _board_rows(b), "lhs": str(lhs), "rhs": str(rhs)},
+            )
+    return _pass_fail("rook-block-law", {"pairs": len(pairs)}, True)
+
+
 def _suite_rook_laws(max_n: int, max_k: int, order: int) -> list[CheckReport]:
-    reports = []
-    for n in range(min(max_n, 5) + 1):
-        got = rook.q_rook_number(rook.full_board(n, n), n)
-        reports.append(_pass_fail(
-            "rook-full-square", {"n": n}, got == q_factorial(n),
-            {"got": str(got), "want": str(q_factorial(n))},
-        ))
-    for n in range(1, min(max_n, 5) + 1):
-        board = rook.secondary_staircase(n)
-        for k in range(n + 1):
-            got = rook.q_rook_number(board, k)
-            want = QPoly.q(comb(n, 2)) * q_stirling("shifted", n + 1, n + 1 - k)
-            reports.append(_pass_fail(
-                "rook-staircase", {"n": n, "k": k}, got == want,
-                {"got": str(got), "want": str(want)},
-            ))
-    # Reflection law, exhaustive over square boards up to 3x3.
-    for n in range(1, 4):
-        for idx, board in enumerate(_all_square_boards(n)):
-            lhs = rook.q_rook_number(rook.reflect_updown(board), n)
-            rhs = QPoly.q(comb(n, 2)) * rook.q_rook_number(board, n).subs_inv_q()
-            if lhs != rhs:
-                reports.append(_pass_fail(
-                    "rook-reflection", {"n": n, "board": idx}, False,
-                    {"board": [list(r) for r in board.cells], "lhs": str(lhs), "rhs": str(rhs)},
-                ))
-        reports.append(_pass_fail("rook-reflection", {"n": n, "boards": "all"}, True))
-    # Block-composition law, squared-factorial form
-    #   R_{a+b}(B/A) = sum_i R_{a-i}(A) * R_{b-i}(rot180 B) * ([i]!)**2 * q**(-i*i)
-    # (the form consistent with the banded-permutation identity; the
-    # single-factorial variant fails already on empty 2x2 blocks).
+    top = min(max_n, 5)
+    reports = [rook_full_square_check(n) for n in range(top + 1)]
+    reports += [rook_staircase_check(n, k) for n in range(1, top + 1) for k in range(n + 1)]
+    reports += [rook_reflection_check(n) for n in range(1, 4)]
     # Exhaustive over pairs up to 2x2, plus a deterministic sample of 3x3
     # pairs; the full 3x3 pair sweep is 262144 boards and out of desk budget.
     small = [b for s in (1, 2) for b in _all_square_boards(s)]
@@ -409,32 +446,7 @@ def _suite_rook_laws(max_n: int, max_k: int, order: int) -> list[CheckReport]:
         (rook.full_board(3, 3), rook.secondary_staircase(3)),
         (rook.lower_triangular(3), rook.upper_triangular(3)),
     ]
-    bad = 0
-    first_witness = None
-    for a, b in pairs:
-        composite = rook.block_over(b, a)
-        lhs = rook.q_rook_number(composite, a.rows + b.rows)
-        rhs = QPoly.zero()
-        for i in range(min(a.rows, b.rows) + 1):
-            f = q_factorial(i)
-            rhs = rhs + (
-                rook.q_rook_number(a, a.rows - i)
-                * rook.q_rook_number(rook.rotate_180(b), b.rows - i)
-                * f * f
-            ).shift(-i * i)
-        if lhs != rhs:
-            bad += 1
-            if first_witness is None:
-                first_witness = {
-                    "a": [list(r) for r in a.cells],
-                    "b": [list(r) for r in b.cells],
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-    reports.append(_pass_fail(
-        "rook-block-law", {"pairs": len(pairs)}, bad == 0,
-        first_witness or {"detail": "mismatch"},
-    ))
+    reports.append(rook_block_law_check(pairs))
     return reports
 
 
@@ -442,11 +454,11 @@ def _suite_cross_formula(max_n: int, max_k: int, order: int) -> list[CheckReport
     reports = []
     for n in range(max_n + 1):
         for k in range(max_k + 1):
-            ok = families.classical_pb(n, -k) == families.classical_pb_negk(n, k)
+            explicit = families.classical_pb(n, -k)
+            paired = families.classical_pb_negk(n, k)
             reports.append(_pass_fail(
-                "explicit-vs-paired", {"n": n, "k": k}, ok,
-                {"explicit": str(families.classical_pb(n, -k)),
-                 "paired": str(families.classical_pb_negk(n, k))},
+                "explicit-vs-paired", {"n": n, "k": k}, explicit == paired,
+                {"explicit": str(explicit), "paired": str(paired)},
             ))
             reports.append(_pass_fail(
                 "step-down-recursion", {"n": n, "k": k},
@@ -482,6 +494,33 @@ def _suite_genfunc(max_n: int, max_k: int, order: int) -> list[CheckReport]:
     return reports
 
 
+def at_closed_form_check(rule: str, initial_row: Sequence[Fraction], depth: int) -> list[CheckReport]:
+    """Leading column of a q-rule triangle (rows n < depth, row length
+    len(initial_row)) against its closed form in the initial row a:
+      zengA: sum over m <= n of (-1)**m * a[m] * [m]! * {n+1, m+1}_q
+      zengB: sum over m <= n of (-1)**m * a[m] * [m]! * {n, m}_q
+    One report per n."""
+    if rule not in ("zengA", "zengB"):
+        raise ValueError(f"closed forms exist for zengA and zengB, not {rule!r}")
+    shift = 1 if rule == "zengA" else 0
+    lead = families.akiyama_tanigawa(
+        rule, initial_row, n_rows=depth, row_len=len(initial_row)
+    ).leading_column()
+    reports = []
+    for n in range(depth):
+        closed = QRational.from_int(0)
+        for m in range(n + 1):
+            term = QRational.from_fraction(initial_row[m]) * (
+                q_factorial(m) * q_stirling("carlitz", n + shift, m + shift)
+            )
+            closed = closed - term if m % 2 else closed + term
+        reports.append(_pass_fail(
+            f"at-{rule}-closed-form", {"n": n}, lead[n] == closed,
+            {"triangle": str(lead[n]), "closed": str(closed)},
+        ))
+    return reports
+
+
 def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckReport]:
     reports = []
     tri = families.akiyama_tanigawa("classical", families.harmonic_initial(), n_rows=3, row_len=5)
@@ -500,28 +539,10 @@ def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckRep
 
     # Closed forms for the two q-rules against a generic rational initial row.
     depth = min(max_n, 6) + 1
-    width = depth + 1
-    generic = [Fraction((-1) ** m * (m * m + 3), 2 * m + 1) for m in range(width)]
-    tri_a = families.akiyama_tanigawa("zengA", generic, n_rows=depth, row_len=width)
-    tri_b = families.akiyama_tanigawa("zengB", generic, n_rows=depth, row_len=width)
-    for n in range(depth):
-        want_a = QRational.from_int(0)
-        want_b = QRational.from_int(0)
-        for m in range(n + 1):
-            sign = -1 if m % 2 else 1
-            a0 = QRational.from_fraction(generic[m])
-            want_a = want_a + a0 * (q_factorial(m) * q_stirling("carlitz", n + 1, m + 1)) * sign
-            want_b = want_b + a0 * (q_factorial(m) * q_stirling("carlitz", n, m)) * sign
-        reports.append(_pass_fail(
-            "at-zengA-closed-form", {"n": n},
-            tri_a.leading_column()[n] == want_a,
-            {"triangle": str(tri_a.leading_column()[n]), "closed": str(want_a)},
-        ))
-        reports.append(_pass_fail(
-            "at-zengB-closed-form", {"n": n},
-            tri_b.leading_column()[n] == want_b,
-            {"triangle": str(tri_b.leading_column()[n]), "closed": str(want_b)},
-        ))
+    generic = [Fraction((-1) ** m * (m * m + 3), 2 * m + 1) for m in range(depth + 1)]
+    for pair in zip(at_closed_form_check("zengA", generic, depth),
+                    at_closed_form_check("zengB", generic, depth)):
+        reports.extend(pair)
 
     beta2 = families.carlitz_beta(2)
     reports.append(_pass_fail(
@@ -533,11 +554,10 @@ def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckRep
         tri = families.akiyama_tanigawa(
             "zengA", families.q_harmonic_initial(), n_rows=n + 1, row_len=n + 1
         )
+        closed, lead_n = families.carlitz_beta(n), tri.leading_column()[n]
         reports.append(_pass_fail(
-            "carlitz-beta-vs-triangle", {"n": n},
-            families.carlitz_beta(n) == tri.leading_column()[n],
-            {"closed": str(families.carlitz_beta(n)),
-             "triangle": str(tri.leading_column()[n])},
+            "carlitz-beta-vs-triangle", {"n": n}, closed == lead_n,
+            {"closed": str(closed), "triangle": str(lead_n)},
         ))
 
     # Leading column of rule B with power initial rows, against the explicit

@@ -2,16 +2,15 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 summary lines; every stated runtime bound and tolerance (exact equality
-everywhere, zero tolerance) is asserted here.
+everywhere, zero tolerance) is asserted here.  The comparisons themselves
+live in `qpb.verify`; each criterion runs them over its own ranges and
+asserts how many checks ran.
 """
 
 import time
 from fractions import Fraction
-from math import comb
 
-from qpb import families, objects, oeis, rook, verify
-from qpb.exactnum import QPoly, QRational
-from qpb.qkernels import q_factorial, q_stirling
+from qpb import objects, oeis, rook, verify
 
 
 def _report(tag: str, ok: bool, detail: str = ""):
@@ -21,15 +20,26 @@ def _report(tag: str, ok: bool, detail: str = ""):
     assert ok, f"{tag} failed {suffix}"
 
 
+def _report_checks(tag, reports, expected, start, bound=None, extra=()):
+    """Every report must pass, exactly ``expected`` of them must have run,
+    every item of ``extra`` must hold, and the time since ``start`` must
+    stay under ``bound`` seconds when one is given."""
+    elapsed = time.perf_counter() - start
+    failed = [r.to_json() for r in reports if r.status != "pass"]
+    ok = (not failed and len(reports) == expected and all(extra)
+          and (bound is None or elapsed < bound))
+    detail = f"{len(reports) - len(failed)}/{expected} checks, {elapsed:.2f}s"
+    if extra:
+        detail += f", {sum(extra)}/{len(extra)} further items"
+    if failed:
+        detail += f"; first failure {failed[0]}"
+    _report(tag, ok, detail)
+
+
 def test_criterion_1_value_table():
     start = time.perf_counter()
-    ok = all(
-        families.classical_pb_negk(n, k) == verify.KNOWN_NEGK_TABLE[k][n]
-        for k in range(6)
-        for n in range(6)
-    )
-    elapsed = time.perf_counter() - start
-    _report("criterion 1 (36-entry value table)", ok and elapsed < 1.0, f"{elapsed:.3f}s")
+    reports = verify.run_suite("value-table")
+    _report_checks("criterion 1 (36-entry value table)", reports, 36, start, bound=1.0)
 
 
 EXAMPLE_MATRIX = (
@@ -44,147 +54,69 @@ EXAMPLE_MATRIX = (
 
 def test_criterion_2_golden_set():
     start = time.perf_counter()
-    checks = []
-    checks.append(families.q_fubini(3) == QPoly([4, 5, 3, 1]))
-    checks.append(families.q_fubini(4) == QPoly([8, 17, 20, 16, 9, 4, 1]))
-    checks.append(families.ordered_q_pb(3, 1) == QPoly([4, 3, 1]))
-    checks.append(families.vesztergombi_q_pb(2, 2) == QPoly([1, 3, 5, 4, 1]))
-    one_plus_q = QPoly([1, 1])
-    checks.extend(
-        families.vesztergombi_q_pb(n, 1) == one_plus_q ** n for n in range(7)
-    )
-    checks.append(families.vesztergombi_q_pb(3, 2) == QPoly([1, 4, 9, 13, 12, 6, 1]))
-    checks.append(verify.sylvester_matrix(3).charpoly() == QPoly([1, -3, 6, -7, 5, -1]))
-    checks.append(rook.build_v_matrix(3, 2).to_int_matrix().permanent() == 46)
-    checks.append(objects.nu_weight(EXAMPLE_MATRIX) == 17)
+    reports = verify.run_suite("golden")
     cfg = rook.placement_from_permutation((3, 1, 5, 2, 4), rook.build_v_matrix(3, 2))
-    checks.append(rook.gr_inv(cfg) == 4)
-    elapsed = time.perf_counter() - start
-    _report(
-        "criterion 2 (golden value set)",
-        all(checks) and elapsed < 5.0,
-        f"{sum(checks)}/{len(checks)} items, {elapsed:.3f}s",
-    )
+    extra = (objects.nu_weight(EXAMPLE_MATRIX) == 17, rook.gr_inv(cfg) == 4)
+    _report_checks("criterion 2 (golden value set)", reports, 14, start, bound=5.0, extra=extra)
 
 
 def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
-    count = 0
-    for n in range(8):
-        assert objects.fubini_oracle(n) == families.q_fubini(n), f"fubini sweep n={n}"
-        count += 1
-    for n in range(6):
-        for k in range(6):
-            assert objects.ordered_q_oracle(n, k) == families.ordered_q_pb(n, k), \
-                f"pair sweep ({n},{k})"
-            count += 1
+    reports = [verify.oracle_check("fubini", n) for n in range(8)]
+    reports += [verify.oracle_check("ordered", n, k) for n in range(6) for k in range(6)]
     lonesum_cells = [(n, k) for n in range(5) for k in range(5)] + [(2, 5), (5, 2)]
-    for n, k in lonesum_cells:
-        assert objects.class_poly("lonesum", n, k, "nu_sum") == families.lonesum_q_pb(n, k), \
-            f"lonesum sweep ({n},{k})"
-        count += 1
-    for total in range(9):
-        for n in range(total + 1):
-            k = total - n
-            assert objects.vesztergombi_oracle(n, k) == families.vesztergombi_q_pb(n, k), \
-                f"banded permutation sweep ({n},{k})"
-            count += 1
-    for total in range(8):
-        for n in range(total + 1):
-            k = total - n
-            board = rook.build_v_matrix(n, k)
-            assert rook.q_rook_number(board, n + k) == families.vesztergombi_q_pb(n, k), \
-                f"full-board rook sweep ({n},{k})"
-            count += 1
-    elapsed = time.perf_counter() - start
-    _report(
-        "criterion 3 (formula = enumeration)",
-        elapsed < 120.0,
-        f"{count} exact polynomial identities, {elapsed:.1f}s",
+    reports += [verify.oracle_check("lonesum", n, k) for n, k in lonesum_cells]
+    reports += [
+        verify.oracle_check("vesztergombi", n, total - n)
+        for total in range(9) for n in range(total + 1)
+    ]
+    reports += [
+        verify.oracle_check("rook-band", n, total - n)
+        for total in range(8) for n in range(total + 1)
+    ]
+    _report_checks(
+        "criterion 3 (formula = enumeration)", reports, 8 + 36 + 27 + 45 + 36, start, bound=120.0
     )
 
 
 def test_criterion_4_rook_laws():
     start = time.perf_counter()
-    for n in range(6):
-        assert rook.q_rook_number(rook.full_board(n, n), n) == q_factorial(n)
-    for n in range(1, 6):
-        board = rook.secondary_staircase(n)
-        for k in range(n + 1):
-            want = QPoly.q(comb(n, 2)) * q_stirling("shifted", n + 1, n + 1 - k)
-            assert rook.q_rook_number(board, k) == want, f"staircase law n={n} k={k}"
+    reports = [verify.rook_full_square_check(n) for n in range(6)]
+    reports += [verify.rook_staircase_check(n, k) for n in range(1, 6) for k in range(n + 1)]
     # reflection: exhaustive over every square board up to 3x3
-    from itertools import product as iproduct
-
-    boards_checked = 0
-    for n in (1, 2, 3):
-        for bits in iproduct((0, 1), repeat=n * n):
-            board = rook.Board(tuple(bits[i * n:(i + 1) * n] for i in range(n)))
-            lhs = rook.q_rook_number(rook.reflect_updown(board), n)
-            rhs = QPoly.q(comb(n, 2)) * rook.q_rook_number(board, n).subs_inv_q()
-            assert lhs == rhs, f"reflection law on {board.cells}"
-            boards_checked += 1
+    reports += [verify.rook_reflection_check(n) for n in (1, 2, 3)]
     # block law: exhaustive pairs up to 2x2 plus structured 3x3 boards
-    def block_law(a, b):
-        lhs = rook.q_rook_number(rook.block_over(b, a), a.rows + b.rows)
-        rhs = QPoly.zero()
-        for i in range(min(a.rows, b.rows) + 1):
-            f = q_factorial(i)
-            rhs = rhs + (
-                rook.q_rook_number(a, a.rows - i)
-                * rook.q_rook_number(rook.rotate_180(b), b.rows - i)
-                * f * f
-            ).shift(-i * i)
-        return lhs == rhs
-
-    small = []
-    for n in (1, 2):
-        for bits in iproduct((0, 1), repeat=n * n):
-            small.append(rook.Board(tuple(bits[i * n:(i + 1) * n] for i in range(n))))
-    pairs_checked = 0
-    for a in small:
-        for b in small:
-            assert block_law(a, b), f"block law on {a.cells} / {b.cells}"
-            pairs_checked += 1
+    small = [b for n in (1, 2) for b in verify._all_square_boards(n)]
     trio = (
         rook.secondary_staircase(3),
         rook.full_board(3, 3),
         rook.lower_triangular(3),
         rook.upper_triangular(3),
     )
-    for a in trio:
-        for b in trio:
-            assert block_law(a, b)
-            pairs_checked += 1
-    elapsed = time.perf_counter() - start
-    _report(
-        "criterion 4 (rook laws, exact Laurent)",
-        True,
-        f"{boards_checked} reflections, {pairs_checked} block pairs, {elapsed:.1f}s",
+    pairs = [(a, b) for a in small for b in small] + [(a, b) for a in trio for b in trio]
+    reports.append(verify.rook_block_law_check(pairs))
+    _report_checks(
+        "criterion 4 (rook laws, exact Laurent)", reports, 6 + 20 + 3 + 1, start,
+        extra=(len(pairs) == 18 * 18 + 16,),
     )
 
 
 def test_criterion_5_cross_formula_consistency():
     start = time.perf_counter()
-    for n in range(9):
-        for k in range(9):
-            assert families.classical_pb(n, -k) == families.classical_pb_negk(n, k)
-            assert families.pb_recursion_check(n, k)
-    for n in range(1, 7):
-        for k in range(-4, 1):
-            assert families.cenkci_recursion_check(n, k), f"step-down ({n},{k})"
-    for n in range(6):
-        for k in range(6):
-            classical = families.classical_pb_negk(n, k)
-            assert families.ordered_q_pb(n, k).at_one() == classical
-            assert families.lonesum_q_pb(n, k).at_one() == classical
-            assert families.vesztergombi_q_pb(n, k).at_one() == classical
-            assert families.cenkci_q_pb(n, -k).eval_rational(1) == classical
-            assert families.at_q_pb(n, -k).eval_rational(1) == classical
-            if n * k <= 24:  # enumeration-backed family, documented scan bound
-                assert families.permmatrix_q_pb(n, k).at_one() == families.c_relative(n, k)
-    elapsed = time.perf_counter() - start
-    _report("criterion 5 (cross-formula consistency)", True, f"{elapsed:.1f}s")
+    # explicit-vs-paired and step-down for n, k <= 8, Cenkci step-down for
+    # 1 <= n <= 6 and -4 <= k <= 0, shifted-vs-carlitz for n <= 8
+    reports = verify.run_suite("cross-formula", max_n=8, max_k=8)
+    reports += [
+        verify.q1_collapse_check(family, n, k)
+        for n in range(6)
+        for k in range(6)
+        for family in verify.Q1_COLLAPSE_FAMILIES
+        # enumeration-backed family, documented scan bound
+        if family != "permmatrix_q" or n * k <= 24
+    ]
+    _report_checks(
+        "criterion 5 (cross-formula consistency)", reports, 81 * 2 + 30 + 45 + 36 * 5 + 35, start
+    )
 
 
 def test_criterion_6_generating_functions():
@@ -207,49 +139,24 @@ def test_criterion_7_conjecture_harness():
     for n in range(2, 9):
         verdicts[n] = verify.sylvester_conjecture(n).status
     elapsed = time.perf_counter() - start
-    # n = 3 is the anchored case; the rest are findings, reported not fixed
     _report(
         "criterion 7 (conjecture harness)",
-        verdicts[3] == "pass" and elapsed < 30.0,
+        all(v == "pass" for v in verdicts.values()) and elapsed < 30.0,
         "verdicts " + ", ".join(f"n={n}:{s}" for n, s in verdicts.items()) + f", {elapsed:.1f}s",
     )
 
 
 def test_criterion_8_triangle_engines():
     start = time.perf_counter()
-    tri = families.akiyama_tanigawa("classical", families.harmonic_initial(), n_rows=3, row_len=5)
-    assert [c.as_fraction() for c in tri.rows[1][:3]] == [
-        Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
-    assert [c.as_fraction() for c in tri.rows[2][:3]] == [
-        Fraction(1, 6), Fraction(1, 6), Fraction(3, 20)]
-
-    width = 8
-    generic = [Fraction((-1) ** m * (2 * m + 3), m * m + 2) for m in range(width)]
-    tri_a = families.akiyama_tanigawa("zengA", generic, n_rows=7, row_len=width)
-    tri_b = families.akiyama_tanigawa("zengB", generic, n_rows=7, row_len=width)
-    for n in range(7):
-        want_a = QRational.from_int(0)
-        want_b = QRational.from_int(0)
-        for m in range(n + 1):
-            sign = -1 if m % 2 else 1
-            coeff = QRational.from_fraction(generic[m]) * sign
-            want_a = want_a + coeff * (q_factorial(m) * q_stirling("carlitz", n + 1, m + 1))
-            want_b = want_b + coeff * (q_factorial(m) * q_stirling("carlitz", n, m))
-        assert tri_a.leading_column()[n] == want_a, f"rule A closed form n={n}"
-        assert tri_b.leading_column()[n] == want_b, f"rule B closed form n={n}"
-
-    assert families.carlitz_beta(2).eval_rational(1) == Fraction(1, 6)
-
-    for k in range(-3, 4):
-        tri = families.akiyama_tanigawa("zengB", families.q_power_initial(k), n_rows=6, row_len=6)
-        lead = tri.leading_column()
-        for n in range(6):
-            v = families.at_q_pb(n, -k)
-            target = v if isinstance(v, QRational) else QRational.from_qpoly(v)
-            got = lead[n] if n % 2 == 0 else -lead[n]
-            assert got == target, f"triangle bridge k={k} n={n}"
-    elapsed = time.perf_counter() - start
-    _report("criterion 8 (row-rewriting engines)", True, f"{elapsed:.1f}s")
+    # classical rows, carlitz_beta(2) at q = 1, and the rule-B bridge to
+    # at_q_pb for -3 <= k <= 3 and n < 6, with the suite's own closed forms
+    reports = verify.run_suite("akiyama-tanigawa", max_n=5)
+    generic = [Fraction((-1) ** m * (2 * m + 3), m * m + 2) for m in range(8)]
+    for rule in ("zengA", "zengB"):
+        reports += verify.at_closed_form_check(rule, generic, 7)
+    _report_checks(
+        "criterion 8 (row-rewriting engines)", reports, 2 + 12 + 1 + 5 + 42 + 14, start
+    )
 
 
 def test_criterion_9_comb_identity_report():

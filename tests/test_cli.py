@@ -128,6 +128,9 @@ EXIT_CODE_CASES = [
     (("eval", "--family", "at_q", "--n", "3", "--k", "2", "--q=-1"), 2),
     (("eval", "--family", "at_q", "--n", "-1"), 2),
     (("table", "--family", "permmatrix_q", "--max-n", "6", "--max-k", "6"), 3),
+    (("eval", "--family", "permmatrix_q", "--n", "-1"), 2),
+    (("eval", "--family", "permmatrix_q", "--n", "2", "--k", "-1"), 2),
+    (("table", "--max-n", "-2"), 2),
 ]
 
 

@@ -218,15 +218,6 @@ def test_series_division_undefined():
         _frac_series(1, 0, 0) / _frac_series(0, 1, 0)
 
 
-def test_series_compose_requires_zero_constant():
-    f = _frac_series(1, 1, 1)
-    with pytest.raises(ValueError):
-        f.compose(_frac_series(1, 1, 0))
-    g = _frac_series(0, 1, 1)
-    comp = f.compose(g)  # 1 + g + g^2 = 1 + t + 2t^2 + ...
-    assert comp.coeffs[:3] == (Fraction(1), Fraction(1), Fraction(2))
-
-
 @settings(max_examples=40)
 @given(
     st.lists(st.fractions(max_denominator=6), min_size=1, max_size=6),

@@ -13,7 +13,6 @@ from qpb.objects import gen_set_partitions, inv_star
 from qpb.qkernels import (
     STIRLING_VARIANTS,
     q_binomial,
-    q_eulerian,
     q_exponential,
     q_factorial,
     q_int,
@@ -162,33 +161,6 @@ def test_q_exponential_coefficients():
     zero_arg = q_exponential(QPoly.zero(), 3)
     assert zero_arg.coefficient(0) == QRational.from_int(1)
     assert all(zero_arg.coefficient(k).is_zero for k in range(1, 4))
-
-
-def _eulerian_table(n_max):
-    # classical recurrence: E(n, j) = (j+1) E(n-1, j) + (n-j) E(n-1, j-1)
-    table = {(0, 0): 1}
-    for n in range(1, n_max + 1):
-        for j in range(n):
-            table[(n, j)] = (j + 1) * table.get((n - 1, j), 0) + (n - j) * table.get((n - 1, j - 1), 0)
-    return table
-
-
-def test_q_eulerian_specializations():
-    eulerian = _eulerian_table(8)
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            poly = q_eulerian(n, k)
-            assert poly.min_exp >= 0
-            assert poly.at_one() == eulerian.get((n, k - 1), 0)
-            # Narayana numbers C(n,k) C(n,k-1) / n at q = 0
-            assert poly.eval_rational(0) == Fraction(comb(n, k) * comb(n, k - 1), n)
-            assert poly.eval_rational(-1) == comb(n - 1, k - 1)
-
-
-def test_q_eulerian_edges():
-    assert q_eulerian(3, 0) == QPoly.zero()
-    with pytest.raises(ValueError):
-        q_eulerian(2, 3)
 
 
 def test_ernst_polynomial_identity():

@@ -1,17 +1,23 @@
 """Verification-layer tests: reports, suites, conjecture harness, gf checks."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from qpb import families
+from qpb import families, rook, verify
 from qpb.errors import UnknownSuiteError
 from qpb.exactnum import IntMatrix, QPoly
+from qpb.qkernels import q_factorial, q_stirling
 from qpb.verify import (
     CheckReport,
+    at_closed_form_check,
     gf_check_cenkci,
     gf_check_classical,
     gf_check_ernst,
+    oracle_check,
+    q1_collapse_check,
+    rook_block_law_check,
     run_suite,
     suite_names,
     sylvester_conjecture,
@@ -118,3 +124,32 @@ def test_fail_witness_is_replayable():
     assert report.status == "fail"
     assert int(report.witness["got"]) == 46
     assert int(report.witness["got"]) != int(report.witness["want"])
+
+
+def test_checks_fail_on_a_broken_route(monkeypatch):
+    # Each check compares two routes; corrupting one route must turn the
+    # report into a fail that carries the mismatching values.
+    spec = families.FAMILIES["ordered_q"]
+    monkeypatch.setitem(
+        families.FAMILIES, "ordered_q", dataclasses.replace(spec, fn=lambda n, k: spec.fn(n, k) + 1)
+    )
+    report = q1_collapse_check("ordered_q", 2, 2)
+    assert report.status == "fail"
+    assert report.witness == {"got": "15", "want": "14"}
+
+    monkeypatch.setattr(families, "q_fubini", lambda n: QPoly.zero())
+    report = oracle_check("fubini", 3)
+    assert report.status == "fail"
+    assert report.witness == {"enumeration": "4 + 5*q + 3*q^2 + q^3", "formula": "0"}
+
+    monkeypatch.setattr(verify, "q_stirling", lambda v, n, m: q_stirling(v, n, m) * 2)
+    reports = at_closed_form_check("zengA", [Fraction(1), Fraction(1, 2)], 1)
+    assert [r.status for r in reports] == ["fail"]
+    assert reports[0].witness == {"triangle": "1", "closed": "2"}
+
+    monkeypatch.setattr(verify, "q_factorial", lambda i: q_factorial(i) * 2)
+    square = rook.full_board(1, 1)
+    report = rook_block_law_check([(square, square)])
+    assert report.status == "fail"
+    assert report.parameters == {"pairs": 1}
+    assert report.witness["a"] == [[1]] and report.witness["lhs"] != report.witness["rhs"]
