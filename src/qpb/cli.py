@@ -47,22 +47,14 @@ def _value_to_text(v) -> str:
     return str(v)
 
 
-def _family_value(spec: families.FamilySpec, n: int, k: int):
-    if spec.max_cells is not None and n * k > spec.max_cells:
-        raise SizeLimitError(
-            f"family {spec.name} is enumeration-backed; n*k <= {spec.max_cells}"
-        )
-    return spec.fn(n, k)
-
-
 def _table_cells(spec: families.FamilySpec, max_n: int, max_k: int):
     """Yield (n, k_display, value); k_display is negative for signed families."""
     for k in range(max_k + 1):
         for n in range(max_n + 1):
             if spec.k_mode == "signed":
-                yield n, -k, _family_value(spec, n, -k)
+                yield n, -k, spec.fn(n, -k)
             else:
-                yield n, k, _family_value(spec, n, k)
+                yield n, k, spec.fn(n, k)
 
 
 def _domain_error(args, message: str) -> int:
@@ -70,16 +62,26 @@ def _domain_error(args, message: str) -> int:
     return EXIT_USAGE
 
 
+_BOUND_FLAGS = ("max_n", "max_k", "order")
+
+
+def _negative_bounds(args) -> str | None:
+    """The message for the bound flags (--max-n, --max-k, --order) of a
+    subcommand that are negative, or None when all are >= 0."""
+    bad = [
+        f"--{flag.replace('_', '-')} {getattr(args, flag)}"
+        for flag in _BOUND_FLAGS
+        if getattr(args, flag, 0) < 0
+    ]
+    return f"bounds must be >= 0, got {', '.join(bad)}" if bad else None
+
+
 def cmd_table(args) -> int:
     spec = families.FAMILIES[args.family]
-    # Bounds are rejected before any cell is computed.
-    if args.max_n < 0 or args.max_k < 0:
-        return _domain_error(
-            args, f"--max-n and --max-k must be >= 0, got {args.max_n} and {args.max_k}"
-        )
+    # Fail fast, before any cell is computed.
     if spec.max_cells is not None and args.max_n * args.max_k > spec.max_cells:
         raise SizeLimitError(
-            f"family {spec.name} is enumeration-backed; max_n*max_k <= {spec.max_cells}"
+            f"family {args.family} is enumeration-backed; max_n*max_k <= {spec.max_cells}"
         )
     cells = list(_table_cells(spec, args.max_n, args.max_k))
     out = sys.stdout
@@ -120,7 +122,7 @@ def cmd_eval(args) -> int:
         except (ValueError, ZeroDivisionError):
             return _domain_error(args, f"--q {args.q!r} is not a rational number")
     try:
-        value = _family_value(spec, args.n, args.k)
+        value = spec.fn(args.n, args.k)
     except ValueError as exc:
         return _domain_error(args, str(exc))
     if point is not None and isinstance(value, (QPoly, QRational)):
@@ -159,7 +161,7 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     failed = 0
     for n in range(2, args.max_n + 1):
-        r = verify.sylvester_conjecture(n, max_n=max(args.max_n, 10))
+        r = verify.sylvester_conjecture(n)
         sys.stdout.write(r.to_json() + "\n")
         if r.status == "fail":
             failed += 1
@@ -232,6 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Bounds are rejected before any work is done.
+    bad_bounds = _negative_bounds(args)
+    if bad_bounds:
+        return _domain_error(args, bad_bounds)
     try:
         return args.fn(args)
     except SizeLimitError as exc:

@@ -425,10 +425,6 @@ class QRational:
     def from_fraction(cls, f: Fraction) -> "QRational":
         return cls(QPoly.const(f.numerator), QPoly.const(f.denominator))
 
-    @classmethod
-    def from_qpoly(cls, p: QPoly) -> "QRational":
-        return cls(p)
-
     @staticmethod
     def _coerce(value) -> "QRational | None":
         if isinstance(value, QRational):
@@ -597,11 +593,6 @@ class TruncatedSeries:
 
     def _zero(self):
         return self.coeffs[0] * 0
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)

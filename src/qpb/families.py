@@ -188,7 +188,7 @@ def cenkci_q_pb(n: int, k: int) -> QPoly | QRational:
 
 def _cenkci_as_qrational(n: int, k: int) -> QRational:
     v = cenkci_q_pb(n, k)
-    return v if isinstance(v, QRational) else QRational.from_qpoly(v)
+    return v if isinstance(v, QRational) else QRational(v)
 
 
 def cenkci_recursion_check(n: int, k: int) -> bool:
@@ -223,7 +223,7 @@ def cenkci_comb_check(n: int, k: int) -> bool:
     lhs = _cenkci_as_qrational(n, -k)
     rhs = QRational.from_int(0)
     for j in range(min(n, k) + 1):
-        rhs = rhs + QRational.from_qpoly(s2_q(n, j)) * s2_inv_q(-k, j) * (factorial(j) ** 2)
+        rhs = rhs + QRational(s2_q(n, j)) * s2_inv_q(-k, j) * (factorial(j) ** 2)
     rhs = rhs * QRational(QPoly.q(1))
     return lhs == rhs
 
@@ -343,15 +343,12 @@ def harmonic_initial() -> InitialSpec:
 
 
 def carlitz_beta(n: int) -> QRational:
-    """q-deformed Bernoulli value from the zengA triangle with initial row
-    1/[m+1]; for n >= 2 the closed form
-    sum over k of (-1)**k * {n+1,k+1}_q * [k]! / [k+1]
-    is used (the two agree; tests pin that)."""
+    """q-deformed Bernoulli value by the closed form
+    sum over k of (-1)**k * {n+1,k+1}_q * [k]! / [k+1];
+    it is the leading column of the zengA triangle with initial row
+    1/[m+1] (the carlitz-beta-vs-triangle check pins that)."""
     if n < 0:
         raise ValueError("carlitz_beta needs n >= 0")
-    if n < 2:
-        tri = akiyama_tanigawa("zengA", q_harmonic_initial(), n_rows=n + 1, row_len=n + 1)
-        return tri.leading_column()[n]
     acc = QRational.from_int(0)
     for k in range(n + 1):
         term = QRational(q_factorial(k) * q_stirling("carlitz", n + 1, k + 1), q_int(k + 1))
@@ -365,28 +362,25 @@ def carlitz_beta(n: int) -> QRational:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """How a family is exposed: value kind and k-sign convention.
+    """How a family is exposed: its k-sign convention.
 
-    kind is one of 'int', 'fraction', 'poly', 'mixed' (poly for k <= 0,
-    rational otherwise); k_mode is 'neg' (k >= 0 meaning the negative
-    branch), 'signed', or 'none' (single-index family).
+    k_mode is 'neg' (k >= 0 meaning the negative branch), 'signed', or
+    'none' (single-index family).
     """
 
-    name: str
     fn: Callable
-    kind: str
     k_mode: str
-    max_cells: int | None = None  # n*k guard for enumeration-backed families
+    max_cells: int | None = None  # max_n*max_k bound of a table of an enumeration-backed family
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "classical_negk": FamilySpec("classical_negk", classical_pb_negk, "int", "neg"),
-    "classical_anyk": FamilySpec("classical_anyk", classical_pb, "fraction", "signed"),
-    "c_relative": FamilySpec("c_relative", c_relative, "int", "neg"),
-    "ordered_q": FamilySpec("ordered_q", ordered_q_pb, "poly", "neg"),
-    "lonesum_q": FamilySpec("lonesum_q", lonesum_q_pb, "poly", "neg"),
-    "vesztergombi_q": FamilySpec("vesztergombi_q", vesztergombi_q_pb, "poly", "neg"),
-    "permmatrix_q": FamilySpec("permmatrix_q", permmatrix_q_pb, "poly", "neg", max_cells=24),
-    "cenkci_q": FamilySpec("cenkci_q", cenkci_q_pb, "mixed", "signed"),
-    "at_q": FamilySpec("at_q", at_q_pb, "mixed", "signed"),
+    "classical_negk": FamilySpec(classical_pb_negk, "neg"),
+    "classical_anyk": FamilySpec(classical_pb, "signed"),
+    "c_relative": FamilySpec(c_relative, "neg"),
+    "ordered_q": FamilySpec(ordered_q_pb, "neg"),
+    "lonesum_q": FamilySpec(lonesum_q_pb, "neg"),
+    "vesztergombi_q": FamilySpec(vesztergombi_q_pb, "neg"),
+    "permmatrix_q": FamilySpec(permmatrix_q_pb, "neg", max_cells=objects.MAX_SCAN_CELLS),
+    "cenkci_q": FamilySpec(cenkci_q_pb, "signed"),
+    "at_q": FamilySpec(at_q_pb, "signed"),
 }

@@ -6,11 +6,15 @@ families module.  Matrices are plain tuples of 0/1 row tuples; partitions
 are lists of integer lists; permutations are 1-based one-line tuples.
 
 Statistics use 1-based row/column indices (the zero-line weight of a
-matrix sums 1-based positions of its all-zero rows and columns).
+matrix sums 1-based positions of its all-zero rows and columns).  Every
+weight polynomial is the histogram of its statistic over the enumerated
+objects, QPoly.from_terms(Counter(...)).  Matrix classes are scanned up to
+n*k = MAX_SCAN_CELLS cells, the bound the CLI's table check reads too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import comb
 from typing import Iterator, Sequence
@@ -40,6 +44,9 @@ __all__ = [
 ]
 
 MATRIX_CLASSES = ("lonesum", "gamma_free", "perm_matrix")
+
+# Largest n*k whose 2**(n*k) candidate matrices gen_matrix_class scans.
+MAX_SCAN_CELLS = 24
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -97,77 +104,59 @@ def gen_set_partitions(items: list) -> Iterator[list[list]]:
         yield part + [[last]]
 
 
-def _poly_from_counts(counts: dict[int, int]) -> QPoly:
-    return QPoly.from_terms(counts)
-
-
 def fubini_oracle(n: int) -> QPoly:
     """Sum of q**inv_star over all ordered set partitions of {1,...,n}."""
-    counts: dict[int, int] = {}
-    for part in gen_ordered_partitions(n):
-        w = inv_star(part)
-        counts[w] = counts.get(w, 0) + 1
-    return _poly_from_counts(counts)
+    return QPoly.from_terms(Counter(inv_star(part) for part in gen_ordered_partitions(n)))
 
 
 # ---------------------------------------------------------------------------
 # alternating block pairs
 # ---------------------------------------------------------------------------
 
-def _anchored_ordered_partitions(items: list[int], anchor: int, first: bool) -> dict[int, list[int]]:
-    """Inv* weights of ordered partitions of items, keyed by block count,
-    keeping the anchor's block first (or last)."""
-    by_blocks: dict[int, list[int]] = {}
-    for part in _ordered_partitions(items):
-        block = 0 if first else len(part) - 1
-        if anchor not in part[block]:
-            continue
-        by_blocks.setdefault(len(part), []).append(inv_star(part))
-    return by_blocks
-
-
-def gen_alternating_pairs(n: int, k: int) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
-    """Pairs of ordered partitions with equal block counts: one of
-    {0,1,...,n} with the 0-block first, one of {1,...,k,k+1} with the
-    (k+1)-block last.  The special low element is encoded as 0 and the
-    special high element as k+1, which gives them the right comparison
-    order for inv_star.
+def _anchored_partitions(
+    n: int, k: int
+) -> tuple[Iterator[list[list[int]]], Iterator[list[list[int]]]]:
+    """The two sides of the alternating pairs at (n, k), generated lazily:
+    ordered partitions of {0,1,...,n} with the 0-block first, and of
+    {1,...,k,k+1} with the (k+1)-block last.  The special low element is
+    encoded as 0 and the special high element as k+1, which gives them the
+    right comparison order for inv_star.
     """
     if n > 6 or k > 6:
         raise SizeLimitError(f"alternating pairs at ({n}, {k})")
-    blues: dict[int, list[list[list[int]]]] = {}
-    for part in _ordered_partitions(list(range(n + 1))):
-        if 0 in part[0]:
-            blues.setdefault(len(part), []).append(part)
-    for red in _ordered_partitions(list(range(1, k + 2))):
-        if k + 1 not in red[-1]:
-            continue
-        for blue in blues.get(len(red), []):
+    blues = (p for p in _ordered_partitions(list(range(n + 1))) if 0 in p[0])
+    reds = (p for p in _ordered_partitions(list(range(1, k + 2))) if k + 1 in p[-1])
+    return blues, reds
+
+
+def gen_alternating_pairs(n: int, k: int) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
+    """Pairs (blue, red) of anchored ordered partitions with equal block
+    counts, each pair once."""
+    blues, reds = _anchored_partitions(n, k)
+    by_blocks: dict[int, list[list[list[int]]]] = {}
+    for blue in blues:
+        by_blocks.setdefault(len(blue), []).append(blue)
+    for red in reds:
+        for blue in by_blocks.get(len(red), ()):
             yield blue, red
 
 
 def ordered_q_oracle(n: int, k: int) -> QPoly:
     """Sum of q**(inv_star(blue) + inv_star(red)) over alternating pairs.
 
-    The weight is additive across the two partitions, so the sum is the
-    convolution of the two one-sided weight distributions.
+    The weight is additive across the two partitions and the block counts
+    must agree, so the sum is the convolution of the two one-sided
+    histograms of (block count, weight).
     """
-    if n > 6 or k > 6:
-        raise SizeLimitError(f"alternating pairs at ({n}, {k})")
-    blue = _anchored_ordered_partitions(list(range(n + 1)), 0, first=True)
-    red = _anchored_ordered_partitions(list(range(1, k + 2)), k + 1, first=False)
-    counts: dict[int, int] = {}
-    for b, blue_ws in blue.items():
-        red_ws = red.get(b)
-        if not red_ws:
-            continue
-        red_hist: dict[int, int] = {}
-        for w in red_ws:
-            red_hist[w] = red_hist.get(w, 0) + 1
-        for wb in blue_ws:
-            for wr, mult in red_hist.items():
-                counts[wb + wr] = counts.get(wb + wr, 0) + mult
-    return _poly_from_counts(counts)
+    blues, reds = _anchored_partitions(n, k)
+    blue_hist = Counter((len(p), inv_star(p)) for p in blues)
+    red_hist = Counter((len(p), inv_star(p)) for p in reds)
+    counts: Counter[int] = Counter()
+    for (b, wb), mb in blue_hist.items():
+        for (r, wr), mr in red_hist.items():
+            if b == r:
+                counts[wb + wr] += mb * mr
+    return QPoly.from_terms(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +240,6 @@ _RECOGNIZERS = {
 }
 
 _STATISTICS = {
-    None: lambda m, cols: 0,
     "none": lambda m, cols: 0,
     "nu_sum": nu_weight,
     "ones_minus_cols": ones_minus_cols,
@@ -260,10 +248,10 @@ _STATISTICS = {
 
 def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
     """All n x k matrices of the class, by recognizer-filtered scan of all
-    2**(n*k) candidates."""
+    2**(n*k) candidates; n*k is at most MAX_SCAN_CELLS."""
     if cls not in _RECOGNIZERS:
         raise ValueError(f"unknown matrix class {cls!r}")
-    if n * k > 24:
+    if n * k > MAX_SCAN_CELLS:
         raise SizeLimitError(f"matrix scan 2**{n * k} at ({n}, {k})")
     if n == 0:
         # The empty filling still has k columns; only the column-covering
@@ -283,16 +271,12 @@ def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
             yield m
 
 
-def class_poly(cls: str, n: int, k: int, statistic: str | None = None) -> QPoly:
+def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     """Weight generating polynomial sum of q**statistic over the class."""
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     stat = _STATISTICS[statistic]
-    counts: dict[int, int] = {}
-    for m in gen_matrix_class(cls, n, k):
-        w = stat(m, k)
-        counts[w] = counts.get(w, 0) + 1
-    return _poly_from_counts(counts)
+    return QPoly.from_terms(Counter(stat(m, k) for m in gen_matrix_class(cls, n, k)))
 
 
 def count_class(cls: str, n: int, k: int) -> int:
@@ -341,11 +325,7 @@ def gen_vesztergombi(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def vesztergombi_oracle(n: int, k: int) -> QPoly:
     """Sum of q**inversions over the banded permutation class."""
-    counts: dict[int, int] = {}
-    for perm in gen_vesztergombi(n, k):
-        w = inversions(perm)
-        counts[w] = counts.get(w, 0) + 1
-    return _poly_from_counts(counts)
+    return QPoly.from_terms(Counter(inversions(perm) for perm in gen_vesztergombi(n, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +337,9 @@ def gamma_free_first_column_decomposition_check(n: int, k: int) -> bool:
     construction: pick a set R of rows carrying a 1 in column one; all of
     them except the bottom-most are forced to be zero to the right, and
     the untouched rows plus that bottom row form a free gamma-free matrix
-    with k columns.  The empty R leaves an all-zero first column.
+    with k columns.  The empty R leaves an all-zero first column.  The
+    scan of the n x (k+1) class bounds n*(k+1) by MAX_SCAN_CELLS.
     """
-    if n * (k + 1) > 24:
-        raise SizeLimitError(f"gamma-free decomposition at ({n}, {k})")
     lhs = count_class("gamma_free", n, k + 1)
     rhs = count_class("gamma_free", n, k)
     for r in range(1, n + 1):

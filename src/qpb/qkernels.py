@@ -4,20 +4,23 @@ q-integers, q-factorials, q-binomials, three q-deformations of the
 Stirling numbers of the second kind, two auxiliary Stirling-type arrays
 with a q parameter, and the q-exponential series.
 
-The three Stirling deformations, by recurrence:
+The three Stirling deformations and the classical table share one row
+recurrence T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1; the
+weights (a, b) define each of them:
 
-* carlitz   {n,m} = {n-1,m-1} + [m]*{n-1,m}; tracks the partition
-            inversion statistic Inv*.
-* cigler    weights each partition of {0,...,n-1} by q**(sum of the
-            elements sharing a block with 0).
-* shifted   S(n+1,k) = q**(k-1)*S(n,k-1) + [k]*S(n,k); equals
-            q**C(k,2) times the carlitz value.
+* carlitz   (1, [m]); tracks the partition inversion statistic Inv*.
+* cigler    (1, q**(n-1) + m - 1); weights each partition of
+            {0,...,n-1} by q**(sum of the elements sharing a block
+            with 0): element n-1 joins the 0-block, joins one of the
+            m-1 other blocks, or opens a new block.
+* shifted   (q**(m-1), [m]); equals q**C(m,2) times the carlitz value.
+* stirling2 (1, m), over the integers.
 
 All kernels return canonical QPoly/QRational values and are memoized.
-The memo tables only grow and never change an entry.  Growth runs under
-one module lock, which re-checks the length once held, so concurrent
-callers never append a row twice; a read of a row that already exists
-takes no lock.
+The memo tables only grow and never change an entry.  Every table grows
+through one function, under one module lock, which re-checks the length
+once held, so concurrent callers never append a row twice; a read of a
+row that already exists takes no lock.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 from .exactnum import QPoly, QRational, TruncatedSeries
 
@@ -55,16 +59,25 @@ def q_int(n: int) -> QPoly:
     return QPoly([1] * n)
 
 
+def _memo_row(rows: list, n: int, next_row: Callable[[list], object]):
+    """rows[n], appending next_row(rows) until it exists.
+
+    The only place that takes the growth lock; a row that already exists
+    is read without it.  next_row must not call a memoized kernel, since
+    the lock is not reentrant.
+    """
+    if len(rows) <= n:
+        with _grow_lock:
+            while len(rows) <= n:
+                rows.append(next_row(rows))
+    return rows[n]
+
+
 def q_factorial(n: int) -> QPoly:
     """[n]! = [1][2]...[n]."""
     if n < 0:
         raise ValueError(f"q_factorial needs n >= 0, got {n}")
-    if len(_q_factorials) <= n:
-        with _grow_lock:
-            while len(_q_factorials) <= n:
-                k = len(_q_factorials)
-                _q_factorials.append(_q_factorials[k - 1] * q_int(k))
-    return _q_factorials[n]
+    return _memo_row(_q_factorials, n, lambda fs: fs[-1] * q_int(len(fs)))
 
 
 def q_binomial(n: int, k: int) -> QPoly:
@@ -74,43 +87,31 @@ def q_binomial(n: int, k: int) -> QPoly:
     return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
 
 
-def _grow_carlitz(rows: list[list[QPoly]]) -> None:
-    n = len(rows)
-    prev = rows[-1]
-    row = [QPoly.zero()] * (n + 1)
-    for m in range(1, n + 1):
-        above = prev[m] if m < len(prev) else QPoly.zero()
-        row[m] = prev[m - 1] + q_int(m) * above
-    rows.append(row)
+# Weights (a, b) of T(n,m) = a*T(n-1,m-1) + b*T(n-1,m), per variant.
+_STIRLING_WEIGHTS = {
+    "carlitz": lambda n, m: (1, q_int(m)),
+    "cigler": lambda n, m: (1, QPoly.q(n - 1) + (m - 1)),
+    "shifted": lambda n, m: (QPoly.q(m - 1), q_int(m)),
+}
 
 
-def _grow_cigler(rows: list[list[QPoly]]) -> None:
-    n = len(rows)
-    prev = rows[-1]
-    row = [QPoly.zero()] * (n + 1)
-    if n == 1:
-        row[1] = QPoly.one()
-    else:
-        # Element n-1 joins the 0-block (weight q**(n-1)), joins one of the
-        # k-1 other blocks, or opens a fresh non-0 block.
-        wt = QPoly.q(n - 1)
-        for k in range(1, n + 1):
-            stay = prev[k] if k < len(prev) else QPoly.zero()
-            row[k] = wt * stay + (k - 1) * stay + prev[k - 1]
-    rows.append(row)
+def _next_stirling_row(weights, zero) -> Callable[[list], list]:
+    """Row n of the triangle T(0,0) = 1 from row n-1, with the given weights."""
+
+    def next_row(rows: list) -> list:
+        n = len(rows)
+        prev = rows[-1]
+        row = [zero] * (n + 1)
+        for m in range(1, n + 1):
+            a, b = weights(n, m)
+            row[m] = a * prev[m - 1] + b * (prev[m] if m < n else zero)
+        return row
+
+    return next_row
 
 
-def _grow_shifted(rows: list[list[QPoly]]) -> None:
-    n = len(rows)
-    prev = rows[-1]
-    row = [QPoly.zero()] * (n + 1)
-    for k in range(1, n + 1):
-        above = prev[k] if k < len(prev) else QPoly.zero()
-        row[k] = QPoly.q(k - 1) * prev[k - 1] + q_int(k) * above
-    rows.append(row)
-
-
-_GROWERS = {"carlitz": _grow_carlitz, "cigler": _grow_cigler, "shifted": _grow_shifted}
+_NEXT_ROW = {v: _next_stirling_row(w, QPoly.zero()) for v, w in _STIRLING_WEIGHTS.items()}
+_NEXT_CLASSICAL_ROW = _next_stirling_row(lambda n, m: (1, m), 0)
 
 
 def q_stirling(variant: str, n: int, m: int) -> QPoly:
@@ -124,13 +125,7 @@ def q_stirling(variant: str, n: int, m: int) -> QPoly:
         raise ValueError("q_stirling needs n, m >= 0")
     if m > n:
         return QPoly.zero()
-    rows = _stirling_tables[variant]
-    if len(rows) <= n:
-        grow = _GROWERS[variant]
-        with _grow_lock:
-            while len(rows) <= n:
-                grow(rows)
-    return rows[n][m]
+    return _memo_row(_stirling_tables[variant], n, _NEXT_ROW[variant])[m]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -139,16 +134,7 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 needs n, k >= 0")
     if k > n:
         return 0
-    if len(_classical_rows) <= n:
-        with _grow_lock:
-            while len(_classical_rows) <= n:
-                i = len(_classical_rows)
-                prev = _classical_rows[-1]
-                row = [0] * (i + 1)
-                for m in range(1, i + 1):
-                    row[m] = prev[m - 1] + m * (prev[m] if m < len(prev) else 0)
-                _classical_rows.append(row)
-    return _classical_rows[n][k]
+    return _memo_row(_classical_rows, n, _NEXT_CLASSICAL_ROW)[k]
 
 
 def s2_q(n: int, j: int) -> QPoly:

@@ -12,6 +12,7 @@ number.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -51,10 +52,6 @@ class Board:
                 raise ValueError("board rows have unequal lengths")
             if any(v not in (0, 1) for v in row):
                 raise ValueError("board entries must be 0 or 1")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Board":
-        return cls(tuple(tuple(int(v) for v in r) for r in rows))
 
     @property
     def rows(self) -> int:
@@ -150,12 +147,10 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
         raise SizeLimitError(f"board area {board.area} exceeds bound {max_area}")
     if k < 0 or k > min(board.rows, board.cols):
         raise ValueError(f"k must lie in [0, min(rows, cols)], got {k}")
-    counts: dict[int, int] = {}
     rows, cols = board.rows, board.cols
-    for rooks in rook_placements(board, k):
-        w = _uncancelled_cells(rows, cols, rooks)
-        counts[w] = counts.get(w, 0) + 1
-    return QPoly.from_terms(counts)
+    return QPoly.from_terms(
+        Counter(_uncancelled_cells(rows, cols, rooks) for rooks in rook_placements(board, k))
+    )
 
 
 # ---------------------------------------------------------------------------

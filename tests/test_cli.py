@@ -131,6 +131,12 @@ EXIT_CODE_CASES = [
     (("eval", "--family", "permmatrix_q", "--n", "-1"), 2),
     (("eval", "--family", "permmatrix_q", "--n", "2", "--k", "-1"), 2),
     (("table", "--max-n", "-2"), 2),
+    # the domain check comes before the size guard
+    (("eval", "--family", "permmatrix_q", "--n", "-5", "--k", "-5"), 2),
+    (("verify", "--suite", "genfunc", "--order", "-1"), 2),
+    (("verify", "--suite", "oracles", "--max-n", "-2"), 2),
+    (("conjecture", "--max-n", "-3"), 2),
+    (("verify", "--suite", "conjecture", "--max-n", "11"), 0),
 ]
 
 

@@ -259,7 +259,7 @@ def test_zeng_b_bridge_to_at_q():
         lead = tri.leading_column()
         for n in range(6):
             v = F.at_q_pb(n, -k)
-            target = v if isinstance(v, QRational) else QRational.from_qpoly(v)
+            target = v if isinstance(v, QRational) else QRational(v)
             got = lead[n] if n % 2 == 0 else -lead[n]
             assert got == target
 

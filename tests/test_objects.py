@@ -1,5 +1,7 @@
 """Generator and recognizer tests against reference counts and hand checks."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,16 @@ def test_alternating_pairs_worked_example():
     pairs = list(gen_alternating_pairs(3, 1))
     assert len(pairs) == 8
     assert ordered_q_oracle(3, 1) == QPoly([4, 3, 1])
+
+
+def test_alternating_pairs_sum_to_oracle():
+    # the pair generator and the histogram convolution share one anchored-partition helper
+    for n in range(5):
+        for k in range(5):
+            weights = Counter(inv_star(b) + inv_star(r) for b, r in gen_alternating_pairs(n, k))
+            assert QPoly.from_terms(weights) == ordered_q_oracle(n, k)
+    with pytest.raises(SizeLimitError):
+        next(gen_alternating_pairs(1, 7))
 
 
 def test_alternating_pairs_edges():
@@ -171,3 +183,5 @@ def test_gamma_free_decomposition():
     assert gamma_free_first_column_decomposition_check(1, 4)
     assert gamma_free_first_column_decomposition_check(3, 2)
     assert gamma_free_first_column_decomposition_check(4, 3)
+    with pytest.raises(SizeLimitError):  # the scan's bound on n*(k+1)
+        gamma_free_first_column_decomposition_check(4, 6)

@@ -100,9 +100,17 @@ def test_shifted_is_graded_carlitz():
             assert q_stirling("shifted", n, k) == QPoly.q(comb(k, 2)) * q_stirling("carlitz", n, k)
 
 
+def test_stirling2_matches_explicit_sum():
+    # independent of the row recurrence: k! S(n,k) = sum_j (-1)^(k-j) C(k,j) j^n
+    for n in range(50):
+        for k in range(n + 2):
+            alternating = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
+            assert factorial(k) * stirling2(n, k) == alternating
+
+
 def test_all_variants_collapse_to_classical():
     for variant in ("carlitz", "cigler", "shifted"):
-        for n in range(11):
+        for n in range(31):
             for m in range(n + 1):
                 assert q_stirling(variant, n, m).at_one() == stirling2(n, m)
 
