@@ -32,29 +32,15 @@ _CONVENTIONS = (
 
 
 def _value_to_json(v):
-    if isinstance(v, QPoly) or isinstance(v, QRational):
-        return v.to_json_dict()
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else str(v.numerator)
-    return str(v)
-
-
-def _value_to_text(v) -> str:
-    if isinstance(v, (QPoly, QRational)):
-        return str(v)
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return str(v.numerator)
-    return str(v)
+    return v.to_json_dict() if isinstance(v, (QPoly, QRational)) else str(v)
 
 
 def _table_cells(spec: families.FamilySpec, max_n: int, max_k: int):
     """Yield (n, k_display, value); k_display is negative for signed families."""
     for k in range(max_k + 1):
+        shown = -k if spec.signed else k
         for n in range(max_n + 1):
-            if spec.k_mode == "signed":
-                yield n, -k, spec.fn(n, -k)
-            else:
-                yield n, k, spec.fn(n, k)
+            yield n, shown, spec.fn(n, shown)
 
 
 def _domain_error(args, message: str) -> int:
@@ -98,16 +84,16 @@ def cmd_table(args) -> int:
         return EXIT_OK
     by_k: dict[int, list[str]] = {}
     for n, k, v in cells:
-        by_k.setdefault(k, []).append(_value_to_text(v))
+        by_k.setdefault(k, []).append(str(v))
     if args.format == "csv":
         out.write("k\\n," + ",".join(str(n) for n in range(args.max_n + 1)) + "\n")
-        for k in sorted(by_k, reverse=(spec.k_mode == "signed")):
+        for k in sorted(by_k, reverse=spec.signed):
             out.write(f"{k}," + ",".join(by_k[k]) + "\n")
         return EXIT_OK
     # latex
     out.write("\\begin{tabular}{c|" + "c" * (args.max_n + 1) + "}\n")
     out.write("k/n & " + " & ".join(str(n) for n in range(args.max_n + 1)) + " \\\\\n\\hline\n")
-    for k in sorted(by_k, reverse=(spec.k_mode == "signed")):
+    for k in sorted(by_k, reverse=spec.signed):
         out.write(f"{k} & " + " & ".join(by_k[k]) + " \\\\\n")
     out.write("\\end{tabular}\n")
     return EXIT_OK
@@ -141,38 +127,40 @@ def cmd_eval(args) -> int:
             payload["q"] = args.q
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        sys.stdout.write(_value_to_text(value) + "\n")
+        sys.stdout.write(str(value) + "\n")
+    return EXIT_OK
+
+
+def _write_reports(reports, failure_note: str) -> int:
+    """Write each report as a JSON line; on any fail, write the count of
+    fails and ``failure_note`` to stderr and return the check-failed code."""
+    failed = 0
+    for r in reports:
+        sys.stdout.write(r.to_json() + "\n")
+        failed += r.status == "fail"
+    if failed:
+        sys.stderr.write(f"{failed} {failure_note}\n")
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     reports = verify.run_suite(args.suite, max_n=args.max_n, max_k=args.max_k, order=args.order)
-    failed = 0
-    for r in reports:
-        sys.stdout.write(r.to_json() + "\n")
-        if r.status == "fail":
-            failed += 1
-    if failed:
-        sys.stderr.write(f"{failed} check(s) failed\n")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _write_reports(reports, "check(s) failed")
 
 
 def cmd_conjecture(args) -> int:
-    failed = 0
-    for n in range(2, args.max_n + 1):
-        r = verify.sylvester_conjecture(n)
-        sys.stdout.write(r.to_json() + "\n")
-        if r.status == "fail":
-            failed += 1
-    if failed:
-        sys.stderr.write(f"{failed} value(s) of n refute the identity as stated\n")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    reports = (verify.sylvester_conjecture(n) for n in range(2, args.max_n + 1))
+    return _write_reports(reports, "value(s) of n refute the identity as stated")
 
 
 def cmd_oeis(args) -> int:
-    report = oeis.crosscheck_table(args.id, reader=args.reader, bound=args.bound, offline=args.offline)
+    try:
+        report = oeis.crosscheck_table(
+            args.id, reader=args.reader, bound=args.bound, offline=args.offline
+        )
+    except ValueError as exc:
+        return _domain_error(args, str(exc))
     sys.stdout.write(report.to_json() + "\n")
     return EXIT_OK if report.status == "pass" else EXIT_CHECK_FAILED
 

@@ -1,6 +1,13 @@
 """Poly-Bernoulli number families, their q-analogues, and the
 Akiyama-Tanigawa triangle engines.
 
+Two sums carry most of the families.  The paired sum
+sum over m of f(m)**2 * S(n+1,m+1) * S(k+1,m+1) gives classical_pb_negk
+(m!, stirling2), ordered_q_pb ([m]!, carlitz) and lonesum_q_pb (m!,
+cigler).  The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
+(carlitz_sum) gives at_q_pb and carlitz_beta, and is the closed form of the
+zengA (s = 1) and zengB (s = 0) triangles' leading columns.
+
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
 superscript branch (the integer/polynomial regime).  classical_pb,
@@ -11,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Sequence
 
 from . import objects
@@ -33,8 +40,10 @@ __all__ = [
     "cenkci_recursion_check",
     "cenkci_comb_check",
     "at_q_pb",
+    "carlitz_sum",
     "Triangle",
     "akiyama_tanigawa",
+    "q_power_row",
     "carlitz_beta",
     "FamilySpec",
     "FAMILIES",
@@ -59,16 +68,24 @@ def classical_pb(n: int, k: int) -> Fraction:
     return acc if n % 2 == 0 else -acc
 
 
+def _paired_sum(n: int, k: int, f: Callable, s: Callable):
+    """sum over m <= min(n, k) of f(m)**2 * s(n+1,m+1) * s(k+1,m+1).
+
+    The squared factor scales the product of the two Stirling values once.
+    """
+    total = 0
+    for m in range(min(n, k) + 1):
+        w = f(m)
+        total = total + (w * w) * (s(n + 1, m + 1) * s(k + 1, m + 1))
+    return total
+
+
 def classical_pb_negk(n: int, k: int) -> int:
     """sum over m of m! * stirling2(n+1,m+1) * m! * stirling2(k+1,m+1);
     symmetric in n and k."""
     if n < 0 or k < 0:
         raise ValueError("classical_pb_negk needs n, k >= 0")
-    total = 0
-    for m in range(min(n, k) + 1):
-        f = factorial(m)
-        total += f * stirling2(n + 1, m + 1) * f * stirling2(k + 1, m + 1)
-    return total
+    return _paired_sum(n, k, factorial, stirling2)
 
 
 def pb_recursion_check(n: int, k: int) -> bool:
@@ -103,11 +120,7 @@ def ordered_q_pb(n: int, k: int) -> QPoly:
     q-factorials; symmetric in n and k, collapses to classical_pb_negk at q=1."""
     if n < 0 or k < 0:
         raise ValueError("ordered_q_pb needs n, k >= 0")
-    total = QPoly.zero()
-    for m in range(min(n, k) + 1):
-        f = q_factorial(m)
-        total = total + f * q_stirling("carlitz", n + 1, m + 1) * f * q_stirling("carlitz", k + 1, m + 1)
-    return total
+    return _paired_sum(n, k, q_factorial, lambda a, b: q_stirling("carlitz", a, b))
 
 
 def q_fubini(n: int) -> QPoly:
@@ -126,13 +139,7 @@ def lonesum_q_pb(n: int, k: int) -> QPoly:
     matrices."""
     if n < 0 or k < 0:
         raise ValueError("lonesum_q_pb needs n, k >= 0")
-    total = QPoly.zero()
-    for m in range(min(n, k) + 1):
-        f = factorial(m)
-        total = total + (f * f) * (
-            q_stirling("cigler", n + 1, m + 1) * q_stirling("cigler", k + 1, m + 1)
-        )
-    return total
+    return _paired_sum(n, k, factorial, lambda a, b: q_stirling("cigler", a, b))
 
 
 def vesztergombi_q_pb(n: int, k: int) -> QPoly:
@@ -171,24 +178,15 @@ def cenkci_q_pb(n: int, k: int) -> QPoly | QRational:
     """
     if n < 0:
         raise ValueError("cenkci_q_pb needs n >= 0")
-    if k <= 0:
-        total = QPoly.zero()
-        for m in range(n + 1):
-            c = stirling2(n, m) * factorial(m) * (m + 1) ** (-k)
-            sign = -1 if (n - m) % 2 else 1
-            total = total + QPoly.q(n - m) * (sign * c)
-        return total
-    acc = QRational.from_int(0)
+    # Integer numerator over the common denominator lcm((m+1)**k);
+    # coeffs[n-m] is the coefficient of q**(n-m).
+    den = lcm(*((m + 1) ** k for m in range(n + 1))) if k > 0 else 1
+    coeffs = [0] * (n + 1)
     for m in range(n + 1):
-        c = Fraction(stirling2(n, m) * factorial(m), (m + 1) ** k)
-        sign = -1 if (n - m) % 2 else 1
-        acc = acc + QRational(QPoly.q(n - m)) * (c * sign)
-    return acc
-
-
-def _cenkci_as_qrational(n: int, k: int) -> QRational:
-    v = cenkci_q_pb(n, k)
-    return v if isinstance(v, QRational) else QRational(v)
+        c = stirling2(n, m) * factorial(m) * int(den * Fraction(m + 1) ** -k)
+        coeffs[n - m] = -c if (n - m) % 2 else c
+    value = QRational(QPoly(coeffs), QPoly.const(den))
+    return value.as_qpoly() if k <= 0 else value
 
 
 def cenkci_recursion_check(n: int, k: int) -> bool:
@@ -200,10 +198,10 @@ def cenkci_recursion_check(n: int, k: int) -> bool:
     """
     if n < 1:
         raise ValueError("cenkci_recursion_check needs n >= 1")
-    lhs = _cenkci_as_qrational(n, k - 1)
-    rhs = _cenkci_as_qrational(n, k) * (n + 1)
+    lhs = cenkci_q_pb(n, k - 1)
+    rhs = cenkci_q_pb(n, k) * (n + 1)
     for i in range(1, n):
-        rhs = rhs + _cenkci_as_qrational(n - i, k) * QRational(QPoly.q(i)) * comb(n, i + 1)
+        rhs = rhs + cenkci_q_pb(n - i, k) * QPoly.q(i) * comb(n, i + 1)
     return lhs == rhs
 
 
@@ -220,12 +218,29 @@ def cenkci_comb_check(n: int, k: int) -> bool:
 
     if n < 0 or k < 0:
         raise ValueError("cenkci_comb_check needs n, k >= 0")
-    lhs = _cenkci_as_qrational(n, -k)
+    lhs = cenkci_q_pb(n, -k)
     rhs = QRational.from_int(0)
     for j in range(min(n, k) + 1):
         rhs = rhs + QRational(s2_q(n, j)) * s2_inv_q(-k, j) * (factorial(j) ** 2)
     rhs = rhs * QRational(QPoly.q(1))
     return lhs == rhs
+
+
+def carlitz_sum(a: Sequence, s: int) -> QRational:
+    """sum over m <= n of (-1)**m * a[m] * [m]! * {n+s, m+s}_q  (carlitz),
+    with n = len(a) - 1 and shift s in {0, 1}.
+
+    The entries of the row a are anything a QRational multiplies with.
+    """
+    n = len(a) - 1
+    acc = QRational.from_int(0)
+    for m in range(n + 1):
+        st = q_stirling("carlitz", n + s, m + s)
+        if st.is_zero:
+            continue
+        term = QRational(q_factorial(m) * st) * a[m]
+        acc = acc - term if m % 2 else acc + term
+    return acc
 
 
 def at_q_pb(n: int, k: int) -> QPoly | QRational:
@@ -236,27 +251,22 @@ def at_q_pb(n: int, k: int) -> QPoly | QRational:
     """
     if n < 0:
         raise ValueError("at_q_pb needs n >= 0")
-    acc = QRational.from_int(0)
-    for m in range(n + 1):
-        s = q_stirling("carlitz", n, m)
-        if s.is_zero:
-            continue
-        term = QRational(q_factorial(m) * s) * (QRational(q_int(m + 1)) ** (-k))
-        acc = acc + (term if m % 2 == 0 else -term)
+    acc = carlitz_sum(q_power_row(-k, n + 1), 0)
     if n % 2:
         acc = -acc
-    if k <= 0:
-        return acc.as_qpoly()
-    return acc
+    return acc.as_qpoly() if k <= 0 else acc
 
 
 # ---------------------------------------------------------------------------
 # Akiyama-Tanigawa triangles
 # ---------------------------------------------------------------------------
 
-TRIANGLE_RULES = ("classical", "zengA", "zengB")
-
-InitialSpec = Callable[[int], "QRational | QPoly | Fraction | int"]
+# rule -> weights (x(m), y(m)) of the update a'[m] = x(m) * a[m] - y(m) * a[m+1]
+_TRIANGLE_WEIGHTS: dict[str, tuple[Callable, Callable]] = {
+    "classical": (lambda m: m + 1, lambda m: m + 1),
+    "zengA": (lambda m: q_int(m + 1), lambda m: q_int(m + 1)),
+    "zengB": (q_int, lambda m: q_int(m + 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -277,69 +287,34 @@ def _as_qrational(v) -> QRational:
     return out
 
 
-def akiyama_tanigawa(rule: str, initial: InitialSpec | Sequence, n_rows: int, row_len: int) -> Triangle:
+def akiyama_tanigawa(rule: str, initial: Sequence, n_rows: int) -> Triangle:
     """Run a row-rewriting rule from an initial row.
 
-    rule 'classical':  a[n+1][m] = (m+1) * (a[n][m] - a[n][m+1])
-    rule 'zengA':      a[n+1][m] = [m+1] * (a[n][m] - a[n][m+1])
+    rule 'classical':  a[n+1][m] = (m+1) * a[n][m] - (m+1) * a[n][m+1]
+    rule 'zengA':      a[n+1][m] = [m+1] * a[n][m] - [m+1] * a[n][m+1]
     rule 'zengB':      a[n+1][m] = [m] * a[n][m] - [m+1] * a[n][m+1]
 
-    n_rows counts all rows including the initial one, so row_len >= n_rows
-    keeps the last row nonempty.  ``initial`` is either a callable m -> value
-    or a sequence of at least row_len values; entries are coerced to
-    QRational.
+    n_rows counts all rows including the initial one, so the initial row
+    needs at least n_rows entries to keep the last row nonempty; its
+    entries are coerced to QRational.
     """
-    if rule not in TRIANGLE_RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {TRIANGLE_RULES}")
+    if rule not in _TRIANGLE_WEIGHTS:
+        raise ValueError(f"unknown rule {rule!r}; expected one of {tuple(_TRIANGLE_WEIGHTS)}")
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
-    if row_len < n_rows:
-        raise ValueError(f"row too short: need row_len >= n_rows, got {row_len} < {n_rows}")
-    if callable(initial):
-        first = [_as_qrational(initial(m)) for m in range(row_len)]
-    else:
-        if len(initial) < row_len:
-            raise ValueError(f"row too short: initial sequence has {len(initial)} < {row_len} entries")
-        first = [_as_qrational(v) for v in initial[:row_len]]
-    rows = [tuple(first)]
+    if len(initial) < n_rows:
+        raise ValueError(f"row too short: n_rows = {n_rows} needs as many entries, got {len(initial)}")
+    x, y = _TRIANGLE_WEIGHTS[rule]
+    rows = [tuple(_as_qrational(v) for v in initial)]
     for _ in range(1, n_rows):
         prev = rows[-1]
-        nxt = []
-        for m in range(len(prev) - 1):
-            if rule == "classical":
-                nxt.append((prev[m] - prev[m + 1]) * (m + 1))
-            elif rule == "zengA":
-                nxt.append((prev[m] - prev[m + 1]) * q_int(m + 1))
-            else:
-                nxt.append(prev[m] * q_int(m) - prev[m + 1] * q_int(m + 1))
-        rows.append(tuple(nxt))
+        rows.append(tuple(prev[m] * x(m) - prev[m + 1] * y(m) for m in range(len(prev) - 1)))
     return Triangle(rule, tuple(rows))
 
 
-def q_power_initial(k: int) -> InitialSpec:
-    """Initial row m -> [m+1]**k (reciprocal for negative k)."""
-
-    def spec(m: int) -> QRational:
-        return QRational(q_int(m + 1)) ** k
-
-    return spec
-
-
-def q_harmonic_initial() -> InitialSpec:
-    return q_power_initial(-1)
-
-
-def power_initial(k: int) -> InitialSpec:
-    """Initial row m -> (m+1)**k over plain rationals."""
-
-    def spec(m: int) -> Fraction:
-        return Fraction(m + 1) ** k
-
-    return spec
-
-
-def harmonic_initial() -> InitialSpec:
-    return power_initial(-1)
+def q_power_row(k: int, length: int) -> list[QRational]:
+    """The row m -> [m+1]**k for m < length (reciprocals for negative k)."""
+    return [QRational(q_int(m + 1)) ** k for m in range(length)]
 
 
 def carlitz_beta(n: int) -> QRational:
@@ -349,11 +324,7 @@ def carlitz_beta(n: int) -> QRational:
     1/[m+1] (the carlitz-beta-vs-triangle check pins that)."""
     if n < 0:
         raise ValueError("carlitz_beta needs n >= 0")
-    acc = QRational.from_int(0)
-    for k in range(n + 1):
-        term = QRational(q_factorial(k) * q_stirling("carlitz", n + 1, k + 1), q_int(k + 1))
-        acc = acc + (term if k % 2 == 0 else -term)
-    return acc
+    return carlitz_sum(q_power_row(-1, n + 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +335,23 @@ def carlitz_beta(n: int) -> QRational:
 class FamilySpec:
     """How a family is exposed: its k-sign convention.
 
-    k_mode is 'neg' (k >= 0 meaning the negative branch), 'signed', or
-    'none' (single-index family).
+    signed is True when fn takes k exactly as in the defining sum, and
+    False when k >= 0 means the negative branch.
     """
 
     fn: Callable
-    k_mode: str
+    signed: bool = False
     max_cells: int | None = None  # max_n*max_k bound of a table of an enumeration-backed family
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "classical_negk": FamilySpec(classical_pb_negk, "neg"),
-    "classical_anyk": FamilySpec(classical_pb, "signed"),
-    "c_relative": FamilySpec(c_relative, "neg"),
-    "ordered_q": FamilySpec(ordered_q_pb, "neg"),
-    "lonesum_q": FamilySpec(lonesum_q_pb, "neg"),
-    "vesztergombi_q": FamilySpec(vesztergombi_q_pb, "neg"),
-    "permmatrix_q": FamilySpec(permmatrix_q_pb, "neg", max_cells=objects.MAX_SCAN_CELLS),
-    "cenkci_q": FamilySpec(cenkci_q_pb, "signed"),
-    "at_q": FamilySpec(at_q_pb, "signed"),
+    "classical_negk": FamilySpec(classical_pb_negk),
+    "classical_anyk": FamilySpec(classical_pb, signed=True),
+    "c_relative": FamilySpec(c_relative),
+    "ordered_q": FamilySpec(ordered_q_pb),
+    "lonesum_q": FamilySpec(lonesum_q_pb),
+    "vesztergombi_q": FamilySpec(vesztergombi_q_pb),
+    "permmatrix_q": FamilySpec(permmatrix_q_pb, max_cells=objects.MAX_SCAN_CELLS),
+    "cenkci_q": FamilySpec(cenkci_q_pb, signed=True),
+    "at_q": FamilySpec(at_q_pb, signed=True),
 }

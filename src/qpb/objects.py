@@ -260,11 +260,6 @@ def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
             yield ()
         return
     accept = _RECOGNIZERS[cls]
-    if k == 0:
-        empty = tuple(() for _ in range(n))
-        if accept(empty):
-            yield empty
-        return
     for bits in product((0, 1), repeat=n * k):
         m = tuple(bits[i * k:(i + 1) * k] for i in range(n))
         if accept(m):

@@ -157,8 +157,11 @@ def crosscheck_table(
     """Compare computed negative-branch values against OEIS terms.
 
     The reader (antidiagonal or row) defaults to the fixture's recorded
-    reading order.  Reports the first mismatching index on failure.
+    reading order.  Reports the first mismatching index on failure.  A
+    bound below 1 would compare nothing and is rejected before any fetch.
     """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     fx = fixture or fetch_sequence(seq_id, offline=offline, transport=transport, cache=cache)
     use_reader = reader or fx.reader or "antidiagonal"
     n_terms = min(bound, len(fx.terms))

@@ -297,7 +297,7 @@ def q1_collapse_check(family: str, n: int, k: int) -> CheckReport:
     classical_pb_negk, or c_relative for permmatrix_q.  k >= 0 means the
     negative branch; signed families are called with -k."""
     spec = families.FAMILIES[family]
-    got = spec.fn(n, -k if spec.k_mode == "signed" else k).at_one()
+    got = spec.fn(n, -k if spec.signed else k).at_one()
     want = families.c_relative(n, k) if family == "permmatrix_q" else families.classical_pb_negk(n, k)
     return _pass_fail(
         "q1-collapse", {"family": family, "n": n, "k": k}, got == want,
@@ -503,17 +503,10 @@ def at_closed_form_check(rule: str, initial_row: Sequence[Fraction], depth: int)
     if rule not in ("zengA", "zengB"):
         raise ValueError(f"closed forms exist for zengA and zengB, not {rule!r}")
     shift = 1 if rule == "zengA" else 0
-    lead = families.akiyama_tanigawa(
-        rule, initial_row, n_rows=depth, row_len=len(initial_row)
-    ).leading_column()
+    lead = families.akiyama_tanigawa(rule, initial_row, n_rows=depth).leading_column()
     reports = []
     for n in range(depth):
-        closed = QRational.from_int(0)
-        for m in range(n + 1):
-            term = QRational.from_fraction(initial_row[m]) * (
-                q_factorial(m) * q_stirling("carlitz", n + shift, m + shift)
-            )
-            closed = closed - term if m % 2 else closed + term
+        closed = families.carlitz_sum(initial_row[:n + 1], shift)
         reports.append(_pass_fail(
             f"at-{rule}-closed-form", {"n": n}, lead[n] == closed,
             {"triangle": str(lead[n]), "closed": str(closed)},
@@ -523,7 +516,8 @@ def at_closed_form_check(rule: str, initial_row: Sequence[Fraction], depth: int)
 
 def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckReport]:
     reports = []
-    tri = families.akiyama_tanigawa("classical", families.harmonic_initial(), n_rows=3, row_len=5)
+    harmonic = [Fraction(1, m + 1) for m in range(5)]
+    tri = families.akiyama_tanigawa("classical", harmonic, n_rows=3)
     row1 = [c.as_fraction() for c in tri.rows[1][:3]]
     row2 = [c.as_fraction() for c in tri.rows[2][:3]]
     reports.append(_pass_fail(
@@ -551,9 +545,7 @@ def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckRep
         {"got": str(beta2.eval_rational(1))},
     ))
     for n in range(2, 7):
-        tri = families.akiyama_tanigawa(
-            "zengA", families.q_harmonic_initial(), n_rows=n + 1, row_len=n + 1
-        )
+        tri = families.akiyama_tanigawa("zengA", families.q_power_row(-1, n + 1), n_rows=n + 1)
         closed, lead_n = families.carlitz_beta(n), tri.leading_column()[n]
         reports.append(_pass_fail(
             "carlitz-beta-vs-triangle", {"n": n}, closed == lead_n,
@@ -565,13 +557,10 @@ def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckRep
     # flipped exponent relative to the formula-level family.
     for k in range(-3, 4):
         depth_k = min(max_n, 5) + 1
-        tri = families.akiyama_tanigawa(
-            "zengB", families.q_power_initial(k), n_rows=depth_k, row_len=depth_k
-        )
+        tri = families.akiyama_tanigawa("zengB", families.q_power_row(k, depth_k), n_rows=depth_k)
         lead = tri.leading_column()
         for n in range(depth_k):
-            v = families.at_q_pb(n, -k)
-            target = v if isinstance(v, QRational) else QRational(v)
+            target = families.at_q_pb(n, -k)
             got = lead[n] if n % 2 == 0 else -lead[n]
             reports.append(_pass_fail(
                 "at-q-triangle-bridge", {"k": k, "n": n}, got == target,

@@ -1,6 +1,8 @@
 """CLI surface: formats, exit codes, determinism, documented conventions."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,9 @@ EXIT_CODE_CASES = [
     (("verify", "--suite", "oracles", "--max-n", "-2"), 2),
     (("conjecture", "--max-n", "-3"), 2),
     (("verify", "--suite", "conjecture", "--max-n", "11"), 0),
+    # a bound below 1 would compare no terms
+    (("oeis", "--id", "A099594", "--offline", "--bound", "0"), 2),
+    (("oeis", "--id", "A099594", "--offline", "--bound", "-1"), 2),
 ]
 
 
@@ -195,3 +200,23 @@ def test_byte_identical_across_processes():
         ).stdout
 
     assert run_once("1") == run_once("42")
+
+
+# Recorded stdout digests of the benchmark's command lines (read only).
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
+)
+GUARDED_ARGV = ["verify --suite all --max-n 6 --max-k 6 --order 8"] + sorted(
+    key for key in REFERENCE if key.startswith("eval ")
+)
+
+
+def test_stdout_matches_recorded_digests(capsys):
+    mismatches = []
+    for key in GUARDED_ARGV:
+        code, out, _ = run_cli(capsys, *key.split(" "))
+        data = out.encode("utf-8")
+        if code != 0 or hashlib.sha256(data).hexdigest() != REFERENCE[key]["sha256"]:
+            mismatches.append(key)
+    assert len(GUARDED_ARGV) > 1  # the eval keys were found
+    assert mismatches == []

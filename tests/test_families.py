@@ -159,7 +159,22 @@ def test_cenkci_reference_and_collapse():
     for n in range(6):
         for k in range(-5, 6):
             v = F.cenkci_q_pb(n, k)
+            assert type(v) is (QPoly if k <= 0 else QRational)
             assert v.eval_rational(1) == F.classical_pb(n, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cenkci_positive_k_matches_pointwise_sum(k):
+    # Reference: the defining sum evaluated in Fraction at each point, with
+    # no QRational anywhere.
+    for n in range(9):
+        value = F.cenkci_q_pb(n, k)
+        for r in (Fraction(2), Fraction(1, 3), Fraction(-2, 5)):
+            want = sum(
+                stirling2(n, m) * (-r) ** (n - m) * Fraction(factorial(m), (m + 1) ** k)
+                for m in range(n + 1)
+            )
+            assert value.eval_rational(r) == want
 
 
 def test_cenkci_recursion():
@@ -209,8 +224,11 @@ def test_at_q_large_cells_match_pointwise_sum(n, k):
         assert value.eval_rational(r) == (-total if n % 2 else total)
 
 
+HARMONIC = [Fraction(1, m + 1) for m in range(10)]
+
+
 def test_triangle_classical_rows():
-    tri = F.akiyama_tanigawa("classical", F.harmonic_initial(), n_rows=3, row_len=5)
+    tri = F.akiyama_tanigawa("classical", HARMONIC[:5], n_rows=3)
     assert [c.as_fraction() for c in tri.rows[1][:3]] == [
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 4),
     ]
@@ -221,15 +239,15 @@ def test_triangle_classical_rows():
 
 def test_triangle_row_too_short():
     with pytest.raises(ValueError):
-        F.akiyama_tanigawa("classical", F.harmonic_initial(), n_rows=4, row_len=3)
+        F.akiyama_tanigawa("classical", HARMONIC[:3], n_rows=4)
     with pytest.raises(ValueError):
-        F.akiyama_tanigawa("nope", F.harmonic_initial(), n_rows=2, row_len=3)
+        F.akiyama_tanigawa("nope", HARMONIC[:3], n_rows=2)
 
 
 def test_triangle_classical_gives_bernoulli_numbers():
     # leading column from the harmonic row is the Bernoulli sequence in the
     # B_1 = +1/2 convention, which is the k = 1 member of the signed family
-    tri = F.akiyama_tanigawa("classical", F.harmonic_initial(), n_rows=9, row_len=10)
+    tri = F.akiyama_tanigawa("classical", HARMONIC, n_rows=9)
     for n in range(9):
         assert tri.leading_column()[n].as_fraction() == F.classical_pb(n, 1)
 
@@ -237,8 +255,8 @@ def test_triangle_classical_gives_bernoulli_numbers():
 def test_zeng_closed_forms_generic_initial():
     width = 8
     generic = [Fraction(3 * m + 2, m * m + 1) for m in range(width)]
-    tri_a = F.akiyama_tanigawa("zengA", generic, n_rows=7, row_len=width)
-    tri_b = F.akiyama_tanigawa("zengB", generic, n_rows=7, row_len=width)
+    tri_a = F.akiyama_tanigawa("zengA", generic, n_rows=7)
+    tri_b = F.akiyama_tanigawa("zengB", generic, n_rows=7)
     for n in range(7):
         want_a = QRational.from_int(0)
         want_b = QRational.from_int(0)
@@ -249,17 +267,18 @@ def test_zeng_closed_forms_generic_initial():
             want_b = want_b + coeff * (q_factorial(m) * q_stirling("carlitz", n, m))
         assert tri_a.leading_column()[n] == want_a
         assert tri_b.leading_column()[n] == want_b
+        assert F.carlitz_sum(generic[:n + 1], 1) == want_a
+        assert F.carlitz_sum(generic[:n + 1], 0) == want_b
 
 
 def test_zeng_b_bridge_to_at_q():
     # leading column from initial [m+1]^k carries the sign (-1)^n relative
     # to the explicit formula with flipped exponent
     for k in range(-3, 4):
-        tri = F.akiyama_tanigawa("zengB", F.q_power_initial(k), n_rows=6, row_len=6)
+        tri = F.akiyama_tanigawa("zengB", F.q_power_row(k, 6), n_rows=6)
         lead = tri.leading_column()
         for n in range(6):
-            v = F.at_q_pb(n, -k)
-            target = v if isinstance(v, QRational) else QRational(v)
+            target = F.at_q_pb(n, -k)
             got = lead[n] if n % 2 == 0 else -lead[n]
             assert got == target
 
@@ -271,7 +290,7 @@ def test_carlitz_beta():
     assert F.carlitz_beta(0) == QRational.from_int(1)
     assert F.carlitz_beta(1) == QRational(QPoly.q(1), QPoly([1, 1]))
     for n in range(2, 7):
-        tri = F.akiyama_tanigawa("zengA", F.q_harmonic_initial(), n_rows=n + 1, row_len=n + 1)
+        tri = F.akiyama_tanigawa("zengA", F.q_power_row(-1, n + 1), n_rows=n + 1)
         assert F.carlitz_beta(n) == tri.leading_column()[n]
 
 

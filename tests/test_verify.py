@@ -141,7 +141,7 @@ def test_checks_fail_on_a_broken_route(monkeypatch):
     assert report.status == "fail"
     assert report.witness == {"enumeration": "4 + 5*q + 3*q^2 + q^3", "formula": "0"}
 
-    monkeypatch.setattr(verify, "q_stirling", lambda v, n, m: q_stirling(v, n, m) * 2)
+    monkeypatch.setattr(families, "q_stirling", lambda v, n, m: q_stirling(v, n, m) * 2)
     reports = at_closed_form_check("zengA", [Fraction(1), Fraction(1, 2)], 1)
     assert [r.status for r in reports] == ["fail"]
     assert reports[0].witness == {"triangle": "1", "closed": "2"}
