@@ -8,7 +8,10 @@ are lists of integer lists; permutations are 1-based one-line tuples.
 Statistics use 1-based row/column indices (the zero-line weight of a
 matrix sums 1-based positions of its all-zero rows and columns).  Every
 weight polynomial is the histogram of its statistic over the enumerated
-objects, QPoly.from_terms(Counter(...)).  Matrix classes are scanned up to
+objects, QPoly.from_terms(Counter(...)).  The 0/1 matrix classes are
+generated row by row, each row limited to those compatible with every row
+above it under the class's forbidden 2x2 patterns; the is_* recognizers
+state the same classes matrix by matrix.  Matrix classes go up to
 n*k = MAX_SCAN_CELLS cells, the bound the CLI's table check reads too.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
 from .exactnum import QPoly
@@ -45,7 +48,10 @@ __all__ = [
 
 MATRIX_CLASSES = ("lonesum", "gamma_free", "perm_matrix")
 
-# Largest n*k whose 2**(n*k) candidate matrices gen_matrix_class scans.
+# Largest n*k that gen_matrix_class enumerates, set by hand rather than
+# from measured cost.  A class has up to 2**(n*k) members (at n = 1 the
+# lonesum and gamma-free classes take every row), and at n = 2 the row
+# search tests all 4**k row pairs.
 MAX_SCAN_CELLS = 24
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -233,10 +239,10 @@ def ones_minus_cols(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
     return ones - cols
 
 
-_RECOGNIZERS = {
-    "lonesum": is_lonesum,
-    "gamma_free": is_gamma_free,
-    "perm_matrix": is_perm_matrix,
+_FORBIDDEN = {
+    "lonesum": _LONESUM_FORBIDDEN,
+    "gamma_free": _GAMMA_FORBIDDEN,
+    "perm_matrix": _PERM_FORBIDDEN,
 }
 
 _STATISTICS = {
@@ -247,23 +253,48 @@ _STATISTICS = {
 
 
 def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
-    """All n x k matrices of the class, by recognizer-filtered scan of all
-    2**(n*k) candidates; n*k is at most MAX_SCAN_CELLS."""
-    if cls not in _RECOGNIZERS:
+    """All n x k matrices of the class, in lexicographic order of their
+    cells read row by row; n*k is at most MAX_SCAN_CELLS.
+
+    Each class forbids 2x2 patterns on pairs of rows, so a matrix belongs
+    to it iff every (upper, lower) pair of its rows is compatible.  Rows
+    are placed top to bottom in product order, and each placed row cuts
+    the rows allowed below it down to those compatible with it; the
+    column-covering class also checks coverage once the last row is down.
+    """
+    if cls not in _FORBIDDEN:
         raise ValueError(f"unknown matrix class {cls!r}")
     if n * k > MAX_SCAN_CELLS:
-        raise SizeLimitError(f"matrix scan 2**{n * k} at ({n}, {k})")
+        raise SizeLimitError(f"matrix search over {n * k} cells at ({n}, {k})")
     if n == 0:
         # The empty filling still has k columns; only the column-covering
         # class rejects it when k > 0.
         if cls != "perm_matrix" or k == 0:
             yield ()
         return
-    accept = _RECOGNIZERS[cls]
-    for bits in product((0, 1), repeat=n * k):
-        m = tuple(bits[i * k:(i + 1) * k] for i in range(n))
-        if accept(m):
-            yield m
+    patterns = _FORBIDDEN[cls]
+    covering = cls == "perm_matrix"
+    rows: Iterable[tuple[int, ...]] = product((0, 1), repeat=k)
+    if n > 1:
+        rows = list(rows)  # k <= MAX_SCAN_CELLS // 2, so at most 2**12 rows
+    # Rows allowed below a row, built the first time that row is placed
+    # above another: a table over all row pairs would have 4**k entries.
+    below: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+
+    def fill(prefix: Matrix, allowed: Iterable[tuple[int, ...]]) -> Iterator[Matrix]:
+        if len(prefix) == n - 1:
+            for row in allowed:
+                m = prefix + (row,)
+                if not covering or all(map(any, zip(*m))):
+                    yield m
+            return
+        for row in allowed:
+            if row not in below:
+                below[row] = frozenset(b for b in rows if _pattern_scan((row, b), patterns))
+            compatible = below[row]
+            yield from fill(prefix + (row,), [b for b in allowed if b in compatible])
+
+    yield from fill((), rows)
 
 
 def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
@@ -332,8 +363,9 @@ def gamma_free_first_column_decomposition_check(n: int, k: int) -> bool:
     construction: pick a set R of rows carrying a 1 in column one; all of
     them except the bottom-most are forced to be zero to the right, and
     the untouched rows plus that bottom row form a free gamma-free matrix
-    with k columns.  The empty R leaves an all-zero first column.  The
-    scan of the n x (k+1) class bounds n*(k+1) by MAX_SCAN_CELLS.
+    with k columns.  The empty R leaves an all-zero first column.  Both
+    sides are counted by gen_matrix_class, so n*(k+1) is bounded by
+    MAX_SCAN_CELLS.
     """
     lhs = count_class("gamma_free", n, k + 1)
     rhs = count_class("gamma_free", n, k)

@@ -111,7 +111,7 @@ def test_criterion_5_cross_formula_consistency():
         for n in range(6)
         for k in range(6)
         for family in verify.Q1_COLLAPSE_FAMILIES
-        # enumeration-backed family, documented scan bound
+        # enumeration-backed family, documented size bound
         if family != "permmatrix_q" or n * k <= 24
     ]
     _report_checks(

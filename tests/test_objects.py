@@ -1,6 +1,7 @@
 """Generator and recognizer tests against reference counts and hand checks."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,27 @@ def test_degenerate_shapes():
     assert count_class("perm_matrix", 0, 0) == 1
 
 
+def scan_matrix_class(cls, n, k):
+    """Reference enumeration: every one of the 2**(n*k) candidate matrices,
+    in lexicographic order, filtered by the class's recognizer."""
+    if n == 0:
+        # A matrix with no rows cannot show the recognizer its k empty
+        # columns; only the column-covering class rejects them.
+        return [()] if cls != "perm_matrix" or k == 0 else []
+    accept = {"lonesum": is_lonesum, "gamma_free": is_gamma_free, "perm_matrix": is_perm_matrix}[cls]
+    candidates = (tuple(bits[i * k:(i + 1) * k] for i in range(n))
+                  for bits in product((0, 1), repeat=n * k))
+    return [m for m in candidates if accept(m)]
+
+
+def test_row_search_matches_reference_scan():
+    for cls in ("lonesum", "gamma_free", "perm_matrix"):
+        for n in range(13):
+            for k in range(13):
+                if n * k <= 12:
+                    assert list(gen_matrix_class(cls, n, k)) == scan_matrix_class(cls, n, k), (cls, n, k)
+
+
 def test_matrix_scan_guard():
     with pytest.raises(SizeLimitError):
         next(gen_matrix_class("lonesum", 5, 5))
@@ -165,17 +187,24 @@ def test_vesztergombi_band_membership():
 
 
 def test_counts_match_pair_formula():
-    for n in range(4):
-        for k in range(4):
-            assert count_class("lonesum", n, k) == families.classical_pb_negk(n, k)
+    for n in range(6):
+        for k in range(6):
+            if n * k > 20:
+                continue
+            lonesum = class_poly("lonesum", n, k, "nu_sum")
+            assert lonesum == families.lonesum_q_pb(n, k)
+            assert lonesum.at_one() == families.classical_pb_negk(n, k)
             assert count_class("gamma_free", n, k) == families.classical_pb_negk(n, k)
-    assert count_class("gamma_free", 4, 5) == families.classical_pb_negk(4, 5)
-
-
-def test_perm_matrix_counts_match_relative():
-    for n in range(4):
-        for k in range(4):
             assert count_class("perm_matrix", n, k) == families.c_relative(n, k)
+
+
+def test_permmatrix_row_column_symmetry():
+    # (n, k) -> (k + 1, n - 1) is an involution on this set of shapes
+    shapes = [(n, k) for n in range(1, 22) for k in range(21)
+              if n * k <= 20 and (k + 1) * (n - 1) <= 20]
+    poly = {shape: families.permmatrix_q_pb(*shape) for shape in shapes}
+    for n, k in shapes:
+        assert poly[n, k] == poly[k + 1, n - 1], (n, k)
 
 
 def test_gamma_free_decomposition():
