@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -227,12 +228,27 @@ def main(argv: list[str] | None = None) -> int:
     if bad_bounds:
         return _domain_error(args, bad_bounds)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except SizeLimitError as exc:
         sys.stderr.write(f"size limit: {exc}\n")
         return EXIT_SIZE_LIMIT
     except OeisError as exc:
         sys.stderr.write(f"oeis: {exc}\n")
+        return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        # The reader left early (`qpb verify | head -1`), so the run did not
+        # finish.  Point the stdout descriptor at devnull, so that the
+        # interpreter's final flush cannot raise again.
+        sys.stderr.write(f"qpb {args.command}: error: stdout closed before the output was complete\n")
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_CHECK_FAILED  # a stream with no descriptor
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return EXIT_CHECK_FAILED
 
 

@@ -13,6 +13,21 @@ Four carriers, all immutable and exact (no floats anywhere):
                       characteristic polynomial (Berkowitz, division free),
                       and permanent (Ryser with Gray-code subsets).
 
+``QPoly`` multiplication takes one of three paths, chosen from the
+operands alone:
+
+* schoolbook, for products of fewer than ``_FAST_MUL_LEN`` coefficients
+  in total (QRational's small operands) and for sparse or short operands
+  such as the cigler weight q**(n-1) + (m-1);
+* a window sum, O(len), when one operand is all ones (a q-integer [m]
+  times a power of q): prefix sums of the other operand, differenced over
+  a window of width m;
+* Kronecker substitution, when both are dense enough that schoolbook would
+  take at least ``_KRONECKER_MIN_WORK`` products per packed coefficient:
+  each operand becomes one big integer, CPython multiplies the two once
+  (Karatsuba), and the coefficients are read back as signed digits
+  (Kronecker 1882; Harvey, J. Symbolic Comput. 2009).
+
 Values are safe to share between threads: every operation returns a new
 object and never mutates its inputs.
 """
@@ -20,7 +35,9 @@ object and never mutates its inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, islice, repeat
 from math import gcd
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
@@ -119,23 +136,29 @@ class QPoly:
             other = QPoly.const(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if self.is_zero:
+        a, b = self.coeffs, other.coeffs
+        if not a:
             return other
-        if other.is_zero:
+        if not b:
             return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        cs = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[self.min_exp - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[other.min_exp - lo + i] += c
-        return QPoly(cs, lo)
+        lo, start = self.min_exp, other.min_exp
+        if lo > start:
+            a, b, lo, start = b, a, start, lo
+        # Pad both with zeros to one span from q**lo, then add termwise.
+        b = (0,) * (start - lo) + b
+        if len(a) < len(b):
+            a += (0,) * (len(b) - len(a))
+        else:
+            b += (0,) * (len(a) - len(b))
+        cs = tuple(map(add, a, b))
+        if cs[0] and cs[-1]:
+            return _canonical(cs, lo)
+        return QPoly(cs, lo)  # the ends cancelled; trim them
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs), self.min_exp)
+        return _canonical(tuple(map(neg, self.coeffs)), self.min_exp)
 
     def __sub__(self, other) -> "QPoly":
         if isinstance(other, int):
@@ -149,20 +172,28 @@ class QPoly:
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, int):
+            if other == 1:
+                return self
             if other == 0:
                 return QPoly()
-            return QPoly(tuple(c * other for c in self.coeffs), self.min_exp)
+            return _canonical(tuple(map(mul, self.coeffs, repeat(other))), self.min_exp)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return QPoly()
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return QPoly()
+        # A product of nonzero ends has a nonzero end, so every path below
+        # returns canonical coefficients.
+        if len(a) + len(b) >= _FAST_MUL_LEN:
+            cs = _fast_mul(a, b)
+            if cs is not None:
+                return _canonical(cs, self.min_exp + other.min_exp)
         cs = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     cs[i + j] += ai * bj
-        return QPoly(cs, self.min_exp + other.min_exp)
+        return _canonical(tuple(cs), self.min_exp + other.min_exp)
 
     __rmul__ = __mul__
 
@@ -279,6 +310,81 @@ class QPoly:
     @classmethod
     def from_json_dict(cls, d: dict) -> "QPoly":
         return cls([int(c) for c in d["coeffs"]], int(d["min_exp"]))
+
+
+def _canonical(coeffs: tuple[int, ...], min_exp: int) -> QPoly:
+    """A QPoly from coefficients whose ends are already nonzero (or empty
+    with min_exp 0), without the trimming pass of ``QPoly.__init__``."""
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "min_exp", min_exp)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+# Products with fewer coefficients in total stay schoolbook without looking
+# for a faster path, so small operands (QRational's) pay one comparison.
+_FAST_MUL_LEN = 12
+# Schoolbook products per packed coefficient at which Kronecker wins (CHANGES.md crossover table).
+_KRONECKER_MIN_WORK = 8
+
+
+def _fast_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The product of two nonzero coefficient tuples by a window sum when
+    one is all ones, or by Kronecker substitution when the schoolbook
+    products (nonzeros of the shorter times the longer's length) are many
+    per coefficient packed; None when schoolbook is the faster way."""
+    if len(a) > len(b):
+        a, b = b, a
+    if a.count(1) == len(a):
+        return _times_q_int(b, len(a))
+    if b.count(1) == len(b):
+        return _times_q_int(a, len(b))
+    if (len(a) - a.count(0)) * len(b) >= _KRONECKER_MIN_WORK * (len(a) + len(b)):
+        return _kronecker_mul(a, b)
+    return None
+
+
+def _times_q_int(a: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """a times [m] = 1 + q + ... + q**(m-1): coefficient i is the sum of
+    a over the window i-m < j <= i, a difference of two prefix sums."""
+    if m == 1:
+        return a
+    s = list(accumulate(chain(a, repeat(0, m - 1)), initial=0))
+    return tuple(chain(islice(s, 1, m), map(sub, islice(s, m, None), s)))
+
+
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product by Kronecker substitution: evaluate both at q = 2**(8*width),
+    multiply the two integers once, and read the coefficients back as
+    signed base-2**(8*width) digits.
+
+    No product coefficient exceeds min(len) * max|a| * max|b| in absolute
+    value, so width bytes with one bit to spare for the sign hold every
+    one.  Adding 2**(8*width - 1) to every digit makes them all
+    nonnegative; it is subtracted again after unpacking.
+    """
+    ma = max(max(a), -min(a))
+    mb = max(max(b), -min(b))
+    bits = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
+    width = (bits + 7) // 8
+    n = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    packed = (_pack(a, width) * _pack(b, width) + offset).to_bytes(n * width, "little")
+    return tuple([
+        int.from_bytes(packed[i:i + width], "little") - half
+        for i in range(0, n * width, width)
+    ])
+
+
+def _pack(cs: tuple[int, ...], width: int) -> int:
+    """The integer sum of cs[i] * 2**(8*width*i), from width-byte digits:
+    the nonnegative coefficients packed, minus the negated negative ones."""
+    if min(cs) >= 0:
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
+    pos = b"".join([(c if c > 0 else 0).to_bytes(width, "little") for c in cs])
+    negs = b"".join([(-c if c < 0 else 0).to_bytes(width, "little") for c in cs])
+    return int.from_bytes(pos, "little") - int.from_bytes(negs, "little")
 
 
 def _divmod_int(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
 from .exactnum import QPoly
@@ -51,7 +51,7 @@ MATRIX_CLASSES = ("lonesum", "gamma_free", "perm_matrix")
 # Largest n*k that gen_matrix_class enumerates, set by hand rather than
 # from measured cost.  A class has up to 2**(n*k) members (at n = 1 the
 # lonesum and gamma-free classes take every row), and at n = 2 the row
-# search tests all 4**k row pairs.
+# search tests all 4**k row pairs (about 7 s per class at (2, 12)).
 MAX_SCAN_CELLS = 24
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -274,27 +274,59 @@ def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
         return
     patterns = _FORBIDDEN[cls]
     covering = cls == "perm_matrix"
-    rows: Iterable[tuple[int, ...]] = product((0, 1), repeat=k)
-    if n > 1:
-        rows = list(rows)  # k <= MAX_SCAN_CELLS // 2, so at most 2**12 rows
-    # Rows allowed below a row, built the first time that row is placed
-    # above another: a table over all row pairs would have 4**k entries.
-    below: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+    if n == 1:
+        # A lone row has no 2x2 minor, so every row is a member; the
+        # column-covering class takes only the all-ones row.
+        if covering:
+            yield ((1,) * k,)
+        else:
+            yield from ((row,) for row in product((0, 1), repeat=k))
+        return
+    full = (1 << k) - 1
+    # A row's index in product order is its bit code: column j is bit k-1-j.
+    # k <= MAX_SCAN_CELLS // 2, so at most 2**12 rows.
+    rows = list(enumerate(product((0, 1), repeat=k)))
+    # Codes of the rows allowed below a row, built the first time that row
+    # is placed above another: a table over all row pairs has 4**k entries.
+    below: dict[int, frozenset[int]] = {}
 
-    def fill(prefix: Matrix, allowed: Iterable[tuple[int, ...]]) -> Iterator[Matrix]:
+    def fill(prefix: Matrix, covered: int, allowed) -> Iterator[Matrix]:
         if len(prefix) == n - 1:
-            for row in allowed:
-                m = prefix + (row,)
-                if not covering or all(map(any, zip(*m))):
-                    yield m
+            for code, row in allowed:
+                if not covering or covered | code == full:
+                    yield prefix + (row,)
             return
-        for row in allowed:
-            if row not in below:
-                below[row] = frozenset(b for b in rows if _pattern_scan((row, b), patterns))
-            compatible = below[row]
-            yield from fill(prefix + (row,), [b for b in allowed if b in compatible])
+        for code, row in allowed:
+            if code not in below:
+                below[code] = _rows_below(code, k, patterns)
+            compatible = below[code]
+            yield from fill(prefix + (row,), covered | code,
+                            [b for b in allowed if b[0] in compatible])
 
-    yield from fill((), rows)
+    yield from fill((), 0, rows)
+
+
+def _rows_below(upper: int, k: int, patterns: tuple[tuple[int, int, int, int], ...]) -> frozenset[int]:
+    """Codes of the k-column rows that may sit below the row coded upper.
+
+    Rows are k-bit codes with column j at bit k-1-j.  Pattern (w, x, y, z)
+    occurs iff some column where (upper, lower) reads (w, y) lies left of
+    some column where it reads (x, z): iff the leftmost of the first lies
+    left of the rightmost of the second, that is, the highest set bit of
+    the first mask is above the lowest set bit of the second.
+    """
+    full = (1 << k) - 1
+    ups = (full ^ upper, upper)
+    ok = []
+    for lower in range(full + 1):
+        lows = (full ^ lower, lower)
+        for w, x, y, z in patterns:
+            last = ups[x] & lows[z]
+            if last and (ups[w] & lows[y]).bit_length() > (last & -last).bit_length():
+                break
+        else:
+            ok.append(lower)
+    return frozenset(ok)
 
 
 def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:

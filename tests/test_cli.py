@@ -156,6 +156,29 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, expected):
         assert len(err.splitlines()) == 1
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone, as under `qpb verify | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ("conjecture", "--max-n", "10"),
+    ("verify", "--suite", "golden"),
+    ("table", "--family", "ordered_q", "--max-n", "3", "--max-k", "1"),
+])
+def test_closed_stdout_exits_1_with_one_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"qpb {argv[0]}: error: stdout closed before the output was complete"]
+
+
 def test_flag_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--family", "not_a_family"])

@@ -1,5 +1,6 @@
 """Kernel tests: Laurent polynomials, rational functions, series, matrices."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -96,6 +97,104 @@ def test_inv_q_is_involutive(p):
 def test_json_round_trip(p, shift):
     p = p.shift(shift)
     assert QPoly.from_json_dict(p.to_json_dict()) == p
+
+
+# Multiplication has three paths (schoolbook, the all-ones window, Kronecker
+# substitution); each is checked against this reference, which works on the
+# coefficient tuples and never calls QPoly.__mul__.
+def reference_product(a: QPoly, b: QPoly) -> QPoly:
+    if a.is_zero or b.is_zero:
+        return QPoly.zero()
+    cs = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            cs[i + j] += x * y
+    return QPoly(cs, a.min_exp + b.min_exp)
+
+
+def assert_product(a: QPoly, b: QPoly) -> None:
+    expected = reference_product(a, b)
+    for got in (a * b, b * a):
+        assert (got.min_exp, got.coeffs) == (expected.min_exp, expected.coeffs), (a, b)
+        assert hash(got) == hash(expected)
+
+
+def random_poly(rng: random.Random, length: int, bits: int, zeros: float = 0.0) -> QPoly:
+    """Signed Laurent polynomial with nonzero ends, some inner zeros."""
+    def coeff(inner: bool) -> int:
+        if inner and rng.random() < zeros:
+            return 0
+        return rng.choice((1, -1)) * rng.randint(1, 2 ** bits)
+
+    cs = [coeff(0 < i < length - 1) for i in range(length)]
+    return QPoly(cs, rng.randint(-30, 30))
+
+
+def test_mul_random_signed_operands_across_the_size_gate():
+    rng = random.Random(2024)
+    lengths = (1, 2, 3, 5, 7, 8, 11, 12, 15, 16, 17, 24, 31, 50, 97, 200)
+    for _ in range(400):
+        la, lb = rng.choice(lengths), rng.choice(lengths)
+        bits = rng.choice((1, 8, 63, 64, 65, 130, 200))
+        a = random_poly(rng, la, bits, rng.choice((0.0, 0.3)))
+        b = random_poly(rng, lb, rng.choice((1, 64, 100)), rng.choice((0.0, 0.3)))
+        assert_product(a, b)
+
+
+def test_mul_extreme_coefficients_fill_the_digit_width():
+    # Equal-sign coefficients of the largest size a bit length allows, at the
+    # largest length a bit length allows, reach the bound on a product
+    # coefficient that the packed digit width is sized from.
+    for bits in (7, 8, 63, 64, 65, 127):
+        top = 2 ** bits - 1
+        for n in (15, 31, 63, 127):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                assert_product(QPoly([sa * top] * n), QPoly([sb * top] * n, -n))
+            alternating = QPoly([top * (-1) ** i for i in range(n)], 3)
+            assert_product(alternating, alternating)
+
+
+def test_mul_sparse_short_and_all_ones_operands():
+    rng = random.Random(7)
+    others = [random_poly(rng, length, bits) for length in (1, 2, 5, 13, 40, 100)
+              for bits in (3, 70)]
+    others += [QPoly([5] + [0] * 28 + [-7], 4), QPoly.q(-9), QPoly.const(-(2 ** 80))]
+    for m in range(1, 41):
+        ones = QPoly([1] * m, rng.randint(-5, 5))
+        assert_product(ones, ones)
+        for p in others:
+            assert_product(ones, p)
+    # The cigler weight q**(n-1) + (m-1) against long dense rows.
+    for n in (2, 20, 60):
+        for m in (1, 2, 9):
+            weight = QPoly.q(n - 1) + (m - 1)
+            for length in (12, 60, 150):
+                assert_product(weight, random_poly(rng, length, 90))
+    for p in others:
+        for c in (1, -1, 3, -(2 ** 70)):
+            assert p * c == c * p == reference_product(p, QPoly.const(c))
+        assert p * 1 is p
+        assert (p * 0).is_zero
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70), max_size=12),
+    st.integers(min_value=-20, max_value=20),
+    st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70), max_size=12),
+    st.integers(min_value=-20, max_value=20),
+)
+def test_add_matches_termwise_sum(ca, ea, cb, eb):
+    a, b = QPoly(ca, ea), QPoly(cb, eb)
+    terms: dict[int, int] = {}
+    for p in (a, b):
+        for e, c in p.terms():
+            terms[e] = terms.get(e, 0) + c
+    expected = QPoly.from_terms(terms)
+    for got in (a + b, b + a):
+        assert (got.min_exp, got.coeffs) == (expected.min_exp, expected.coeffs)
+        assert hash(got) == hash(expected)
+    assert a - a == QPoly.zero() and (a - b) + b == a
 
 
 # ---------------------------------------------------------------------------
