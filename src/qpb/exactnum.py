@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -892,31 +892,31 @@ class IntMatrix:
             raise SizeLimitError(f"permanent of {n}x{n} exceeds bound {max_dim}")
         if n == 0:
             return 1
-        a = self.entries
+        # Step t flips column j, the lowest set bit of t, in or out of the
+        # Gray-code subset.  Only the column's nonzero entries move a row
+        # sum, and `zeros` counts the row sums at 0, so a zero product is
+        # skipped without a scan.
+        adds = [[(i, row[j]) for i, row in enumerate(self.entries) if row[j]]
+                for j in range(n)]
+        subs = [[(i, -v) for i, v in col] for col in adds]
         row_sums = [0] * n
+        zeros = n
         total = 0
-        prev_gray = 0
         n_parity = n & 1
         for t in range(1, 1 << n):
             gray = t ^ (t >> 1)
-            diff = gray ^ prev_gray
-            j = diff.bit_length() - 1
-            if gray & diff:
-                for i in range(n):
-                    row_sums[i] += a[i][j]
-            else:
-                for i in range(n):
-                    row_sums[i] -= a[i][j]
-            prev_gray = gray
-            prod = 1
-            for v in row_sums:
-                if not v:
-                    prod = 0
-                    break
-                prod *= v
-            if prod:
+            j = (t & -t).bit_length() - 1
+            for i, v in (adds if gray >> j & 1 else subs)[j]:
+                old = row_sums[i]
+                new = old + v
+                row_sums[i] = new
+                if not old:
+                    zeros -= 1
+                elif not new:
+                    zeros += 1
+            if not zeros:
                 if (gray.bit_count() & 1) == n_parity:
-                    total += prod
+                    total += prod(row_sums)
                 else:
-                    total -= prod
+                    total -= prod(row_sums)
         return total

@@ -7,8 +7,14 @@ are lists of integer lists; permutations are 1-based one-line tuples.
 
 Statistics use 1-based row/column indices (the zero-line weight of a
 matrix sums 1-based positions of its all-zero rows and columns).  Every
-weight polynomial is the histogram of its statistic over the enumerated
-objects, QPoly.from_terms(Counter(...)).  The 0/1 matrix classes are
+weight polynomial is a histogram over the objects, one count per object,
+QPoly.from_terms(Counter(...)).  The matrix classes score each generated
+matrix; the partition and permutation oracles build their statistic
+during the search instead, adding each step's share as an element or
+value is placed, so no object is materialised.  Their generators and
+per-object statistics (gen_ordered_partitions, gen_alternating_pairs and
+inv_star; gen_vesztergombi and inversions) stay as the specification
+the tests check those oracles against.  The 0/1 matrix classes are
 generated row by row, each row limited to those compatible with every row
 above it under the class's forbidden 2x2 patterns; the is_* recognizers
 state the same classes matrix by matrix.  Matrix classes go up to
@@ -87,10 +93,14 @@ def _ordered_partitions(items: list) -> Iterator[list[list]]:
             yield part[:i] + [[last]] + part[i:]
 
 
-def gen_ordered_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All ordered set partitions of {1,...,n}, each exactly once."""
+def _check_partition_size(n: int) -> None:
     if n > 9:
         raise SizeLimitError(f"ordered partitions of {n} elements (Fubini growth)")
+
+
+def gen_ordered_partitions(n: int) -> Iterator[list[list[int]]]:
+    """All ordered set partitions of {1,...,n}, each exactly once."""
+    _check_partition_size(n)
     yield from _ordered_partitions(list(range(1, n + 1)))
 
 
@@ -110,35 +120,68 @@ def gen_set_partitions(items: list) -> Iterator[list[list]]:
         yield part + [[last]]
 
 
+def _insertion_hist(steps: int, keep_first: bool = False,
+                    end_in_last: bool = False) -> Counter[tuple[int, int]]:
+    """Histogram of (block count, inv_star) over the ordered partitions grown
+    by inserting `steps` elements, each larger than every element before
+    it; every partition is one leaf.
+
+    The new element exceeds every block minimum and no element exceeds it,
+    so it adds one inversion per block after its position, whether it
+    joins a block or opens one.  keep_first starts from one block holding
+    a smaller element (the 0-block) and keeps it first: no block opens in
+    front of it.  end_in_last sends the final element into the last block,
+    joining it or opening a new last block.
+    """
+    hist: Counter[tuple[int, int]] = Counter()
+
+    def grow(left: int, c: int, w: int) -> None:
+        if left == 1 and end_in_last:
+            if c:
+                hist[c, w] += 1
+            hist[c + 1, w] += 1
+        elif left > 0:
+            left -= 1
+            for d in range(c):
+                grow(left, c, w + d)
+            for d in range(c + 1 - keep_first):
+                grow(left, c + 1, w + d)
+        else:
+            hist[c, w] += 1
+
+    grow(steps, int(keep_first), 0)
+    return hist
+
+
 def fubini_oracle(n: int) -> QPoly:
-    """Sum of q**inv_star over all ordered set partitions of {1,...,n}."""
-    return QPoly.from_terms(Counter(inv_star(part) for part in gen_ordered_partitions(n)))
+    """Sum of q**inv_star over all ordered set partitions of {1,...,n},
+    scored while the partitions are built."""
+    _check_partition_size(n)
+    counts: Counter[int] = Counter()
+    for (_, w), mult in _insertion_hist(n).items():
+        counts[w] += mult
+    return QPoly.from_terms(counts)
 
 
 # ---------------------------------------------------------------------------
 # alternating block pairs
 # ---------------------------------------------------------------------------
 
-def _anchored_partitions(
-    n: int, k: int
-) -> tuple[Iterator[list[list[int]]], Iterator[list[list[int]]]]:
-    """The two sides of the alternating pairs at (n, k), generated lazily:
-    ordered partitions of {0,1,...,n} with the 0-block first, and of
-    {1,...,k,k+1} with the (k+1)-block last.  The special low element is
-    encoded as 0 and the special high element as k+1, which gives them the
-    right comparison order for inv_star.
-    """
+def _check_pair_size(n: int, k: int) -> None:
     if n > 6 or k > 6:
         raise SizeLimitError(f"alternating pairs at ({n}, {k})")
-    blues = (p for p in _ordered_partitions(list(range(n + 1))) if 0 in p[0])
-    reds = (p for p in _ordered_partitions(list(range(1, k + 2))) if k + 1 in p[-1])
-    return blues, reds
 
 
 def gen_alternating_pairs(n: int, k: int) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
     """Pairs (blue, red) of anchored ordered partitions with equal block
-    counts, each pair once."""
-    blues, reds = _anchored_partitions(n, k)
+    counts, each pair once: blue partitions {0,1,...,n} with the 0-block
+    first, red partitions {1,...,k,k+1} with the (k+1)-block last.  The
+    special low element is encoded as 0 and the special high element as
+    k+1, which gives them the right comparison order for inv_star.
+    """
+    _check_pair_size(n, k)
+    blues = (p for p in _ordered_partitions(list(range(n + 1))) if 0 in p[0])
+    reds = (p for p in _ordered_partitions(list(range(1, k + 2))) if k + 1 in p[-1])
     by_blocks: dict[int, list[list[list[int]]]] = {}
     for blue in blues:
         by_blocks.setdefault(len(blue), []).append(blue)
@@ -150,13 +193,18 @@ def gen_alternating_pairs(n: int, k: int) -> Iterator[tuple[list[list[int]], lis
 def ordered_q_oracle(n: int, k: int) -> QPoly:
     """Sum of q**(inv_star(blue) + inv_star(red)) over alternating pairs.
 
-    The weight is additive across the two partitions and the block counts
-    must agree, so the sum is the convolution of the two one-sided
-    histograms of (block count, weight).
+    Each side is grown by insertion with its anchor kept throughout: the
+    blue side starts from the 0-block and never opens a block in front of
+    it, and the red side's last element k+1 goes into the last block.  The
+    weight is additive across the two partitions and the block counts must
+    agree, so the sum is the convolution of the two one-sided histograms
+    of (block count, weight).
     """
-    blues, reds = _anchored_partitions(n, k)
-    blue_hist = Counter((len(p), inv_star(p)) for p in blues)
-    red_hist = Counter((len(p), inv_star(p)) for p in reds)
+    _check_pair_size(n, k)
+    if n < 0 or k < 0:
+        raise ValueError(f"alternating pairs need n, k >= 0, got ({n}, {k})")
+    blue_hist = _insertion_hist(n, keep_first=True)
+    red_hist = _insertion_hist(k + 1, end_in_last=True)
     counts: Counter[int] = Counter()
     for (b, wb), mb in blue_hist.items():
         for (r, wr), mr in red_hist.items():
@@ -382,8 +430,38 @@ def gen_vesztergombi(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def vesztergombi_oracle(n: int, k: int) -> QPoly:
-    """Sum of q**inversions over the banded permutation class."""
-    return QPoly.from_terms(Counter(inversions(perm) for perm in gen_vesztergombi(n, k)))
+    """Sum of q**inversions over the banded permutation class, counted
+    while the permutations are built position by position.
+
+    used holds bit v for each value v already placed, so placing v adds
+    the (used >> v).bit_count() inversions it makes with larger values to
+    its left.  Value i-k may sit at no position after i, so when it is
+    still free at position i it goes there, which cuts every branch that
+    would strand it.
+    """
+    if n + k > 9:
+        raise SizeLimitError(f"banded permutations of [{n + k}]")
+    m = n + k
+    counts: Counter[int] = Counter()
+
+    def place(i: int, used: int, w: int) -> None:
+        if i > m:
+            counts[w] += 1
+            return
+        lo, hi = max(1, i - k), min(m, i + n)
+        if lo > hi:  # only when n or k is negative
+            return
+        if lo == i - k and not used >> lo & 1:
+            place(i + 1, used | 1 << lo, w + (used >> lo).bit_count())
+            return
+        free = ~used & ((2 << hi) - (1 << lo))
+        while free:
+            v = (free & -free).bit_length() - 1
+            free &= free - 1
+            place(i + 1, used | 1 << v, w + (used >> v).bit_count())
+
+    place(1, 0, 0)
+    return QPoly.from_terms(counts)
 
 
 # ---------------------------------------------------------------------------

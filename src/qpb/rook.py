@@ -8,6 +8,11 @@ Counting the whole rectangle rather than the mask is what makes the
 reflection, staircase, and block-composition laws exact; on a full square
 with a full placement the statistic is the ordinary permutation inversion
 number.
+
+q_rook_number counts each placement once but never builds it: it fills
+the rows bottom-up and adds each row's uncancelled cells as the row is
+filled.  rook_placements and gr_inv state the same sum placement by
+placement, and the tests check q_rook_number against them.
 """
 
 from __future__ import annotations
@@ -98,13 +103,10 @@ def placement_from_permutation(perm: Sequence[int], board: Board) -> RookConfig:
 def gr_inv(config: RookConfig) -> int:
     """Uncancelled cells of the bounding rectangle: no rook weakly right in
     the row, none strictly below in the column."""
-    return _uncancelled_cells(config.board.rows, config.board.cols, config.rooks)
-
-
-def _uncancelled_cells(rows: int, cols: int, rooks) -> int:
+    rows, cols = config.board.rows, config.board.cols
     row_rook = [-1] * rows
     col_rook = [-1] * cols
-    for i, j in rooks:
+    for i, j in config.rooks:
         row_rook[i] = j
         col_rook[j] = i
     count = 0
@@ -142,15 +144,51 @@ def rook_placements(board: Board, k: int) -> Iterator[frozenset[tuple[int, int]]
 
 
 def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPoly:
-    """Generating polynomial of k-rook placements by the inversion statistic."""
+    """Generating polynomial of k-rook placements by the inversion statistic.
+
+    Rows are filled bottom-up, and below holds bit j for each column with a
+    rook in a row already filled, so each row's uncancelled cells are known
+    when it is filled: a rook at column j leaves the cells right of it
+    whose column is not in below, and an empty row leaves every column not
+    in below.  Once all k rooks are down, each remaining row leaves cols-k.
+    When k == cols every column takes a rook, so a free column whose top
+    cell is in the current row takes this row's rook.
+    """
     if board.area > max_area:
         raise SizeLimitError(f"board area {board.area} exceeds bound {max_area}")
     if k < 0 or k > min(board.rows, board.cols):
         raise ValueError(f"k must lie in [0, min(rows, cols)], got {k}")
-    rows, cols = board.rows, board.cols
-    return QPoly.from_terms(
-        Counter(_uncancelled_cells(rows, cols, rooks) for rooks in rook_placements(board, k))
-    )
+    cols = board.cols
+    row_bits = [sum(v << j for j, v in enumerate(r)) for r in board.cells]
+    # last[i]: columns that must take row i's rook if still free there.
+    last = [0] * board.rows
+    if k == cols:
+        for j in range(cols):
+            top = next((i for i, r in enumerate(board.cells) if r[j]), None)
+            if top is not None:
+                last[top] |= 1 << j
+    counts: Counter[int] = Counter()
+
+    def fill(i: int, placed: int, below: int, w: int) -> None:
+        # Rows i, i-1, ..., 0 are still to fill.
+        if placed == k:
+            counts[w + (i + 1) * (cols - k)] += 1
+            return
+        free = last[i] & ~below
+        if free & (free - 1):
+            return  # two free columns have no row left but this one
+        if not free:
+            if i + 1 > k - placed:  # enough rows left to leave this one empty
+                fill(i - 1, placed, below, w + cols - placed)
+            free = row_bits[i] & ~below
+        while free:
+            j = (free & -free).bit_length() - 1
+            free &= free - 1
+            fill(i - 1, placed + 1, below | 1 << j,
+                 w + cols - 1 - j - (below >> (j + 1)).bit_count())
+
+    fill(board.rows - 1, 0, 0, 0)
+    return QPoly.from_terms(counts)
 
 
 # ---------------------------------------------------------------------------

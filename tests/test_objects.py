@@ -65,6 +65,15 @@ def test_fubini_oracle_small():
     assert fubini_oracle(3) == QPoly([4, 5, 3, 1])
 
 
+def test_fubini_oracle_matches_generator():
+    # the insertion search against inv_star scored on each generated partition
+    for n in range(8):
+        weights = Counter(inv_star(p) for p in gen_ordered_partitions(n))
+        assert fubini_oracle(n) == QPoly.from_terms(weights)
+    with pytest.raises(SizeLimitError):
+        fubini_oracle(10)
+
+
 def test_alternating_pairs_worked_example():
     pairs = list(gen_alternating_pairs(3, 1))
     assert len(pairs) == 8
@@ -72,9 +81,10 @@ def test_alternating_pairs_worked_example():
 
 
 def test_alternating_pairs_sum_to_oracle():
-    # the pair generator and the histogram convolution share one anchored-partition helper
-    for n in range(5):
-        for k in range(5):
+    # the pair generator filters whole partitions for their anchors; the
+    # oracle keeps the anchors while inserting and never builds a partition
+    for n in range(6):
+        for k in range(6):
             weights = Counter(inv_star(b) + inv_star(r) for b, r in gen_alternating_pairs(n, k))
             assert QPoly.from_terms(weights) == ordered_q_oracle(n, k)
     with pytest.raises(SizeLimitError):
@@ -174,6 +184,16 @@ def test_vesztergombi_reference_counts():
     perms = list(gen_vesztergombi(2, 2))
     assert len(perms) == 14
     assert vesztergombi_oracle(2, 2) == QPoly([1, 3, 5, 4, 1])
+
+
+def test_vesztergombi_oracle_matches_generator():
+    # the incremental inversion count against inversions() of each permutation
+    for m in range(9):
+        for n in range(m + 1):
+            weights = Counter(inversions(p) for p in gen_vesztergombi(n, m - n))
+            assert vesztergombi_oracle(n, m - n) == QPoly.from_terms(weights)
+    with pytest.raises(SizeLimitError):
+        vesztergombi_oracle(5, 5)
 
 
 def test_vesztergombi_band_membership():

@@ -1,5 +1,6 @@
 """Rook statistic, placements, board algebra, and the banded board."""
 
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -120,9 +121,38 @@ def test_rook_count_at_one():
         assert q_rook_number(board, k).at_one() == sum(1 for _ in rook_placements(board, k))
 
 
-def _all_boards(n):
-    for bits in product((0, 1), repeat=n * n):
-        yield Board(tuple(bits[i * n:(i + 1) * n] for i in range(n)))
+def _all_boards(n, cols=None):
+    cols = n if cols is None else cols
+    for bits in product((0, 1), repeat=n * cols):
+        yield Board(tuple(bits[i * cols:(i + 1) * cols] for i in range(n)))
+
+
+def _placement_hist(board, k):
+    """q_rook_number's specification: gr_inv scored on each placement."""
+    return QPoly.from_terms(Counter(
+        gr_inv(RookConfig(board, rooks)) for rooks in rook_placements(board, k)
+    ))
+
+
+def test_rook_number_matches_placements():
+    shapes = [(r, c) for r in range(4) for c in range(4)] + [(1, 4), (4, 1)]
+    for rows, cols in shapes:
+        for board in _all_boards(rows, cols):
+            for k in range(min(rows, cols) + 1):
+                assert q_rook_number(board, k) == _placement_hist(board, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rook_number_matches_placements_sampled(data):
+    rows = data.draw(st.integers(min_value=1, max_value=5))
+    cols = data.draw(st.integers(min_value=0, max_value=5))
+    board = Board(tuple(
+        tuple(data.draw(st.integers(min_value=0, max_value=1)) for _ in range(cols))
+        for _ in range(rows)
+    ))
+    k = data.draw(st.integers(min_value=0, max_value=min(rows, cols)))
+    assert q_rook_number(board, k) == _placement_hist(board, k)
 
 
 def test_reflection_law_exhaustive_small():
