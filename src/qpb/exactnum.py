@@ -9,9 +9,10 @@ Four carriers, all immutable and exact (no floats anywhere):
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
-* ``IntMatrix``       dense big-integer matrix with exact determinant,
-                      characteristic polynomial (Berkowitz, division free),
-                      and permanent (Ryser with Gray-code subsets).
+* ``IntMatrix``       dense big-integer matrix with exact characteristic
+                      polynomial (Berkowitz, division free) and permanent
+                      (Ryser with Gray-code subsets, up to
+                      ``MAX_PERMANENT_DIM`` rows).
 
 ``QPoly`` multiplication takes one of three paths, chosen from the
 operands alone:
@@ -306,10 +307,6 @@ class QPoly:
             "min_exp": self.min_exp,
             "coeffs": [str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QPoly":
-        return cls([int(c) for c in d["coeffs"]], int(d["min_exp"]))
 
 
 def _canonical(coeffs: tuple[int, ...], min_exp: int) -> QPoly:
@@ -657,10 +654,6 @@ class QRational:
     def to_json_dict(self) -> dict:
         return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QRational":
-        return cls(QPoly.from_json_dict(d["num"]), QPoly.from_json_dict(d["den"]))
-
 
 def _exact_int_div(cs: list[int], by: list[int]) -> list[int]:
     quo, rem = _divmod_int(cs, by)
@@ -774,6 +767,10 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
+# Largest dimension IntMatrix.permanent accepts: 2**20 Gray-code steps.
+MAX_PERMANENT_DIM = 20
+
+
 class IntMatrix:
     """Rectangular big-integer matrix with the exact kernels used here."""
 
@@ -793,19 +790,6 @@ class IntMatrix:
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -820,30 +804,6 @@ class IntMatrix:
     def _require_square(self):
         if self.rows != self.cols:
             raise NonSquareError(f"{self.rows}x{self.cols} matrix is not square")
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        self._require_square()
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def charpoly(self) -> QPoly:
         """det(M - q*I) via the division-free Berkowitz algorithm.
@@ -881,15 +841,15 @@ class IntMatrix:
         sign = -1 if n % 2 else 1
         return QPoly([sign * poly[n - e] for e in range(n + 1)])
 
-    def permanent(self, max_dim: int = 20) -> int:
+    def permanent(self) -> int:
         """Exact permanent by Ryser inclusion-exclusion with Gray codes.
 
-        Cost is O(2**n * n); max_dim guards against runaway inputs.
+        Cost is O(2**n * n); MAX_PERMANENT_DIM guards against runaway inputs.
         """
         self._require_square()
         n = self.rows
-        if n > max_dim:
-            raise SizeLimitError(f"permanent of {n}x{n} exceeds bound {max_dim}")
+        if n > MAX_PERMANENT_DIM:
+            raise SizeLimitError(f"permanent of {n}x{n} exceeds bound {MAX_PERMANENT_DIM}")
         if n == 0:
             return 1
         # Step t flips column j, the lowest set bit of t, in or out of the

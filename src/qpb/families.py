@@ -273,7 +273,6 @@ _TRIANGLE_WEIGHTS: dict[str, tuple[Callable, Callable]] = {
 class Triangle:
     """Rectangular row-rewriting table; each derived row is one shorter."""
 
-    rule: str
     rows: tuple[tuple[QRational, ...], ...]
 
     def leading_column(self) -> list[QRational]:
@@ -309,7 +308,7 @@ def akiyama_tanigawa(rule: str, initial: Sequence, n_rows: int) -> Triangle:
     for _ in range(1, n_rows):
         prev = rows[-1]
         rows.append(tuple(prev[m] * x(m) - prev[m + 1] * y(m) for m in range(len(prev) - 1)))
-    return Triangle(rule, tuple(rows))
+    return Triangle(tuple(rows))
 
 
 def q_power_row(k: int, length: int) -> list[QRational]:

@@ -52,8 +52,6 @@ __all__ = [
     "gamma_free_first_column_decomposition_check",
 ]
 
-MATRIX_CLASSES = ("lonesum", "gamma_free", "perm_matrix")
-
 # Largest n*k that gen_matrix_class enumerates, set by hand rather than
 # from measured cost.  A class has up to 2**(n*k) members (at n = 1 the
 # lonesum and gamma-free classes take every row), and at n = 2 the row
@@ -96,6 +94,8 @@ def _ordered_partitions(items: list) -> Iterator[list[list]]:
 def _check_partition_size(n: int) -> None:
     if n > 9:
         raise SizeLimitError(f"ordered partitions of {n} elements (Fubini growth)")
+    if n < 0:
+        raise ValueError(f"ordered partitions need n >= 0, got {n}")
 
 
 def gen_ordered_partitions(n: int) -> Iterator[list[list[int]]]:
@@ -170,6 +170,8 @@ def fubini_oracle(n: int) -> QPoly:
 def _check_pair_size(n: int, k: int) -> None:
     if n > 6 or k > 6:
         raise SizeLimitError(f"alternating pairs at ({n}, {k})")
+    if n < 0 or k < 0:
+        raise ValueError(f"alternating pairs need n, k >= 0, got ({n}, {k})")
 
 
 def gen_alternating_pairs(n: int, k: int) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
@@ -201,8 +203,6 @@ def ordered_q_oracle(n: int, k: int) -> QPoly:
     of (block count, weight).
     """
     _check_pair_size(n, k)
-    if n < 0 or k < 0:
-        raise ValueError(f"alternating pairs need n, k >= 0, got ({n}, {k})")
     blue_hist = _insertion_hist(n, keep_first=True)
     red_hist = _insertion_hist(k + 1, end_in_last=True)
     counts: Counter[int] = Counter()
@@ -403,11 +403,17 @@ def inversions(perm: Sequence[int]) -> int:
     return count
 
 
+def _check_band_size(n: int, k: int) -> None:
+    if n + k > 9:
+        raise SizeLimitError(f"banded permutations of [{n + k}]")
+    if n < 0 or k < 0:
+        raise ValueError(f"banded permutations need n, k >= 0, got ({n}, {k})")
+
+
 def gen_vesztergombi(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Permutations pi of [n+k] with -k <= pi(i) - i <= n, generated by
     backtracking inside the band (1-based one-line notation)."""
-    if n + k > 9:
-        raise SizeLimitError(f"banded permutations of [{n + k}]")
+    _check_band_size(n, k)
     m = n + k
     chosen: list[int] = []
     used = [False] * (m + 1)
@@ -439,8 +445,7 @@ def vesztergombi_oracle(n: int, k: int) -> QPoly:
     still free at position i it goes there, which cuts every branch that
     would strand it.
     """
-    if n + k > 9:
-        raise SizeLimitError(f"banded permutations of [{n + k}]")
+    _check_band_size(n, k)
     m = n + k
     counts: Counter[int] = Counter()
 
@@ -449,8 +454,6 @@ def vesztergombi_oracle(n: int, k: int) -> QPoly:
             counts[w] += 1
             return
         lo, hi = max(1, i - k), min(m, i + n)
-        if lo > hi:  # only when n or k is negative
-            return
         if lo == i - k and not used >> lo & 1:
             place(i + 1, used | 1 << lo, w + (used >> lo).bit_count())
             return

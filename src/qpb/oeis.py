@@ -24,7 +24,6 @@ from .verify import CheckReport
 __all__ = ["SequenceFixture", "fetch_sequence", "crosscheck_table", "cache_dir"]
 
 _ID_RE = re.compile(r"^A\d{6}$")
-_BUNDLED_READERS = {"A099594": "antidiagonal"}
 
 Transport = Callable[[str], str]
 
@@ -114,7 +113,7 @@ def fetch_sequence(
     if bundled.exists():
         terms, reader = _parse_bfile(bundled.read_text())
         if terms:
-            return SequenceFixture(seq_id, terms, "bundled", reader or _BUNDLED_READERS.get(seq_id))
+            return SequenceFixture(seq_id, terms, "bundled", reader)
     if network_error is not None:
         raise OeisNetworkError(f"fetch of {seq_id} failed and no local copy exists: {network_error}")
     raise OeisNotFoundError(f"no cached or bundled data for {seq_id}")

@@ -1,0 +1,27 @@
+"""Export lists: every name a module lists in __all__ exists, once."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import qpb
+
+# __main__ runs the CLI when imported, so it is left out.
+MODULES = ["qpb"] + [
+    f"qpb.{info.name}" for info in pkgutil.iter_modules(qpb.__path__) if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve_once(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [x for x in exported if not hasattr(module, x)] == []
+    assert len(exported) == len(set(exported))
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from qpb import *", namespace)
+    assert set(qpb.__all__) <= namespace.keys()

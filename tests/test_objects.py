@@ -206,6 +206,36 @@ def test_vesztergombi_band_membership():
         next(gen_vesztergombi(6, 4))
 
 
+_NEGATIVE_PAIRS = [(-1, 0), (0, -1), (-1, 2), (2, -1), (-2, -2)]
+# Each guard checks its size bound first, so a shape past the bound still
+# raises SizeLimitError whatever its sign.
+_SHAPES = {
+    "partition": [((-1,), ValueError), ((-3,), ValueError)],
+    "pair": [(s, ValueError) for s in _NEGATIVE_PAIRS] + [((7, -1), SizeLimitError)],
+    "band": [(s, ValueError) for s in _NEGATIVE_PAIRS] + [((11, -1), SizeLimitError)],
+}
+
+
+@pytest.mark.parametrize("entry, shape, error", [
+    pytest.param(entry, shape, error, id=f"{entry.__name__}{shape}")
+    for entry, kind in [
+        (gen_ordered_partitions, "partition"),
+        (fubini_oracle, "partition"),
+        (gen_alternating_pairs, "pair"),
+        (ordered_q_oracle, "pair"),
+        (gen_vesztergombi, "band"),
+        (vesztergombi_oracle, "band"),
+    ]
+    for shape, error in _SHAPES[kind]
+])
+def test_negative_sizes_raise(entry, shape, error):
+    # the family formulas raise ValueError at negative sizes; so do their oracles
+    with pytest.raises(error):
+        out = entry(*shape)
+        if not isinstance(out, QPoly):
+            next(out)
+
+
 def test_counts_match_pair_formula():
     for n in range(6):
         for k in range(6):
