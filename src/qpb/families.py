@@ -2,9 +2,10 @@
 Akiyama-Tanigawa triangle engines.
 
 Two sums carry most of the families.  The paired sum
-sum over m of f(m)**2 * S(n+1,m+1) * S(k+1,m+1) gives classical_pb_negk
-(m!, stirling2), ordered_q_pb ([m]!, carlitz) and lonesum_q_pb (m!,
-cigler).  The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
+sum over m of w(m) * S(n+1,m+1) * S(k+1,m+1) gives classical_pb_negk
+(m!**2, stirling2), ordered_q_pb ([m]!**2, carlitz), lonesum_q_pb (m!**2,
+cigler) and, with q -> 1/q, vesztergombi_q_pb (q**m * [m]!**2, carlitz).
+The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
 (carlitz_sum) gives at_q_pb and carlitz_beta, and is the closed form of the
 zengA (s = 1) and zengB (s = 0) triangles' leading columns.
 
@@ -68,15 +69,15 @@ def classical_pb(n: int, k: int) -> Fraction:
     return acc if n % 2 == 0 else -acc
 
 
-def _paired_sum(n: int, k: int, f: Callable, s: Callable):
-    """sum over m <= min(n, k) of f(m)**2 * s(n+1,m+1) * s(k+1,m+1).
+def _paired_sum(n: int, k: int, w: Callable, s: Callable):
+    """sum over m <= min(n, k) of w(m) * s(n+1,m+1) * s(k+1,m+1).
 
-    The squared factor scales the product of the two Stirling values once.
+    The weight w(m), a squared factorial (times q**m for the banded
+    family), scales the product of the two Stirling values once.
     """
     total = 0
     for m in range(min(n, k) + 1):
-        w = f(m)
-        total = total + (w * w) * (s(n + 1, m + 1) * s(k + 1, m + 1))
+        total = total + w(m) * (s(n + 1, m + 1) * s(k + 1, m + 1))
     return total
 
 
@@ -85,7 +86,7 @@ def classical_pb_negk(n: int, k: int) -> int:
     symmetric in n and k."""
     if n < 0 or k < 0:
         raise ValueError("classical_pb_negk needs n, k >= 0")
-    return _paired_sum(n, k, factorial, stirling2)
+    return _paired_sum(n, k, lambda m: factorial(m) ** 2, stirling2)
 
 
 def pb_recursion_check(n: int, k: int) -> bool:
@@ -120,7 +121,9 @@ def ordered_q_pb(n: int, k: int) -> QPoly:
     q-factorials; symmetric in n and k, collapses to classical_pb_negk at q=1."""
     if n < 0 or k < 0:
         raise ValueError("ordered_q_pb needs n, k >= 0")
-    return _paired_sum(n, k, q_factorial, lambda a, b: q_stirling("carlitz", a, b))
+    return _paired_sum(
+        n, k, lambda m: q_factorial(m) * q_factorial(m), lambda a, b: q_stirling("carlitz", a, b)
+    )
 
 
 def q_fubini(n: int) -> QPoly:
@@ -139,23 +142,27 @@ def lonesum_q_pb(n: int, k: int) -> QPoly:
     matrices."""
     if n < 0 or k < 0:
         raise ValueError("lonesum_q_pb needs n, k >= 0")
-    return _paired_sum(n, k, factorial, lambda a, b: q_stirling("cigler", a, b))
+    return _paired_sum(n, k, lambda m: factorial(m) ** 2, lambda a, b: q_stirling("cigler", a, b))
 
 
 def vesztergombi_q_pb(n: int, k: int) -> QPoly:
-    """Inversion polynomial of the banded permutation class, via
+    """Inversion polynomial of the banded permutation class,
     q**(n*k) * sum over m of S(n+1,m+1)(1/q) * S(k+1,m+1)(1/q) * ([m]!)**2 * q**m
-    with the shifted q-Stirling numbers, evaluated in Laurent arithmetic.
+    with the shifted q-Stirling numbers S.
+
+    Since S(n,m) = q**C(m,2) * {n,m}_q and [m]!(q) = q**C(m,2) * [m]!(1/q),
+    each term is the carlitz paired-sum term q**m * ([m]!)**2 *
+    {n+1,m+1}_q * {k+1,m+1}_q with q -> 1/q, so the sum is the paired sum
+    with weight q**m * ([m]!)**2, read at 1/q and shifted by q**(n*k).
     """
     if n < 0 or k < 0:
         raise ValueError("vesztergombi_q_pb needs n, k >= 0")
-    total = QPoly.zero()
-    for m in range(min(n, k) + 1):
-        sn = q_stirling("shifted", n + 1, m + 1).subs_inv_q()
-        sk = q_stirling("shifted", k + 1, m + 1).subs_inv_q()
-        f = q_factorial(m)
-        total = total + sn * sk * f * f * QPoly.q(m)
-    total = total.shift(n * k)
+    total = _paired_sum(
+        n, k,
+        lambda m: (q_factorial(m) * q_factorial(m)).shift(m),
+        lambda a, b: q_stirling("carlitz", a, b),
+    )
+    total = total.subs_inv_q().shift(n * k)
     if total.min_exp < 0:
         raise NotPolynomialError(f"vesztergombi_q_pb({n}, {k}) kept exponent {total.min_exp}")
     return total

@@ -4,9 +4,9 @@ q-integers, q-factorials, q-binomials, three q-deformations of the
 Stirling numbers of the second kind, two auxiliary Stirling-type arrays
 with a q parameter, and the q-exponential series.
 
-The three Stirling deformations and the classical table share one row
-recurrence T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1; the
-weights (a, b) define each of them:
+The three Stirling deformations and the classical table share one
+recurrence T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1 and
+T(n,0) = 0 for n > 0; the weights (a, b) define each of them:
 
 * carlitz   (1, [m]); tracks the partition inversion statistic Inv*.
 * cigler    (1, q**(n-1) + m - 1); weights each partition of
@@ -17,10 +17,14 @@ weights (a, b) define each of them:
 * stirling2 (1, m), over the integers.
 
 All kernels return canonical QPoly/QRational values and are memoized.
-The memo tables only grow and never change an entry.  Every table grows
-through one function, under one module lock, which re-checks the length
-once held, so concurrent callers never append a row twice; a read of a
-row that already exists takes no lock.
+Each triangle is stored by column, cols[j][i] = T(j+i, j), so a request
+for T(n, m) grows columns 0..m, in order, to index n-m and builds no
+column to the right of m: a tall table that reads only the first columns
+never pays for the rest of the triangle.  The memo tables only grow and
+never change an entry.  Every table and every column grows through one
+function, under one module lock, which re-checks the length once held,
+so concurrent callers never append an entry twice; a read of an entry
+that already exists takes no lock.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ __all__ = [
 STIRLING_VARIANTS = ("carlitz", "cigler", "shifted")
 
 _q_factorials: list[QPoly] = [QPoly.one()]
+# Column tables: cols[j][i] = T(j+i, j); each starts as column 0 = [T(0,0)].
 _stirling_tables: dict[str, list[list[QPoly]]] = {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
-_classical_rows: list[list[int]] = [[1]]
+_classical_cols: list[list[int]] = [[1]]
 _grow_lock = threading.Lock()
 
 
@@ -62,9 +67,10 @@ def q_int(n: int) -> QPoly:
 def _memo_row(rows: list, n: int, next_row: Callable[[list], object]):
     """rows[n], appending next_row(rows) until it exists.
 
-    The only place that takes the growth lock; a row that already exists
-    is read without it.  next_row must not call a memoized kernel, since
-    the lock is not reentrant.
+    Grows the q-factorials, the list of a triangle's columns and each
+    column.  The only place that takes the growth lock; an entry that
+    already exists is read without it.  next_row must not call a
+    memoized kernel, since the lock is not reentrant.
     """
     if len(rows) <= n:
         with _grow_lock:
@@ -95,23 +101,26 @@ _STIRLING_WEIGHTS = {
 }
 
 
-def _next_stirling_row(weights, zero) -> Callable[[list], list]:
-    """Row n of the triangle T(0,0) = 1 from row n-1, with the given weights."""
+def _grow_columns(cols: list, n: int, m: int, weights, zero):
+    """T(n, m) = cols[m][n-m] of the triangle with the given weights,
+    growing columns 0..m in order, each to index n-m.
 
-    def next_row(rows: list) -> list:
-        n = len(rows)
-        prev = rows[-1]
-        row = [zero] * (n + 1)
-        for m in range(1, n + 1):
-            a, b = weights(n, m)
-            row[m] = a * prev[m - 1] + b * (prev[m] if m < n else zero)
-        return row
+    Entry i of column j > 0 is T(j+i, j) = a*cols[j-1][i] + b*cols[j][i-1],
+    so column j-1 reaches an index before column j does.
+    """
+    top = n - m
+    _memo_row(cols[0], top, lambda col: zero)
+    for j in range(1, m + 1):
+        left = cols[j - 1]
 
-    return next_row
+        # Called only by this iteration's _memo_row, so j and left are current.
+        def next_entry(col: list):
+            i = len(col)
+            a, b = weights(j + i, j)
+            return a * left[i] + b * col[-1] if i else a * left[0]
 
-
-_NEXT_ROW = {v: _next_stirling_row(w, QPoly.zero()) for v, w in _STIRLING_WEIGHTS.items()}
-_NEXT_CLASSICAL_ROW = _next_stirling_row(lambda n, m: (1, m), 0)
+        _memo_row(_memo_row(cols, j, lambda cs: []), top, next_entry)
+    return cols[m][top]
 
 
 def q_stirling(variant: str, n: int, m: int) -> QPoly:
@@ -125,7 +134,10 @@ def q_stirling(variant: str, n: int, m: int) -> QPoly:
         raise ValueError("q_stirling needs n, m >= 0")
     if m > n:
         return QPoly.zero()
-    return _memo_row(_stirling_tables[variant], n, _NEXT_ROW[variant])[m]
+    cols = _stirling_tables[variant]
+    if m < len(cols) and n - m < len(cols[m]):
+        return cols[m][n - m]
+    return _grow_columns(cols, n, m, _STIRLING_WEIGHTS[variant], QPoly.zero())
 
 
 def stirling2(n: int, k: int) -> int:
@@ -134,7 +146,10 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 needs n, k >= 0")
     if k > n:
         return 0
-    return _memo_row(_classical_rows, n, _NEXT_CLASSICAL_ROW)[k]
+    cols = _classical_cols
+    if k < len(cols) and n - k < len(cols[k]):
+        return cols[k][n - k]
+    return _grow_columns(cols, n, k, lambda r, j: (1, j), 0)
 
 
 def s2_q(n: int, j: int) -> QPoly:

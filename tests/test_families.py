@@ -141,6 +141,23 @@ def test_vesztergombi_reference_values():
         assert F.vesztergombi_q_pb(n, 0) == QPoly.one()
 
 
+def _vesztergombi_shifted_form(n, k):
+    # q^(nk) * sum_m S(n+1,m+1)(1/q) * S(k+1,m+1)(1/q) * [m]!^2 * q^m, shifted q-Stirling S
+    total = QPoly.zero()
+    for m in range(min(n, k) + 1):
+        sn = q_stirling("shifted", n + 1, m + 1).subs_inv_q()
+        sk = q_stirling("shifted", k + 1, m + 1).subs_inv_q()
+        f = q_factorial(m)
+        total = total + sn * sk * f * f * QPoly.q(m)
+    return total.shift(n * k)
+
+
+def test_vesztergombi_matches_shifted_form():
+    for n in range(13):
+        for k in range(13):
+            assert F.vesztergombi_q_pb(n, k) == _vesztergombi_shifted_form(n, k)
+
+
 def test_vesztergombi_structure():
     for n in range(6):
         for k in range(6):

@@ -1,5 +1,6 @@
 """q-kernel tests, each derived value frozen from an independent oracle."""
 
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -184,14 +185,19 @@ def test_ernst_polynomial_identity():
 
 
 def _fresh_memo_tables(monkeypatch):
+    # Each triangle starts as its column 0 holding T(0, 0).
     monkeypatch.setattr(qkernels, "_q_factorials", [QPoly.one()])
     monkeypatch.setattr(
         qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
     )
-    monkeypatch.setattr(qkernels, "_classical_rows", [[1]])
+    monkeypatch.setattr(qkernels, "_classical_cols", [[1]])
 
 
 def _grow_all(top):
+    # (top, 1) first, so the sweep below extends columns that already exist.
+    stirling2(top, 1)
+    for variant in STIRLING_VARIANTS:
+        q_stirling(variant, top, 1)
     for n in range(top + 1):
         q_factorial(n)
         stirling2(n, n // 2)
@@ -200,10 +206,11 @@ def _grow_all(top):
 
 
 def _memo_snapshot():
+    # Columns keep growing after the snapshot, so copy each one.
     return (
         list(qkernels._q_factorials),
-        {v: list(rows) for v, rows in qkernels._stirling_tables.items()},
-        list(qkernels._classical_rows),
+        {v: [list(col) for col in cols] for v, cols in qkernels._stirling_tables.items()},
+        [list(col) for col in qkernels._classical_cols],
     )
 
 
@@ -237,3 +244,49 @@ def test_memo_growth_is_thread_safe(monkeypatch):
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert _memo_snapshot() == expected
+
+
+def test_column_memo_builds_only_the_requested_columns(monkeypatch):
+    _fresh_memo_tables(monkeypatch)
+    for variant in STIRLING_VARIANTS:
+        q_stirling(variant, 49, 2)
+        # columns 0..2, each to index 49 - 2
+        assert [len(col) for col in qkernels._stirling_tables[variant]] == [48, 48, 48]
+    stirling2(49, 2)
+    assert [len(col) for col in qkernels._classical_cols] == [48, 48, 48]
+
+
+def _row_recurrence_tables(top):
+    """Every variant's triangle to row top by the row recurrence, as dicts."""
+    weights = {
+        "carlitz": lambda n, m: (1, q_int(m)),
+        "cigler": lambda n, m: (1, QPoly.q(n - 1) + (m - 1)),
+        "shifted": lambda n, m: (QPoly.q(m - 1), q_int(m)),
+        "classical": lambda n, m: (1, m),
+    }
+    tables = {}
+    for name, weight in weights.items():
+        zero = 0 if name == "classical" else QPoly.zero()
+        t = {(0, 0): 1 if name == "classical" else QPoly.one()}
+        for n in range(1, top + 1):
+            t[(n, 0)] = zero
+            for m in range(1, n + 1):
+                a, b = weight(n, m)
+                t[(n, m)] = a * t[(n - 1, m - 1)] + b * t.get((n - 1, m), zero)
+        tables[name] = t
+    return tables
+
+
+def test_column_memo_matches_row_recurrence_in_any_order(monkeypatch):
+    top = 30
+    tables = _row_recurrence_tables(top)
+    cells = [(n, m) for n in range(top + 1) for m in range(n + 1)]
+    shuffled = list(cells)
+    random.Random(1009).shuffle(shuffled)
+    decreasing = sorted(cells, key=lambda c: (-c[0], c[1]))
+    for order in (shuffled, decreasing):
+        _fresh_memo_tables(monkeypatch)
+        for n, m in order:
+            assert stirling2(n, m) == tables["classical"][(n, m)]
+            for variant in STIRLING_VARIANTS:
+                assert q_stirling(variant, n, m) == tables[variant][(n, m)]
