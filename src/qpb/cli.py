@@ -37,7 +37,12 @@ def _value_to_json(v):
 
 
 def _table_cells(spec: families.FamilySpec, max_n: int, max_k: int):
-    """Yield (n, k_display, value); k_display is negative for signed families."""
+    """Yield (n, k_display, value), k outer and n inner; k_display is
+    negative for signed families.  A family with a table route takes it
+    once the shorter side reaches families.PACKED_TABLE_MIN_SIDE."""
+    if spec.table is not None and min(max_n, max_k) >= families.PACKED_TABLE_MIN_SIDE:
+        yield from spec.table(max_n, max_k)
+        return
     for k in range(max_k + 1):
         shown = -k if spec.signed else k
         for n in range(max_n + 1):

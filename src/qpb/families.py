@@ -9,6 +9,16 @@ The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
 (carlitz_sum) gives at_q_pb and carlitz_beta, and is the closed form of the
 zengA (s = 1) and zengB (s = 0) triangles' leading columns.
 
+A table of a q-valued paired sum has a second route, paired_table.  It
+packs each q-Stirling number and each weight once as an integer (its
+value at q = 2**(8*width)), so a cell costs plain big-integer products
+instead of QPoly products.  Every operand has nonnegative coefficients,
+so no coefficient of a cell exceeds its value at q = 1; the width holds
+the largest such value in the table.  A table takes this route once its
+shorter side reaches PACKED_TABLE_MIN_SIDE, where the packed operands
+are reused enough to pay for the packing; below it, and for single
+values, each cell comes from the family's own function.
+
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
 superscript branch (the integer/polynomial regime).  classical_pb,
@@ -19,12 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from . import objects
 from .errors import NotPolynomialError
-from .exactnum import QPoly, QRational
+from .exactnum import QPoly, QRational, _pack
 from .qkernels import q_factorial, q_int, q_stirling, stirling2
 
 __all__ = [
@@ -46,6 +58,7 @@ __all__ = [
     "akiyama_tanigawa",
     "q_power_row",
     "carlitz_beta",
+    "paired_table",
     "FamilySpec",
     "FAMILIES",
 ]
@@ -121,9 +134,7 @@ def ordered_q_pb(n: int, k: int) -> QPoly:
     q-factorials; symmetric in n and k, collapses to classical_pb_negk at q=1."""
     if n < 0 or k < 0:
         raise ValueError("ordered_q_pb needs n, k >= 0")
-    return _paired_sum(
-        n, k, lambda m: q_factorial(m) * q_factorial(m), lambda a, b: q_stirling("carlitz", a, b)
-    )
+    return _paired_sum(n, k, _ordered_weight, partial(q_stirling, "carlitz"))
 
 
 def q_fubini(n: int) -> QPoly:
@@ -142,7 +153,7 @@ def lonesum_q_pb(n: int, k: int) -> QPoly:
     matrices."""
     if n < 0 or k < 0:
         raise ValueError("lonesum_q_pb needs n, k >= 0")
-    return _paired_sum(n, k, lambda m: factorial(m) ** 2, lambda a, b: q_stirling("cigler", a, b))
+    return _paired_sum(n, k, _lonesum_weight, partial(q_stirling, "cigler"))
 
 
 def vesztergombi_q_pb(n: int, k: int) -> QPoly:
@@ -157,11 +168,24 @@ def vesztergombi_q_pb(n: int, k: int) -> QPoly:
     """
     if n < 0 or k < 0:
         raise ValueError("vesztergombi_q_pb needs n, k >= 0")
-    total = _paired_sum(
-        n, k,
-        lambda m: (q_factorial(m) * q_factorial(m)).shift(m),
-        lambda a, b: q_stirling("carlitz", a, b),
-    )
+    total = _paired_sum(n, k, _vesztergombi_weight, partial(q_stirling, "carlitz"))
+    return _vesztergombi_finish(total, n, k)
+
+
+def _ordered_weight(m: int) -> QPoly:
+    return q_factorial(m) * q_factorial(m)
+
+
+def _lonesum_weight(m: int) -> int:
+    return factorial(m) ** 2
+
+
+def _vesztergombi_weight(m: int) -> QPoly:
+    return _ordered_weight(m).shift(m)
+
+
+def _vesztergombi_finish(total: QPoly, n: int, k: int) -> QPoly:
+    """The paired sum read at 1/q and shifted by q**(n*k)."""
     total = total.subs_inv_q().shift(n * k)
     if total.min_exp < 0:
         raise NotPolynomialError(f"vesztergombi_q_pb({n}, {k}) kept exponent {total.min_exp}")
@@ -334,29 +358,118 @@ def carlitz_beta(n: int) -> QRational:
 
 
 # ---------------------------------------------------------------------------
+# table route of the paired sums
+# ---------------------------------------------------------------------------
+
+# Tables whose shorter side is at least this take the packed route of
+# paired_table; below it, the packed operands are not reused often enough
+# to pay for the packing (crossover table in BENCH_paired_table.json).
+PACKED_TABLE_MIN_SIDE = 3
+
+# family -> (weight w(m), q-Stirling variant, finish(total, n, k) or None)
+_PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
+    "ordered_q": (_ordered_weight, "carlitz", None),
+    "lonesum_q": (_lonesum_weight, "cigler", None),
+    "vesztergombi_q": (_vesztergombi_weight, "carlitz", _vesztergombi_finish),
+}
+
+
+def paired_table(family: str, max_n: int, max_k: int):
+    """Yield (n, k, value) for k <= max_k (outer) and n <= max_n (inner),
+    the values of a paired-sum family (ordered_q, lonesum_q or
+    vesztergombi_q) that its per-cell function gives.
+
+    Every operand, each S(a+1, m+1) and each weight w(m), is packed once
+    as its value at q = 2**(8*width); U[n][m] = w(m) * S(n+1, m+1) is
+    formed once per (n, m), and a cell is the integer
+    sum over m <= min(n, k) of U[n][m] * S(k+1, m+1), read back as
+    width-byte digits.  The operands have nonnegative coefficients, so
+    no coefficient of a cell exceeds its value at q = 1, and that value
+    is at most the sum over m of w(m) times the largest S(n+1, m+1) and
+    the largest S(k+1, m+1) at q = 1 in the table; width is the bytes
+    that hold this bound with one bit to spare.  The sum is symmetric in
+    n and k, so a cell whose mirror (k, n) came first reuses its value.
+    """
+    if max_n < 0 or max_k < 0:
+        raise ValueError("paired_table needs max_n, max_k >= 0")
+    weight, variant, finish = _PAIRED_SUMS[family]
+    side = min(max_n, max_k)
+    stirling = [
+        [q_stirling(variant, a + 1, m + 1) for m in range(min(a, side) + 1)]
+        for a in range(max(max_n, max_k) + 1)
+    ]
+    weights = [weight(m) for m in range(side + 1)]
+
+    def column_max(rows: int) -> list[int]:
+        return [max(stirling[a][m].at_one() for a in range(m, rows + 1)) for m in range(side + 1)]
+
+    weights_at_one = [w if isinstance(w, int) else w.at_one() for w in weights]
+    bound = sum(map(mul, weights_at_one, map(mul, column_max(max_n), column_max(max_k))))
+    width = (bound.bit_length() + 8) // 8
+    packed = [[_pack_nonnegative(p, width) for p in row] for row in stirling]
+    packed_weights = [_pack_nonnegative(w, width) for w in weights]
+    left = [list(map(mul, packed_weights, row)) for row in packed[:max_n + 1]]
+    mirrored = {}  # cell (k, n) computed as (n, k) before its turn
+    for k in range(max_k + 1):
+        right = packed[k]
+        for n in range(max_n + 1):
+            value = mirrored.pop((n, k), None)
+            if value is None:
+                value = _unpack(sum(map(mul, left[n], right)), width)
+                if finish is not None:
+                    value = finish(value, n, k)
+                if k < n <= max_k:
+                    mirrored[k, n] = value
+            yield n, k, value
+
+
+def _pack_nonnegative(v: QPoly | int, width: int) -> int:
+    """v at q = 2**(8*width); v is an integer or a polynomial in q with
+    nonnegative coefficients and exponents, each coefficient below
+    2**(8*width)."""
+    if isinstance(v, int):
+        assert v >= 0
+        return v
+    assert v.min_exp >= 0 and min(v.coeffs) >= 0
+    return _pack(v.coeffs, width) << (8 * width * v.min_exp)
+
+
+def _unpack(value: int, width: int) -> QPoly:
+    """The polynomial whose value at q = 2**(8*width) is value, from its
+    width-byte digits."""
+    data = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
+    return QPoly([int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)])
+
+
+# ---------------------------------------------------------------------------
 # family registry (CLI and verification surface)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """How a family is exposed: its k-sign convention.
+    """How a family is exposed: its value function, its k-sign convention,
+    its table size bound and its table route.
 
     signed is True when fn takes k exactly as in the defining sum, and
-    False when k >= 0 means the negative branch.
+    False when k >= 0 means the negative branch.  table, set for the
+    paired sums, yields the cells of a table as paired_table does; a
+    table whose shorter side is below PACKED_TABLE_MIN_SIDE calls fn per
+    cell instead.
     """
 
     fn: Callable
     signed: bool = False
     max_cells: int | None = None  # max_n*max_k bound of a table of an enumeration-backed family
+    table: Callable | None = None  # (max_n, max_k) -> the cells of a table past the gate
 
 
 FAMILIES: dict[str, FamilySpec] = {
     "classical_negk": FamilySpec(classical_pb_negk),
     "classical_anyk": FamilySpec(classical_pb, signed=True),
     "c_relative": FamilySpec(c_relative),
-    "ordered_q": FamilySpec(ordered_q_pb),
-    "lonesum_q": FamilySpec(lonesum_q_pb),
-    "vesztergombi_q": FamilySpec(vesztergombi_q_pb),
+    "ordered_q": FamilySpec(ordered_q_pb, table=partial(paired_table, "ordered_q")),
+    "lonesum_q": FamilySpec(lonesum_q_pb, table=partial(paired_table, "lonesum_q")),
+    "vesztergombi_q": FamilySpec(vesztergombi_q_pb, table=partial(paired_table, "vesztergombi_q")),
     "permmatrix_q": FamilySpec(permmatrix_q_pb, max_cells=objects.MAX_SCAN_CELLS),
     "cenkci_q": FamilySpec(cenkci_q_pb, signed=True),
     "at_q": FamilySpec(at_q_pb, signed=True),

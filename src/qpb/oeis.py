@@ -48,6 +48,12 @@ def cache_dir() -> Path:
 
 
 def _parse_bfile(text: str) -> tuple[tuple[int, ...], str | None]:
+    """The terms of a b-file in index order, and its reader comment.
+
+    The indices may start anywhere but must be consecutive once sorted;
+    a gap or a repeat raises ValueError, since the terms are compared by
+    position.
+    """
     terms: list[tuple[int, int]] = []
     reader = None
     for line in text.splitlines():
@@ -62,6 +68,9 @@ def _parse_bfile(text: str) -> tuple[tuple[int, ...], str | None]:
         idx_s, val_s = line.split()
         terms.append((int(idx_s), int(val_s)))
     terms.sort()
+    for (i, _), (j, _) in zip(terms, terms[1:]):
+        if j != i + 1:
+            raise ValueError(f"b-file index {j} follows {i}")
     return tuple(v for _, v in terms), reader
 
 

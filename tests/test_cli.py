@@ -1,11 +1,13 @@
 """CLI surface: formats, exit codes, determinism, documented conventions."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from qpb import families
 from qpb.cli import main
 
 
@@ -229,8 +231,8 @@ def test_byte_identical_across_processes():
 REFERENCE = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
 )
-GUARDED_ARGV = ["verify --suite all --max-n 6 --max-k 6 --order 8"] + sorted(
-    key for key in REFERENCE if key.startswith("eval ")
+GUARDED_ARGV = ["verify --suite all --max-n 6 --max-k 6 --order 8", "conjecture --max-n 10"] + sorted(
+    key for key in REFERENCE if key.startswith(("eval ", "table "))
 )
 
 
@@ -241,5 +243,31 @@ def test_stdout_matches_recorded_digests(capsys):
         data = out.encode("utf-8")
         if code != 0 or hashlib.sha256(data).hexdigest() != REFERENCE[key]["sha256"]:
             mismatches.append(key)
-    assert len(GUARDED_ARGV) > 1  # the eval keys were found
+    # the eval and table keys were found
+    assert {key.split(" ")[0] for key in GUARDED_ARGV} == {"verify", "conjecture", "eval", "table"}
     assert mismatches == []
+
+
+def test_table_route_follows_the_gate(capsys, monkeypatch):
+    # A paired-sum family's table takes the packed route once its shorter
+    # side reaches the gate, and the per-cell route below it.
+    spec = families.FAMILIES["ordered_q"]
+    calls = []
+
+    def table(max_n, max_k):
+        calls.append((max_n, max_k))
+        return spec.table(max_n, max_k)
+
+    monkeypatch.setitem(families.FAMILIES, "ordered_q", dataclasses.replace(spec, table=table))
+    gate = families.PACKED_TABLE_MIN_SIDE
+    shapes = ((48, gate - 1), (gate - 1, 48), (48, gate), (gate, gate), (0, 0))
+    outputs = []
+    for max_n, max_k in shapes:
+        code, out, _ = run_cli(
+            capsys, "table", "--family", "ordered_q",
+            "--max-n", str(max_n), "--max-k", str(max_k), "--format", "json",
+        )
+        assert code == 0
+        outputs.append(json.loads(out))
+    assert calls == [(48, gate), (gate, gate)]
+    assert outputs[2]["cells"][:len(outputs[0]["cells"])] == outputs[0]["cells"]

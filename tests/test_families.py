@@ -324,3 +324,31 @@ def test_family_registry_covers_everything():
     }
     spec = F.FAMILIES["vesztergombi_q"]
     assert spec.fn(2, 2) == QPoly([1, 3, 5, 4, 1])
+
+
+PAIRED_FAMILIES = ("ordered_q", "lonesum_q", "vesztergombi_q")
+GATE = F.PACKED_TABLE_MIN_SIDE
+
+
+@pytest.mark.parametrize("family", PAIRED_FAMILIES)
+@pytest.mark.parametrize("shape", [
+    (0, 0), (0, 5), (5, 0), (2, 7), (7, 2), (16, 16),
+    (48, GATE), (GATE, 48), (48, GATE - 1), (GATE - 1, GATE - 1), (GATE, GATE),
+], ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_paired_table_matches_per_cell(family, shape):
+    # The packed route against the per-cell formula, in the order a table
+    # prints its cells: k outer, n inner.  At (16, 16) the largest
+    # coefficients take 99-102 bits, against a bound of 104 bits plus the
+    # spare one.
+    max_n, max_k = shape
+    fn = F.FAMILIES[family].fn
+    expected = [(n, k, fn(n, k)) for k in range(max_k + 1) for n in range(max_n + 1)]
+    assert list(F.paired_table(family, max_n, max_k)) == expected
+
+
+def test_paired_table_registry_and_domain():
+    for name, spec in F.FAMILIES.items():
+        assert (spec.table is not None) == (name in PAIRED_FAMILIES)
+    assert GATE >= 1
+    with pytest.raises(ValueError):
+        list(F.paired_table("ordered_q", -1, 2))

@@ -71,6 +71,23 @@ def test_corrupt_cache_is_a_miss(tmp_path):
     assert fx.terms[:10] == EXPECTED_HEAD
 
 
+@pytest.mark.parametrize("body", ["0 1\n0 2\n", "0 1\n2 1\n"], ids=["repeated", "gapped"])
+def test_cache_with_bad_indices_is_a_miss(tmp_path, body):
+    # Terms are compared by position, so a repeated or a missing index
+    # would misplace every later term.
+    (tmp_path / "A099594.txt").write_text(body)
+    fx = fetch_sequence("A099594", offline=True, transport=_boom, cache=tmp_path)
+    assert fx.source == "bundled"
+    assert fx.terms[:10] == EXPECTED_HEAD
+
+
+def test_bfile_offset_is_kept(tmp_path):
+    (tmp_path / "A099594.txt").write_text("5 3\n4 2\n6 9\n")
+    fx = fetch_sequence("A099594", offline=True, transport=_boom, cache=tmp_path)
+    assert fx.source == "cache"
+    assert fx.terms == (2, 3, 9)
+
+
 def test_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv("QPB_CACHE_DIR", str(tmp_path / "deep"))
     assert cache_dir() == tmp_path / "deep"
