@@ -5,7 +5,8 @@ Four carriers, all immutable and exact (no floats anywhere):
 * ``QPoly``           Laurent polynomial in q with big-integer coefficients.
 * ``QRational``       normalized ratio of two QPoly, reduced by an integer
                       primitive remainder sequence (no rational
-                      coefficients in any intermediate step).
+                      coefficients in any intermediate step); its
+                      operators take gcds of the operands' parts only.
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
@@ -275,6 +276,8 @@ class QPoly:
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        if self.min_exp == 0 and len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)  # as the int it equals
         return hash((self.min_exp, self.coeffs))
 
     def __bool__(self) -> bool:
@@ -465,6 +468,8 @@ def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     Gauss's lemma the last nonzero remainder is the primitive gcd over Q.
     """
     a, b = _primitive(a), _primitive(b)
+    if len(a) == 1 or len(b) == 1:
+        return [1]  # a nonzero constant divides nothing but units
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -481,11 +486,28 @@ class QRational:
     content.  Any q-power freed during reduction lives in the numerator,
     which may therefore be a genuine Laurent polynomial.
 
-    The common factor is found over the integers alone: a primitive
-    remainder sequence yields the primitive gcd of numerator and
-    denominator, which by Gauss's lemma is their gcd over the rationals up
-    to a unit, and both are divided by it with integer long division.  The
-    integer content and the sign are then settled separately.
+    The constructor accepts any pair and finds the common factor over the
+    integers alone: a primitive remainder sequence yields the primitive gcd
+    of numerator and denominator, which by Gauss's lemma is their gcd over
+    the rationals up to a unit, and both are divided by it with integer
+    long division.  The integer content and the sign are then settled
+    separately.
+
+    The operators reach the same normal form from smaller gcds, those of
+    the operands' parts, whose quotients are already coprime (Henrici,
+    JACM 3, 1956; Knuth, TAOCP Vol. 2, 4.5.1).  For x = a/b and y = c/d:
+
+    * x * y divides a and d by gcd(a, d), and c and b by gcd(c, b);
+    * x + y with b == d divides a + c and b by their gcd;
+    * x + y otherwise takes g = gcd(b, d) and t = a*(d/g) + c*(b/g); the
+      sum is t over (b/g)*d, reduced by gcd(t, g), with no gcd at all
+      when g is 1;
+    * x / y multiplies by the reciprocal, and x ** n for n >= 0 is
+      a**n / b**n, already normal.
+
+    Every result then loses the integer content its two parts share and
+    gets a positive leading coefficient in the denominator, the two things
+    a gcd over the rationals leaves open.
     """
 
     __slots__ = ("num", "den")
@@ -530,15 +552,21 @@ class QRational:
 
     @staticmethod
     def _coerce(value) -> "QRational | None":
+        # A polynomial over 1 and a Fraction's parts are already normal.
         if isinstance(value, QRational):
             return value
         if isinstance(value, QPoly):
-            return QRational(value)
+            return _qrational(value, _ONE)
         if isinstance(value, int):
-            return QRational.from_int(value)
+            return _qrational(QPoly.const(value), _ONE)
         if isinstance(value, Fraction):
-            return QRational.from_fraction(value)
+            return _qrational(QPoly.const(value.numerator), QPoly.const(value.denominator))
         return None
+
+    def _reciprocal_parts(self) -> tuple[QPoly, QPoly]:
+        """(num, den) of 1/self, coprime and content-free; the leading
+        coefficient of den may be negative."""
+        return self.den.shift(-self.num.min_exp), _canonical(self.num.coeffs, 0)
 
     # -- predicates ------------------------------------------------------------
 
@@ -570,18 +598,18 @@ class QRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QRational(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _sum(self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QRational":
-        return QRational(-self.num, self.den)
+        return _qrational(-self.num, self.den)
 
     def __sub__(self, other) -> "QRational":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QRational(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _sum(self.num, self.den, -o.num, o.den)
 
     def __rsub__(self, other) -> "QRational":
         o = self._coerce(other)
@@ -593,7 +621,7 @@ class QRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QRational(self.num * o.num, self.den * o.den)
+        return _product(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -603,7 +631,7 @@ class QRational:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero QRational")
-        return QRational(self.num * o.den, self.den * o.num)
+        return _product(self.num, self.den, *o._reciprocal_parts())
 
     def __rtruediv__(self, other) -> "QRational":
         o = self._coerce(other)
@@ -615,8 +643,8 @@ class QRational:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return QRational(self.den, self.num) ** (-n)
-        return QRational(self.num ** n, self.den ** n)
+            return _finish(*self._reciprocal_parts()) ** (-n)
+        return _qrational(self.num ** n, self.den ** n)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -638,7 +666,13 @@ class QRational:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # As the QPoly, int or Fraction it equals, if any.
+        num, den = self.num, self.den
+        if den.coeffs == (1,):
+            return hash(num)
+        if num.min_exp == 0 and len(num.coeffs) == 1 and len(den.coeffs) == 1:
+            return hash(Fraction(num.coeffs[0], den.coeffs[0]))
+        return hash((num, den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -655,11 +689,84 @@ class QRational:
         return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
 
 
-def _exact_int_div(cs: list[int], by: list[int]) -> list[int]:
+def _exact_int_div(cs: Sequence[int], by: Sequence[int]) -> list[int]:
     quo, rem = _divmod_int(cs, by)
     assert quo is not None, "internal gcd quotient not integral"
     assert not any(rem), "internal gcd division left a remainder"
     return quo
+
+
+_ONE = QPoly.one()
+
+
+def _qrational(num: QPoly, den: QPoly) -> QRational:
+    """A QRational from parts already in normal form, without reducing."""
+    r = object.__new__(QRational)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
+
+
+def _quo(p: QPoly, g: list[int]) -> QPoly:
+    """p divided by a primitive gcd g of p and some denominator.
+
+    g has a nonzero constant term (it divides a denominator) and divides p
+    over the integers (Gauss's lemma), so the quotient has nonzero ends.
+    """
+    if len(g) == 1:
+        return p
+    return _canonical(tuple(_exact_int_div(p.coeffs, g)), p.min_exp)
+
+
+def _finish(num: QPoly, den: QPoly) -> QRational:
+    """num/den in normal form, for parts with no common factor over the
+    rationals and a denominator with nonzero constant term: divide out
+    their common integer content and make lc(den) positive."""
+    if num.is_zero:
+        return _qrational(num, _ONE)
+    c = _content(den.coeffs)
+    if c > 1:
+        c = gcd(c, _content(num.coeffs))
+        if c > 1:
+            num = _canonical(tuple([x // c for x in num.coeffs]), num.min_exp)
+            den = _canonical(tuple([x // c for x in den.coeffs]), 0)
+    if den.coeffs[-1] < 0:
+        num, den = -num, -den
+    return _qrational(num, den)
+
+
+def _product(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRational:
+    """(a/b) * (c/d) for operands in normal form but for the sign of d:
+    gcd(a, d) and gcd(c, b) leave coprime parts."""
+    if d.coeffs != (1,):
+        g = _primitive_gcd(a.coeffs, d.coeffs)
+        a, d = _quo(a, g), _quo(d, g)
+    if b.coeffs != (1,):
+        g = _primitive_gcd(c.coeffs, b.coeffs)
+        c, b = _quo(c, g), _quo(b, g)
+    return _finish(a * c, b * d)
+
+
+def _sum(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRational:
+    """a/b + c/d for operands in normal form.
+
+    With g = gcd(b, d), every common factor of t = a*(d/g) + c*(b/g) and
+    (b/g)*d divides g, since b/g and d/g are coprime and each is coprime
+    to its own numerator; so gcd(t, g) is the only gcd left to take.
+    """
+    if b.coeffs == d.coeffs:
+        t = a + c
+        if b.coeffs == (1,):
+            return _qrational(t, b)
+        g = _primitive_gcd(t.coeffs, b.coeffs)
+        return _finish(_quo(t, g), _quo(b, g))
+    g = _primitive_gcd(b.coeffs, d.coeffs)
+    if len(g) == 1:
+        return _finish(a * d + c * b, b * d)
+    b_g = _quo(b, g)
+    t = a * _quo(d, g) + c * b_g
+    g2 = _primitive_gcd(t.coeffs, g)
+    return _finish(_quo(t, g2), b_g * _quo(d, g2))
 
 
 class TruncatedSeries:

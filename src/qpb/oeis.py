@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -74,8 +73,10 @@ def _parse_bfile(text: str) -> tuple[tuple[int, ...], str | None]:
     return tuple(v for _, v in terms), reader
 
 
-def _default_transport(url: str) -> str:
-    with urllib.request.urlopen(url, timeout=30) as resp:  # pragma: no cover
+def _default_transport(url: str) -> str:  # pragma: no cover
+    import urllib.request  # here, so that importing qpb loads no http, email or ssl
+
+    with urllib.request.urlopen(url, timeout=30) as resp:
         return resp.read().decode("utf-8")
 
 

@@ -295,6 +295,113 @@ def test_qrational_field_axioms(a, b, c):
         assert (x / y) * y == x
 
 
+# The operators reduce by gcds of the operands' parts; the constructor,
+# which reduces the plain cross product by one gcd, is their reference.
+PLANTED = (
+    QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1]), QPoly.q(1),
+    QPoly.const(2), QPoly.const(3), QPoly.const(-1), QPoly([2, 2]),
+)
+
+
+def planted_poly(rng: random.Random, laurent: bool) -> QPoly:
+    """A small nonzero polynomial times up to two factors of PLANTED, so
+    that operands share factors often."""
+    p = QPoly()
+    while p.is_zero:
+        p = QPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))],
+                  rng.randint(-2, 2) if laurent else 0)
+    for _ in range(rng.randint(0, 2)):
+        p = p * rng.choice(PLANTED)
+    return p
+
+
+def random_operand_pair(rng: random.Random) -> tuple[QRational, QRational]:
+    def den() -> QPoly:
+        return QPoly.one() if rng.random() < 0.2 else planted_poly(rng, False)
+
+    x = QRational(planted_poly(rng, True), den())
+    shape = rng.randrange(7)
+    if shape == 0:  # mostly equal denominators
+        y = QRational(planted_poly(rng, True), x.den)
+    elif shape == 1:  # denominators with a common factor
+        y = QRational(planted_poly(rng, True), x.den * rng.choice(PLANTED))
+    elif shape == 2:  # zero results: x - x, x + (-x)
+        y = rng.choice((x, -x))
+    elif shape == 3:  # a polynomial operand
+        y = QRational(planted_poly(rng, True))
+    elif shape == 4:  # y = z - x, so that x + y cancels x's denominator
+        z = QRational(planted_poly(rng, True), den())
+        y = QRational(z.num * x.den - x.num * z.den, z.den * x.den)
+    else:
+        y = QRational(planted_poly(rng, True), den())
+    return (x, y) if rng.random() < 0.5 else (y, x)
+
+
+def normal_form(r: QRational) -> tuple:
+    return r.num.min_exp, r.num.coeffs, r.den.min_exp, r.den.coeffs
+
+
+def assert_ops_match_constructor(x: QRational, y: QRational) -> None:
+    a, b, c, d = x.num, x.den, y.num, y.den
+    cases = [
+        ("+", x + y, a * d + c * b, b * d),
+        ("-", x - y, a * d - c * b, b * d),
+        ("*", x * y, a * c, b * d),
+    ]
+    if not y.is_zero:
+        cases.append(("/", x / y, a * d, b * c))
+    for n in range(4):
+        cases.append((f"**{n}", x ** n, a ** n, b ** n))
+        if n and not x.is_zero:
+            cases.append((f"**-{n}", x ** -n, b ** n, a ** n))
+    for op, got, num, den in cases:
+        assert normal_form(got) == normal_form(QRational(num, den)), (x, op, y)
+
+
+def test_qrational_ops_match_constructor_on_cross_products():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        assert_ops_match_constructor(*random_operand_pair(rng))
+
+
+def test_qrational_ops_with_int_fraction_and_qpoly_operands():
+    rng = random.Random(7)
+    for _ in range(200):
+        x, _ = random_operand_pair(rng)
+        p = planted_poly(rng, True)
+        k = rng.choice((-2, 3, 6))
+        f = Fraction(rng.choice((-3, 2)), rng.choice((4, 9)))
+        for other, y in ((p, QRational(p)), (k, QRational.from_int(k)), (f, QRational.from_fraction(f))):
+            assert_ops_match_constructor(x, y)
+            pairs = [(x + other, x + y), (other + x, y + x), (x - other, x - y),
+                     (other - x, y - x), (x * other, x * y), (other * x, y * x),
+                     (x / other, x / y)]
+            if not x.is_zero:
+                pairs.append((other / x, y / x))
+            for got, want in pairs:
+                assert normal_form(got) == normal_form(want), (x, other)
+
+
+def test_equal_values_hash_equal_across_types():
+    half = QRational.from_fraction(Fraction(1, 2))
+    values = [
+        0, 1, 5, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5),
+        QPoly.zero(), QPoly.one(), QPoly.const(5), QPoly.const(-3), QPoly([1, 1]),
+        QPoly.q(-1), QRational.from_int(0), QRational.from_int(5),
+        QRational(QPoly([2, 2]), QPoly([2])), half, half * 2,
+        QRational(QPoly([-14]), QPoly([6])), QRational(QPoly.q(-1)),
+        QRational(QPoly([1, 1]), QPoly([2])), QRational(QPoly.one(), QPoly([1, 1])),
+    ]
+    cross_type = 0
+    for u in values:
+        for v in values:
+            if u == v:
+                assert hash(u) == hash(v), (u, v)
+                cross_type += type(u) is not type(v)
+    assert cross_type == 32
+    assert len({QPoly.const(5), 5, QRational.from_int(5)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # TruncatedSeries
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """OEIS client: fixtures, cache, offline behavior, cross-checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qpb import families
@@ -124,3 +129,12 @@ def test_crosscheck_corrupted_fixture_fails_with_witness():
     assert report.witness["index"] == 4
     assert report.witness["computed"] == "2"
     assert report.witness["fixture"] == "99"
+
+
+def test_import_loads_no_network_modules():
+    # urllib.request pulls in http.client, email and ssl; only a fetch needs it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, qpb.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
