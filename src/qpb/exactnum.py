@@ -12,8 +12,8 @@ Four carriers, all immutable and exact (no floats anywhere):
                       ring (Fraction or QRational in practice).
 * ``IntMatrix``       dense big-integer matrix with exact characteristic
                       polynomial (Berkowitz, division free) and permanent
-                      (Ryser with Gray-code subsets, up to
-                      ``MAX_PERMANENT_DIM`` rows).
+                      (Glynn's formula over a Gray code of row signs, up
+                      to ``MAX_PERMANENT_DIM`` rows).
 
 ``QPoly`` multiplication takes one of three paths, chosen from the
 operands alone:
@@ -269,8 +269,10 @@ class QPoly:
     # -- comparison, hashing, display -----------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QPoly.const(other)
+        if isinstance(other, (int, Fraction)):
+            if other.denominator != 1:
+                return False
+            other = QPoly.const(other.numerator)
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
@@ -874,7 +876,7 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-# Largest dimension IntMatrix.permanent accepts: 2**20 Gray-code steps.
+# Largest dimension IntMatrix.permanent accepts: 2**19 Gray-code steps.
 MAX_PERMANENT_DIM = 20
 
 
@@ -949,9 +951,13 @@ class IntMatrix:
         return QPoly([sign * poly[n - e] for e in range(n + 1)])
 
     def permanent(self) -> int:
-        """Exact permanent by Ryser inclusion-exclusion with Gray codes.
+        """Exact permanent by Glynn's formula with Gray codes (Glynn, Eur.
+        J. Combin. 31, 2010): 2**(n-1)*perm(A) is the sum over signs d with
+        d[0] = +1 of d[0]*...*d[n-1] times the product of the column sums
+        sum_i d[i]*a[i][j].
 
-        Cost is O(2**n * n); MAX_PERMANENT_DIM guards against runaway inputs.
+        Cost is O(2**(n-1) * n); MAX_PERMANENT_DIM guards against runaway
+        inputs.
         """
         self._require_square()
         n = self.rows
@@ -959,31 +965,30 @@ class IntMatrix:
             raise SizeLimitError(f"permanent of {n}x{n} exceeds bound {MAX_PERMANENT_DIM}")
         if n == 0:
             return 1
-        # Step t flips column j, the lowest set bit of t, in or out of the
-        # Gray-code subset.  Only the column's nonzero entries move a row
-        # sum, and `zeros` counts the row sums at 0, so a zero product is
-        # skipped without a scan.
-        adds = [[(i, row[j]) for i, row in enumerate(self.entries) if row[j]]
-                for j in range(n)]
-        subs = [[(i, -v) for i, v in col] for col in adds]
-        row_sums = [0] * n
-        zeros = n
-        total = 0
-        n_parity = n & 1
-        for t in range(1, 1 << n):
-            gray = t ^ (t >> 1)
+        # Step t flips the sign of row j+1, where j is the lowest set bit of
+        # t, so the Gray code t ^ (t >> 1) holds the rows at -1 and the
+        # product of the signs is (-1)**t.  Only the row's nonzero entries
+        # move a column sum, and `zeros` counts the column sums at 0, so a
+        # zero product is skipped without a scan.
+        a = self.entries
+        col_sums = [sum(row[j] for row in a) for j in range(n)]
+        zeros = col_sums.count(0)
+        total = 0 if zeros else prod(col_sums)
+        ups = [[(j, 2 * v) for j, v in enumerate(row) if v] for row in a[1:]]
+        downs = [[(j, -v) for j, v in row] for row in ups]
+        for t in range(1, 1 << (n - 1)):
             j = (t & -t).bit_length() - 1
-            for i, v in (adds if gray >> j & 1 else subs)[j]:
-                old = row_sums[i]
+            for c, v in (downs if (t ^ t >> 1) >> j & 1 else ups)[j]:
+                old = col_sums[c]
                 new = old + v
-                row_sums[i] = new
+                col_sums[c] = new
                 if not old:
                     zeros -= 1
                 elif not new:
                     zeros += 1
             if not zeros:
-                if (gray.bit_count() & 1) == n_parity:
-                    total += prod(row_sums)
+                if t & 1:
+                    total -= prod(col_sums)
                 else:
-                    total -= prod(row_sums)
-        return total
+                    total += prod(col_sums)
+        return total >> (n - 1)

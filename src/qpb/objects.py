@@ -7,11 +7,14 @@ are lists of integer lists; permutations are 1-based one-line tuples.
 
 Statistics use 1-based row/column indices (the zero-line weight of a
 matrix sums 1-based positions of its all-zero rows and columns).  Every
-weight polynomial is a histogram over the objects, one count per object,
-QPoly.from_terms(Counter(...)).  The matrix classes score each generated
-matrix; the partition and permutation oracles build their statistic
-during the search instead, adding each step's share as an element or
-value is placed, so no object is materialised.  Their generators and
+weight polynomial is a histogram over the objects,
+QPoly.from_terms(Counter(...)), with each object counted once.  The
+matrix classes score each generated matrix; the partition and
+permutation oracles build their statistic during the search instead,
+adding each step's share as an element or value is placed, so no object
+is materialised.  ordered_q_oracle and vesztergombi_oracle count each
+object once as a pair of halves: each half is enumerated object by
+object, and the pair adds the weight the two halves make together.  Their generators and
 per-object statistics (gen_ordered_partitions, gen_alternating_pairs and
 inv_star; gen_vesztergombi and inversions) stay as the specification
 the tests check those oracles against.  The 0/1 matrix classes are
@@ -437,33 +440,51 @@ def gen_vesztergombi(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def vesztergombi_oracle(n: int, k: int) -> QPoly:
     """Sum of q**inversions over the banded permutation class, counted
-    while the permutations are built position by position.
+    as pairs of a prefix (positions 1..h, h = m // 2) and a suffix.
 
-    used holds bit v for each value v already placed, so placing v adds
-    the (used >> v).bit_count() inversions it makes with larger values to
-    its left.  Value i-k may sit at no position after i, so when it is
-    still free at position i it goes there, which cuts every branch that
-    would strand it.
+    Both halves are built position by position.  A search holds bit v of
+    used for each value v already placed and bit v of own for each value
+    it placed itself, so placing v adds the (own >> v).bit_count()
+    inversions it makes with larger values to its left in its own half.
+    Value i-k may sit at no position after i, so when it is still free at
+    position i it goes there, which cuts every branch that would strand
+    it.  The prefixes are grouped by their value set U, and the suffix
+    search runs once per U; each of its permutations pairs with each
+    prefix of the group, and the pair adds the cross inversions
+    #{a in U, b not in U, a > b}, which depend on U alone.
     """
     _check_band_size(n, k)
     m = n + k
-    counts: Counter[int] = Counter()
+    h = m // 2
 
-    def place(i: int, used: int, w: int) -> None:
-        if i > m:
-            counts[w] += 1
+    def place(i: int, last: int, used: int, own: int, w: int, out: Counter) -> None:
+        # Positions i..last are still to fill; out counts (used, w).
+        if i > last:
+            out[used, w] += 1
             return
         lo, hi = max(1, i - k), min(m, i + n)
         if lo == i - k and not used >> lo & 1:
-            place(i + 1, used | 1 << lo, w + (used >> lo).bit_count())
+            place(i + 1, last, used | 1 << lo, own | 1 << lo, w + (own >> lo).bit_count(), out)
             return
         free = ~used & ((2 << hi) - (1 << lo))
         while free:
             v = (free & -free).bit_length() - 1
             free &= free - 1
-            place(i + 1, used | 1 << v, w + (used >> v).bit_count())
+            place(i + 1, last, used | 1 << v, own | 1 << v, w + (own >> v).bit_count(), out)
 
-    place(1, 0, 0)
+    prefixes: Counter[tuple[int, int]] = Counter()
+    place(1, h, 0, 0, 0, prefixes)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for (used, w), c in prefixes.items():
+        groups.setdefault(used, []).append((w, c))
+    counts: Counter[int] = Counter()
+    for used, heads in groups.items():
+        cross = sum((used >> b).bit_count() for b in range(1, m + 1) if not used >> b & 1)
+        tails: Counter[tuple[int, int]] = Counter()
+        place(h + 1, m, used, 0, cross, tails)
+        for (_, wt), ct in tails.items():
+            for wh, ch in heads:
+                counts[wh + wt] += ch * ct
     return QPoly.from_terms(counts)
 
 

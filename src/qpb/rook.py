@@ -11,13 +11,16 @@ number.
 
 q_rook_number counts each placement once but never builds it: it fills
 the rows bottom-up and adds each row's uncancelled cells as the row is
-filled.  rook_placements and gr_inv state the same sum placement by
-placement, and the tests check q_rook_number against them.
+filled.  On boards of SPLIT_MIN_ROWS rows or more it counts each
+placement once as a pair of halves, the rows below a cut and the rows
+above it, each half placed rook by rook.  rook_placements and gr_inv
+state the same sum placement by placement, and the tests check
+q_rook_number against them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -42,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_AREA = 64
+# Boards with fewer rows are filled in one search, without the cut in
+# q_rook_number (crossover measured in CHANGES.md).
+SPLIT_MIN_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,12 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
     in below.  Once all k rooks are down, each remaining row leaves cols-k.
     When k == cols every column takes a rook, so a free column whose top
     cell is in the current row takes this row's rook.
+
+    The weight a row adds depends only on placed and below, so on boards
+    of SPLIT_MIN_ROWS rows or more the search stops at the cut row and
+    groups the lower placements still short of k rooks by (placed,
+    below).  The rows above the cut are filled once per group, from
+    weight 0, and each upper placement pairs with each lower one.
     """
     if board.area > max_area:
         raise SizeLimitError(f"board area {board.area} exceeds bound {max_area}")
@@ -168,26 +180,40 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
             if top is not None:
                 last[top] |= 1 << j
     counts: Counter[int] = Counter()
+    heads: defaultdict[tuple[int, int], Counter[int]] = defaultdict(Counter)
 
-    def fill(i: int, placed: int, below: int, w: int) -> None:
-        # Rows i, i-1, ..., 0 are still to fill.
+    def fill(i: int, stop: int, placed: int, below: int, w: int, out: Counter) -> None:
+        # Rows i, i-1, ..., 0 are still to fill; a placement still short of
+        # k rooks at row stop waits in heads under (placed, below).
         if placed == k:
-            counts[w + (i + 1) * (cols - k)] += 1
+            out[w + (i + 1) * (cols - k)] += 1
+            return
+        if i == stop:
+            heads[placed, below][w] += 1
             return
         free = last[i] & ~below
         if free & (free - 1):
             return  # two free columns have no row left but this one
         if not free:
             if i + 1 > k - placed:  # enough rows left to leave this one empty
-                fill(i - 1, placed, below, w + cols - placed)
+                fill(i - 1, stop, placed, below, w + cols - placed, out)
             free = row_bits[i] & ~below
         while free:
             j = (free & -free).bit_length() - 1
             free &= free - 1
-            fill(i - 1, placed + 1, below | 1 << j,
-                 w + cols - 1 - j - (below >> (j + 1)).bit_count())
+            fill(i - 1, stop, placed + 1, below | 1 << j,
+                 w + cols - 1 - j - (below >> (j + 1)).bit_count(), out)
 
-    fill(board.rows - 1, 0, 0, 0)
+    # A placement is short of k rooks only while a row is left, so with
+    # cut == 0 no group forms.
+    cut = board.rows // 2 if board.rows >= SPLIT_MIN_ROWS else 0
+    fill(board.rows - 1, cut - 1, 0, 0, 0, counts)
+    for (placed, below), lower in heads.items():
+        upper: Counter[int] = Counter()
+        fill(cut - 1, -1, placed, below, 0, upper)
+        for wu, cu in upper.items():
+            for wl, cl in lower.items():
+                counts[wl + wu] += cl * cu
     return QPoly.from_terms(counts)
 
 

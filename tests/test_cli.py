@@ -218,11 +218,17 @@ def test_byte_identical_across_processes():
     import subprocess
     import sys
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
     def run_once(seed):
-        return subprocess.run(
+        proc = subprocess.run(
             [sys.executable, "-m", "qpb", "verify", "--suite", "golden"],
-            capture_output=True, env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin"},
-        ).stdout
+            capture_output=True,
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin", "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        return proc.stdout
 
     assert run_once("1") == run_once("42")
 

@@ -398,8 +398,10 @@ def test_equal_values_hash_equal_across_types():
             if u == v:
                 assert hash(u) == hash(v), (u, v)
                 cross_type += type(u) is not type(v)
-    assert cross_type == 32
-    assert len({QPoly.const(5), 5, QRational.from_int(5)}) == 1
+    assert cross_type == 34
+    assert len({QPoly.const(5), 5, QRational.from_int(5), Fraction(5)}) == 1
+    assert QPoly.const(5) == Fraction(5) and Fraction(5) == QPoly.const(5)
+    assert QPoly.const(1) != Fraction(1, 2) and Fraction(1, 2) != QPoly.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +518,27 @@ def _permanent_by_expansion(m: IntMatrix) -> int:
             prod *= m.entries[i][perm[i]]
         total += prod
     return total
+
+
+def test_permanent_matches_expansion_with_signed_entries():
+    rng = random.Random(2010)
+    cases = [[[-1]], [[0]]]
+    for d in range(2, 7):
+        # alternating row signs: at even d every column sum starts at 0
+        cases.append([[(-1) ** i] * d for i in range(d)])
+        for _ in range(15):
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d - 1)]
+            # a last row that cancels the column sums of the others
+            cases.append(rows + [[-sum(col) for col in zip(*rows)]])
+            # entries in {-1, 0, 1}, whose column sums often cancel under a sign flip
+            cases.append([[rng.choice((-1, 0, 1)) for _ in range(d)] for _ in range(d)])
+    values = set()
+    for rows in cases:
+        m = IntMatrix(rows)
+        expected = _permanent_by_expansion(m)
+        assert m.permanent() == expected, rows
+        values.add(expected)
+    assert min(values) < 0 < max(values)
 
 
 @settings(max_examples=40)

@@ -196,6 +196,13 @@ def test_vesztergombi_oracle_matches_generator():
         vesztergombi_oracle(5, 5)
 
 
+@pytest.mark.parametrize("n, k", [(4, 5), (5, 4)])
+def test_vesztergombi_oracle_matches_generator_at_the_bound(n, k):
+    # m = 9: the prefix covers positions 1..4 and the suffix 5..9
+    weights = Counter(inversions(p) for p in gen_vesztergombi(n, k))
+    assert vesztergombi_oracle(n, k) == QPoly.from_terms(weights)
+
+
 def test_vesztergombi_band_membership():
     perms = set(gen_vesztergombi(3, 2))
     assert (3, 1, 5, 2, 4) in perms

@@ -14,6 +14,7 @@ from qpb.exactnum import QPoly
 from qpb.objects import inversions
 from qpb.qkernels import q_factorial, q_stirling
 from qpb.rook import (
+    SPLIT_MIN_ROWS,
     Board,
     RookConfig,
     block_over,
@@ -153,6 +154,59 @@ def test_rook_number_matches_placements_sampled(data):
     ))
     k = data.draw(st.integers(min_value=0, max_value=min(rows, cols)))
     assert q_rook_number(board, k) == _placement_hist(board, k)
+
+
+# q_rook_number fills the top rows 0..cut-1 once per group of the rows
+# beneath them when a board has at least SPLIT_MIN_ROWS rows.
+_TALL = range(SPLIT_MIN_ROWS, SPLIT_MIN_ROWS + 3)
+
+
+def _every_k(board):
+    for k in range(min(board.rows, board.cols) + 1):
+        assert q_rook_number(board, k) == _placement_hist(board, k), (board, k)
+
+
+def test_split_rook_number_with_every_rook_below_the_cut():
+    for rows in _TALL:
+        cut = rows // 2
+        for cols in (1, 2, 3):
+            # the top rows hold no cell, so every rook lands below the cut
+            _every_k(Board(((0,) * cols,) * cut + ((1,) * cols,) * (rows - cut)))
+            _every_k(full_board(rows, cols))
+            _every_k(lower_triangular(rows))
+
+
+def test_split_rook_number_on_band_boards():
+    for m in range(SPLIT_MIN_ROWS, 8):
+        for n in range(m + 1):
+            board = build_v_matrix(n, m - n)
+            _every_k(board)
+            assert q_rook_number(board, m) == families.vesztergombi_q_pb(n, m - n)
+
+
+def test_split_rook_number_with_an_empty_row_at_the_cut():
+    for rows in _TALL:
+        cut = rows // 2
+        for empty in (cut - 1, cut):
+            for cols in (3, 4):
+                cells = [[1] * cols for _ in range(rows)]
+                cells[empty] = [0] * cols
+                _every_k(Board(tuple(map(tuple, cells))))
+                # and with the triangle's cells left of the diagonal
+                cells = [[1 if j <= i else 0 for j in range(cols)] for i in range(rows)]
+                cells[empty] = [0] * cols
+                _every_k(Board(tuple(map(tuple, cells))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_rook_number_sampled_tall_boards(data):
+    rows = data.draw(st.sampled_from(list(_TALL)))
+    cols = data.draw(st.integers(min_value=1, max_value=5))
+    _every_k(Board(tuple(
+        tuple(data.draw(st.integers(min_value=0, max_value=1)) for _ in range(cols))
+        for _ in range(rows)
+    )))
 
 
 def test_reflection_law_exhaustive_small():
