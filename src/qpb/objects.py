@@ -9,25 +9,28 @@ Statistics use 1-based row/column indices (the zero-line weight of a
 matrix sums 1-based positions of its all-zero rows and columns).  Every
 weight polynomial is a histogram over the objects,
 QPoly.from_terms(Counter(...)), with each object counted once.  The
-matrix classes score each generated matrix; the partition and
-permutation oracles build their statistic during the search instead,
-adding each step's share as an element or value is placed, so no object
-is materialised.  ordered_q_oracle and vesztergombi_oracle count each
+oracles build their statistic during the search, adding each step's
+share as a row, element or value is placed, so no object is
+materialised.  ordered_q_oracle and vesztergombi_oracle count each
 object once as a pair of halves: each half is enumerated object by
-object, and the pair adds the weight the two halves make together.  Their generators and
-per-object statistics (gen_ordered_partitions, gen_alternating_pairs and
+object, and the pair adds the weight the two halves make together.  The
+generators and per-object statistics (gen_matrix_class with nu_weight
+and ones_minus_cols; gen_ordered_partitions, gen_alternating_pairs and
 inv_star; gen_vesztergombi and inversions) stay as the specification
 the tests check those oracles against.  The 0/1 matrix classes are
-generated row by row, each row limited to those compatible with every row
-above it under the class's forbidden 2x2 patterns; the is_* recognizers
-state the same classes matrix by matrix.  Matrix classes go up to
-n*k = MAX_SCAN_CELLS cells, the bound the CLI's table check reads too.
+searched row by row, each row drawn from a bitset over the 2**k row
+codes of the rows compatible with every row above it under the class's
+forbidden 2x2 patterns; class_poly scores the last row from that bitset
+without building a matrix.  The is_* recognizers state the same classes
+matrix by matrix.  Matrix classes go up to n*k = MAX_SCAN_CELLS cells,
+the bound the CLI's table check reads too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from functools import lru_cache
+from itertools import compress, count, product
 from math import comb
 from typing import Iterator, Sequence
 
@@ -55,10 +58,14 @@ __all__ = [
     "gamma_free_first_column_decomposition_check",
 ]
 
-# Largest n*k that gen_matrix_class enumerates, set by hand rather than
+# Largest n*k that the matrix classes search, set by hand rather than
 # from measured cost.  A class has up to 2**(n*k) members (at n = 1 the
-# lonesum and gamma-free classes take every row), and at n = 2 the row
-# search tests all 4**k row pairs (about 7 s per class at (2, 12)).
+# lonesum and gamma-free classes take every row).  Seconds per class for
+# class_poly with the class's family statistic / count_class /
+# gen_matrix_class, each the minimum of 3 runs on a 2-vCPU VM under
+# Python 3.11.7: (2, 12) 0.04-0.91 / 0.04-0.05 / 0.27-1.01, (3, 8)
+# 0.01-0.14 / 0.01 / 0.08-0.18, (4, 6) 0.01-0.10 / 0.01-0.02 / 0.07-0.14,
+# (12, 2) 0.37-1.06 / 0.34-0.51 / 1.37-1.67.
 MAX_SCAN_CELLS = 24
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -303,93 +310,197 @@ _STATISTICS = {
 }
 
 
+def _check_matrix_size(n: int, k: int) -> None:
+    # A negative side is rejected before the product is read: the product
+    # of two negative sides is no matrix size.
+    if n < 0 or k < 0:
+        raise ValueError(f"matrices need n, k >= 0, got ({n}, {k})")
+    if n * k > MAX_SCAN_CELLS:
+        raise SizeLimitError(f"matrix search over {n * k} cells at ({n}, {k})")
+
+
+# A set of k-column rows is a bitset over the 2**k row codes: bit c is set
+# iff the row coded c is in the set.  A row's code is its index in product
+# order, so column j is bit k-1-j of the code.
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(bits: int) -> Iterator[int]:
+    """The positions of the set bits, lowest first: past the trailing
+    zeros, the binary digits read from the low end select from the
+    counting numbers, in C and in one pass.  (The skip keeps a lone high
+    bit, as the column-covering class leaves at n = 1, from costing a
+    scan of 2**k digits.)"""
+    skip = (bits & -bits).bit_length() - 1 if bits else 0
+    return compress(count(skip), bin(bits >> skip)[:1:-1].encode().translate(_BINARY_DIGITS))
+
+
+# Cached: the column-covering class asks for one mask per last row, and
+# there are at most 2**k masks.
+@lru_cache(maxsize=1 << 12)
+def _supersets(mask: int, k: int) -> int:
+    """Bitset of the k-bit codes that contain every bit of mask, built bit
+    by bit: bit b doubles the codes seen so far, and a bit of mask keeps
+    only the upper copy."""
+    bits = 1
+    for b in range(k):
+        bits = bits << (1 << b) if mask >> b & 1 else bits | bits << (1 << b)
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _column_sets(k: int) -> tuple[tuple[int, int], ...]:
+    """For each bit b, the bitsets of the k-bit codes reading 0 and 1 there."""
+    everything = (1 << (1 << k)) - 1
+    return tuple((everything ^ ones, ones) for ones in (_supersets(1 << b, k) for b in range(k)))
+
+
+def _rows_below(upper: int, k: int, patterns: tuple[tuple[int, int, int, int], ...]) -> int:
+    """Bitset of the codes of the k-column rows that may sit below the row
+    coded upper.
+
+    Pattern (w, x, y, z) occurs iff some column where (upper, lower) reads
+    (w, y) lies left of some column where it reads (x, z).  One pass over
+    the columns, left to right, keeps the union of the lower rows reading y
+    in a column left of the current one where upper reads w; where upper
+    reads x, those of them reading z here are forbidden.  That is O(k)
+    operations on 2**k-bit integers per pattern, with the per-bit sets made
+    once per k.
+    """
+    columns = _column_sets(k)
+    forbidden = 0
+    for w, x, y, z in patterns:
+        seen = 0
+        for b in range(k - 1, -1, -1):
+            bit = upper >> b & 1
+            if bit == x:
+                forbidden |= seen & columns[b][z]
+            if bit == w:
+                seen |= columns[b][y]
+    return ((1 << (1 << k)) - 1) ^ forbidden
+
+
+def _below_table(n: int, k: int, cls: str) -> list[int]:
+    """_rows_below for every code when rows lie above others (n >= 2): the
+    first row takes every code, so each one is placed above another."""
+    patterns = _FORBIDDEN[cls]
+    return [_rows_below(code, k, patterns) for code in range(1 << k)] if n > 1 else []
+
+
 def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
     """All n x k matrices of the class, in lexicographic order of their
     cells read row by row; n*k is at most MAX_SCAN_CELLS.
 
     Each class forbids 2x2 patterns on pairs of rows, so a matrix belongs
     to it iff every (upper, lower) pair of its rows is compatible.  Rows
-    are placed top to bottom in product order, and each placed row cuts
-    the rows allowed below it down to those compatible with it; the
-    column-covering class also checks coverage once the last row is down.
+    are placed top to bottom in code order, each from the bitset of the
+    codes compatible with every row above it; the column-covering class
+    keeps for the last row only the codes that cover the columns still
+    empty.
     """
     if cls not in _FORBIDDEN:
         raise ValueError(f"unknown matrix class {cls!r}")
-    if n * k > MAX_SCAN_CELLS:
-        raise SizeLimitError(f"matrix search over {n * k} cells at ({n}, {k})")
+    _check_matrix_size(n, k)
     if n == 0:
         # The empty filling still has k columns; only the column-covering
         # class rejects it when k > 0.
         if cls != "perm_matrix" or k == 0:
             yield ()
         return
-    patterns = _FORBIDDEN[cls]
     covering = cls == "perm_matrix"
-    if n == 1:
-        # A lone row has no 2x2 minor, so every row is a member; the
-        # column-covering class takes only the all-ones row.
-        if covering:
-            yield ((1,) * k,)
-        else:
-            yield from ((row,) for row in product((0, 1), repeat=k))
-        return
     full = (1 << k) - 1
-    # A row's index in product order is its bit code: column j is bit k-1-j.
-    # k <= MAX_SCAN_CELLS // 2, so at most 2**12 rows.
-    rows = list(enumerate(product((0, 1), repeat=k)))
-    # Codes of the rows allowed below a row, built the first time that row
-    # is placed above another: a table over all row pairs has 4**k entries.
-    below: dict[int, frozenset[int]] = {}
+    below = _below_table(n, k, cls)
+    # A row is the tuple of its high half of bits joined to that of its low
+    # half: two tables of 2**(k//2) entries rather than one of 2**k.
+    half = k // 2
+    heads = list(product((0, 1), repeat=k - half))
+    tails = list(product((0, 1), repeat=half))
+    low = (1 << half) - 1
 
-    def fill(prefix: Matrix, covered: int, allowed) -> Iterator[Matrix]:
+    # Depth first over (rows placed, codes allowed next, covered columns),
+    # with the children pushed in reverse so they pop in code order; one
+    # frame yields every matrix, however many rows lie above.
+    stack = [((), (1 << (1 << k)) - 1, 0)]
+    while stack:
+        prefix, scope, covered = stack.pop()
         if len(prefix) == n - 1:
-            for code, row in allowed:
-                if not covering or covered | code == full:
-                    yield prefix + (row,)
-            return
-        for code, row in allowed:
-            if code not in below:
-                below[code] = _rows_below(code, k, patterns)
-            compatible = below[code]
-            yield from fill(prefix + (row,), covered | code,
-                            [b for b in allowed if b[0] in compatible])
-
-    yield from fill((), 0, rows)
-
-
-def _rows_below(upper: int, k: int, patterns: tuple[tuple[int, int, int, int], ...]) -> frozenset[int]:
-    """Codes of the k-column rows that may sit below the row coded upper.
-
-    Rows are k-bit codes with column j at bit k-1-j.  Pattern (w, x, y, z)
-    occurs iff some column where (upper, lower) reads (w, y) lies left of
-    some column where it reads (x, z): iff the leftmost of the first lies
-    left of the rightmost of the second, that is, the highest set bit of
-    the first mask is above the lowest set bit of the second.
-    """
-    full = (1 << k) - 1
-    ups = (full ^ upper, upper)
-    ok = []
-    for lower in range(full + 1):
-        lows = (full ^ lower, lower)
-        for w, x, y, z in patterns:
-            last = ups[x] & lows[z]
-            if last and (ups[w] & lows[y]).bit_length() > (last & -last).bit_length():
-                break
+            if covering:
+                scope &= _supersets(full ^ covered, k)
+            for code in _set_bits(scope):
+                yield prefix + (heads[code >> half] + tails[code & low],)
         else:
-            ok.append(lower)
-    return frozenset(ok)
+            stack.extend((prefix + (heads[code >> half] + tails[code & low],),
+                          scope & below[code], covered | code)
+                         for code in reversed(list(_set_bits(scope))))
+
+
+def _zero_weights(width: int, top: int) -> list[int]:
+    """For each width-bit mask, the sum of top - b over its clear bits b."""
+    return [sum(top - b for b in range(width) if not mask >> b & 1) for mask in range(1 << width)]
 
 
 def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
-    """Weight generating polynomial sum of q**statistic over the class."""
+    """Weight generating polynomial sum of q**statistic over the class,
+    scored during the row search of gen_matrix_class without building a
+    matrix.
+
+    The search carries the bitset of the codes allowed in the next row,
+    the mask of covered columns and the statistic's share of the rows
+    placed so far: row i adds i+1 when it is zero under nu_sum, and its
+    number of 1s under ones_minus_cols, whose -k is added at the end.
+    The last row is scored from its bitset.  The column-covering class
+    keeps only the codes that cover the columns still empty; nu_sum reads
+    the zero columns from the final mask; with no statistic the count is
+    the bitset's popcount.
+    """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    stat = _STATISTICS[statistic]
-    return QPoly.from_terms(Counter(stat(m, k) for m in gen_matrix_class(cls, n, k)))
+    if cls not in _FORBIDDEN:
+        raise ValueError(f"unknown matrix class {cls!r}")
+    _check_matrix_size(n, k)
+    if n == 0:
+        stat = _STATISTICS[statistic]
+        return QPoly.from_terms(Counter(stat(m, k) for m in gen_matrix_class(cls, n, k)))
+    covering = cls == "perm_matrix"
+    nu = statistic == "nu_sum"
+    ones = statistic == "ones_minus_cols"
+    full = (1 << k) - 1
+    below = _below_table(n, k, cls)
+    # Zero-column weight of a column mask (bit b is the 1-based column
+    # k-b), read from two half-width tables as gen_matrix_class reads rows.
+    half = k // 2
+    heads, tails = _zero_weights(k - half, k - half), _zero_weights(half, k)
+    low = (1 << half) - 1
+    # counts[w] is the number of matrices of weight w, or w - k under
+    # ones_minus_cols; the bound is past every statistic's largest value.
+    counts = [0] * (n * (n + 1) // 2 + k * (k + 1) // 2 + n * k + 1)
+
+    def place(i: int, scope: int, covered: int, w: int) -> None:
+        if i == n - 1:
+            if covering:
+                scope &= _supersets(full ^ covered, k)
+            if nu:
+                for code in _set_bits(scope):
+                    final = covered | code
+                    counts[w + heads[final >> half] + tails[final & low] + (0 if code else n)] += 1
+            elif ones:
+                for code in _set_bits(scope):
+                    counts[w + code.bit_count()] += 1
+            else:
+                counts[0] += scope.bit_count()
+            return
+        for code in _set_bits(scope):
+            share = code.bit_count() if ones else i + 1 if nu and not code else 0
+            place(i + 1, scope & below[code], covered | code, w + share)
+
+    place(0, (1 << (1 << k)) - 1, 0, 0)
+    return QPoly(counts, -k if ones else 0)
 
 
 def count_class(cls: str, n: int, k: int) -> int:
-    return sum(1 for _ in gen_matrix_class(cls, n, k))
+    """Number of n x k matrices in the class: class_poly at q = 1."""
+    return class_poly(cls, n, k).at_one()
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +609,7 @@ def gamma_free_first_column_decomposition_check(n: int, k: int) -> bool:
     them except the bottom-most are forced to be zero to the right, and
     the untouched rows plus that bottom row form a free gamma-free matrix
     with k columns.  The empty R leaves an all-zero first column.  Both
-    sides are counted by gen_matrix_class, so n*(k+1) is bounded by
+    sides are counted by count_class, so n*(k+1) is bounded by
     MAX_SCAN_CELLS.
     """
     lhs = count_class("gamma_free", n, k + 1)

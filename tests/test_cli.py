@@ -198,17 +198,21 @@ def test_help_documents_conventions(capsys):
 
 
 def test_module_invocation_subprocess():
+    import os
     import subprocess
     import sys
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "qpb", "eval", "--family", "q_fubini_like", "--n", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2  # unknown family rejected before any work
+    assert "q_fubini_like" in proc.stderr
     proc = subprocess.run(
         [sys.executable, "-m", "qpb", "table", "--max-n", "3", "--max-k", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[3] == "2,1,4,14,46"

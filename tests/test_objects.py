@@ -11,6 +11,10 @@ from qpb import families
 from qpb.errors import SizeLimitError
 from qpb.exactnum import QPoly
 from qpb.objects import (
+    _FORBIDDEN,
+    _pattern_scan,
+    _rows_below,
+    _STATISTICS,
     class_poly,
     count_class,
     fubini_oracle,
@@ -169,6 +173,34 @@ def test_matrix_scan_guard():
         next(gen_matrix_class("lonesum", 5, 5))
 
 
+def test_class_poly_matches_generator_and_statistic():
+    # the bitset search scores rows as it places them; the specification is
+    # the per-matrix statistic of each generated matrix
+    for cls in _FORBIDDEN:
+        for n in range(17):
+            for k in range(17):
+                if n * k > 16:
+                    continue
+                matrices = list(gen_matrix_class(cls, n, k))
+                assert count_class(cls, n, k) == len(matrices), (cls, n, k)
+                for statistic, stat in _STATISTICS.items():
+                    expect = QPoly.from_terms(Counter(stat(m, k) for m in matrices))
+                    assert class_poly(cls, n, k, statistic) == expect, (cls, n, k, statistic)
+
+
+def test_rows_below_matches_pattern_scan():
+    # bit c of the bitset is set iff the two-row matrix (upper, row c) has
+    # none of the class's forbidden 2x2 patterns
+    for cls, patterns in _FORBIDDEN.items():
+        for k in range(7):
+            rows = list(product((0, 1), repeat=k))
+            for upper, top in enumerate(rows):
+                allowed = _rows_below(upper, k, patterns)
+                for code, row in enumerate(rows):
+                    assert (allowed >> code & 1) == _pattern_scan((top, row), patterns), (cls, k, upper, code)
+                assert allowed >> len(rows) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5), st.data())
 def test_lonesum_closed_under_transpose(n, k, data):
@@ -214,8 +246,8 @@ def test_vesztergombi_band_membership():
 
 
 _NEGATIVE_PAIRS = [(-1, 0), (0, -1), (-1, 2), (2, -1), (-2, -2)]
-# Each guard checks its size bound first, so a shape past the bound still
-# raises SizeLimitError whatever its sign.
+# The partition, pair and band guards check their size bound first, so a
+# shape past the bound still raises SizeLimitError whatever its sign.
 _SHAPES = {
     "partition": [((-1,), ValueError), ((-3,), ValueError)],
     "pair": [(s, ValueError) for s in _NEGATIVE_PAIRS] + [((7, -1), SizeLimitError)],
@@ -240,6 +272,20 @@ def test_negative_sizes_raise(entry, shape, error):
     with pytest.raises(error):
         out = entry(*shape)
         if not isinstance(out, QPoly):
+            next(out)
+
+
+@pytest.mark.parametrize("entry", [class_poly, count_class, gen_matrix_class])
+@pytest.mark.parametrize("shape, error", [
+    ((-1, 3), ValueError), ((3, -1), ValueError), ((-1, -30), ValueError),
+    ((-1, 0), ValueError), ((0, -1), ValueError), ((5, 5), SizeLimitError),
+])
+def test_matrix_sizes_raise(entry, shape, error):
+    # a negative side is rejected before the cell count is read, so two
+    # negative sides whose product passes MAX_SCAN_CELLS raise ValueError
+    with pytest.raises(error):
+        out = entry("lonesum", *shape)
+        if not isinstance(out, (QPoly, int)):
             next(out)
 
 
