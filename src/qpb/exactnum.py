@@ -289,20 +289,29 @@ class QPoly:
         return f"QPoly({self})"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.terms():
+        """The nonzero terms by ascending exponent, as in
+        "q^-1 - 2 + q - 3*q^2".
+
+        A term reads c at exponent 0, and otherwise q (exponent 1) or q^e
+        (any other e, negative ones as q^-2), written bare for the
+        coefficient 1, as -q^e for -1 and as c*q^e for any other c.
+        Terms are joined by " + ", or by " - " before a negative
+        coefficient, whose sign it then carries; only the first term
+        keeps its own minus.  The zero polynomial is "0".
+        """
+        parts = []
+        for e, c in enumerate(self.coeffs, self.min_exp):
+            if not c:
+                continue
             if e == 0:
-                body = str(abs(c))
+                parts.append(str(c))
+            elif e == 1:
+                parts.append("q" if c == 1 else "-q" if c == -1 else f"{c}*q")
             else:
-                qs = "q" if e == 1 else f"q^{e}"
-                body = qs if abs(c) == 1 else f"{abs(c)}*{qs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                parts.append(f"q^{e}" if c == 1 else f"-q^{e}" if c == -1 else f"{c}*q^{e}")
+        # No term contains "+ -" (a negative exponent reads q^-2), so the
+        # replace touches only the joins before a negative term.
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     # -- serialization ----------------------------------------------------------
 
@@ -310,7 +319,7 @@ class QPoly:
         return {
             "var": "q",
             "min_exp": self.min_exp,
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": list(map(str, self.coeffs)),
         }
 
 
@@ -383,7 +392,7 @@ def _pack(cs: tuple[int, ...], width: int) -> int:
     """The integer sum of cs[i] * 2**(8*width*i), from width-byte digits:
     the nonnegative coefficients packed, minus the negated negative ones."""
     if min(cs) >= 0:
-        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
+        return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))), "little")
     pos = b"".join([(c if c > 0 else 0).to_bytes(width, "little") for c in cs])
     negs = b"".join([(-c if c < 0 else 0).to_bytes(width, "little") for c in cs])
     return int.from_bytes(pos, "little") - int.from_bytes(negs, "little")
@@ -930,23 +939,16 @@ class IntMatrix:
         poly: list[int] = [1, -a[0][0]]
         for i in range(1, n):
             row = a[i][:i]
-            col = [a[r][i] for r in range(i)]
-            corner = a[i][i]
-            sub = [r[:i] for r in a[:i]]
+            sub = a[:i]  # map(mul, r, v) stops at len(v) == i: the leading block
             s: list[int] = []
-            v = list(col)
+            v = [r[i] for r in sub]
             for t in range(i):
-                s.append(sum(row[j] * v[j] for j in range(i)))
+                s.append(sum(map(mul, row, v)))
                 if t < i - 1:
-                    v = [sum(sub[r][c] * v[c] for c in range(i)) for r in range(i)]
-            toep = [1, -corner] + [-x for x in s]
-            new = []
-            for r in range(i + 2):
-                acc = 0
-                for c in range(max(0, r - len(toep) + 1), min(r, i) + 1):
-                    acc += toep[r - c] * poly[c]
-                new.append(acc)
-            poly = new
+                    v = [sum(map(mul, r, v)) for r in sub]
+            toep = [1, -a[i][i]] + [-x for x in s]
+            # new[r] = sum over c <= min(r, i) of toep[r - c] * poly[c]
+            poly = [sum(map(mul, toep[r::-1], poly)) for r in range(i + 2)]
         sign = -1 if n % 2 else 1
         return QPoly([sign * poly[n - e] for e in range(n + 1)])
 

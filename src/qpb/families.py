@@ -30,13 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import comb, factorial, lcm
 from operator import mul
+from struct import unpack
 from typing import Callable, Sequence
 
 from . import objects
 from .errors import NotPolynomialError
-from .exactnum import QPoly, QRational, _pack
+from .exactnum import QPoly, QRational, _canonical, _pack
 from .qkernels import q_factorial, q_int, q_stirling, stirling2
 
 __all__ = [
@@ -214,7 +216,8 @@ def cenkci_q_pb(n: int, k: int) -> QPoly | QRational:
     den = lcm(*((m + 1) ** k for m in range(n + 1))) if k > 0 else 1
     coeffs = [0] * (n + 1)
     for m in range(n + 1):
-        c = stirling2(n, m) * factorial(m) * int(den * Fraction(m + 1) ** -k)
+        scale = den // (m + 1) ** k if k > 0 else (m + 1) ** -k  # den / (m+1)**k
+        c = stirling2(n, m) * factorial(m) * scale
         coeffs[n - m] = -c if (n - m) % 2 else c
     value = QRational(QPoly(coeffs), QPoly.const(den))
     return value.as_qpoly() if k <= 0 else value
@@ -363,7 +366,7 @@ def carlitz_beta(n: int) -> QRational:
 
 # Tables whose shorter side is at least this take the packed route of
 # paired_table; below it, the packed operands are not reused often enough
-# to pay for the packing (crossover table in BENCH_paired_table.json).
+# to pay for the packing (crossover table in BENCH_table_output.json).
 PACKED_TABLE_MIN_SIDE = 3
 
 # family -> (weight w(m), q-Stirling variant, finish(total, n, k) or None)
@@ -437,8 +440,13 @@ def _pack_nonnegative(v: QPoly | int, width: int) -> int:
 def _unpack(value: int, width: int) -> QPoly:
     """The polynomial whose value at q = 2**(8*width) is value, from its
     width-byte digits."""
-    data = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
-    return QPoly([int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)])
+    digits = -(-value.bit_length() // (8 * width))
+    data = value.to_bytes(digits * width, "little")
+    # struct splits data into the digits' bytes in one call.
+    cs = tuple(map(int.from_bytes, unpack(f"{width}s" * digits, data), repeat("little")))
+    # The top digit is nonzero by the length of data; when the bottom one
+    # is too, the digits are already canonical.
+    return _canonical(cs, 0) if cs and cs[0] else QPoly(cs)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,9 @@ EXIT_CODE_CASES = [
     # a bound below 1 would compare no terms
     (("oeis", "--id", "A099594", "--offline", "--bound", "0"), 2),
     (("oeis", "--id", "A099594", "--offline", "--bound", "-1"), 2),
+    # the identity starts at n = 2, so these would check nothing
+    (("conjecture", "--max-n", "0"), 2),
+    (("conjecture", "--max-n", "1"), 2),
 ]
 
 

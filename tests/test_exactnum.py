@@ -50,6 +50,53 @@ def test_str_formatting():
     assert str(QPoly.zero()) == "0"
 
 
+def _reference_str(p: QPoly) -> str:
+    """QPoly's text form, written term by term with an explicit sign
+    per term; str(p) renders the same text in one pass."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for e, c in p.terms():
+        if e == 0:
+            body = str(abs(c))
+        else:
+            qs = "q" if e == 1 else f"q^{e}"
+            body = qs if abs(c) == 1 else f"{abs(c)}*{qs}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+# Coefficients: mostly 0 and +-1 (bare q, -q), some small, some past 64 bits.
+render_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=-(2**90), max_value=2**90),
+)
+
+
+@pytest.mark.parametrize("p", [
+    QPoly.zero(),
+    QPoly([1, 1, 1], -1),
+    QPoly([-1, -1, -1], -1),
+    QPoly([-1, 1, -1], -1),
+    QPoly([2**70, -(2**65) - 3, 1], -1),
+    QPoly([-(2**64), 0, 0, 7], 2),
+])
+def test_str_matches_reference_renderer(p):
+    assert str(p) == _reference_str(p)
+
+
+@settings(max_examples=300)
+@given(st.lists(render_coeffs, max_size=8), st.integers(min_value=-4, max_value=4))
+def test_str_matches_reference_renderer_laurent(coeffs, min_exp):
+    p = QPoly(coeffs, min_exp)
+    assert str(p) == _reference_str(p)
+    assert p.to_json_dict()["coeffs"] == [str(c) for c in p.coeffs]
+
+
 def test_subs_inv_q_on_q_factorial_identity():
     # [3]! under q -> 1/q equals q^-3 [3]!  (binomial(3,2) = 3)
     fact3 = QPoly([1, 1]) * QPoly([1, 1, 1])
@@ -249,6 +296,7 @@ def test_qrational_normal_form_unique(a, b, scale):
     # common factors never leak into the normal form
     den = b + QPoly([1], 4)
     mult = scale + QPoly([2], 2)
+    assume(not den.is_zero)
     assume(not mult.is_zero)
     direct = QRational(a, den)
     scaled = QRational(a * mult, den * mult)
@@ -482,6 +530,20 @@ def test_charpoly_at_zero_is_independent_det(n, data):
     ]
     m = IntMatrix(rows)
     assert m.charpoly().eval_rational(0) == _det_by_expansion(m)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_charpoly_at_small_points_is_det_of_shifted_matrix(n, data):
+    # charpoly is det(M - q*I), so at q = t it is the determinant of M - t*I
+    rows = [
+        [data.draw(st.integers(min_value=-6, max_value=6)) for _ in range(n)]
+        for _ in range(n)
+    ]
+    p = IntMatrix(rows).charpoly()
+    for t in (1, 2, 3):
+        shifted = IntMatrix([[v - t * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)])
+        assert p.eval_rational(t) == _det_by_expansion(shifted)
 
 
 def test_charpoly_rejects_non_square():

@@ -1,7 +1,7 @@
 """Family-level tests: reference values, symmetries, collapses, triangles."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -192,6 +192,25 @@ def test_cenkci_positive_k_matches_pointwise_sum(k):
                 for m in range(n + 1)
             )
             assert value.eval_rational(r) == want
+
+
+def test_cenkci_coefficients_match_fraction_formula():
+    # Reference: each coefficient of the defining sum in Fraction,
+    # coefficient of q**(n-m) = (-1)**(n-m) * stirling2(n,m) * m! / (m+1)**k.
+    for n in range(9):
+        for k in range(-6, 7):
+            want = [Fraction(0)] * (n + 1)
+            for m in range(n + 1):
+                want[n - m] = (-1) ** (n - m) * stirling2(n, m) * factorial(m) * Fraction(m + 1) ** -k
+            value = F.cenkci_q_pb(n, k)
+            if k <= 0:
+                assert type(value) is QPoly
+                assert all(c.denominator == 1 for c in want)
+                assert value == QPoly([int(c) for c in want])
+            else:
+                assert type(value) is QRational
+                den = lcm(*(c.denominator for c in want))
+                assert value * den == QRational(QPoly([int(c * den) for c in want]))
 
 
 def test_cenkci_recursion():
