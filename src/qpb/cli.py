@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import families, oeis, verify
@@ -34,6 +35,21 @@ _CONVENTIONS = (
 
 def _value_to_json(v):
     return v.to_json_dict() if isinstance(v, (QPoly, QRational)) else str(v)
+
+
+@contextmanager
+def _digit_limit():
+    """Turn CPython's refusal to print an int of more than
+    sys.get_int_max_str_digits() decimal digits (a ValueError from str)
+    into a size limit.  Wrap only rendering, which raises no other
+    ValueError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SizeLimitError(
+            f"the value has an integer of more than {sys.get_int_max_str_digits()} "
+            "decimal digits, which Python does not convert to text"
+        ) from exc
 
 
 def _table_cells(spec: families.FamilySpec, max_n: int, max_k: int):
@@ -76,6 +92,11 @@ def cmd_table(args) -> int:
             f"family {args.family} is enumeration-backed; max_n*max_k <= {spec.max_cells}"
         )
     cells = list(_table_cells(spec, args.max_n, args.max_k))
+    # Every cell is rendered before the first byte is written, so a value
+    # too long to print leaves stdout empty.
+    render = _value_to_json if args.format == "json" else str
+    with _digit_limit():
+        shown = [render(v) for _, _, v in cells]
     out = sys.stdout
     if args.format == "json":
         payload = {
@@ -83,14 +104,14 @@ def cmd_table(args) -> int:
             "max_n": args.max_n,
             "max_k": args.max_k,
             "cells": [
-                {"n": n, "k": k, "value": _value_to_json(v)} for n, k, v in cells
+                {"n": n, "k": k, "value": text} for (n, k, _), text in zip(cells, shown)
             ],
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_OK
     by_k: dict[int, list[str]] = {}
-    for n, k, v in cells:
-        by_k.setdefault(k, []).append(str(v))
+    for (_, k, _), text in zip(cells, shown):
+        by_k.setdefault(k, []).append(text)
     if args.format == "csv":
         out.write("k\\n," + ",".join(str(n) for n in range(args.max_n + 1)) + "\n")
         for k in sorted(by_k, reverse=spec.signed):
@@ -122,18 +143,20 @@ def cmd_eval(args) -> int:
             value = value.eval_rational(point)
         except PoleError as exc:
             return _domain_error(args, str(exc))
-    if args.format == "json":
-        payload = {
-            "family": args.family,
-            "n": args.n,
-            "k": args.k,
-            "value": _value_to_json(value),
-        }
-        if args.q is not None:
-            payload["q"] = args.q
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(str(value) + "\n")
+    with _digit_limit():
+        if args.format == "json":
+            payload = {
+                "family": args.family,
+                "n": args.n,
+                "k": args.k,
+                "value": _value_to_json(value),
+            }
+            if args.q is not None:
+                payload["q"] = args.q
+            line = json.dumps(payload, sort_keys=True)
+        else:
+            line = str(value)
+    sys.stdout.write(line + "\n")
     return EXIT_OK
 
 

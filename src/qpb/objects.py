@@ -11,9 +11,11 @@ weight polynomial is a histogram over the objects,
 QPoly.from_terms(Counter(...)), with each object counted once.  The
 oracles build their statistic during the search, adding each step's
 share as a row, element or value is placed, so no object is
-materialised.  ordered_q_oracle and vesztergombi_oracle count each
-object once as a pair of halves: each half is enumerated object by
-object, and the pair adds the weight the two halves make together.  The
+materialised.  fubini_oracle, ordered_q_oracle and vesztergombi_oracle
+count each object once as a pair of halves: each half is enumerated
+object by object, the halves that fit together are grouped (by block
+count, or by the set of values a prefix uses), and the pair adds the
+weight the two halves make together.  The
 generators and per-object statistics (gen_matrix_class with nu_weight
 and ones_minus_cols; gen_ordered_partitions, gen_alternating_pairs and
 inv_star; gen_vesztergombi and inversions) stay as the specification
@@ -102,6 +104,7 @@ def _ordered_partitions(items: list) -> Iterator[list[list]]:
 
 
 def _check_partition_size(n: int) -> None:
+    # fubini_oracle, n = 6..9: 0.5, 0.8, 3.9, 12 ms, best of 7, 2-vCPU VM (CHANGES.md).
     if n > 9:
         raise SizeLimitError(f"ordered partitions of {n} elements (Fubini growth)")
     if n < 0:
@@ -134,7 +137,7 @@ def _insertion_hist(steps: int, keep_first: bool = False,
                     end_in_last: bool = False) -> Counter[tuple[int, int]]:
     """Histogram of (block count, inv_star) over the ordered partitions grown
     by inserting `steps` elements, each larger than every element before
-    it; every partition is one leaf.
+    it, counted as pairs of halves.
 
     The new element exceeds every block minimum and no element exceeds it,
     so it adds one inversion per block after its position, whether it
@@ -142,25 +145,51 @@ def _insertion_hist(steps: int, keep_first: bool = False,
     a smaller element (the 0-block) and keeps it first: no block opens in
     front of it.  end_in_last sends the final element into the last block,
     joining it or opening a new last block.
-    """
-    hist: Counter[tuple[int, int]] = Counter()
 
-    def grow(left: int, c: int, w: int) -> None:
-        if left == 1 and end_in_last:
+    The choices at each insertion, and the inversions they add, depend on
+    the block count c alone.  So the first `cut` insertions are grown
+    partition by partition and their leaves grouped by c, and the other
+    steps - cut insertions are grown once per group, from c at weight 0;
+    each upper leaf pairs with every lower leaf of its group.  The upper
+    half fans out with c, so it takes a third of the insertions, rounded,
+    and at least the final one: cut = steps - (steps + 1) // 3 for
+    steps > 1.  Measured for 4 <= steps <= 9 under each flag, that cut
+    was the fastest or within a quarter of it (BENCH_insertion_halves.json).
+    """
+    def grow(left: int, c: int, w: int, end: bool, out: Counter) -> None:
+        if left == 1 and end:
             if c:
-                hist[c, w] += 1
-            hist[c + 1, w] += 1
+                out[c, w] += 1
+            out[c + 1, w] += 1
         elif left > 0:
             left -= 1
             for d in range(c):
-                grow(left, c, w + d)
+                grow(left, c, w + d, end, out)
             for d in range(c + 1 - keep_first):
-                grow(left, c + 1, w + d)
+                grow(left, c + 1, w + d, end, out)
         else:
-            hist[c, w] += 1
+            out[c, w] += 1
 
-    grow(steps, int(keep_first), 0)
+    cut = steps - (steps + 1) // 3 if steps > 1 else 0
+    heads: Counter[tuple[int, int]] = Counter()
+    grow(cut, int(keep_first), 0, False, heads)
+    hist: Counter[tuple[int, int]] = Counter()
+    for c, lows in _by_blocks(heads).items():
+        tails: Counter[tuple[int, int]] = Counter()
+        grow(steps - cut, c, 0, end_in_last, tails)
+        for (top, wu), mu in tails.items():
+            for wl, ml in lows:
+                hist[top, wl + wu] += ml * mu
     return hist
+
+
+def _by_blocks(hist: Counter[tuple[int, int]]) -> dict[int, list[tuple[int, int]]]:
+    """The (weight, multiplicity) entries of an insertion histogram, keyed
+    by block count."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for (c, w), mult in hist.items():
+        groups.setdefault(c, []).append((w, mult))
+    return groups
 
 
 def fubini_oracle(n: int) -> QPoly:
@@ -178,6 +207,7 @@ def fubini_oracle(n: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 def _check_pair_size(n: int, k: int) -> None:
+    # ordered_q_oracle, (4, 4)..(6, 6): 0.3, 0.8, 1.2 ms, best of 7, 2-vCPU VM (CHANGES.md).
     if n > 6 or k > 6:
         raise SizeLimitError(f"alternating pairs at ({n}, {k})")
     if n < 0 or k < 0:
@@ -209,16 +239,15 @@ def ordered_q_oracle(n: int, k: int) -> QPoly:
     blue side starts from the 0-block and never opens a block in front of
     it, and the red side's last element k+1 goes into the last block.  The
     weight is additive across the two partitions and the block counts must
-    agree, so the sum is the convolution of the two one-sided histograms
-    of (block count, weight).
+    agree, so both one-sided histograms of (block count, weight) are
+    grouped by block count and convolved group by group.
     """
     _check_pair_size(n, k)
-    blue_hist = _insertion_hist(n, keep_first=True)
-    red_hist = _insertion_hist(k + 1, end_in_last=True)
+    blues = _by_blocks(_insertion_hist(n, keep_first=True))
     counts: Counter[int] = Counter()
-    for (b, wb), mb in blue_hist.items():
-        for (r, wr), mr in red_hist.items():
-            if b == r:
+    for c, reds in _by_blocks(_insertion_hist(k + 1, end_in_last=True)).items():
+        for wb, mb in blues.get(c, ()):
+            for wr, mr in reds:
                 counts[wb + wr] += mb * mr
     return QPoly.from_terms(counts)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,12 @@ EXIT_CODE_CASES = [
     # the identity starts at n = 2, so these would check nothing
     (("conjecture", "--max-n", "0"), 2),
     (("conjecture", "--max-n", "1"), 2),
+    # values with an integer of more than 4300 decimal digits, which str()
+    # refuses; classical_negk (2000, 2000) hits the same path after ~13 s
+    (("eval", "--family", "classical_anyk", "--n", "3", "--k", "9000"), 3),
+    (("eval", "--family", "classical_anyk", "--n", "3", "--k", "9000", "--format", "json"), 3),
+    (("eval", "--family", "classical_negk", "--n", "3", "--k", "8000"), 3),
+    (("eval", "--family", "classical_negk", "--n", "3", "--k", "8000", "--format", "json"), 3),
 ]
 
 
@@ -159,6 +166,22 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, expected):
     if expected >= 2:
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex", "json"])
+def test_table_value_too_long_to_print_writes_nothing(capsys, monkeypatch, fmt):
+    # one cell past the interpreter's digit limit, after cells that print
+    huge = families.FamilySpec(lambda n, k: 10 ** 5000 if (n, k) == (2, 1) else n + k)
+    monkeypatch.setitem(families.FAMILIES, "classical_negk", huge)
+    code, out, err = run_cli(
+        capsys, "table", "--family", "classical_negk", "--max-n", "2", "--max-k", "2", "--format", fmt,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        f"size limit: the value has an integer of more than {sys.get_int_max_str_digits()} "
+        "decimal digits, which Python does not convert to text"
+    ]
 
 
 class ClosedPipe:

@@ -12,6 +12,7 @@ from qpb.errors import SizeLimitError
 from qpb.exactnum import QPoly
 from qpb.objects import (
     _FORBIDDEN,
+    _insertion_hist,
     _pattern_scan,
     _rows_below,
     _STATISTICS,
@@ -76,6 +77,49 @@ def test_fubini_oracle_matches_generator():
         assert fubini_oracle(n) == QPoly.from_terms(weights)
     with pytest.raises(SizeLimitError):
         fubini_oracle(10)
+
+
+def _reference_insertion_hist(steps, keep_first=False, end_in_last=False):
+    """The single insertion search that visits every ordered partition as a
+    leaf, kept as the reference for the split into halves."""
+    hist = Counter()
+
+    def grow(left, c, w):
+        if left == 1 and end_in_last:
+            if c:
+                hist[c, w] += 1
+            hist[c + 1, w] += 1
+        elif left > 0:
+            left -= 1
+            for d in range(c):
+                grow(left, c, w + d)
+            for d in range(c + 1 - keep_first):
+                grow(left, c + 1, w + d)
+        else:
+            hist[c, w] += 1
+
+    grow(steps, int(keep_first), 0)
+    return hist
+
+
+@pytest.mark.parametrize("steps", range(10))
+def test_insertion_hist_halves_match_single_search(steps):
+    # steps = 9 reaches fubini_oracle(9); the blue and red sides of
+    # ordered_q_oracle(6, k) and (n, 6) are steps 6 and 7
+    for keep_first, end_in_last in product((False, True), repeat=2):
+        expected = _reference_insertion_hist(steps, keep_first, end_in_last)
+        assert _insertion_hist(steps, keep_first, end_in_last) == expected
+
+
+@pytest.mark.parametrize("n, k", [(6, k) for k in range(7)] + [(n, 6) for n in range(6)])
+def test_ordered_q_oracle_matches_single_search_convolution(n, k):
+    # the pair generator stops short of these shapes in the tests
+    expected = Counter()
+    for (b, wb), mb in _reference_insertion_hist(n, keep_first=True).items():
+        for (r, wr), mr in _reference_insertion_hist(k + 1, end_in_last=True).items():
+            if b == r:
+                expected[wb + wr] += mb * mr
+    assert ordered_q_oracle(n, k) == QPoly.from_terms(expected)
 
 
 def test_alternating_pairs_worked_example():
