@@ -30,6 +30,13 @@ operands alone:
   (Karatsuba), and the coefficients are read back as signed digits
   (Kronecker 1882; Harvey, J. Symbolic Comput. 2009).
 
+The packed form of a QPoly with no negative exponent is its value at
+q = 2**(8*width), coefficient i being the little-endian width-byte digit
+i.  ``QPoly.packed`` and ``QPoly.from_packed`` convert; ``_digits`` is the
+one reader.  Digits read back lie in [0, 2**(8*width)), so width must hold
+every coefficient read: the value at q = 1 bounds them for nonnegative
+operands, and ``_kronecker_mul`` bounds signed ones, plus a sign bit.
+
 Values are safe to share between threads: every operation returns a new
 object and never mutates its inputs.
 """
@@ -40,6 +47,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from math import gcd, prod
 from operator import add, mul, neg, sub
+from struct import unpack
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
@@ -105,6 +113,13 @@ class QPoly:
         for e, c in terms.items():
             cs[e - lo] = c
         return cls(cs, lo)
+
+    @classmethod
+    def from_packed(cls, value: int, width: int) -> "QPoly":
+        """The polynomial whose packed form (module docstring) is value >= 0."""
+        cs = _digits(value, width)
+        # The top digit is nonzero; when the bottom one is too, cs is canonical.
+        return _canonical(cs, 0) if cs and cs[0] else cls(cs)
 
     # -- structure ---------------------------------------------------------
 
@@ -315,6 +330,12 @@ class QPoly:
 
     # -- serialization ----------------------------------------------------------
 
+    def packed(self, width: int) -> int:
+        """The value at q = 2**(8*width), the packed form (module docstring)."""
+        if self.min_exp < 0:
+            raise ValueError(f"no packed form with the negative exponent {self.min_exp}")
+        return _pack(self.coeffs, width) << (8 * width * self.min_exp) if self.coeffs else 0
+
     def to_json_dict(self) -> dict:
         return {
             "var": "q",
@@ -372,20 +393,15 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     No product coefficient exceeds min(len) * max|a| * max|b| in absolute
     value, so width bytes with one bit to spare for the sign hold every
     one.  Adding 2**(8*width - 1) to every digit makes them all
-    nonnegative; it is subtracted again after unpacking.
+    nonnegative and the top one nonzero; it is taken off the digits read back.
     """
     ma = max(max(a), -min(a))
     mb = max(max(b), -min(b))
     bits = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8
-    n = len(a) + len(b) - 1
     half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    packed = (_pack(a, width) * _pack(b, width) + offset).to_bytes(n * width, "little")
-    return tuple([
-        int.from_bytes(packed[i:i + width], "little") - half
-        for i in range(0, n * width, width)
-    ])
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (len(a) + len(b) - 1), "little")
+    return tuple(map(sub, _digits(_pack(a, width) * _pack(b, width) + offset, width), repeat(half)))
 
 
 def _pack(cs: tuple[int, ...], width: int) -> int:
@@ -396,6 +412,15 @@ def _pack(cs: tuple[int, ...], width: int) -> int:
     pos = b"".join([(c if c > 0 else 0).to_bytes(width, "little") for c in cs])
     negs = b"".join([(-c if c < 0 else 0).to_bytes(width, "little") for c in cs])
     return int.from_bytes(pos, "little") - int.from_bytes(negs, "little")
+
+
+def _digits(value: int, width: int) -> tuple[int, ...]:
+    """The width-byte digits of value >= 0, lowest first, up to its top
+    nonzero one: the one reader of the packed form."""
+    count = -(-value.bit_length() // (8 * width))
+    # struct splits the bytes into the digits' bytes in one call.
+    data = unpack(f"{width}s" * count, value.to_bytes(count * width, "little"))
+    return tuple(map(int.from_bytes, data, repeat("little")))
 
 
 def _divmod_int(

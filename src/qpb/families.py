@@ -10,14 +10,13 @@ The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
 zengA (s = 1) and zengB (s = 0) triangles' leading columns.
 
 A table of a q-valued paired sum has a second route, paired_table.  It
-packs each q-Stirling number and each weight once as an integer (its
-value at q = 2**(8*width)), so a cell costs plain big-integer products
-instead of QPoly products.  Every operand has nonnegative coefficients,
-so no coefficient of a cell exceeds its value at q = 1; the width holds
-the largest such value in the table.  A table takes this route once its
-shorter side reaches PACKED_TABLE_MIN_SIDE, where the packed operands
-are reused enough to pay for the packing; below it, and for single
-values, each cell comes from the family's own function.
+packs each q-Stirling number and each weight once as an integer
+(QPoly.packed; the format and its width rule are stated once, in the
+exactnum docstring), so a cell costs plain big-integer products instead
+of QPoly products.  A table takes this route once its shorter side
+reaches PACKED_TABLE_MIN_SIDE, where the packed operands are reused
+enough to pay for the packing; below it, and for single values, each
+cell comes from the family's own function.
 
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
@@ -30,15 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
 from math import comb, factorial, lcm
 from operator import mul
-from struct import unpack
 from typing import Callable, Sequence
 
 from . import objects
-from .errors import NotPolynomialError
-from .exactnum import QPoly, QRational, _canonical, _pack
+from .errors import NotPolynomialError, SizeLimitError
+from .exactnum import QPoly, QRational
 from .qkernels import q_factorial, q_int, q_stirling, stirling2
 
 __all__ = [
@@ -277,14 +274,22 @@ def carlitz_sum(a: Sequence, s: int) -> QRational:
     return acc
 
 
+# Bound on n*k for at_q_pb with k > 0, whose cost grows steeply; the costliest
+# shape at a given n*k is k = 1, and (40, 1) took 0.6 s on a 2-vCPU VM (CHANGES.md table).
+AT_Q_MAX_NK = 40
+
+
 def at_q_pb(n: int, k: int) -> QPoly | QRational:
     """Formula-level q-analogue:
     (-1)**n * sum over m of (-1)**m * [m]! / [m+1]**k * {n,m}_q  (carlitz).
 
-    Returns a QPoly for k <= 0 and a QRational otherwise.
+    Returns a QPoly for k <= 0 and a QRational otherwise; for k > 0, raises
+    SizeLimitError past n*k = AT_Q_MAX_NK.
     """
     if n < 0:
         raise ValueError("at_q_pb needs n >= 0")
+    if k > 0 and n * k > AT_Q_MAX_NK:
+        raise SizeLimitError(f"at_q_pb({n}, {k}): n*k = {n * k} exceeds bound {AT_Q_MAX_NK} for k > 0")
     acc = carlitz_sum(q_power_row(-k, n + 1), 0)
     if n % 2:
         acc = -acc
@@ -383,14 +388,13 @@ def paired_table(family: str, max_n: int, max_k: int):
     vesztergombi_q) that its per-cell function gives.
 
     Every operand, each S(a+1, m+1) and each weight w(m), is packed once
-    as its value at q = 2**(8*width); U[n][m] = w(m) * S(n+1, m+1) is
-    formed once per (n, m), and a cell is the integer
-    sum over m <= min(n, k) of U[n][m] * S(k+1, m+1), read back as
-    width-byte digits.  The operands have nonnegative coefficients, so
-    no coefficient of a cell exceeds its value at q = 1, and that value
-    is at most the sum over m of w(m) times the largest S(n+1, m+1) and
-    the largest S(k+1, m+1) at q = 1 in the table; width is the bytes
-    that hold this bound with one bit to spare.  The sum is symmetric in
+    (QPoly.packed; an integer weight is its own packed form), U[n][m] =
+    w(m) * S(n+1, m+1) once per (n, m), and a cell is the integer
+    sum over m <= min(n, k) of U[n][m] * S(k+1, m+1), read back by
+    QPoly.from_packed.  width follows the packed form's rule for
+    nonnegative operands (exactnum docstring), with one bit to spare: it
+    holds the sum over m of w(m) times the largest S(n+1, m+1) and the
+    largest S(k+1, m+1) at q = 1 in the table.  The sum is symmetric in
     n and k, so a cell whose mirror (k, n) came first reuses its value.
     """
     if max_n < 0 or max_k < 0:
@@ -409,8 +413,8 @@ def paired_table(family: str, max_n: int, max_k: int):
     weights_at_one = [w if isinstance(w, int) else w.at_one() for w in weights]
     bound = sum(map(mul, weights_at_one, map(mul, column_max(max_n), column_max(max_k))))
     width = (bound.bit_length() + 8) // 8
-    packed = [[_pack_nonnegative(p, width) for p in row] for row in stirling]
-    packed_weights = [_pack_nonnegative(w, width) for w in weights]
+    packed = [[p.packed(width) for p in row] for row in stirling]
+    packed_weights = [w if isinstance(w, int) else w.packed(width) for w in weights]
     left = [list(map(mul, packed_weights, row)) for row in packed[:max_n + 1]]
     mirrored = {}  # cell (k, n) computed as (n, k) before its turn
     for k in range(max_k + 1):
@@ -418,35 +422,12 @@ def paired_table(family: str, max_n: int, max_k: int):
         for n in range(max_n + 1):
             value = mirrored.pop((n, k), None)
             if value is None:
-                value = _unpack(sum(map(mul, left[n], right)), width)
+                value = QPoly.from_packed(sum(map(mul, left[n], right)), width)
                 if finish is not None:
                     value = finish(value, n, k)
                 if k < n <= max_k:
                     mirrored[k, n] = value
             yield n, k, value
-
-
-def _pack_nonnegative(v: QPoly | int, width: int) -> int:
-    """v at q = 2**(8*width); v is an integer or a polynomial in q with
-    nonnegative coefficients and exponents, each coefficient below
-    2**(8*width)."""
-    if isinstance(v, int):
-        assert v >= 0
-        return v
-    assert v.min_exp >= 0 and min(v.coeffs) >= 0
-    return _pack(v.coeffs, width) << (8 * width * v.min_exp)
-
-
-def _unpack(value: int, width: int) -> QPoly:
-    """The polynomial whose value at q = 2**(8*width) is value, from its
-    width-byte digits."""
-    digits = -(-value.bit_length() // (8 * width))
-    data = value.to_bytes(digits * width, "little")
-    # struct splits data into the digits' bytes in one call.
-    cs = tuple(map(int.from_bytes, unpack(f"{width}s" * digits, data), repeat("little")))
-    # The top digit is nonzero by the length of data; when the bottom one
-    # is too, the digits are already canonical.
-    return _canonical(cs, 0) if cs and cs[0] else QPoly(cs)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,9 @@ EXIT_CODE_CASES = [
     (("eval", "--family", "classical_anyk", "--n", "3", "--k", "9000", "--format", "json"), 3),
     (("eval", "--family", "classical_negk", "--n", "3", "--k", "8000"), 3),
     (("eval", "--family", "classical_negk", "--n", "3", "--k", "8000", "--format", "json"), 3),
+    # at_q with k > 0 past families.AT_Q_MAX_NK, refused before any work
+    (("eval", "--family", "at_q", "--n", "3", "--k", "250"), 3),
+    (("eval", "--family", "at_q", "--n", "3", "--k", "250", "--format", "json"), 3),
 ]
 
 

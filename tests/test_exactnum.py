@@ -226,6 +226,40 @@ def test_mul_sparse_short_and_all_ones_operands():
         assert (p * 0).is_zero
 
 
+# The packed form: the value at q = 2**(8*width), read back digit by digit.
+def assert_packed_round_trip(p: QPoly, width: int) -> None:
+    value = p.packed(width)
+    assert value == sum(c << (8 * width * e) for e, c in p.terms())
+    back = QPoly.from_packed(value, width)
+    assert (back.min_exp, back.coeffs) == (p.min_exp, p.coeffs)
+    assert hash(back) == hash(p)
+
+
+def test_packed_zero_polynomial():
+    for width in (1, 2, 7):
+        assert QPoly.zero().packed(width) == 0
+        assert_packed_round_trip(QPoly.zero(), width)
+
+
+def test_packed_positive_min_exp():
+    for width in (1, 3, 9):
+        for p in (QPoly.q(1), QPoly.q(13), QPoly([5, 0, 0, 2], 4), QPoly([1, 2, 3], 1)):
+            assert_packed_round_trip(p, width)
+
+
+def test_packed_digit_at_the_top_of_the_width():
+    for width in (1, 2, 8, 9):
+        top = 2 ** (8 * width) - 1
+        for p in (QPoly.const(top), QPoly([top] * 5), QPoly([top, 0, 1, top], 2), QPoly([1, top, 1], 3)):
+            assert_packed_round_trip(p, width)
+
+
+def test_packed_negative_exponent_raises():
+    for p in (QPoly.q(-1), QPoly([1, 2, 3], -2), QPoly([4, 5], -7)):
+        with pytest.raises(ValueError):
+            p.packed(2)
+
+
 @settings(max_examples=150)
 @given(
     st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70), max_size=12),

@@ -1,7 +1,10 @@
-"""Export lists: every name a module lists in __all__ exists, once."""
+"""Export lists: every name a module lists in __all__ exists, once; and
+no module imports another's private names."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +28,12 @@ def test_star_import():
     namespace: dict = {}
     exec("from qpb import *", namespace)
     assert set(qpb.__all__) <= namespace.keys()
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted(Path(qpb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qpb")):
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

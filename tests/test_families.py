@@ -6,6 +6,7 @@ from math import comb, factorial, lcm
 import pytest
 
 from qpb import families as F
+from qpb.errors import SizeLimitError
 from qpb.exactnum import QPoly, QRational
 from qpb.qkernels import q_factorial, q_int, q_stirling, stirling2
 
@@ -241,6 +242,17 @@ def test_at_q_values():
     for n in range(7):
         for k in range(-4, 5):
             assert F.at_q_pb(n, k).eval_rational(1) == F.classical_pb(n, k)
+
+
+def test_at_q_size_guard_on_positive_k():
+    # n*k at the bound computes and one past it raises, whatever the shape;
+    # k <= 0 is the polynomial branch, which the guard leaves alone.
+    assert F.AT_Q_MAX_NK == 40
+    assert F.at_q_pb(2, 20).eval_rational(1) == F.classical_pb(2, 20)
+    for n, k in ((41, 1), (3, 14), (1, 41), (3, 250)):
+        with pytest.raises(SizeLimitError):
+            F.at_q_pb(n, k)
+    assert F.at_q_pb(3, -14).at_one() == F.classical_pb(3, -14)
 
 
 @pytest.mark.parametrize("n, k", [(10, 3), (14, 2)])
