@@ -52,19 +52,6 @@ def _digit_limit():
         ) from exc
 
 
-def _table_cells(spec: families.FamilySpec, max_n: int, max_k: int):
-    """Yield (n, k_display, value), k outer and n inner; k_display is
-    negative for signed families.  A family with a table route takes it
-    once the shorter side reaches families.PACKED_TABLE_MIN_SIDE."""
-    if spec.table is not None and min(max_n, max_k) >= families.PACKED_TABLE_MIN_SIDE:
-        yield from spec.table(max_n, max_k)
-        return
-    for k in range(max_k + 1):
-        shown = -k if spec.signed else k
-        for n in range(max_n + 1):
-            yield n, shown, spec.fn(n, shown)
-
-
 def _domain_error(args, message: str) -> int:
     sys.stderr.write(f"qpb {args.command}: error: {message}\n")
     return EXIT_USAGE
@@ -85,13 +72,7 @@ def _negative_bounds(args) -> str | None:
 
 
 def cmd_table(args) -> int:
-    spec = families.FAMILIES[args.family]
-    # Fail fast, before any cell is computed.
-    if spec.max_cells is not None and args.max_n * args.max_k > spec.max_cells:
-        raise SizeLimitError(
-            f"family {args.family} is enumeration-backed; max_n*max_k <= {spec.max_cells}"
-        )
-    cells = list(_table_cells(spec, args.max_n, args.max_k))
+    cells = list(families.table(args.family, args.max_n, args.max_k))
     # Every cell is rendered before the first byte is written, so a value
     # too long to print leaves stdout empty.
     render = _value_to_json if args.format == "json" else str
@@ -109,19 +90,19 @@ def cmd_table(args) -> int:
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_OK
-    by_k: dict[int, list[str]] = {}
+    by_k: dict[int, list[str]] = {}  # in the table's k order: 0, 1, 2... or 0, -1, -2...
     for (_, k, _), text in zip(cells, shown):
         by_k.setdefault(k, []).append(text)
     if args.format == "csv":
         out.write("k\\n," + ",".join(str(n) for n in range(args.max_n + 1)) + "\n")
-        for k in sorted(by_k, reverse=spec.signed):
-            out.write(f"{k}," + ",".join(by_k[k]) + "\n")
+        for k, texts in by_k.items():
+            out.write(f"{k}," + ",".join(texts) + "\n")
         return EXIT_OK
     # latex
     out.write("\\begin{tabular}{c|" + "c" * (args.max_n + 1) + "}\n")
     out.write("k/n & " + " & ".join(str(n) for n in range(args.max_n + 1)) + " \\\\\n\\hline\n")
-    for k in sorted(by_k, reverse=spec.signed):
-        out.write(f"{k} & " + " & ".join(by_k[k]) + " \\\\\n")
+    for k, texts in by_k.items():
+        out.write(f"{k} & " + " & ".join(texts) + " \\\\\n")
     out.write("\\end{tabular}\n")
     return EXIT_OK
 

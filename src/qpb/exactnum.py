@@ -526,8 +526,8 @@ class QRational:
     integers alone: a primitive remainder sequence yields the primitive gcd
     of numerator and denominator, which by Gauss's lemma is their gcd over
     the rationals up to a unit, and both are divided by it with integer
-    long division.  The integer content and the sign are then settled
-    separately.
+    long division.  The integer content and the sign are then settled as
+    for the operators' results (_finish).
 
     The operators reach the same normal form from smaller gcds, those of
     the operands' parts, whose quotients are already coprime (Henrici,
@@ -551,27 +551,13 @@ class QRational:
     def __init__(self, num: QPoly, den: QPoly = QPoly.one()):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", QPoly.zero())
-            object.__setattr__(self, "den", QPoly.one())
-            return
         # Pull the q-power out of the denominator entirely.
         shift = -den.min_exp
-        n_cs, n_lo = list(num.coeffs), num.min_exp + shift
-        d_cs = list(den.coeffs)
-        g = _primitive_gcd(n_cs, d_cs)
-        if len(g) > 1:
-            n_cs = _exact_int_div(n_cs, g)
-            d_cs = _exact_int_div(d_cs, g)
-        c = gcd(_content(n_cs), _content(d_cs))
-        if c > 1:
-            n_cs = [x // c for x in n_cs]
-            d_cs = [x // c for x in d_cs]
-        if d_cs[-1] < 0:
-            n_cs = [-x for x in n_cs]
-            d_cs = [-x for x in d_cs]
-        object.__setattr__(self, "num", QPoly(n_cs, n_lo))
-        object.__setattr__(self, "den", QPoly(d_cs, 0))
+        num, den = num.shift(shift), den.shift(shift)
+        g = [1] if num.is_zero else _primitive_gcd(num.coeffs, den.coeffs)
+        r = _finish(_quo(num, g), _quo(den, g))
+        object.__setattr__(self, "num", r.num)
+        object.__setattr__(self, "den", r.den)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("QRational is immutable")

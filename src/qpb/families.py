@@ -9,14 +9,17 @@ The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
 (carlitz_sum) gives at_q_pb and carlitz_beta, and is the closed form of the
 zengA (s = 1) and zengB (s = 0) triangles' leading columns.
 
-A table of a q-valued paired sum has a second route, paired_table.  It
-packs each q-Stirling number and each weight once as an integer
-(QPoly.packed; the format and its width rule are stated once, in the
-exactnum docstring), so a cell costs plain big-integer products instead
-of QPoly products.  A table takes this route once its shorter side
-reaches PACKED_TABLE_MIN_SIDE, where the packed operands are reused
-enough to pay for the packing; below it, and for single values, each
-cell comes from the family's own function.
+The three q-valued paired sums are defined once, in _PAIRED_SUMS: their
+weight, q-Stirling variant and finish step.  table is the one entry
+point for a table of any registered family.  A paired sum's table has a
+second route, paired_table.  It packs each q-Stirling number and each
+weight once as an integer (QPoly.packed; the format and its width rule
+are stated once, in the exactnum docstring), so a cell costs plain
+big-integer products instead of QPoly products.  A table takes this
+route once its shorter side reaches PACKED_TABLE_MIN_SIDE, where the
+packed operands are reused enough to pay for the packing; below it, for
+the other families, and for single values, each cell comes from the
+family's own function.
 
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
@@ -36,7 +39,7 @@ from typing import Callable, Sequence
 from . import objects
 from .errors import NotPolynomialError, SizeLimitError
 from .exactnum import QPoly, QRational
-from .qkernels import q_factorial, q_int, q_stirling, stirling2
+from .qkernels import q_factorial, q_int, q_stirling, s2_inv_q, s2_q, stirling2
 
 __all__ = [
     "classical_pb",
@@ -58,6 +61,7 @@ __all__ = [
     "q_power_row",
     "carlitz_beta",
     "paired_table",
+    "table",
     "FamilySpec",
     "FAMILIES",
 ]
@@ -133,7 +137,7 @@ def ordered_q_pb(n: int, k: int) -> QPoly:
     q-factorials; symmetric in n and k, collapses to classical_pb_negk at q=1."""
     if n < 0 or k < 0:
         raise ValueError("ordered_q_pb needs n, k >= 0")
-    return _paired_sum(n, k, _ordered_weight, partial(q_stirling, "carlitz"))
+    return _paired_q_sum("ordered_q", n, k)
 
 
 def q_fubini(n: int) -> QPoly:
@@ -152,7 +156,7 @@ def lonesum_q_pb(n: int, k: int) -> QPoly:
     matrices."""
     if n < 0 or k < 0:
         raise ValueError("lonesum_q_pb needs n, k >= 0")
-    return _paired_sum(n, k, _lonesum_weight, partial(q_stirling, "cigler"))
+    return _paired_q_sum("lonesum_q", n, k)
 
 
 def vesztergombi_q_pb(n: int, k: int) -> QPoly:
@@ -167,8 +171,7 @@ def vesztergombi_q_pb(n: int, k: int) -> QPoly:
     """
     if n < 0 or k < 0:
         raise ValueError("vesztergombi_q_pb needs n, k >= 0")
-    total = _paired_sum(n, k, _vesztergombi_weight, partial(q_stirling, "carlitz"))
-    return _vesztergombi_finish(total, n, k)
+    return _paired_q_sum("vesztergombi_q", n, k)
 
 
 def _ordered_weight(m: int) -> QPoly:
@@ -189,6 +192,21 @@ def _vesztergombi_finish(total: QPoly, n: int, k: int) -> QPoly:
     if total.min_exp < 0:
         raise NotPolynomialError(f"vesztergombi_q_pb({n}, {k}) kept exponent {total.min_exp}")
     return total
+
+
+# family -> (weight w(m), q-Stirling variant, finish(total, n, k) or None)
+_PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
+    "ordered_q": (_ordered_weight, "carlitz", None),
+    "lonesum_q": (_lonesum_weight, "cigler", None),
+    "vesztergombi_q": (_vesztergombi_weight, "carlitz", _vesztergombi_finish),
+}
+
+
+def _paired_q_sum(family: str, n: int, k: int) -> QPoly:
+    """One value of a paired-sum q-analogue, as _PAIRED_SUMS defines it."""
+    weight, variant, finish = _PAIRED_SUMS[family]
+    total = _paired_sum(n, k, weight, partial(q_stirling, variant))
+    return total if finish is None else finish(total, n, k)
 
 
 def permmatrix_q_pb(n: int, k: int) -> QPoly:
@@ -245,8 +263,6 @@ def cenkci_comb_check(n: int, k: int) -> bool:
     arguments, so disagreement is meaningful data rather than a bug;
     callers should treat the result as a report.
     """
-    from .qkernels import s2_inv_q, s2_q
-
     if n < 0 or k < 0:
         raise ValueError("cenkci_comb_check needs n, k >= 0")
     lhs = cenkci_q_pb(n, -k)
@@ -366,20 +382,13 @@ def carlitz_beta(n: int) -> QRational:
 
 
 # ---------------------------------------------------------------------------
-# table route of the paired sums
+# tables
 # ---------------------------------------------------------------------------
 
 # Tables whose shorter side is at least this take the packed route of
 # paired_table; below it, the packed operands are not reused often enough
 # to pay for the packing (crossover table in BENCH_table_output.json).
 PACKED_TABLE_MIN_SIDE = 3
-
-# family -> (weight w(m), q-Stirling variant, finish(total, n, k) or None)
-_PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
-    "ordered_q": (_ordered_weight, "carlitz", None),
-    "lonesum_q": (_lonesum_weight, "cigler", None),
-    "vesztergombi_q": (_vesztergombi_weight, "carlitz", _vesztergombi_finish),
-}
 
 
 def paired_table(family: str, max_n: int, max_k: int):
@@ -430,36 +439,56 @@ def paired_table(family: str, max_n: int, max_k: int):
             yield n, k, value
 
 
+def table(family: str, max_n: int, max_k: int):
+    """Yield (n, k, value) of a registered family's table, k <= max_k
+    (outer) and n <= max_n (inner), with k shown negative for a signed
+    family; the one table entry point.
+
+    A paired sum whose shorter side reaches PACKED_TABLE_MIN_SIDE takes
+    paired_table.  Every other table calls the family's fn, looked up
+    when the table starts, once per cell, and the corner (max_n, max_k)
+    first: it has the largest n*k, so an n*k size guard (permmatrix_q's,
+    in objects) refuses the table before any other cell is computed.
+    """
+    if max_n < 0 or max_k < 0:
+        raise ValueError("table needs max_n, max_k >= 0")
+    if family in _PAIRED_SUMS and min(max_n, max_k) >= PACKED_TABLE_MIN_SIDE:
+        yield from paired_table(family, max_n, max_k)
+        return
+    spec = FAMILIES[family]
+    sign = -1 if spec.signed else 1
+    corner = spec.fn(max_n, sign * max_k)
+    for k in range(max_k + 1):
+        for n in range(max_n + 1):
+            yield n, sign * k, corner if (n, k) == (max_n, max_k) else spec.fn(n, sign * k)
+
+
 # ---------------------------------------------------------------------------
 # family registry (CLI and verification surface)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """How a family is exposed: its value function, its k-sign convention,
-    its table size bound and its table route.
+    """How a family is exposed: its value function and its k-sign
+    convention.
 
     signed is True when fn takes k exactly as in the defining sum, and
-    False when k >= 0 means the negative branch.  table, set for the
-    paired sums, yields the cells of a table as paired_table does; a
-    table whose shorter side is below PACKED_TABLE_MIN_SIDE calls fn per
-    cell instead.
+    False when k >= 0 means the negative branch.  A table of the family
+    comes from table, which reads fn from here.
     """
 
     fn: Callable
     signed: bool = False
-    max_cells: int | None = None  # max_n*max_k bound of a table of an enumeration-backed family
-    table: Callable | None = None  # (max_n, max_k) -> the cells of a table past the gate
 
 
 FAMILIES: dict[str, FamilySpec] = {
     "classical_negk": FamilySpec(classical_pb_negk),
     "classical_anyk": FamilySpec(classical_pb, signed=True),
     "c_relative": FamilySpec(c_relative),
-    "ordered_q": FamilySpec(ordered_q_pb, table=partial(paired_table, "ordered_q")),
-    "lonesum_q": FamilySpec(lonesum_q_pb, table=partial(paired_table, "lonesum_q")),
-    "vesztergombi_q": FamilySpec(vesztergombi_q_pb, table=partial(paired_table, "vesztergombi_q")),
-    "permmatrix_q": FamilySpec(permmatrix_q_pb, max_cells=objects.MAX_SCAN_CELLS),
+    "ordered_q": FamilySpec(ordered_q_pb),
+    "lonesum_q": FamilySpec(lonesum_q_pb),
+    "vesztergombi_q": FamilySpec(vesztergombi_q_pb),
+    "permmatrix_q": FamilySpec(permmatrix_q_pb),
     "cenkci_q": FamilySpec(cenkci_q_pb, signed=True),
     "at_q": FamilySpec(at_q_pb, signed=True),
 }

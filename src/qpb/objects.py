@@ -24,8 +24,9 @@ searched row by row, each row drawn from a bitset over the 2**k row
 codes of the rows compatible with every row above it under the class's
 forbidden 2x2 patterns; class_poly scores the last row from that bitset
 without building a matrix.  The is_* recognizers state the same classes
-matrix by matrix.  Matrix classes go up to n*k = MAX_SCAN_CELLS cells,
-the bound the CLI's table check reads too.
+matrix by matrix.  Matrix classes go up to n*k = MAX_SCAN_CELLS cells;
+a table of permmatrix_q reaches that bound through its corner cell,
+which families.table computes first.
 """
 
 from __future__ import annotations
@@ -488,10 +489,13 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     if cls not in _FORBIDDEN:
         raise ValueError(f"unknown matrix class {cls!r}")
     _check_matrix_size(n, k)
-    if n == 0:
-        stat = _STATISTICS[statistic]
-        return QPoly.from_terms(Counter(stat(m, k) for m in gen_matrix_class(cls, n, k)))
     covering = cls == "perm_matrix"
+    if n == 0 or k == 0:
+        # The one n x k matrix is all zeros; with no rows, the
+        # column-covering class rejects it when k > 0.
+        if covering and k:
+            return QPoly.zero()
+        return QPoly.q(_STATISTICS[statistic](((0,) * k,) * n, k))
     nu = statistic == "nu_sum"
     ones = statistic == "ones_minus_cols"
     full = (1 << k) - 1

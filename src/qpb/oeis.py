@@ -144,10 +144,7 @@ def _computed_terms(reader: str, count: int) -> list[int]:
         side = 1
         while side * side < count:
             side += 1
-        for k in range(side):
-            for n in range(side):
-                out.append(families.classical_pb_negk(n, k))
-        out = out[:count]
+        out = [v for _, _, v in families.table("classical_negk", side - 1, side - 1)][:count]
     else:
         raise ValueError(f"unknown reader {reader!r}")
     return out

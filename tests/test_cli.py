@@ -157,6 +157,8 @@ EXIT_CODE_CASES = [
     # at_q with k > 0 past families.AT_Q_MAX_NK, refused before any work
     (("eval", "--family", "at_q", "--n", "3", "--k", "250"), 3),
     (("eval", "--family", "at_q", "--n", "3", "--k", "250", "--format", "json"), 3),
+    # a shape with no columns has one matrix, scored without a row search
+    (("eval", "--family", "permmatrix_q", "--n", "5000", "--k", "0"), 0),
 ]
 
 
@@ -169,6 +171,25 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, expected):
     if expected >= 2:
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+def test_oversized_permmatrix_table_stops_at_its_corner(capsys, monkeypatch):
+    # The corner cell comes first and trips the matrix-size guard, so no
+    # other cell is computed.
+    spec = families.FAMILIES["permmatrix_q"]
+    calls = []
+
+    def fn(n, k):
+        calls.append((n, k))
+        return spec.fn(n, k)
+
+    monkeypatch.setitem(families.FAMILIES, "permmatrix_q", dataclasses.replace(spec, fn=fn))
+    code, out, err = run_cli(
+        capsys, "table", "--family", "permmatrix_q", "--max-n", "6", "--max-k", "6",
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["size limit: matrix search over 36 cells at (6, 6)"]
+    assert calls == [(6, 6)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex", "json"])
@@ -290,14 +311,14 @@ def test_stdout_matches_recorded_digests(capsys):
 def test_table_route_follows_the_gate(capsys, monkeypatch):
     # A paired-sum family's table takes the packed route once its shorter
     # side reaches the gate, and the per-cell route below it.
-    spec = families.FAMILIES["ordered_q"]
+    paired_table = families.paired_table
     calls = []
 
-    def table(max_n, max_k):
+    def spy(family, max_n, max_k):
         calls.append((max_n, max_k))
-        return spec.table(max_n, max_k)
+        return paired_table(family, max_n, max_k)
 
-    monkeypatch.setitem(families.FAMILIES, "ordered_q", dataclasses.replace(spec, table=table))
+    monkeypatch.setattr(families, "paired_table", spy)
     gate = families.PACKED_TABLE_MIN_SIDE
     shapes = ((48, gate - 1), (gate - 1, 48), (48, gate), (gate, gate), (0, 0))
     outputs = []

@@ -377,9 +377,31 @@ def test_paired_table_matches_per_cell(family, shape):
     assert list(F.paired_table(family, max_n, max_k)) == expected
 
 
-def test_paired_table_registry_and_domain():
-    for name, spec in F.FAMILIES.items():
-        assert (spec.table is not None) == (name in PAIRED_FAMILIES)
+def test_paired_table_registry_and_domain(monkeypatch):
     assert GATE >= 1
     with pytest.raises(ValueError):
         list(F.paired_table("ordered_q", -1, 2))
+    # At the gate, table takes the packed route for the paired sums alone.
+    routed = []
+    monkeypatch.setattr(F, "paired_table", lambda family, *shape: routed.append(family) or [])
+    for name in F.FAMILIES:
+        list(F.table(name, GATE, GATE))
+    assert sorted(routed) == sorted(PAIRED_FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(F.FAMILIES))
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (2, 5), (5, 2), (4, 4)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_table_matches_per_cell(family, shape):
+    # Every route of table gives the cells that fn gives one by one, k
+    # outer and n inner, with k shown negative for a signed family.
+    max_n, max_k = shape
+    spec = F.FAMILIES[family]
+    sign = -1 if spec.signed else 1
+    expected = [(n, sign * k, spec.fn(n, sign * k)) for k in range(max_k + 1) for n in range(max_n + 1)]
+    assert list(F.table(family, max_n, max_k)) == expected
+
+
+def test_table_domain():
+    with pytest.raises(ValueError):
+        list(F.table("classical_negk", -1, 2))

@@ -191,6 +191,16 @@ def test_degenerate_shapes():
     assert count_class("perm_matrix", 0, 0) == 1
 
 
+@pytest.mark.parametrize("cls", ["lonesum", "gamma_free", "perm_matrix"])
+def test_columnless_shape_is_scored_without_a_row_search(cls):
+    # One matrix of 5000 empty rows: every row is zero, so nu_sum is
+    # 1 + 2 + ... + 5000, and the other statistics read 0.
+    n = 5000
+    assert class_poly(cls, n, 0, "nu_sum") == QPoly.q(n * (n + 1) // 2)
+    assert class_poly(cls, n, 0, "ones_minus_cols") == QPoly.one()
+    assert class_poly(cls, n, 0) == QPoly.one()
+
+
 def scan_matrix_class(cls, n, k):
     """Reference enumeration: every one of the 2**(n*k) candidate matrices,
     in lexicographic order, filtered by the class's recognizer."""
