@@ -10,7 +10,8 @@ The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
 zengA (s = 1) and zengB (s = 0) triangles' leading columns.
 
 The three q-valued paired sums are defined once, in _PAIRED_SUMS: their
-weight, q-Stirling variant and finish step.  table is the one entry
+weight, q-Stirling variant and finish step; a value or table past
+PAIRED_MAX_SIZE is refused with SizeLimitError.  table is the one entry
 point for a table of any registered family.  A paired sum's table has a
 second route, paired_table.  It packs each q-Stirling number and each
 weight once as an integer (QPoly.packed; the format and its width rule
@@ -202,8 +203,25 @@ _PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
 }
 
 
+# Bound on (n+1)*(k+1)*max(n, k) for the paired q-families, values and tables
+# alike.  Inside it, in a fresh process on a 2-vCPU VM, one value took at most
+# 0.08 s and a whole table at most 1.1 s and 38 MB (lonesum_q, 24 x 24 and
+# 63 x 3); the 31 x 31 tables took 5-7 s (CHANGES.md table).
+PAIRED_MAX_SIZE = 2 ** 14
+
+
+def _check_paired_size(family: str, n: int, k: int) -> None:
+    size = (n + 1) * (k + 1) * max(n, k)
+    if size > PAIRED_MAX_SIZE:
+        raise SizeLimitError(
+            f"{family}_pb({n}, {k}): (n+1)*(k+1)*max(n, k) = {size} exceeds bound {PAIRED_MAX_SIZE}"
+        )
+
+
 def _paired_q_sum(family: str, n: int, k: int) -> QPoly:
-    """One value of a paired-sum q-analogue, as _PAIRED_SUMS defines it."""
+    """One value of a paired-sum q-analogue, as _PAIRED_SUMS defines it;
+    raises SizeLimitError past PAIRED_MAX_SIZE."""
+    _check_paired_size(family, n, k)
     weight, variant, finish = _PAIRED_SUMS[family]
     total = _paired_sum(n, k, weight, partial(q_stirling, variant))
     return total if finish is None else finish(total, n, k)
@@ -405,9 +423,11 @@ def paired_table(family: str, max_n: int, max_k: int):
     holds the sum over m of w(m) times the largest S(n+1, m+1) and the
     largest S(k+1, m+1) at q = 1 in the table.  The sum is symmetric in
     n and k, so a cell whose mirror (k, n) came first reuses its value.
+    A corner (max_n, max_k) past PAIRED_MAX_SIZE raises SizeLimitError.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("paired_table needs max_n, max_k >= 0")
+    _check_paired_size(family, max_n, max_k)
     weight, variant, finish = _PAIRED_SUMS[family]
     side = min(max_n, max_k)
     stirling = [
@@ -447,8 +467,9 @@ def table(family: str, max_n: int, max_k: int):
     A paired sum whose shorter side reaches PACKED_TABLE_MIN_SIDE takes
     paired_table.  Every other table calls the family's fn, looked up
     when the table starts, once per cell, and the corner (max_n, max_k)
-    first: it has the largest n*k, so an n*k size guard (permmatrix_q's,
-    in objects) refuses the table before any other cell is computed.
+    first: a size guard that grows with n and k (permmatrix_q's in
+    objects, the paired sums' PAIRED_MAX_SIZE) refuses the table there,
+    before any other cell is computed.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("table needs max_n, max_k >= 0")

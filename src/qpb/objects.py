@@ -185,8 +185,9 @@ def _insertion_hist(steps: int, keep_first: bool = False,
 
 
 def _by_blocks(hist: Counter[tuple[int, int]]) -> dict[int, list[tuple[int, int]]]:
-    """The (weight, multiplicity) entries of an insertion histogram, keyed
-    by block count."""
+    """The (weight, multiplicity) entries of a histogram over (key, weight)
+    pairs, grouped by key: a block count for an insertion histogram, a
+    value set for vesztergombi_oracle's prefixes."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for (c, w), mult in hist.items():
         groups.setdefault(c, []).append((w, mult))
@@ -618,11 +619,8 @@ def vesztergombi_oracle(n: int, k: int) -> QPoly:
 
     prefixes: Counter[tuple[int, int]] = Counter()
     place(1, h, 0, 0, 0, prefixes)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for (used, w), c in prefixes.items():
-        groups.setdefault(used, []).append((w, c))
     counts: Counter[int] = Counter()
-    for used, heads in groups.items():
+    for used, heads in _by_blocks(prefixes).items():
         cross = sum((used >> b).bit_count() for b in range(1, m + 1) if not used >> b & 1)
         tails: Counter[tuple[int, int]] = Counter()
         place(h + 1, m, used, 0, cross, tails)

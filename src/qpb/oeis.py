@@ -173,10 +173,8 @@ def crosscheck_table(
     n_terms = min(bound, len(fx.terms))
     computed = _computed_terms(use_reader, n_terms)
     params = {"id": seq_id, "reader": use_reader, "bound": n_terms, "source": fx.source}
-    for i in range(n_terms):
-        if computed[i] != fx.terms[i]:
-            return CheckReport(
-                "oeis-crosscheck", params, "fail",
-                {"index": i, "computed": str(computed[i]), "fixture": str(fx.terms[i])},
-            )
-    return CheckReport("oeis-crosscheck", params, "pass")
+    # the first mismatching index, or the last index when all agree
+    i = next((i for i, (c, t) in enumerate(zip(computed, fx.terms)) if c != t), n_terms - 1)
+    return CheckReport.compare(
+        "oeis-crosscheck", params, computed[i], fx.terms[i], ("computed", "fixture"), index=i,
+    )

@@ -2,7 +2,10 @@
 conjecture harness.
 
 Every check produces a CheckReport; suites are deterministic and report in
-a stable order, so repeated runs emit byte-identical JSON lines.  Status
+a stable order, so repeated runs emit byte-identical JSON lines.  A check
+that compares two routes gets its verdict and witness from
+CheckReport.compare; _pass_fail serves the few whose witness is not the
+two sides.  Status
 'reported' is reserved for construction-dependent comparisons whose
 outcome is data rather than a correctness verdict.
 """
@@ -78,6 +81,15 @@ class CheckReport:
         }
         return json.dumps(payload, sort_keys=True)
 
+    @classmethod
+    def compare(cls, check_id: str, params: dict, got, want, /,
+                names: tuple[str, str] = ("got", "want"), **context) -> CheckReport:
+        """A pass when got == want, rendering neither side; otherwise a fail
+        whose witness is context plus both sides as text under names."""
+        if got == want:
+            return cls(check_id, params, "pass")
+        return cls(check_id, params, "fail", {**context, names[0]: str(got), names[1]: str(want)})
+
 
 def _pass_fail(check_id: str, params: dict, ok: bool, witness: dict | None = None) -> CheckReport:
     if ok:
@@ -129,15 +141,13 @@ def gf_check_classical(k: int, order: int) -> CheckReport:
         raise ValueError("order capped at 12")
     w = _one_minus_exp_neg(Fraction(1), order + 1)
     series = _li_of(k, w) / w
+    params = {"k": k, "order": order}
     for n in range(order + 1):
         got = series.coefficient(n) * factorial(n)
         want = families.classical_pb(n, k)
         if got != want:
-            return _pass_fail(
-                "gf-classical", {"k": k, "order": order}, False,
-                {"n": n, "series": str(got), "formula": str(want)},
-            )
-    return _pass_fail("gf-classical", {"k": k, "order": order}, True)
+            return CheckReport.compare("gf-classical", params, got, want, ("series", "formula"), n=n)
+    return CheckReport("gf-classical", params, "pass")
 
 
 def gf_check_cenkci(k: int, q_sample: Fraction, order: int) -> CheckReport:
@@ -150,16 +160,13 @@ def gf_check_cenkci(k: int, q_sample: Fraction, order: int) -> CheckReport:
     q = Fraction(q_sample)
     u = _one_minus_exp_neg(q, order + 1)
     series = (_li_of(k, u * (1 / q)) * q) / u
+    params = {"k": k, "q": str(q), "order": order}
     for n in range(order + 1):
         got = series.coefficient(n) * factorial(n)
-        v = families.cenkci_q_pb(n, k)
-        want = v.eval_rational(q)
+        want = families.cenkci_q_pb(n, k).eval_rational(q)
         if got != want:
-            return _pass_fail(
-                "gf-cenkci", {"k": k, "q": str(q), "order": order}, False,
-                {"n": n, "series": str(got), "formula": str(want)},
-            )
-    return _pass_fail("gf-cenkci", {"k": k, "q": str(q_sample), "order": order}, True)
+            return CheckReport.compare("gf-cenkci", params, got, want, ("series", "formula"), n=n)
+    return CheckReport("gf-cenkci", params, "pass")
 
 
 def gf_check_ernst(m: int, order: int) -> CheckReport:
@@ -174,15 +181,13 @@ def gf_check_ernst(m: int, order: int) -> CheckReport:
     for i in range(m + 1):
         scale = QRational(q_binomial(m, i) * QPoly.q(comb(i, 2)) * ((-1) ** i)) / denom
         total = total + q_exponential(q_int(m - i), order) * scale
+    params = {"m": m, "order": order}
     for n in range(order + 1):
         got = total.coefficient(n) * QRational(q_factorial(n))
         want = QRational(q_stirling("carlitz", n, m)) if n >= m else zero
         if got != want:
-            return _pass_fail(
-                "gf-ernst", {"m": m, "order": order}, False,
-                {"n": n, "series": str(got), "kernel": str(want)},
-            )
-    return _pass_fail("gf-ernst", {"m": m, "order": order}, True)
+            return CheckReport.compare("gf-ernst", params, got, want, ("series", "kernel"), n=n)
+    return CheckReport("gf-ernst", params, "pass")
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +230,9 @@ def sylvester_conjecture(n: int) -> CheckReport:
     w_n = sylvester_matrix(n).charpoly()
     candidate = (QPoly.one() + QPoly.q(1)) * w_n.subs_neg_q()
     target = families.vesztergombi_q_pb(n, 2)
-    if candidate == target:
-        return CheckReport("sylvester-conjecture", {"n": n}, "pass")
-    alt = -candidate
-    return CheckReport(
-        "sylvester-conjecture",
-        {"n": n},
-        "fail",
-        {
-            "target": str(target),
-            "candidate": str(candidate),
-            "sign_flipped_matches": alt == target,
-        },
+    return CheckReport.compare(
+        "sylvester-conjecture", {"n": n}, candidate, target, ("candidate", "target"),
+        sign_flipped_matches=-candidate == target,
     )
 
 
@@ -245,16 +241,11 @@ def sylvester_conjecture(n: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _suite_value_table(max_n: int, max_k: int, order: int) -> list[CheckReport]:
-    reports = []
-    for k in range(6):
-        for n in range(6):
-            got = families.classical_pb_negk(n, k)
-            want = KNOWN_NEGK_TABLE[k][n]
-            reports.append(_pass_fail(
-                "value-table", {"n": n, "k": k}, got == want,
-                {"got": str(got), "want": str(want)},
-            ))
-    return reports
+    return [
+        CheckReport.compare("value-table", {"n": n, "k": k}, families.classical_pb_negk(n, k), want)
+        for k, row in enumerate(KNOWN_NEGK_TABLE)
+        for n, want in enumerate(row)
+    ]
 
 
 _GOLDEN_POLYS: tuple[tuple[str, Callable[[], QPoly], QPoly], ...] = (
@@ -270,17 +261,11 @@ _GOLDEN_POLYS: tuple[tuple[str, Callable[[], QPoly], QPoly], ...] = (
 def _suite_golden(max_n: int, max_k: int, order: int) -> list[CheckReport]:
     reports = []
     for name, compute, expected in _GOLDEN_POLYS:
-        got = compute()
-        reports.append(_pass_fail(
-            "golden", {"item": name}, got == expected,
-            {"got": str(got), "want": str(expected)},
-        ))
+        reports.append(CheckReport.compare("golden", {"item": name}, compute(), expected))
     for n in range(7):
-        got = families.vesztergombi_q_pb(n, 1)
-        want = (QPoly.one() + QPoly.q(1)) ** n
-        reports.append(_pass_fail(
-            "golden", {"item": f"vesztergombi-{n}-1"}, got == want,
-            {"got": str(got), "want": str(want)},
+        reports.append(CheckReport.compare(
+            "golden", {"item": f"vesztergombi-{n}-1"},
+            families.vesztergombi_q_pb(n, 1), (QPoly.one() + QPoly.q(1)) ** n,
         ))
     perm = rook.build_v_matrix(3, 2).to_int_matrix().permanent()
     reports.append(_pass_fail(
@@ -300,10 +285,7 @@ def q1_collapse_check(family: str, n: int, k: int) -> CheckReport:
     spec = families.FAMILIES[family]
     got = spec.fn(n, -k if spec.signed else k).at_one()
     want = families.c_relative(n, k) if family == "permmatrix_q" else families.classical_pb_negk(n, k)
-    return _pass_fail(
-        "q1-collapse", {"family": family, "n": n, "k": k}, got == want,
-        {"got": str(got), "want": str(want)},
-    )
+    return CheckReport.compare("q1-collapse", {"family": family, "n": n, "k": k}, got, want)
 
 
 def _suite_q1_collapse(max_n: int, max_k: int, order: int) -> list[CheckReport]:
@@ -339,11 +321,9 @@ def oracle_check(oracle: str, n: int, k: int | None = None) -> CheckReport:
     rook-band (the q-rook number of the full band board).
     """
     enumerate_objects, formula = _ORACLES[oracle]
-    got = enumerate_objects(n, k)
-    want = formula(n, k)
-    return _pass_fail(
-        f"oracle-{oracle}", {"n": n} if k is None else {"n": n, "k": k}, got == want,
-        {"enumeration": str(got), "formula": str(want)},
+    return CheckReport.compare(
+        f"oracle-{oracle}", {"n": n} if k is None else {"n": n, "k": k},
+        enumerate_objects(n, k), formula(n, k), ("enumeration", "formula"),
     )
 
 
@@ -380,17 +360,14 @@ def _board_rows(board: rook.Board) -> list[list[int]]:
 def rook_full_square_check(n: int) -> CheckReport:
     """n rooks on the full n x n board give [n]!."""
     got = rook.q_rook_number(rook.full_board(n, n), n)
-    want = q_factorial(n)
-    return _pass_fail("rook-full-square", {"n": n}, got == want, {"got": str(got), "want": str(want)})
+    return CheckReport.compare("rook-full-square", {"n": n}, got, q_factorial(n))
 
 
 def rook_staircase_check(n: int, k: int) -> CheckReport:
     """k rooks on the staircase H_n give q**C(n,2) * S_shifted(n+1, n+1-k)."""
     got = rook.q_rook_number(rook.secondary_staircase(n), k)
     want = QPoly.q(comb(n, 2)) * q_stirling("shifted", n + 1, n + 1 - k)
-    return _pass_fail(
-        "rook-staircase", {"n": n, "k": k}, got == want, {"got": str(got), "want": str(want)}
-    )
+    return CheckReport.compare("rook-staircase", {"n": n, "k": k}, got, want)
 
 
 def rook_reflection_check(n: int) -> CheckReport:
@@ -398,15 +375,15 @@ def rook_reflection_check(n: int) -> CheckReport:
     R_n(reflect_updown B) == q**C(n,2) * R_n(B)(1/q)."""
     # Reflection maps the n x n boards onto themselves: compute each once.
     numbers = {board: rook.q_rook_number(board, n) for board in _all_square_boards(n)}
+    params = {"n": n, "boards": "all"}
     for idx, board in enumerate(numbers):
         lhs = numbers[rook.reflect_updown(board)]
         rhs = QPoly.q(comb(n, 2)) * numbers[board].subs_inv_q()
         if lhs != rhs:
-            return _pass_fail(
-                "rook-reflection", {"n": n, "boards": "all"}, False,
-                {"index": idx, "board": _board_rows(board), "lhs": str(lhs), "rhs": str(rhs)},
+            return CheckReport.compare(
+                "rook-reflection", params, lhs, rhs, ("lhs", "rhs"), index=idx, board=_board_rows(board),
             )
-    return _pass_fail("rook-reflection", {"n": n, "boards": "all"}, True)
+    return CheckReport("rook-reflection", params, "pass")
 
 
 def rook_block_law_check(pairs: Sequence[tuple[rook.Board, rook.Board]]) -> CheckReport:
@@ -428,11 +405,11 @@ def rook_block_law_check(pairs: Sequence[tuple[rook.Board, rook.Board]]) -> Chec
                 * f * f
             ).shift(-i * i)
         if lhs != rhs:
-            return _pass_fail(
-                "rook-block-law", {"pairs": len(pairs)}, False,
-                {"a": _board_rows(a), "b": _board_rows(b), "lhs": str(lhs), "rhs": str(rhs)},
+            return CheckReport.compare(
+                "rook-block-law", {"pairs": len(pairs)}, lhs, rhs, ("lhs", "rhs"),
+                a=_board_rows(a), b=_board_rows(b),
             )
-    return _pass_fail("rook-block-law", {"pairs": len(pairs)}, True)
+    return CheckReport("rook-block-law", {"pairs": len(pairs)}, "pass")
 
 
 def _suite_rook_laws(max_n: int, max_k: int, order: int) -> list[CheckReport]:
@@ -459,11 +436,9 @@ def _suite_cross_formula(max_n: int, max_k: int, order: int) -> list[CheckReport
     reports = []
     for n in range(max_n + 1):
         for k in range(max_k + 1):
-            explicit = families.classical_pb(n, -k)
-            paired = families.classical_pb_negk(n, k)
-            reports.append(_pass_fail(
-                "explicit-vs-paired", {"n": n, "k": k}, explicit == paired,
-                {"explicit": str(explicit), "paired": str(paired)},
+            reports.append(CheckReport.compare(
+                "explicit-vs-paired", {"n": n, "k": k},
+                families.classical_pb(n, -k), families.classical_pb_negk(n, k), ("explicit", "paired"),
             ))
             reports.append(_pass_fail(
                 "step-down-recursion", {"n": n, "k": k},
@@ -477,11 +452,10 @@ def _suite_cross_formula(max_n: int, max_k: int, order: int) -> list[CheckReport
             ))
     for n in range(min(max_n, 8) + 1):
         for k in range(n + 1):
-            lhs = q_stirling("shifted", n, k)
-            rhs = QPoly.q(comb(k, 2)) * q_stirling("carlitz", n, k)
-            reports.append(_pass_fail(
-                "shifted-vs-carlitz", {"n": n, "k": k}, lhs == rhs,
-                {"shifted": str(lhs), "graded": str(rhs)},
+            reports.append(CheckReport.compare(
+                "shifted-vs-carlitz", {"n": n, "k": k},
+                q_stirling("shifted", n, k), QPoly.q(comb(k, 2)) * q_stirling("carlitz", n, k),
+                ("shifted", "graded"),
             ))
     return reports
 
@@ -509,14 +483,13 @@ def at_closed_form_check(rule: str, initial_row: Sequence[Fraction], depth: int)
         raise ValueError(f"closed forms exist for zengA and zengB, not {rule!r}")
     shift = 1 if rule == "zengA" else 0
     lead = families.akiyama_tanigawa(rule, initial_row, n_rows=depth).leading_column()
-    reports = []
-    for n in range(depth):
-        closed = families.carlitz_sum(initial_row[:n + 1], shift)
-        reports.append(_pass_fail(
-            f"at-{rule}-closed-form", {"n": n}, lead[n] == closed,
-            {"triangle": str(lead[n]), "closed": str(closed)},
-        ))
-    return reports
+    return [
+        CheckReport.compare(
+            f"at-{rule}-closed-form", {"n": n},
+            lead[n], families.carlitz_sum(initial_row[:n + 1], shift), ("triangle", "closed"),
+        )
+        for n in range(depth)
+    ]
 
 
 def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckReport]:
@@ -551,10 +524,9 @@ def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckRep
     ))
     for n in range(2, 7):
         tri = families.akiyama_tanigawa("zengA", families.q_power_row(-1, n + 1), n_rows=n + 1)
-        closed, lead_n = families.carlitz_beta(n), tri.leading_column()[n]
-        reports.append(_pass_fail(
-            "carlitz-beta-vs-triangle", {"n": n}, closed == lead_n,
-            {"closed": str(closed), "triangle": str(lead_n)},
+        reports.append(CheckReport.compare(
+            "carlitz-beta-vs-triangle", {"n": n},
+            families.carlitz_beta(n), tri.leading_column()[n], ("closed", "triangle"),
         ))
 
     # Leading column of rule B with power initial rows, against the explicit

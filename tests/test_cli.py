@@ -159,6 +159,12 @@ EXIT_CODE_CASES = [
     (("eval", "--family", "at_q", "--n", "3", "--k", "250", "--format", "json"), 3),
     # a shape with no columns has one matrix, scored without a row search
     (("eval", "--family", "permmatrix_q", "--n", "5000", "--k", "0"), 0),
+    # paired sums past families.PAIRED_MAX_SIZE, refused before any work
+    (("eval", "--family", "lonesum_q", "--n", "1000", "--k", "1"), 3),
+    (("table", "--family", "lonesum_q", "--max-n", "500", "--max-k", "1"), 3),
+    (("eval", "--family", "ordered_q", "--n", "100", "--k", "100"), 3),
+    (("eval", "--family", "vesztergombi_q", "--n", "100", "--k", "100"), 3),
+    (("table", "--family", "vesztergombi_q", "--max-n", "100", "--max-k", "100"), 3),
 ]
 
 

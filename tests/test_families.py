@@ -377,6 +377,29 @@ def test_paired_table_matches_per_cell(family, shape):
     assert list(F.paired_table(family, max_n, max_k)) == expected
 
 
+@pytest.mark.parametrize("family", PAIRED_FAMILIES)
+def test_paired_size_guard(family):
+    # (n+1)*(k+1)*max(n, k) at most PAIRED_MAX_SIZE computes, past it the
+    # value and every table with that corner raise before any work.
+    assert F.PAIRED_MAX_SIZE == 2 ** 14
+    fn = F.FAMILIES[family].fn
+    for n, k in ((90, 1), (1, 90), (48, 3), (3, 48), (24, 24), (20, 9), (9, 20)):
+        assert fn(n, k).at_one() == F.classical_pb_negk(n, k)
+    for n, k in ((91, 1), (1, 91), (25, 25), (26, 24), (1000, 1), (100, 100)):
+        with pytest.raises(SizeLimitError):
+            fn(n, k)
+        with pytest.raises(SizeLimitError):
+            next(F.table(family, n, k))
+        with pytest.raises(SizeLimitError):
+            next(F.paired_table(family, n, k))
+
+
+def test_paired_guard_admits_the_conjecture_range():
+    # the k = 2 column the Sylvester conjecture reads, to n = 40
+    for n in range(41):
+        assert F.vesztergombi_q_pb(n, 2).at_one() == F.classical_pb_negk(n, 2)
+
+
 def test_paired_table_registry_and_domain(monkeypatch):
     assert GATE >= 1
     with pytest.raises(ValueError):

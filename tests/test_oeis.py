@@ -126,9 +126,10 @@ def test_crosscheck_corrupted_fixture_fails_with_witness():
     fx = SequenceFixture("A099594", (1, 1, 1, 1, 99, 1), "bundled", reader="antidiagonal")
     report = crosscheck_table("A099594", fixture=fx, bound=6)
     assert report.status == "fail"
-    assert report.witness["index"] == 4
-    assert report.witness["computed"] == "2"
-    assert report.witness["fixture"] == "99"
+    assert report.witness == {"index": 4, "computed": "2", "fixture": "99"}
+    assert report.parameters == {
+        "id": "A099594", "reader": "antidiagonal", "bound": 6, "source": "bundled",
+    }
 
 
 def test_import_loads_no_network_modules():

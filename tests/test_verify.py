@@ -34,6 +34,30 @@ def test_check_report_invariants():
     assert '"status": "pass"' in r.to_json()
 
 
+class Unprintable:
+    """Equal to anything; rendering it is an error."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return True
+
+    def __str__(self):
+        raise AssertionError("a side of a passing check was rendered")
+
+
+def test_compare_pass_renders_neither_side():
+    report = CheckReport.compare("x", {"n": 1}, Unprintable(), Unprintable(), ("lhs", "rhs"), index=0)
+    assert (report.status, report.parameters, report.witness) == ("pass", {"n": 1}, None)
+
+
+def test_compare_fail_carries_context_and_both_sides():
+    report = CheckReport.compare("x", {"n": 1}, QPoly([0, 1]), 3, ("lhs", "rhs"), index=4, board=[[1]])
+    assert (report.status, report.parameters) == ("fail", {"n": 1})
+    assert report.witness == {"index": 4, "board": [[1]], "lhs": "q", "rhs": "3"}
+    assert CheckReport.compare("x", {}, 2, 3).witness == {"got": "2", "want": "3"}
+
+
 def test_sylvester_matrix_reference_instance():
     assert sylvester_matrix(3) == IntMatrix([
         [1, 1, 1, 0, 0],
@@ -116,10 +140,7 @@ def test_cenkci_comb_suite_reports_only():
 
 def test_fail_witness_is_replayable():
     # corrupt a comparison on purpose and replay the witness
-    from qpb.verify import _pass_fail
-
-    got = families.classical_pb_negk(3, 2)
-    report = _pass_fail("demo", {"n": 3, "k": 2}, got == 47, {"got": str(got), "want": "47"})
+    report = CheckReport.compare("demo", {"n": 3, "k": 2}, families.classical_pb_negk(3, 2), 47)
     assert report.status == "fail"
     assert int(report.witness["got"]) == 46
     assert int(report.witness["got"]) != int(report.witness["want"])
@@ -151,4 +172,116 @@ def test_checks_fail_on_a_broken_route(monkeypatch):
     report = rook_block_law_check([(square, square)])
     assert report.status == "fail"
     assert report.parameters == {"pairs": 1}
-    assert report.witness["a"] == [[1]] and report.witness["lhs"] != report.witness["rhs"]
+    assert report.witness == {"a": [[1]], "b": [[1]], "lhs": "1 + q", "rhs": "4 + 4*q"}
+
+
+_vesztergombi_q_pb = families.vesztergombi_q_pb
+_carlitz_beta = families.carlitz_beta
+
+
+def _w_n(n):
+    """(1+q) * W_n(-q), the candidate side of the Sylvester conjecture."""
+    return QPoly([1, 1]) * sylvester_matrix(n).charpoly().subs_neg_q()
+
+
+# case -> (check id, module, attribute, broken replacement, the check's
+# run, expected (parameters, witness) of its first fail report).  Each run
+# compares two routes, one of which the replacement breaks.
+BROKEN_ROUTES = {
+    "value-table": (
+        "value-table", families, "classical_pb_negk", lambda n, k: 7,
+        lambda: run_suite("value-table"),
+        ({"n": 0, "k": 0}, {"got": "7", "want": "1"}),
+    ),
+    "golden": (
+        "golden", families, "q_fubini", lambda n: QPoly.zero(),
+        lambda: run_suite("golden"),
+        ({"item": "fubini-3"}, {"got": "0", "want": "4 + 5*q + 3*q^2 + q^3"}),
+    ),
+    "golden-vesztergombi-k1": (
+        "golden", families, "vesztergombi_q_pb",
+        lambda n, k: QPoly.q(n) if k == 1 else _vesztergombi_q_pb(n, k),
+        lambda: run_suite("golden"),
+        ({"item": "vesztergombi-1-1"}, {"got": "q", "want": "1 + q"}),
+    ),
+    "rook-full-square": (
+        "rook-full-square", verify, "q_factorial", lambda i: q_factorial(i) * 2,
+        lambda: [verify.rook_full_square_check(2)],
+        ({"n": 2}, {"got": "1 + q", "want": "2 + 2*q"}),
+    ),
+    "rook-staircase": (
+        "rook-staircase", verify, "q_stirling", lambda v, n, m: q_stirling(v, n, m) * 2,
+        lambda: [verify.rook_staircase_check(2, 1)],
+        ({"n": 2, "k": 1}, {"got": "2*q^2 + q^3", "want": "4*q^2 + 2*q^3"}),
+    ),
+    "explicit-vs-paired": (
+        "explicit-vs-paired", families, "classical_pb", lambda n, k: Fraction(n + 1, 2),
+        lambda: run_suite("cross-formula", max_n=1, max_k=1),
+        ({"n": 0, "k": 0}, {"explicit": "1/2", "paired": "1"}),
+    ),
+    "shifted-vs-carlitz": (
+        "shifted-vs-carlitz", verify, "q_stirling",
+        lambda v, n, m: q_stirling(v, n, m) * (2 if v == "shifted" else 1),
+        lambda: run_suite("cross-formula", max_n=1, max_k=0),
+        ({"n": 0, "k": 0}, {"shifted": "2", "graded": "1"}),
+    ),
+    "at-zengB-closed-form": (
+        "at-zengB-closed-form", families, "q_stirling", lambda v, n, m: q_stirling(v, n, m) * 2,
+        lambda: at_closed_form_check("zengB", [Fraction(1), Fraction(1, 2)], 2),
+        ({"n": 0}, {"triangle": "1", "closed": "2"}),
+    ),
+    "carlitz-beta-vs-triangle": (
+        "carlitz-beta-vs-triangle", families, "carlitz_beta", lambda n: _carlitz_beta(n) + 1,
+        lambda: run_suite("akiyama-tanigawa", max_n=2),
+        ({"n": 2}, {
+            "closed": "(1 + 3*q + 2*q^2 + q^3) / (1 + 2*q + 2*q^2 + q^3)",
+            "triangle": "(q) / (1 + 2*q + 2*q^2 + q^3)",
+        }),
+    ),
+    "gf-classical": (
+        "gf-classical", families, "classical_pb", lambda n, k: Fraction(n + 1, 2),
+        lambda: [gf_check_classical(-1, 3)],
+        ({"k": -1, "order": 3}, {"n": 0, "series": "1", "formula": "1/2"}),
+    ),
+    "gf-cenkci": (
+        "gf-cenkci", families, "cenkci_q_pb", lambda n, k: QPoly.const(n),
+        lambda: [gf_check_cenkci(-1, Fraction(2, 3), 3)],
+        ({"k": -1, "q": "2/3", "order": 3}, {"n": 0, "series": "1", "formula": "0"}),
+    ),
+    "gf-ernst": (
+        "gf-ernst", verify, "q_stirling", lambda v, n, m: q_stirling(v, n, m) * 2,
+        lambda: [gf_check_ernst(1, 3)],
+        ({"m": 1, "order": 3}, {"n": 1, "series": "1", "kernel": "2"}),
+    ),
+    "rook-reflection": (
+        "rook-reflection", rook, "q_rook_number", lambda board, k: QPoly.q(1),
+        lambda: [verify.rook_reflection_check(1)],
+        ({"n": 1, "boards": "all"}, {"index": 0, "board": [[0]], "lhs": "q", "rhs": "q^-1"}),
+    ),
+    "sylvester-conjecture": (
+        "sylvester-conjecture", families, "vesztergombi_q_pb", lambda n, k: -_w_n(n),
+        lambda: [sylvester_conjecture(2)],
+        ({"n": 2}, {
+            "target": "-1 - 3*q - 5*q^2 - 4*q^3 - q^4",
+            "candidate": "1 + 3*q + 5*q^2 + 4*q^3 + q^4",
+            "sign_flipped_matches": True,
+        }),
+    ),
+    "sylvester-conjecture-no-sign-flip": (
+        "sylvester-conjecture", families, "vesztergombi_q_pb", lambda n, k: QPoly.one(),
+        lambda: [sylvester_conjecture(2)],
+        ({"n": 2}, {
+            "target": "1",
+            "candidate": "1 + 3*q + 5*q^2 + 4*q^3 + q^4",
+            "sign_flipped_matches": False,
+        }),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_ROUTES)
+def test_fail_witness_on_a_broken_route(monkeypatch, case):
+    check_id, module, name, broken, run, (params, witness) = BROKEN_ROUTES[case]
+    monkeypatch.setattr(module, name, broken)
+    report = next(r for r in run() if r.status == "fail" and r.check_id == check_id)
+    assert (report.parameters, report.witness) == (params, witness)
