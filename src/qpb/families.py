@@ -10,17 +10,17 @@ The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
 zengA (s = 1) and zengB (s = 0) triangles' leading columns.
 
 The three q-valued paired sums are defined once, in _PAIRED_SUMS: their
-weight, q-Stirling variant and finish step; a value or table past
-PAIRED_MAX_SIZE is refused with SizeLimitError.  table is the one entry
-point for a table of any registered family.  A paired sum's table has a
-second route, paired_table.  It packs each q-Stirling number and each
-weight once as an integer (QPoly.packed; the format and its width rule
-are stated once, in the exactnum docstring), so a cell costs plain
-big-integer products instead of QPoly products.  A table takes this
-route once its shorter side reaches PACKED_TABLE_MIN_SIDE, where the
-packed operands are reused enough to pay for the packing; below it, for
-the other families, and for single values, each cell comes from the
-family's own function.
+weight, q-Stirling variant and finish step; a value past
+PAIRED_VALUE_MAX_SIZE or a table past PAIRED_TABLE_MAX_SIZE is refused
+with SizeLimitError.  table is the one entry point for a table of any
+registered family.  A paired sum's table has a second route,
+paired_table.  It packs each q-Stirling number and each weight once as an
+integer (QPoly.packed; the format and its width rule are stated once, in
+the exactnum docstring), so a cell costs plain big-integer products
+instead of QPoly products.  A table takes this route once its shorter
+side reaches PACKED_TABLE_MIN_SIDE, where the packed operands are reused
+enough to pay for the packing; below it, for the other families, and for
+single values, each cell comes from the family's own function.
 
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
@@ -203,24 +203,30 @@ _PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
 }
 
 
-# Bound on (n+1)*(k+1)*max(n, k) for the paired q-families, values and tables
-# alike.  Inside it, in a fresh process on a 2-vCPU VM, one value took at most
-# 0.08 s and a whole table at most 1.1 s and 38 MB (lonesum_q, 24 x 24 and
-# 63 x 3); the 31 x 31 tables took 5-7 s (CHANGES.md table).
-PAIRED_MAX_SIZE = 2 ** 14
+# Size bounds for the paired q-families, from one call or table per fresh
+# process on a 2-vCPU VM (rows in CHANGES.md).  A value's size is
+# (n+1)*(k+1), times max(n, k) for lonesum_q: a cigler S(a, j) has degree
+# about a**2 / 2, so lonesum_q(400, 1) took 5.6 s and 784 MB against 0.2 s
+# for ordered_q(1000, 1).  Inside its bound a value took at most 2.0 s and
+# 193 MB.  A table costs far more than its corner value, so its size is
+# (n+1)*(k+1)*max(n, k) at the corner; inside the bound a table took at
+# most 1.1 s and 38 MB.
+PAIRED_VALUE_MAX_SIZE = {"carlitz": 2 ** 11, "cigler": 2 ** 17}
+PAIRED_TABLE_MAX_SIZE = 2 ** 14
 
 
-def _check_paired_size(family: str, n: int, k: int) -> None:
-    size = (n + 1) * (k + 1) * max(n, k)
-    if size > PAIRED_MAX_SIZE:
-        raise SizeLimitError(
-            f"{family}_pb({n}, {k}): (n+1)*(k+1)*max(n, k) = {size} exceeds bound {PAIRED_MAX_SIZE}"
-        )
+def _check_paired_size(family: str, n: int, k: int, table: bool = False) -> None:
+    variant = _PAIRED_SUMS[family][1]
+    size = (n + 1) * (k + 1) * (max(n, k) if table or variant == "cigler" else 1)
+    bound = PAIRED_TABLE_MAX_SIZE if table else PAIRED_VALUE_MAX_SIZE[variant]
+    if size > bound:
+        what = "table up to" if table else "value at"
+        raise SizeLimitError(f"{family} {what} ({n}, {k}): size {size} exceeds bound {bound}")
 
 
 def _paired_q_sum(family: str, n: int, k: int) -> QPoly:
     """One value of a paired-sum q-analogue, as _PAIRED_SUMS defines it;
-    raises SizeLimitError past PAIRED_MAX_SIZE."""
+    raises SizeLimitError past PAIRED_VALUE_MAX_SIZE."""
     _check_paired_size(family, n, k)
     weight, variant, finish = _PAIRED_SUMS[family]
     total = _paired_sum(n, k, weight, partial(q_stirling, variant))
@@ -423,11 +429,12 @@ def paired_table(family: str, max_n: int, max_k: int):
     holds the sum over m of w(m) times the largest S(n+1, m+1) and the
     largest S(k+1, m+1) at q = 1 in the table.  The sum is symmetric in
     n and k, so a cell whose mirror (k, n) came first reuses its value.
-    A corner (max_n, max_k) past PAIRED_MAX_SIZE raises SizeLimitError.
+    A corner (max_n, max_k) past PAIRED_TABLE_MAX_SIZE raises
+    SizeLimitError.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("paired_table needs max_n, max_k >= 0")
-    _check_paired_size(family, max_n, max_k)
+    _check_paired_size(family, max_n, max_k, table=True)
     weight, variant, finish = _PAIRED_SUMS[family]
     side = min(max_n, max_k)
     stirling = [
@@ -467,15 +474,17 @@ def table(family: str, max_n: int, max_k: int):
     A paired sum whose shorter side reaches PACKED_TABLE_MIN_SIDE takes
     paired_table.  Every other table calls the family's fn, looked up
     when the table starts, once per cell, and the corner (max_n, max_k)
-    first: a size guard that grows with n and k (permmatrix_q's in
-    objects, the paired sums' PAIRED_MAX_SIZE) refuses the table there,
-    before any other cell is computed.
+    first: it has the largest n*k, so an n*k size guard (permmatrix_q's,
+    in objects) refuses the table before any other cell is computed.  A
+    paired sum's table past PAIRED_TABLE_MAX_SIZE is refused on either route.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("table needs max_n, max_k >= 0")
-    if family in _PAIRED_SUMS and min(max_n, max_k) >= PACKED_TABLE_MIN_SIDE:
-        yield from paired_table(family, max_n, max_k)
-        return
+    if family in _PAIRED_SUMS:
+        if min(max_n, max_k) >= PACKED_TABLE_MIN_SIDE:
+            yield from paired_table(family, max_n, max_k)
+            return
+        _check_paired_size(family, max_n, max_k, table=True)
     spec = FAMILIES[family]
     sign = -1 if spec.signed else 1
     corner = spec.fn(max_n, sign * max_k)

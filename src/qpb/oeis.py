@@ -173,8 +173,7 @@ def crosscheck_table(
     n_terms = min(bound, len(fx.terms))
     computed = _computed_terms(use_reader, n_terms)
     params = {"id": seq_id, "reader": use_reader, "bound": n_terms, "source": fx.source}
-    # the first mismatching index, or the last index when all agree
-    i = next((i for i, (c, t) in enumerate(zip(computed, fx.terms)) if c != t), n_terms - 1)
-    return CheckReport.compare(
-        "oeis-crosscheck", params, computed[i], fx.terms[i], ("computed", "fixture"), index=i,
+    return CheckReport.compare_each(
+        "oeis-crosscheck", params, zip(computed, fx.terms), ("computed", "fixture"),
+        lambda i: {"index": i},
     )

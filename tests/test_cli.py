@@ -5,11 +5,13 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from qpb import families
+from qpb import families, verify
 from qpb.cli import main
+from qpb.exactnum import QPoly
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +110,23 @@ def test_conjecture_command(capsys):
     assert rec["status"] == "pass"
 
 
+def test_conjecture_reaches_n_80(capsys, monkeypatch):
+    # The harness reads vesztergombi_q_pb(n, 2) for every n up to 80 without
+    # a size refusal.  The Sylvester matrices' characteristic polynomials
+    # (18 s at n = 80 alone) are stood in for by the W_n that the identity
+    # asks for, (target / (1+q)) at -q.
+    def matrix(n):
+        w_n = families.vesztergombi_q_pb(n, 2).exact_div(QPoly([1, 1])).subs_neg_q()
+        return SimpleNamespace(charpoly=lambda: w_n)
+
+    monkeypatch.setattr(verify, "sylvester_matrix", matrix)
+    code, out, err = run_cli(capsys, "conjecture", "--max-n", "80")
+    assert (code, err) == (0, "")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["parameters"]["n"] for r in reports] == list(range(2, 81))
+    assert {r["status"] for r in reports} == {"pass"}
+
+
 def test_oeis_command_offline(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QPB_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "oeis", "--id", "A099594", "--offline")
@@ -159,12 +178,15 @@ EXIT_CODE_CASES = [
     (("eval", "--family", "at_q", "--n", "3", "--k", "250", "--format", "json"), 3),
     # a shape with no columns has one matrix, scored without a row search
     (("eval", "--family", "permmatrix_q", "--n", "5000", "--k", "0"), 0),
-    # paired sums past families.PAIRED_MAX_SIZE, refused before any work
+    # paired sums past families.PAIRED_VALUE_MAX_SIZE or, for a table,
+    # PAIRED_TABLE_MAX_SIZE, refused before any work
     (("eval", "--family", "lonesum_q", "--n", "1000", "--k", "1"), 3),
     (("table", "--family", "lonesum_q", "--max-n", "500", "--max-k", "1"), 3),
     (("eval", "--family", "ordered_q", "--n", "100", "--k", "100"), 3),
     (("eval", "--family", "vesztergombi_q", "--n", "100", "--k", "100"), 3),
     (("table", "--family", "vesztergombi_q", "--max-n", "100", "--max-k", "100"), 3),
+    # a long carlitz value is cheap and inside its bound
+    (("eval", "--family", "ordered_q", "--n", "1000", "--k", "1"), 0),
 ]
 
 

@@ -377,26 +377,46 @@ def test_paired_table_matches_per_cell(family, shape):
     assert list(F.paired_table(family, max_n, max_k)) == expected
 
 
+# variant -> the largest values inside PAIRED_VALUE_MAX_SIZE and the
+# smallest past it, along a line and a square
+VALUE_EDGES = {
+    "carlitz": ([(1023, 1), (1, 1023), (44, 44)], [(1024, 1), (1, 1024), (45, 44)]),
+    "cigler": ([(255, 1), (1, 255), (50, 50)], [(256, 1), (1, 256), (51, 50)]),
+}
+
+
 @pytest.mark.parametrize("family", PAIRED_FAMILIES)
-def test_paired_size_guard(family):
-    # (n+1)*(k+1)*max(n, k) at most PAIRED_MAX_SIZE computes, past it the
-    # value and every table with that corner raise before any work.
-    assert F.PAIRED_MAX_SIZE == 2 ** 14
+def test_paired_size_guard(family, monkeypatch):
+    # A table whose corner has (n+1)*(k+1)*max(n, k) past
+    # PAIRED_TABLE_MAX_SIZE raises on either route before any work; a
+    # value is bounded by PAIRED_VALUE_MAX_SIZE of its q-Stirling variant.
+    assert F.PAIRED_TABLE_MAX_SIZE == 2 ** 14
+    assert F.PAIRED_VALUE_MAX_SIZE == {"carlitz": 2 ** 11, "cigler": 2 ** 17}
     fn = F.FAMILIES[family].fn
     for n, k in ((90, 1), (1, 90), (48, 3), (3, 48), (24, 24), (20, 9), (9, 20)):
         assert fn(n, k).at_one() == F.classical_pb_negk(n, k)
+        assert next(F.table(family, n, k)) == (0, 0, QPoly.one())
     for n, k in ((91, 1), (1, 91), (25, 25), (26, 24), (1000, 1), (100, 100)):
-        with pytest.raises(SizeLimitError):
-            fn(n, k)
         with pytest.raises(SizeLimitError):
             next(F.table(family, n, k))
         with pytest.raises(SizeLimitError):
             next(F.paired_table(family, n, k))
+    for n, k in ((91, 1), (1, 91), (25, 25), (26, 24)):
+        assert fn(n, k).at_one() == F.classical_pb_negk(n, k)
+    inside, past = VALUE_EDGES[F._PAIRED_SUMS[family][1]]
+    for n, k in past + [(100, 100)]:
+        with pytest.raises(SizeLimitError):
+            fn(n, k)
+    # the edge values inside the bound pass the guard; their sums are
+    # stubbed out, since the largest take over a second
+    monkeypatch.setattr(F, "_paired_sum", lambda *args: QPoly.one())
+    for n, k in inside:
+        fn(n, k)
 
 
 def test_paired_guard_admits_the_conjecture_range():
-    # the k = 2 column the Sylvester conjecture reads, to n = 40
-    for n in range(41):
+    # the k = 2 column the Sylvester conjecture reads, to n = 80
+    for n in range(81):
         assert F.vesztergombi_q_pb(n, 2).at_one() == F.classical_pb_negk(n, 2)
 
 

@@ -58,6 +58,21 @@ def test_compare_fail_carries_context_and_both_sides():
     assert CheckReport.compare("x", {}, 2, 3).witness == {"got": "2", "want": "3"}
 
 
+def test_compare_each_reports_the_first_pair_that_differs():
+    def pairs():
+        yield Unprintable(), Unprintable()
+        yield 1, 2
+        raise AssertionError("a pair after the first fail was computed")
+
+    report = CheckReport.compare_each("x", {"n": 1}, pairs(), ("lhs", "rhs"), lambda i: {"index": i})
+    assert (report.status, report.witness) == ("fail", {"index": 1, "lhs": "1", "rhs": "2"})
+    # a pass renders no side and builds no context
+    unprintable = [(Unprintable(), Unprintable())] * 3
+    passed = CheckReport.compare_each("x", {"n": 1}, unprintable, ("lhs", "rhs"), lambda i: 1 / 0)
+    assert (passed.status, passed.witness) == ("pass", None)
+    assert CheckReport.compare_each("x", {}, []).status == "pass"
+
+
 def test_sylvester_matrix_reference_instance():
     assert sylvester_matrix(3) == IntMatrix([
         [1, 1, 1, 0, 0],
@@ -75,6 +90,16 @@ def test_conjecture_anchored_case():
     # the identity at n = 3: (1+q) W_3(-q) is the known degree-6 polynomial
     w3 = sylvester_matrix(3).charpoly()
     assert (QPoly([1, 1]) * w3.subs_neg_q()) == QPoly([1, 4, 9, 13, 12, 6, 1])
+
+
+def test_conjecture_pass_does_no_witness_work(monkeypatch):
+    # a pass neither forms the sign-flipped candidate nor renders a side
+    def refuse(self):
+        raise AssertionError("witness work on a pass")
+
+    monkeypatch.setattr(QPoly, "__neg__", refuse)
+    monkeypatch.setattr(QPoly, "__str__", refuse)
+    assert sylvester_conjecture(3).status == "pass"
 
 
 def test_conjecture_range_and_bounds():
@@ -140,7 +165,10 @@ def test_cenkci_comb_suite_reports_only():
 
 def test_fail_witness_is_replayable():
     # corrupt a comparison on purpose and replay the witness
-    report = CheckReport.compare("demo", {"n": 3, "k": 2}, families.classical_pb_negk(3, 2), 47)
+    from qpb.verify import _pass_fail
+
+    got = families.classical_pb_negk(3, 2)
+    report = _pass_fail("demo", {"n": 3, "k": 2}, got == 47, {"got": str(got), "want": "47"})
     assert report.status == "fail"
     assert int(report.witness["got"]) == 46
     assert int(report.witness["got"]) != int(report.witness["want"])
