@@ -11,15 +11,17 @@ weight polynomial is a histogram over the objects,
 QPoly.from_terms(Counter(...)), with each object counted once.  The
 oracles build their statistic during the search, adding each step's
 share as a row, element or value is placed, so no object is
-materialised.  fubini_oracle, ordered_q_oracle and vesztergombi_oracle
-count each object once as a pair of halves: each half is enumerated
-object by object, the halves that fit together are grouped (by block
-count, or by the set of values a prefix uses), and the pair adds the
-weight the two halves make together.  The
-generators and per-object statistics (gen_matrix_class with nu_weight
-and ones_minus_cols; gen_ordered_partitions, gen_alternating_pairs and
-inv_star; gen_vesztergombi and inversions) stay as the specification
-the tests check those oracles against.  The 0/1 matrix classes are
+materialised.  fubini_oracle and ordered_q_oracle count each object
+once as a pair of halves: each half is enumerated object by object, the
+halves with the same block count are grouped, and the pair adds the
+weight the two halves make together.  vesztergombi_oracle is a transfer
+count (Stanley, EC1 4.7): it places the values position by position
+and merges the prefixes that use the same values into one packed
+histogram of their inversions.  The generators and per-object
+statistics (gen_matrix_class with nu_weight and ones_minus_cols;
+gen_ordered_partitions, gen_alternating_pairs and inv_star;
+gen_vesztergombi and inversions) stay as the specification the tests
+check those oracles against.  The 0/1 matrix classes are
 searched row by row, each row drawn from a bitset over the 2**k row
 codes of the rows compatible with every row above it under the class's
 forbidden 2x2 patterns; class_poly scores the last row from that bitset
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import compress, count, product
-from math import comb
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
@@ -185,9 +187,8 @@ def _insertion_hist(steps: int, keep_first: bool = False,
 
 
 def _by_blocks(hist: Counter[tuple[int, int]]) -> dict[int, list[tuple[int, int]]]:
-    """The (weight, multiplicity) entries of a histogram over (key, weight)
-    pairs, grouped by key: a block count for an insertion histogram, a
-    value set for vesztergombi_oracle's prefixes."""
+    """The (weight, multiplicity) entries of a histogram over (block
+    count, weight) pairs, grouped by block count."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for (c, w), mult in hist.items():
         groups.setdefault(c, []).append((w, mult))
@@ -585,49 +586,37 @@ def gen_vesztergombi(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def vesztergombi_oracle(n: int, k: int) -> QPoly:
     """Sum of q**inversions over the banded permutation class, counted
-    as pairs of a prefix (positions 1..h, h = m // 2) and a suffix.
+    position by position as a transfer count.
 
-    Both halves are built position by position.  A search holds bit v of
-    used for each value v already placed and bit v of own for each value
-    it placed itself, so placing v adds the (own >> v).bit_count()
-    inversions it makes with larger values to its left in its own half.
-    Value i-k may sit at no position after i, so when it is still free at
-    position i it goes there, which cuts every branch that would strand
-    it.  The prefixes are grouped by their value set U, and the suffix
-    search runs once per U; each of its permutations pairs with each
-    prefix of the group, and the pair adds the cross inversions
-    #{a in U, b not in U, a > b}, which depend on U alone.
+    One dict maps used, with bit v for each value v already placed, to the
+    histogram of inversions over the prefixes that place exactly those
+    values, packed (QPoly.packed).  Placing v makes (used >> v).bit_count()
+    inversions with the larger values to its left, and shifts the
+    histogram by that many.  Value i-k may sit at no position after i, so
+    when it is still free at position i it goes there, which cuts every
+    prefix that would strand it.  Every count is at most m!, which sets
+    the packed width.
     """
     _check_band_size(n, k)
     m = n + k
-    h = m // 2
-
-    def place(i: int, last: int, used: int, own: int, w: int, out: Counter) -> None:
-        # Positions i..last are still to fill; out counts (used, w).
-        if i > last:
-            out[used, w] += 1
-            return
+    width = (factorial(m).bit_length() + 7) // 8
+    shift = 8 * width
+    states = {0: 1}
+    for i in range(1, m + 1):
         lo, hi = max(1, i - k), min(m, i + n)
-        if lo == i - k and not used >> lo & 1:
-            place(i + 1, last, used | 1 << lo, own | 1 << lo, w + (own >> lo).bit_count(), out)
-            return
-        free = ~used & ((2 << hi) - (1 << lo))
-        while free:
-            v = (free & -free).bit_length() - 1
-            free &= free - 1
-            place(i + 1, last, used | 1 << v, own | 1 << v, w + (own >> v).bit_count(), out)
-
-    prefixes: Counter[tuple[int, int]] = Counter()
-    place(1, h, 0, 0, 0, prefixes)
-    counts: Counter[int] = Counter()
-    for used, heads in _by_blocks(prefixes).items():
-        cross = sum((used >> b).bit_count() for b in range(1, m + 1) if not used >> b & 1)
-        tails: Counter[tuple[int, int]] = Counter()
-        place(h + 1, m, used, 0, cross, tails)
-        for (_, wt), ct in tails.items():
-            for wh, ch in heads:
-                counts[wh + wt] += ch * ct
-    return QPoly.from_terms(counts)
+        after: dict[int, int] = {}
+        for used, hist in states.items():
+            if lo == i - k and not used >> lo & 1:
+                free = 1 << lo
+            else:
+                free = ~used & ((2 << hi) - (1 << lo))
+            while free:
+                v = (free & -free).bit_length() - 1
+                free &= free - 1
+                key = used | 1 << v
+                after[key] = after.get(key, 0) + (hist << shift * (used >> v).bit_count())
+        states = after
+    return QPoly.from_packed(sum(states.values()), width)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,15 @@ number.
 
 q_rook_number counts each placement once but never builds it: it fills
 the rows bottom-up and adds each row's uncancelled cells as the row is
-filled.  On boards of SPLIT_MIN_ROWS rows or more it counts each
-placement once as a pair of halves, the rows below a cut and the rows
-above it, each half placed rook by rook.  rook_placements and gr_inv
-state the same sum placement by placement, and the tests check
-q_rook_number against them.
+filled.  It is a transfer count (Stanley, EC1 4.7): the partial
+placements that take the same columns are merged into one packed weight
+histogram per column set.  rook_placements and gr_inv state the same
+sum placement by placement, and the tests check q_rook_number against
+them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -45,9 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_AREA = 64
-# Boards with fewer rows are filled in one search, without the cut in
-# q_rook_number (crossover measured in CHANGES.md).
-SPLIT_MIN_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -156,65 +152,43 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
     rook in a row already filled, so each row's uncancelled cells are known
     when it is filled: a rook at column j leaves the cells right of it
     whose column is not in below, and an empty row leaves every column not
-    in below.  Once all k rooks are down, each remaining row leaves cols-k.
-    When k == cols every column takes a rook, so a free column whose top
-    cell is in the current row takes this row's rook.
+    in below.
 
-    The weight a row adds depends only on placed and below, so on boards
-    of SPLIT_MIN_ROWS rows or more the search stops at the cut row and
-    groups the lower placements still short of k rooks by (placed,
-    below).  The rows above the cut are filled once per group, from
-    weight 0, and each upper placement pairs with each lower one.
+    The weight a row adds depends only on below, so the rows are filled as
+    a transfer count: one dict maps each below to the histogram of the
+    weights of the partial placements that reach it, packed
+    (QPoly.packed).  A row shifts each histogram by its weight into the
+    next state's, and the states with k rooks after the top row hold the
+    sum.  A state stops taking rooks at k and is dropped once too few rows
+    are left to reach k.  Every row is empty or holds one of cols rooks,
+    so (cols+1)**rows bounds each count and sets the packed width.
     """
     if board.area > max_area:
         raise SizeLimitError(f"board area {board.area} exceeds bound {max_area}")
     if k < 0 or k > min(board.rows, board.cols):
         raise ValueError(f"k must lie in [0, min(rows, cols)], got {k}")
     cols = board.cols
-    row_bits = [sum(v << j for j, v in enumerate(r)) for r in board.cells]
-    # last[i]: columns that must take row i's rook if still free there.
-    last = [0] * board.rows
-    if k == cols:
-        for j in range(cols):
-            top = next((i for i, r in enumerate(board.cells) if r[j]), None)
-            if top is not None:
-                last[top] |= 1 << j
-    counts: Counter[int] = Counter()
-    heads: defaultdict[tuple[int, int], Counter[int]] = defaultdict(Counter)
-
-    def fill(i: int, stop: int, placed: int, below: int, w: int, out: Counter) -> None:
-        # Rows i, i-1, ..., 0 are still to fill; a placement still short of
-        # k rooks at row stop waits in heads under (placed, below).
-        if placed == k:
-            out[w + (i + 1) * (cols - k)] += 1
-            return
-        if i == stop:
-            heads[placed, below][w] += 1
-            return
-        free = last[i] & ~below
-        if free & (free - 1):
-            return  # two free columns have no row left but this one
-        if not free:
-            if i + 1 > k - placed:  # enough rows left to leave this one empty
-                fill(i - 1, stop, placed, below, w + cols - placed, out)
-            free = row_bits[i] & ~below
-        while free:
-            j = (free & -free).bit_length() - 1
-            free &= free - 1
-            fill(i - 1, stop, placed + 1, below | 1 << j,
-                 w + cols - 1 - j - (below >> (j + 1)).bit_count(), out)
-
-    # A placement is short of k rooks only while a row is left, so with
-    # cut == 0 no group forms.
-    cut = board.rows // 2 if board.rows >= SPLIT_MIN_ROWS else 0
-    fill(board.rows - 1, cut - 1, 0, 0, 0, counts)
-    for (placed, below), lower in heads.items():
-        upper: Counter[int] = Counter()
-        fill(cut - 1, -1, placed, below, 0, upper)
-        for wu, cu in upper.items():
-            for wl, cl in lower.items():
-                counts[wl + wu] += cl * cu
-    return QPoly.from_terms(counts)
+    width = (((cols + 1) ** board.rows).bit_length() + 7) // 8
+    shift = 8 * width
+    states = {0: 1}
+    for i in range(board.rows - 1, -1, -1):
+        # Rows 0..i-1 are left after row i.
+        row = sum(v << j for j, v in enumerate(board.cells[i]))
+        after: dict[int, int] = {}
+        for below, hist in states.items():
+            placed = below.bit_count()
+            if placed + i >= k:
+                after[below] = after.get(below, 0) + (hist << shift * (cols - placed))
+            free = row & ~below if placed < k else 0
+            while free:
+                j = (free & -free).bit_length() - 1
+                free &= free - 1
+                key = below | 1 << j
+                w = cols - 1 - j - (below >> (j + 1)).bit_count()
+                after[key] = after.get(key, 0) + (hist << shift * w)
+        states = after
+    done = (hist for below, hist in states.items() if below.bit_count() == k)
+    return QPoly.from_packed(sum(done), width)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from qpb.exactnum import QPoly
 from qpb.objects import inversions
 from qpb.qkernels import q_factorial, q_stirling
 from qpb.rook import (
-    SPLIT_MIN_ROWS,
     Board,
     RookConfig,
     block_over,
@@ -156,9 +155,9 @@ def test_rook_number_matches_placements_sampled(data):
     assert q_rook_number(board, k) == _placement_hist(board, k)
 
 
-# q_rook_number fills the top rows 0..cut-1 once per group of the rows
-# beneath them when a board has at least SPLIT_MIN_ROWS rows.
-_TALL = range(SPLIT_MIN_ROWS, SPLIT_MIN_ROWS + 3)
+# Boards of 6 to 8 rows, cut at rows // 2: with every rook below the cut,
+# on a band, with an empty row at the cut, and sampled.
+_TALL = range(6, 9)
 
 
 def _every_k(board):
@@ -177,7 +176,7 @@ def test_split_rook_number_with_every_rook_below_the_cut():
 
 
 def test_split_rook_number_on_band_boards():
-    for m in range(SPLIT_MIN_ROWS, 8):
+    for m in range(6, 8):
         for n in range(m + 1):
             board = build_v_matrix(n, m - n)
             _every_k(board)
@@ -207,6 +206,22 @@ def test_split_rook_number_sampled_tall_boards(data):
         tuple(data.draw(st.integers(min_value=0, max_value=1)) for _ in range(cols))
         for _ in range(rows)
     )))
+
+
+def test_rook_number_on_seven_row_boards():
+    # Square and wide boards, where a full placement takes every column.
+    for cols in (5, 7):
+        _every_k(full_board(7, cols))
+    for cols in range(4, 8):
+        _every_k(Board(tuple(tuple(1 if j <= i else 0 for j in range(cols)) for i in range(7))))
+
+
+def test_rook_number_on_band_boards_past_the_default_area():
+    for m in range(8, 13):
+        for n in range(m + 1):
+            board = build_v_matrix(n, m - n)
+            got = q_rook_number(board, m, max_area=board.area)
+            assert got == families.vesztergombi_q_pb(n, m - n), (n, m)
 
 
 def test_reflection_law_exhaustive_small():
