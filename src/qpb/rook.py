@@ -21,6 +21,8 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
@@ -159,9 +161,11 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
     weights of the partial placements that reach it, packed
     (QPoly.packed).  A row shifts each histogram by its weight into the
     next state's, and the states with k rooks after the top row hold the
-    sum.  A state stops taking rooks at k and is dropped once too few rows
-    are left to reach k.  Every row is empty or holds one of cols rooks,
-    so (cols+1)**rows bounds each count and sets the packed width.
+    sum.  A state stops taking rooks at k.  It is dropped once the rows
+    left, or the free columns with a cell in those rows, are too few for
+    the rooks it still needs: such a state could never reach k.  Every row
+    is empty or holds one of cols rooks, so (cols+1)**rows bounds each
+    count and sets the packed width.
     """
     if board.area > max_area:
         raise SizeLimitError(f"board area {board.area} exceeds bound {max_area}")
@@ -170,22 +174,24 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
     cols = board.cols
     width = (((cols + 1) ** board.rows).bit_length() + 7) // 8
     shift = 8 * width
+    rows = [sum(v << j for j, v in enumerate(r)) for r in board.cells]
+    # reach[i]: the columns with a cell in rows 0..i-1, the rows left after row i.
+    reach = list(accumulate(rows, or_, initial=0))
     states = {0: 1}
     for i in range(board.rows - 1, -1, -1):
-        # Rows 0..i-1 are left after row i.
-        row = sum(v << j for j, v in enumerate(board.cells[i]))
         after: dict[int, int] = {}
         for below, hist in states.items():
             placed = below.bit_count()
-            if placed + i >= k:
+            if placed + min(i, (reach[i] & ~below).bit_count()) >= k:
                 after[below] = after.get(below, 0) + (hist << shift * (cols - placed))
-            free = row & ~below if placed < k else 0
+            free = rows[i] & ~below if placed < k else 0
             while free:
                 j = (free & -free).bit_length() - 1
                 free &= free - 1
                 key = below | 1 << j
-                w = cols - 1 - j - (below >> (j + 1)).bit_count()
-                after[key] = after.get(key, 0) + (hist << shift * w)
+                if placed + 1 + (reach[i] & ~key).bit_count() >= k:
+                    w = cols - 1 - j - (below >> (j + 1)).bit_count()
+                    after[key] = after.get(key, 0) + (hist << shift * w)
         states = after
     done = (hist for below, hist in states.items() if below.bit_count() == k)
     return QPoly.from_packed(sum(done), width)
