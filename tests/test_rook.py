@@ -209,7 +209,7 @@ def test_split_rook_number_sampled_tall_boards(data):
 
 
 def test_rook_number_on_seven_row_boards():
-    # Square and wide boards, where a full placement takes every column.
+    # At k == cols every column takes a rook, so most partial placements die.
     for cols in (5, 7):
         _every_k(full_board(7, cols))
     for cols in range(4, 8):
