@@ -12,8 +12,9 @@ Four carriers, all immutable and exact (no floats anywhere):
                       ring (Fraction or QRational in practice).
 * ``IntMatrix``       dense big-integer matrix with exact characteristic
                       polynomial (Berkowitz, division free) and permanent
-                      (Glynn's formula over a Gray code of row signs, up
-                      to ``MAX_PERMANENT_DIM`` rows).
+                      (Glynn's formula as a row transfer count over the
+                      open column sums, met in the middle at half size,
+                      up to ``MAX_PERMANENT_DIM`` rows).
 
 ``QPoly`` multiplication takes one of three paths, chosen from the
 operands alone:
@@ -44,7 +45,7 @@ object and never mutates its inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, prod
 from operator import add, mul, neg, sub
 from struct import unpack
@@ -896,6 +897,27 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
+def _row_step(states: dict, row: list, close: int, signs) -> dict:
+    """One row of IntMatrix.permanent's transfer count.
+
+    Each state (a tuple of column sums) is moved by +row or -row for each
+    (op, sign) in signs.  Its first ``close`` sums are then final: their
+    product is folded into the weight (a zero ends the state) and the rest
+    keys the merged result.
+    """
+    out: dict = {}
+    get = out.get
+    row_done, row_rest = row[:close], row[close:]
+    for key, w in states.items():
+        done, rest = key[:close], key[close:]
+        for op, s in signs:
+            c = prod(map(op, done, row_done))
+            if c:
+                new = tuple(map(op, rest, row_rest))
+                out[new] = get(new, 0) + s * w * c
+    return out
+
+
 # Largest dimension IntMatrix.permanent accepts: 2**19 Gray-code steps.
 MAX_PERMANENT_DIM = 20
 
@@ -964,13 +986,33 @@ class IntMatrix:
         return QPoly([sign * poly[n - e] for e in range(n + 1)])
 
     def permanent(self) -> int:
-        """Exact permanent by Glynn's formula with Gray codes (Glynn, Eur.
-        J. Combin. 31, 2010): 2**(n-1)*perm(A) is the sum over signs d with
-        d[0] = +1 of d[0]*...*d[n-1] times the product of the column sums
+        """Exact permanent by Glynn's formula (Glynn, Eur. J. Combin. 31,
+        2010): 2**(n-1)*perm(A) is the sum over signs d with d[0] = +1 of
+        d[0]*...*d[n-1] times the product over columns j of the column sum
         sum_i d[i]*a[i][j].
 
-        Cost is O(2**(n-1) * n); MAX_PERMANENT_DIM guards against runaway
-        inputs.
+        The sum runs as a row transfer count (Stanley, EC1 §4.7).  Rows are
+        filled top to bottom, row 0 with sign +1 and every later row with
+        both signs.  A state is the tuple of partial sums of the open
+        columns, those with a nonzero entry in a row still to come, and
+        carries the signed weight of the sign prefixes that reach it.  At a
+        column's last nonzero row its sum is final: it is multiplied into
+        the weight and its coordinate dropped (the fold).  A zero sum ends
+        the state, equal states merge, and a matrix with an all-zero column
+        has permanent 0.
+
+        Once the states outnumber 2**((n+1)//2), the signed sums of half
+        the rows, the rows left are summed once by the same step without
+        folding, and each state meets every such tail sum in one product
+        of column sums (Glynn's sum met in the middle); a pair with a zero
+        column sum is skipped.  All-ones matrices keep at most n states and
+        leave no rows.  Band boards leave some when the band reaches far
+        below the diagonal: the 14x14 and 16x16 boards of B_7^(-7) and
+        B_8^(-8) leave 3 and 5.
+
+        So the cost is at most about 2**(n-1) products of n column sums,
+        and far less when partial sums merge; MAX_PERMANENT_DIM guards
+        against runaway inputs.
         """
         self._require_square()
         n = self.rows
@@ -978,30 +1020,48 @@ class IntMatrix:
             raise SizeLimitError(f"permanent of {n}x{n} exceeds bound {MAX_PERMANENT_DIM}")
         if n == 0:
             return 1
-        # Step t flips the sign of row j+1, where j is the lowest set bit of
-        # t, so the Gray code t ^ (t >> 1) holds the rows at -1 and the
-        # product of the signs is (-1)**t.  Only the row's nonzero entries
-        # move a column sum, and `zeros` counts the column sums at 0, so a
-        # zero product is skipped without a scan.
         a = self.entries
-        col_sums = [sum(row[j] for row in a) for j in range(n)]
-        zeros = col_sums.count(0)
-        total = 0 if zeros else prod(col_sums)
-        ups = [[(j, 2 * v) for j, v in enumerate(row) if v] for row in a[1:]]
-        downs = [[(j, -v) for j, v in row] for row in ups]
-        for t in range(1, 1 << (n - 1)):
-            j = (t & -t).bit_length() - 1
-            for c, v in (downs if (t ^ t >> 1) >> j & 1 else ups)[j]:
-                old = col_sums[c]
-                new = old + v
-                col_sums[c] = new
-                if not old:
-                    zeros -= 1
-                elif not new:
-                    zeros += 1
-            if not zeros:
-                if t & 1:
-                    total -= prod(col_sums)
-                else:
-                    total += prod(col_sums)
+        last = []
+        for j in range(n):
+            rows = [i for i in range(n) if a[i][j]]
+            if not rows:
+                return 0
+            last.append(rows[-1])
+        # Columns in order of their last nonzero row, so the ones that fold
+        # at a row are always a prefix of the state.
+        cols = sorted(range(n), key=last.__getitem__)
+
+        states = {(0,) * n: 1}
+        signs = ((add, 1),)
+        i = 0
+        while i < n and len(states) <= 1 << (n + 1) // 2:
+            close = last.count(i)
+            states = _row_step(states, [a[i][j] for j in cols], close, signs)
+            cols = cols[close:]
+            signs = ((add, 1), (sub, -1))
+            i += 1
+        if not states:
+            return 0
+        tails = {(0,) * len(cols): 1}
+        for r in range(i, n):
+            tails = _row_step(tails, [a[r][j] for j in cols], 0, signs)
+        # Pair every state with every tail sum.  A pair whose column sums
+        # hold a zero adds nothing: byte h of `dead` is 1 when state h meets
+        # the tail in a zero sum, and compress() keeps the other states.
+        heads, weights = list(states), list(states.values())
+        columns = list(zip(*heads))
+        values = [set(c) for c in columns]
+        ones = int.from_bytes(b"\1" * len(heads), "little")
+        zero_at: dict = {}
+        total = 0
+        for tail, tw in tails.items():
+            dead = 0
+            for j, v in enumerate(tail):
+                if -v in values[j]:
+                    if (j, v) not in zero_at:
+                        zero_at[j, v] = int.from_bytes(bytes(map((-v).__eq__, columns[j])), "little")
+                    dead |= zero_at[j, v]
+            live = (ones ^ dead).to_bytes(len(heads), "little")
+            sums = map(map, repeat(add), compress(heads, live), repeat(tail))
+            total += tw * sum(map(mul, compress(weights, live), map(prod, sums)))
         return total >> (n - 1)

@@ -654,3 +654,68 @@ def test_permanent_matches_expansion_and_permutation_invariance(n, data):
     assert col_shuffled.permanent() == expected
     transposed = IntMatrix([[rows[i][j] for i in range(n)] for j in range(n)])
     assert transposed.permanent() == expected
+
+
+def _permanent_by_laplace(rows) -> int:
+    """Laplace expansion along the rows, memoised on the set of used columns."""
+    n = len(rows)
+    memo: dict[int, int] = {}
+
+    def expand(used: int) -> int:
+        i = used.bit_count()
+        if i == n:
+            return 1
+        if used not in memo:
+            memo[used] = sum(
+                v * expand(used | 1 << j) for j, v in enumerate(rows[i]) if v and not used >> j & 1
+            )
+        return memo[used]
+
+    return expand(0)
+
+
+def test_permanent_transfer_count_matches_laplace(monkeypatch):
+    from qpb import exactnum
+
+    rng = random.Random(74)
+    cases = []
+    for d in range(7, 13):
+        for low in (1, d // 2, d - 2):
+            # band board: cell (i, j) iff -(d - low) <= i - j <= low
+            cases.append(("band", [[int(low - d <= i - j <= low) for j in range(d)] for i in range(d)]))
+        cases.append(("ones", [[1] * d for _ in range(d)]))
+        for p in (0.5, 0.9):
+            cases.append(("random01", [[int(rng.random() < p) for _ in range(d)] for _ in range(d)]))
+        cases.append(("signed", [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]))
+    big = [[rng.randint(-(10**30), 10**30) for _ in range(9)] for _ in range(9)]
+    cases.append(("big", big))
+    zero_col = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(8)]
+    for row in zero_col:
+        row[5] = 0
+    zero_row = [[rng.randint(1, 3) for _ in range(8)] for _ in range(8)]
+    zero_row[3] = [0] * 8
+    cases += [("zero", zero_col), ("zero", zero_row)]
+
+    # The transfer count leaves rows to the pairing only if its states
+    # outnumber 2**((d+1)//2) before the last row; record the state counts.
+    sizes: list[int] = []
+    step = exactnum._row_step
+
+    def counting_step(*args):
+        out = step(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(exactnum, "_row_step", counting_step)
+    paired = {}
+    for kind, rows in cases:
+        d = len(rows)
+        sizes.clear()
+        assert IntMatrix(rows).permanent() == _permanent_by_laplace(rows), (kind, rows)
+        paired.setdefault(kind, set()).add(any(s > 1 << (d + 1) // 2 for s in sizes[: d - 1]))
+    # Both ends are covered: all-ones matrices and the narrow-below bands
+    # finish as a pure transfer count, the other kinds reach the pairing.
+    assert paired["ones"] == {False}
+    assert paired["band"] == {False, True}
+    assert True in paired["random01"] and True in paired["signed"] and paired["big"] == {True}
+    assert _permanent_by_laplace(big) != 0

@@ -304,3 +304,11 @@ def test_band_boards_bridge_to_family():
             assert got == families.vesztergombi_q_pb(n, k)
             # full placements are counted by the permanent
             assert got.at_one() == board.to_int_matrix().permanent()
+
+
+def test_band_permanents_count_poly_bernoulli_negk():
+    # perm of the (n+k)x(n+k) band board is B_n^(-k), up to the sizes the
+    # benchmark's band permanents reach (14x14 and 16x16)
+    for n in range(17):
+        for k in range(17 - n):
+            assert build_v_matrix(n, k).to_int_matrix().permanent() == families.classical_pb_negk(n, k), (n, k)
