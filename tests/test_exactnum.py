@@ -696,23 +696,24 @@ def test_permanent_transfer_count_matches_laplace(monkeypatch):
     zero_row[3] = [0] * 8
     cases += [("zero", zero_col), ("zero", zero_row)]
 
-    # The transfer count leaves rows to the pairing only if its states
-    # outnumber 2**((d+1)//2) before the last row; record the state counts.
-    sizes: list[int] = []
+    # Each transfer step takes the previous step's states; the rows left to
+    # the pairing start again from one fresh state, so a second call on a
+    # dict that no step returned marks a matrix that reached the pairing.
+    fresh: list[bool] = []
+    previous: list = [None]
     step = exactnum._row_step
 
-    def counting_step(*args):
-        out = step(*args)
-        sizes.append(len(out))
-        return out
+    def watching_step(states, *args):
+        fresh.append(states is not previous[0])
+        previous[0] = step(states, *args)
+        return previous[0]
 
-    monkeypatch.setattr(exactnum, "_row_step", counting_step)
+    monkeypatch.setattr(exactnum, "_row_step", watching_step)
     paired = {}
     for kind, rows in cases:
-        d = len(rows)
-        sizes.clear()
+        fresh.clear()
         assert IntMatrix(rows).permanent() == _permanent_by_laplace(rows), (kind, rows)
-        paired.setdefault(kind, set()).add(any(s > 1 << (d + 1) // 2 for s in sizes[: d - 1]))
+        paired.setdefault(kind, set()).add(sum(fresh) > 1)
     # Both ends are covered: all-ones matrices and the narrow-below bands
     # finish as a pure transfer count, the other kinds reach the pairing.
     assert paired["ones"] == {False}
