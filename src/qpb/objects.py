@@ -7,8 +7,9 @@ are lists of integer lists; permutations are 1-based one-line tuples.
 
 Statistics use 1-based row/column indices (the zero-line weight of a
 matrix sums 1-based positions of its all-zero rows and columns).  Every
-weight polynomial is a histogram over the objects,
-QPoly.from_terms(Counter(...)), with each object counted once.  The
+weight polynomial is a histogram over the objects, each object counted
+once: a Counter of weights read by QPoly.from_terms, or, for the
+transfer counts, a packed histogram read by QPoly.from_packed.  The
 oracles build their statistic during the search, adding each step's
 share as a row, element or value is placed, so no object is
 materialised.  fubini_oracle and ordered_q_oracle count each object
@@ -17,18 +18,22 @@ halves with the same block count are grouped, and the pair adds the
 weight the two halves make together.  vesztergombi_oracle is a transfer
 count (Stanley, EC1 4.7): it places the values position by position
 and merges the prefixes that use the same values into one packed
-histogram of their inversions.  The generators and per-object
-statistics (gen_matrix_class with nu_weight and ones_minus_cols;
+histogram of their inversions.  class_poly is a transfer count too: it
+places the rows top to bottom and merges the prefixes with the same
+allowed-row bitset and, where the class or statistic reads it, the same
+covered columns.  The generators and per-object statistics
+(gen_matrix_class with nu_weight and ones_minus_cols;
 gen_ordered_partitions, gen_alternating_pairs and inv_star;
 gen_vesztergombi and inversions) stay as the specification the tests
-check those oracles against.  The 0/1 matrix classes are
-searched row by row, each row drawn from a bitset over the 2**k row
-codes of the rows compatible with every row above it under the class's
-forbidden 2x2 patterns; class_poly scores the last row from that bitset
-without building a matrix.  The is_* recognizers state the same classes
-matrix by matrix.  Matrix classes go up to n*k = MAX_SCAN_CELLS cells;
-a table of permmatrix_q reaches that bound through its corner cell,
-which families.table computes first.
+check those oracles against.  The 0/1 matrix classes are searched row
+by row, each row drawn from a bitset over the 2**k row codes of the
+rows compatible with every row above it under the class's forbidden 2x2
+patterns; class_poly scores the last row of each merged prefix from
+that bitset (popcounts, against the bitsets of the codes with j ones
+under ones_minus_cols) without building a matrix.  The is_* recognizers
+state the same classes matrix by matrix.  Matrix classes go up to
+n*k = MAX_SCAN_CELLS cells; a table of permmatrix_q reaches that bound
+through its corner cell, which families.table computes first.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress, count, product
 from math import comb, factorial
+from operator import lshift
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
@@ -468,23 +474,67 @@ def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
 
 
 def _zero_weights(width: int, top: int) -> list[int]:
-    """For each width-bit mask, the sum of top - b over its clear bits b."""
-    return [sum(top - b for b in range(width) if not mask >> b & 1) for mask in range(1 << width)]
+    """For each width-bit mask, the sum of top - b over its clear bits b,
+    built by doubling: bit b copies the masks seen so far, and the lower
+    copy, where b is clear, gains top - b."""
+    weights = [0]
+    for b in range(width):
+        weights = [w + top - b for w in weights] + weights
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _popcount_sets(k: int) -> tuple[int, ...]:
+    """For j = 0..k, the bitset of the k-bit codes with j ones, built by
+    doubling as _supersets is: bit b copies the codes seen so far, and
+    the upper copy, where b is set, moves up one class."""
+    sets = [1]
+    for b in range(k):
+        sets = [lower | upper << (1 << b) for lower, upper in zip(sets + [0], [0] + sets)]
+    return tuple(sets)
+
+
+def _code_blocks(scope: int, k: int, low: int) -> list[int]:
+    """The bitset scope over k-bit codes cut into blocks of the codes that
+    share their high k - low bits (low >= 3 when low < k): entry h is the
+    bitset of the low bits of the codes in scope whose high bits read h."""
+    if low == k:
+        return [scope]
+    # Whole bytes: one conversion rather than a shift of scope per block.
+    size = 1 << low - 3
+    data = scope.to_bytes(size << k - low, "little")
+    return [int.from_bytes(data[at:at + size], "little") for at in range(0, len(data), size)]
 
 
 def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
-    """Weight generating polynomial sum of q**statistic over the class,
-    scored during the row search of gen_matrix_class without building a
-    matrix.
+    """Weight generating polynomial sum of q**statistic over the class, as a
+    row transfer count (Stanley, EC1 4.7) that builds no matrix.
 
-    The search carries the bitset of the codes allowed in the next row,
-    the mask of covered columns and the statistic's share of the rows
-    placed so far: row i adds i+1 when it is zero under nu_sum, and its
-    number of 1s under ones_minus_cols, whose -k is added at the end.
-    The last row is scored from its bitset.  The column-covering class
-    keeps only the codes that cover the columns still empty; nu_sum reads
-    the zero columns from the final mask; with no statistic the count is
-    the bitset's popcount.
+    State.  Rows are filled top to bottom.  A state is one int, scope <<
+    k | covered: scope is the bitset of the codes allowed in the next row
+    (the codes compatible with every row placed), covered the mask of the
+    columns holding a 1.  covered is kept only where something reads it,
+    the column-covering class and nu_sum, and is 0 otherwise.  Each state
+    carries the histogram of the statistic's share of the rows placed,
+    packed (QPoly.packed).  No count exceeds the 2**(n*k) matrices of the
+    shape, so a digit of (n*k)//8 + 1 bytes holds it.
+
+    Step and merge.  Placing row i with code moves a state to
+    (scope & below[code], covered | code) and shifts its histogram by the
+    row's share: i+1 for a zero row under nu_sum, the row's number of 1s
+    under ones_minus_cols (whose -k is added at the end), and nothing
+    otherwise.  States with the same key have the same completions, so
+    equal children merge by adding their histograms.
+
+    Last row.  Each state after n-1 rows scores the last row from its
+    bitset; the column-covering class first keeps only the codes that
+    cover the columns still empty.  With no statistic the row adds the
+    bitset's popcount.  Under ones_minus_cols it adds the popcounts of
+    the bitset against the k+1 bitsets of the codes with j ones
+    (_popcount_sets).  Under nu_sum each code adds the zero-column weight
+    of covered | code, and the zero row n more: for k >= 6 the codes are
+    cut into blocks by their high bits, and a block's histogram, which
+    depends only on its bitset and the low bits of covered, is made once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -501,36 +551,75 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     nu = statistic == "nu_sum"
     ones = statistic == "ones_minus_cols"
     full = (1 << k) - 1
-    below = _below_table(n, k, cls)
-    # Zero-column weight of a column mask (bit b is the 1-based column
-    # k-b), read from two half-width tables as gen_matrix_class reads rows.
-    half = k // 2
-    heads, tails = _zero_weights(k - half, k - half), _zero_weights(half, k)
-    low = (1 << half) - 1
-    # counts[w] is the number of matrices of weight w, or w - k under
-    # ones_minus_cols; the bound is past every statistic's largest value.
-    counts = [0] * (n * (n + 1) // 2 + k * (k + 1) // 2 + n * k + 1)
-
-    def place(i: int, scope: int, covered: int, w: int) -> None:
-        if i == n - 1:
-            if covering:
-                scope &= _supersets(full ^ covered, k)
+    width = n * k // 8 + 1
+    shift = 8 * width
+    kept = k if covering or nu else 0
+    mask = (1 << kept) - 1
+    states = {((1 << (1 << k)) - 1) << kept: 1}
+    if n > 1:
+        below = _below_table(n, k, cls)
+        # lift[code] shifts a histogram by the share of the row coded code.
+        lift = [shift * code.bit_count() for code in range(1 << k)] if ones else [0] * (1 << k)
+        for i in range(n - 1):
             if nu:
+                lift[0] = shift * (i + 1)
+            after: dict[int, int] = {}
+            get = after.get
+            for key, hist in states.items():
+                scope, covered = key >> kept, key & mask
                 for code in _set_bits(scope):
-                    final = covered | code
-                    counts[w + heads[final >> half] + tails[final & low] + (0 if code else n)] += 1
-            elif ones:
-                for code in _set_bits(scope):
-                    counts[w + code.bit_count()] += 1
-            else:
-                counts[0] += scope.bit_count()
-            return
-        for code in _set_bits(scope):
-            share = code.bit_count() if ones else i + 1 if nu and not code else 0
-            place(i + 1, scope & below[code], covered | code, w + share)
+                    child = (scope & below[code]) << kept | (covered | code) & mask
+                    after[child] = get(child, 0) + (hist << lift[code])
+            states = after
 
-    place(0, (1 << (1 << k)) - 1, 0, 0)
-    return QPoly(counts, -k if ones else 0)
+    # A row above the last fits only when k <= MAX_SCAN_CELLS // 2, so a
+    # block never holds more than 2**(MAX_SCAN_CELLS // 2) codes, and under
+    # ones_minus_cols only n = 1 cuts the last row into blocks.  Under
+    # nu_sum, blocks of about 2**(2k/3) codes were fastest from k = 6 on,
+    # one block below (BENCH_class_transfer.json).
+    if ones:
+        low = min(k, MAX_SCAN_CELLS // 2)
+        pops = _popcount_sets(low)
+        ones_lifts = range(0, shift * (low + 1), shift)
+    if nu:
+        low = k if k < 6 else min(k - (k + 1) // 3, MAX_SCAN_CELLS // 2)
+        # Zero-column weight of a column mask (bit b is the 1-based column
+        # k-b): a table for the high bits, monomials for the low bits.
+        heads, tails = _zero_weights(k - low, k - low), _zero_weights(low, k)
+        monomials = [1 << shift * w for w in tails]
+        seen: dict[int, int] = {}
+    total = 0
+    for key, hist in states.items():
+        scope, covered = key >> kept, key & mask
+        if covering:
+            scope &= _supersets(full ^ covered, k)
+        if ones:
+            row = 0
+            for high, part in enumerate(_code_blocks(scope, k, low)):
+                counts = map(int.bit_count, map(part.__and__, pops))
+                row += sum(map(lshift, counts, ones_lifts)) << shift * high.bit_count()
+        elif not nu:
+            row = scope.bit_count()
+        else:
+            top, bottom = covered >> low, covered & (1 << low) - 1
+            if low == k:
+                # One block: no other state has its bitset and mask.
+                row = sum(map(monomials.__getitem__, map(covered.__or__, _set_bits(scope))))
+            else:
+                row = 0
+                for high, part in enumerate(_code_blocks(scope, k, low)):
+                    block = part << low | bottom
+                    if block not in seen:
+                        seen[block] = sum(map(monomials.__getitem__,
+                                              map(bottom.__or__, _set_bits(part))))
+                    row += seen[block] << shift * heads[top | high]
+            if scope & 1:
+                # The zero row: weight n more than its columns give.
+                w = shift * (heads[top] + tails[bottom])
+                row += (1 << w + shift * n) - (1 << w)
+        total += hist * row
+    poly = QPoly.from_packed(total, width)
+    return poly.shift(-k) if ones else poly
 
 
 def count_class(cls: str, n: int, k: int) -> int:

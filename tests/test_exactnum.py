@@ -720,3 +720,37 @@ def test_permanent_transfer_count_matches_laplace(monkeypatch):
     assert paired["band"] == {False, True}
     assert True in paired["random01"] and True in paired["signed"] and paired["big"] == {True}
     assert _permanent_by_laplace(big) != 0
+
+
+def test_permanent_band_orientations_agree_and_reach_below_needs_no_pairing(monkeypatch):
+    from qpb import exactnum
+
+    # As in the Laplace test: a second call on a dict that no step returned
+    # marks a matrix whose rows reached the pairing.
+    fresh: list[bool] = []
+    previous: list = [None]
+    step = exactnum._row_step
+
+    def watching_step(states, *args):
+        fresh.append(states is not previous[0])
+        previous[0] = step(states, *args)
+        return previous[0]
+
+    monkeypatch.setattr(exactnum, "_row_step", watching_step)
+    for d in range(7, 21):
+        for below in (d - 1, d - 2, d // 2, 1):
+            # cell (i, j) iff -1 <= i - j <= below: the band reaches `below`
+            # rows below the diagonal and one above
+            rows = [[int(-1 <= i - j <= below) for j in range(d)] for i in range(d)]
+            transposed = [list(col) for col in zip(*rows)]
+            rotated = [row[::-1] for row in rows[::-1]]
+            values = []
+            for m in (rows, transposed, rotated):
+                fresh.clear()
+                values.append(IntMatrix(m).permanent())
+                # every orientation of a band one wide above (or below) the
+                # diagonal finishes as a pure transfer count
+                assert sum(fresh) == 1, (d, below)
+            assert len(set(values)) == 1, (d, below)
+            if d <= 10:
+                assert values[0] == _permanent_by_laplace(rows), (d, below)

@@ -11,9 +11,11 @@ from qpb import families
 from qpb.errors import SizeLimitError
 from qpb.exactnum import QPoly
 from qpb.objects import (
+    MAX_SCAN_CELLS,
     _FORBIDDEN,
     _insertion_hist,
     _pattern_scan,
+    _popcount_sets,
     _rows_below,
     _STATISTICS,
     class_poly,
@@ -377,3 +379,33 @@ def test_gamma_free_decomposition():
     assert gamma_free_first_column_decomposition_check(4, 3)
     with pytest.raises(SizeLimitError):  # the scan's bound on n*(k+1)
         gamma_free_first_column_decomposition_check(4, 6)
+
+
+def test_class_poly_matches_formula_routes_on_wide_and_tall_shapes():
+    # the shapes past the generator comparison: 16 < n*k <= MAX_SCAN_CELLS
+    # with n >= 3, and the tall lines (n, 1) and (n, 2) up to the bound
+    shapes = {(n, k) for n in range(3, MAX_SCAN_CELLS + 1) for k in range(1, MAX_SCAN_CELLS + 1)
+              if 16 < n * k <= MAX_SCAN_CELLS}
+    shapes |= {(n, 1) for n in range(1, MAX_SCAN_CELLS + 1)}
+    shapes |= {(n, 2) for n in range(1, MAX_SCAN_CELLS // 2 + 1)}
+    for n, k in sorted(shapes):
+        assert class_poly("lonesum", n, k, "nu_sum") == families.lonesum_q_pb(n, k), (n, k)
+        assert count_class("gamma_free", n, k) == families.classical_pb_negk(n, k), (n, k)
+        assert count_class("perm_matrix", n, k) == families.c_relative(n, k), (n, k)
+
+
+def test_permmatrix_row_column_symmetry_up_to_the_bound():
+    # every shape where both (n, k) and (k + 1, n - 1) pass the size guard
+    shapes = [(n, k) for n in range(1, MAX_SCAN_CELLS + 2) for k in range(MAX_SCAN_CELLS + 1)
+              if n * k <= MAX_SCAN_CELLS and (k + 1) * (n - 1) <= MAX_SCAN_CELLS]
+    assert (2, 12) in shapes and (1, MAX_SCAN_CELLS) in shapes
+    for n, k in shapes:
+        assert families.permmatrix_q_pb(n, k) == families.permmatrix_q_pb(k + 1, n - 1), (n, k)
+
+
+def test_popcount_sets_match_a_direct_loop():
+    for k in range(7):
+        sets = _popcount_sets(k)
+        assert len(sets) == k + 1
+        for j, bits in enumerate(sets):
+            assert bits == sum(1 << code for code in range(1 << k) if code.bit_count() == j), (k, j)
