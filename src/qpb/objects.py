@@ -419,11 +419,15 @@ def _rows_below(upper: int, k: int, patterns: tuple[tuple[int, int, int, int], .
     return ((1 << (1 << k)) - 1) ^ forbidden
 
 
-def _below_table(n: int, k: int, cls: str) -> list[int]:
-    """_rows_below for every code when rows lie above others (n >= 2): the
-    first row takes every code, so each one is placed above another."""
+# Cached: the table depends on k and the class alone, and a row lies above
+# another only when k <= MAX_SCAN_CELLS // 2, so at most 3 * 13 tables of
+# at most 2**12 bitsets each are held.
+@lru_cache(maxsize=None)
+def _below_table(k: int, cls: str) -> tuple[int, ...]:
+    """_rows_below for every code, for the searches that place a row above
+    another (n >= 2): the first row takes every code."""
     patterns = _FORBIDDEN[cls]
-    return [_rows_below(code, k, patterns) for code in range(1 << k)] if n > 1 else []
+    return tuple(_rows_below(code, k, patterns) for code in range(1 << k))
 
 
 def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
@@ -448,7 +452,7 @@ def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
         return
     covering = cls == "perm_matrix"
     full = (1 << k) - 1
-    below = _below_table(n, k, cls)
+    below = _below_table(k, cls) if n > 1 else ()
     # A row is the tuple of its high half of bits joined to that of its low
     # half: two tables of 2**(k//2) entries rather than one of 2**k.
     half = k // 2
@@ -557,7 +561,7 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     mask = (1 << kept) - 1
     states = {((1 << (1 << k)) - 1) << kept: 1}
     if n > 1:
-        below = _below_table(n, k, cls)
+        below = _below_table(k, cls)
         # lift[code] shifts a histogram by the share of the row coded code.
         lift = [shift * code.bit_count() for code in range(1 << k)] if ones else [0] * (1 << k)
         for i in range(n - 1):
@@ -593,17 +597,19 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
         scope, covered = key >> kept, key & mask
         if covering:
             scope &= _supersets(full ^ covered, k)
-        if ones:
+        if not (ones or nu):
+            row = scope.bit_count()
+        elif ones and low == k:
+            row = sum(map(lshift, map(int.bit_count, map(scope.__and__, pops)), ones_lifts))
+        elif ones:
             row = 0
             for high, part in enumerate(_code_blocks(scope, k, low)):
                 counts = map(int.bit_count, map(part.__and__, pops))
                 row += sum(map(lshift, counts, ones_lifts)) << shift * high.bit_count()
-        elif not nu:
-            row = scope.bit_count()
         else:
             top, bottom = covered >> low, covered & (1 << low) - 1
             if low == k:
-                # One block: no other state has its bitset and mask.
+                # One block, whose bitset and mask no other state has.
                 row = sum(map(monomials.__getitem__, map(covered.__or__, _set_bits(scope))))
             else:
                 row = 0
