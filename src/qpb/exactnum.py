@@ -13,8 +13,9 @@ Four carriers, all immutable and exact (no floats anywhere):
 * ``IntMatrix``       dense big-integer matrix with exact characteristic
                       polynomial (Berkowitz, division free) and permanent
                       (Glynn's formula as a row transfer count over the
-                      open column sums, met in the middle at half size,
-                      up to ``MAX_PERMANENT_DIM`` rows).
+                      open column sums, along the side whose lines end
+                      sooner, met in the middle at half size, up to
+                      ``MAX_PERMANENT_DIM`` rows).
 
 ``QPoly`` multiplication takes one of three paths, chosen from the
 operands alone:

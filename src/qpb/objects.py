@@ -498,16 +498,21 @@ def _popcount_sets(k: int) -> tuple[int, ...]:
     return tuple(sets)
 
 
-def _code_blocks(scope: int, k: int, low: int) -> list[int]:
+def _code_blocks(scope: int, k: int, low: int) -> list[tuple[int, int]]:
     """The bitset scope over k-bit codes cut into blocks of the codes that
-    share their high k - low bits (low >= 3 when low < k): entry h is the
-    bitset of the low bits of the codes in scope whose high bits read h."""
+    share their high k - low bits (low >= 3 when low < k): a pair (high,
+    part) for each block holding a code of scope, high being the block's
+    high bits and part the bitset of the low bits of its codes in scope."""
     if low == k:
-        return [scope]
-    # Whole bytes: one conversion rather than a shift of scope per block.
+        return [(0, scope)]
+    # Whole bytes: one conversion rather than a shift of scope per block,
+    # and an empty block is skipped by one comparison of its bytes.
     size = 1 << low - 3
     data = scope.to_bytes(size << k - low, "little")
-    return [int.from_bytes(data[at:at + size], "little") for at in range(0, len(data), size)]
+    chunks = (data[at:at + size] for at in range(0, len(data), size))
+    empty = bytes(size)
+    return [(high, int.from_bytes(chunk, "little"))
+            for high, chunk in enumerate(chunks) if chunk != empty]
 
 
 def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
@@ -599,11 +604,9 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
             scope &= _supersets(full ^ covered, k)
         if not (ones or nu):
             row = scope.bit_count()
-        elif ones and low == k:
-            row = sum(map(lshift, map(int.bit_count, map(scope.__and__, pops)), ones_lifts))
         elif ones:
             row = 0
-            for high, part in enumerate(_code_blocks(scope, k, low)):
+            for high, part in _code_blocks(scope, k, low):
                 counts = map(int.bit_count, map(part.__and__, pops))
                 row += sum(map(lshift, counts, ones_lifts)) << shift * high.bit_count()
         else:
@@ -613,7 +616,7 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
                 row = sum(map(monomials.__getitem__, map(covered.__or__, _set_bits(scope))))
             else:
                 row = 0
-                for high, part in enumerate(_code_blocks(scope, k, low)):
+                for high, part in _code_blocks(scope, k, low):
                     block = part << low | bottom
                     if block not in seen:
                         seen[block] = sum(map(monomials.__getitem__,
