@@ -383,11 +383,13 @@ def test_gamma_free_decomposition():
 
 def test_class_poly_matches_formula_routes_on_wide_and_tall_shapes():
     # the shapes past the generator comparison: 16 < n*k <= MAX_SCAN_CELLS
-    # with n >= 3, and the tall lines (n, 1) and (n, 2) up to the bound
+    # with n >= 3, the tall lines (n, 1) and (n, 2) and the wide lines
+    # (1, k) and (2, k), whose last row is scored in blocks, up to the bound
     shapes = {(n, k) for n in range(3, MAX_SCAN_CELLS + 1) for k in range(1, MAX_SCAN_CELLS + 1)
               if 16 < n * k <= MAX_SCAN_CELLS}
-    shapes |= {(n, 1) for n in range(1, MAX_SCAN_CELLS + 1)}
-    shapes |= {(n, 2) for n in range(1, MAX_SCAN_CELLS // 2 + 1)}
+    for side in (1, 2):
+        shapes |= {(n, side) for n in range(1, MAX_SCAN_CELLS // side + 1)}
+        shapes |= {(side, k) for k in range(1, MAX_SCAN_CELLS // side + 1)}
     for n, k in sorted(shapes):
         assert class_poly("lonesum", n, k, "nu_sum") == families.lonesum_q_pb(n, k), (n, k)
         assert count_class("gamma_free", n, k) == families.classical_pb_negk(n, k), (n, k)
