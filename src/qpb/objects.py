@@ -541,10 +541,9 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     bitset's popcount.  Under ones_minus_cols it adds the popcounts of
     the bitset against the k+1 bitsets of the codes with j ones
     (_popcount_sets).  Under nu_sum each code adds the zero-column weight
-    of covered | code, and the zero row n more.  Where no prefix merged
-    (n <= 2) and k >= 7, the codes are cut into blocks by their high bits,
-    and a block's histogram, which depends only on its bitset and the low
-    bits of covered, is made once.
+    of covered | code, and the zero row n more.  From k = 7 on, the codes
+    are cut into blocks by their high bits, and a block's histogram, which
+    depends only on its bitset and the low bits of covered, is made once.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -585,15 +584,15 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     # A row above the last fits only when k <= MAX_SCAN_CELLS // 2, so a
     # block never holds more than 2**(MAX_SCAN_CELLS // 2) codes, and under
     # ones_minus_cols only n = 1 cuts the last row into blocks.  Under
-    # nu_sum, blocks of about 2**(2k/3) codes pay where no prefix merged
-    # before the last row (n <= 2) and k >= 7; elsewhere one block was as
-    # fast or faster (BENCH_class_transfer.json, nu_block_sweep).
+    # nu_sum, blocks of about 2**(2k/3) codes were the fastest or within
+    # 5 % of it from k = 7 on, and one block below (interleaved sweep in
+    # BENCH_class_transfer.json, nu_block_sweep).
     if ones:
         low = min(k, MAX_SCAN_CELLS // 2)
         pops = _popcount_sets(low)
         ones_lifts = range(0, shift * (low + 1), shift)
     if nu:
-        low = k if n > 2 or k < 7 else min(k - (k + 1) // 3, MAX_SCAN_CELLS // 2)
+        low = k if k < 7 else min(k - (k + 1) // 3, MAX_SCAN_CELLS // 2)
         # Zero-column weight of a column mask (bit b is the 1-based column
         # k-b): a table for the high bits, monomials for the low bits.
         heads, tails = _zero_weights(k - low, k - low), _zero_weights(low, k)
