@@ -71,12 +71,14 @@ __all__ = [
 
 # Largest n*k that the matrix classes search, set by hand rather than
 # from measured cost.  A class has up to 2**(n*k) members (at n = 1 the
-# lonesum and gamma-free classes take every row).  Seconds per class for
-# class_poly with the class's family statistic / count_class /
-# gen_matrix_class, each the minimum of 3 runs on a 2-vCPU VM under
-# Python 3.11.7: (2, 12) 0.04-0.91 / 0.04-0.05 / 0.27-1.01, (3, 8)
-# 0.01-0.14 / 0.01 / 0.08-0.18, (4, 6) 0.01-0.10 / 0.01-0.02 / 0.07-0.14,
-# (12, 2) 0.37-1.06 / 0.34-0.51 / 1.37-1.67.
+# lonesum and gamma-free classes take every row), and gen_matrix_class
+# lists them one by one.  class_poly merges prefixes, so its cost follows
+# k, not n*k.  With the class's family statistic, best of 3 per class on
+# a 2-vCPU VM under Python 3.11.7 (BENCH_class_transfer.json,
+# cost_table): (2, 12) 4-58 ms, or 26-87 ms for the first call at that
+# k, which builds the compatible-row table; (3, 8) 2-47 ms; (1, 24)
+# 4-21 ms; (4, 6) 0.4-16 ms; (12, 2) and (24, 1) under 0.2 ms, where
+# (24, 1) took 8.5-17.5 s before the transfer count.
 MAX_SCAN_CELLS = 24
 
 Matrix = tuple[tuple[int, ...], ...]
