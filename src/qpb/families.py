@@ -297,19 +297,22 @@ def cenkci_comb_check(n: int, k: int) -> bool:
     return lhs == rhs
 
 
-def carlitz_sum(a: Sequence, s: int) -> QRational:
+def carlitz_sum(a: Sequence, s: int) -> QPoly | QRational:
     """sum over m <= n of (-1)**m * a[m] * [m]! * {n+s, m+s}_q  (carlitz),
     with n = len(a) - 1 and shift s in {0, 1}.
 
-    The entries of the row a are anything a QRational multiplies with.
+    A row of QPoly entries gives a QPoly sum.  Any other entries are
+    anything a QRational multiplies with, and the sum is a QRational.
     """
     n = len(a) - 1
-    acc = QRational.from_int(0)
+    poly = all(isinstance(v, QPoly) for v in a)
+    acc = QPoly.zero() if poly else QRational.from_int(0)
     for m in range(n + 1):
         st = q_stirling("carlitz", n + s, m + s)
         if st.is_zero:
             continue
-        term = QRational(q_factorial(m) * st) * a[m]
+        weight = q_factorial(m) * st
+        term = (weight if poly else QRational(weight)) * a[m]
         acc = acc - term if m % 2 else acc + term
     return acc
 
@@ -330,10 +333,10 @@ def at_q_pb(n: int, k: int) -> QPoly | QRational:
         raise ValueError("at_q_pb needs n >= 0")
     if k > 0 and n * k > AT_Q_MAX_NK:
         raise SizeLimitError(f"at_q_pb({n}, {k}): n*k = {n * k} exceeds bound {AT_Q_MAX_NK} for k > 0")
-    acc = carlitz_sum(q_power_row(-k, n + 1), 0)
-    if n % 2:
-        acc = -acc
-    return acc.as_qpoly() if k <= 0 else acc
+    # For k <= 0 the row holds the polynomials [m+1]**-k, and the sum stays a QPoly.
+    row = [q_int(m + 1) ** -k for m in range(n + 1)] if k <= 0 else q_power_row(-k, n + 1)
+    acc = carlitz_sum(row, 0)
+    return -acc if n % 2 else acc
 
 
 # ---------------------------------------------------------------------------

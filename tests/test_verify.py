@@ -205,6 +205,8 @@ def test_checks_fail_on_a_broken_route(monkeypatch):
 
 _vesztergombi_q_pb = families.vesztergombi_q_pb
 _carlitz_beta = families.carlitz_beta
+_at_q_pb = families.at_q_pb
+_q_rook_number = rook.q_rook_number
 
 
 def _w_n(n):
@@ -286,6 +288,16 @@ BROKEN_ROUTES = {
         lambda: [verify.rook_reflection_check(1)],
         ({"n": 1, "boards": "all"}, {"index": 0, "board": [[0]], "lhs": "q", "rhs": "q^-1"}),
     ),
+    "at-q-triangle-bridge": (
+        # The triangle side is the sign-adjusted leading entry, (-1)**n * lead[n].
+        "at-q-triangle-bridge", families, "at_q_pb",
+        lambda n, k: -_at_q_pb(n, k) if n % 2 else _at_q_pb(n, k),
+        lambda: run_suite("akiyama-tanigawa", max_n=1),
+        ({"k": -3, "n": 1}, {
+            "triangle": "(1) / (1 + 3*q + 3*q^2 + q^3)",
+            "formula": "(-1) / (1 + 3*q + 3*q^2 + q^3)",
+        }),
+    ),
     "sylvester-conjecture": (
         "sylvester-conjecture", families, "vesztergombi_q_pb", lambda n, k: -_w_n(n),
         lambda: [sylvester_conjecture(2)],
@@ -313,3 +325,46 @@ def test_fail_witness_on_a_broken_route(monkeypatch, case):
     monkeypatch.setattr(module, name, broken)
     report = next(r for r in run() if r.status == "fail" and r.check_id == check_id)
     assert (report.parameters, report.witness) == (params, witness)
+
+
+def test_all_square_boards_numbering():
+    # Row r of board i is the r-th n-bit group of i, row 0 in the high bits.
+    for n in range(4):
+        boards = list(verify._all_square_boards(n))
+        assert len(boards) == 2 ** (n * n)
+        for i, board in enumerate(boards):
+            groups = [(i >> n * (n - 1 - r)) & ((1 << n) - 1) for r in range(n)]
+            assert board.cells == tuple(
+                tuple((g >> (n - 1 - c)) & 1 for c in range(n)) for g in groups
+            )
+
+
+def test_rook_reflection_fail_witness_is_the_first_board(monkeypatch):
+    # Adding cells[0][0] breaks the law first at board 4, whose reflection
+    # (board 256) is the first with a cell at row 0, column 0.
+    monkeypatch.setattr(rook, "q_rook_number", lambda b, k: _q_rook_number(b, k) + b.cells[0][0])
+    report = verify.rook_reflection_check(3)
+    assert report.status == "fail"
+    assert report.parameters == {"n": 3, "boards": "all"}
+    assert report.witness == {
+        "index": 4, "board": [[0, 0, 0], [0, 0, 0], [1, 0, 0]], "lhs": "1", "rhs": "0",
+    }
+
+
+def test_rook_block_law_fail_witness_with_reused_blocks(monkeypatch):
+    # x is the upper block of pair 0 and the lower block of pair 2.  Only
+    # the lower side reads rot180(x), which the broken count gets wrong, so
+    # the first pair to fail is pair 2.
+    x, full = rook.lower_triangular(2), rook.full_board(2, 2)
+    pairs = [(x, full), (full, full), (x, x), (full, x)]
+    assert rook_block_law_check(pairs).status == "pass"
+    rotated = rook.rotate_180(x)
+    monkeypatch.setattr(rook, "q_rook_number", lambda b, k: _q_rook_number(b, k) + int(b == rotated))
+    report = rook_block_law_check(pairs)
+    assert report.status == "fail"
+    assert report.parameters == {"pairs": 4}
+    assert report.witness == {
+        "a": [[1, 0], [1, 1]], "b": [[1, 0], [1, 1]],
+        "lhs": "1 + q + 2*q^2 + 3*q^3 + 3*q^4 + 3*q^5 + q^6",
+        "rhs": "4 + 4*q + 4*q^2 + 3*q^3 + 3*q^4 + 3*q^5 + q^6",
+    }
