@@ -7,22 +7,18 @@ are lists of integer lists; permutations are 1-based one-line tuples.
 
 Statistics use 1-based row/column indices (the zero-line weight of a
 matrix sums 1-based positions of its all-zero rows and columns).  Every
-weight polynomial is a histogram over the objects, each object counted
-once: a Counter of weights read by QPoly.from_terms, or, for the
-transfer counts, a packed histogram read by QPoly.from_packed.  The
-oracles build their statistic during the search, adding each step's
-share as a row, element or value is placed, so no object is
-materialised.  fubini_oracle and ordered_q_oracle count each object
-once as a pair of halves: each half is enumerated object by object, the
-halves with the same block count are grouped, and the pair adds the
-weight the two halves make together.  vesztergombi_oracle is a transfer
-count (Stanley, EC1 4.7): it places the values position by position
-and merges the prefixes that use the same values into one packed
-histogram of their inversions.  class_poly is a transfer count too: it
-places the rows top to bottom and merges the prefixes with the same
-allowed-row bitset and, where the class or statistic reads it, the same
-covered columns.  The generators and per-object statistics
-(gen_matrix_class with nu_weight and ones_minus_cols;
+oracle is a transfer count (Stanley, EC1 4.7): it builds its statistic
+during the search, adding each step's share as an element, row or value
+is placed, and merges the partial objects with the same state into one
+packed histogram (QPoly.packed, read back by QPoly.from_packed).  So no
+object is materialised, no search is cut into halves to be paired, and
+no weight is tallied in a Counter.  fubini_oracle and ordered_q_oracle
+insert the elements in increasing order, and a state is the block
+count.  vesztergombi_oracle places the values position by position, and
+a state is the set of values used.  class_poly places the rows top to
+bottom, and a state is the allowed-row bitset and, where the class or
+statistic reads it, the covered columns.  The generators and per-object
+statistics (gen_matrix_class with nu_weight and ones_minus_cols;
 gen_ordered_partitions, gen_alternating_pairs and inv_star;
 gen_vesztergombi and inversions) stay as the specification the tests
 check those oracles against.  The 0/1 matrix classes are searched row
@@ -38,7 +34,6 @@ through its corner cell, which families.table computes first.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import compress, count, product
 from math import comb, factorial
@@ -115,7 +110,8 @@ def _ordered_partitions(items: list) -> Iterator[list[list]]:
 
 
 def _check_partition_size(n: int) -> None:
-    # fubini_oracle, n = 6..9: 0.5, 0.8, 3.9, 12 ms, best of 7, 2-vCPU VM (CHANGES.md).
+    # fubini_oracle, n = 6..9: 0.03-0.04, 0.04-0.06, 0.06-0.08, 0.07-0.09 ms,
+    # best of 5 x 20, 2-vCPU VM (BENCH_insertion_transfer.json).
     if n > 9:
         raise SizeLimitError(f"ordered partitions of {n} elements (Fubini growth)")
     if n < 0:
@@ -145,72 +141,50 @@ def gen_set_partitions(items: list) -> Iterator[list[list]]:
 
 
 def _insertion_hist(steps: int, keep_first: bool = False,
-                    end_in_last: bool = False) -> Counter[tuple[int, int]]:
-    """Histogram of (block count, inv_star) over the ordered partitions grown
-    by inserting `steps` elements, each larger than every element before
-    it, counted as pairs of halves.
+                    end_in_last: bool = False) -> dict[int, QPoly]:
+    """For each block count c, the polynomial of inv_star over the ordered
+    partitions with c blocks grown by inserting `steps` elements, each
+    larger than every element before it, as a transfer count over c
+    (Stanley, EC1 4.7).
 
     The new element exceeds every block minimum and no element exceeds it,
     so it adds one inversion per block after its position, whether it
     joins a block or opens one.  keep_first starts from one block holding
     a smaller element (the 0-block) and keeps it first: no block opens in
     front of it.  end_in_last sends the final element into the last block,
-    joining it or opening a new last block.
+    joining it or opening a new last block, with no inversion added.
 
     The choices at each insertion, and the inversions they add, depend on
-    the block count c alone.  So the first `cut` insertions are grown
-    partition by partition and their leaves grouped by c, and the other
-    steps - cut insertions are grown once per group, from c at weight 0;
-    each upper leaf pairs with every lower leaf of its group.  The upper
-    half fans out with c, so it takes a third of the insertions, rounded,
-    and at least the final one: cut = steps - (steps + 1) // 3 for
-    steps > 1.  Measured for 4 <= steps <= 9 under each flag, that cut
-    was the fastest or within a quarter of it (BENCH_insertion_halves.json).
+    c alone, so one dict maps c to the packed histogram (QPoly.packed) of
+    the partitions grown so far.  Joining one of the c blocks shifts a
+    histogram by 0..c-1, a product with the packed [c]; opening a block at
+    one of the c+1-keep_first slots shifts it by 0..c-keep_first and moves
+    it to c+1.  An insertion has at most 2*steps+1 choices, so no count
+    exceeds (2*steps+1)**steps, which sets the packed width.
     """
-    def grow(left: int, c: int, w: int, end: bool, out: Counter) -> None:
-        if left == 1 and end:
+    width = ((2 * steps + 1) ** steps).bit_length() // 8 + 1
+    base = 1 << 8 * width
+    # spread[m] is the packed [m] = 1 + q + ... + q**(m-1).
+    spread = [(base ** m - 1) // (base - 1) for m in range(steps + 2)]
+    states = {int(keep_first): 1}
+    for step in range(steps):
+        if end_in_last and step == steps - 1:
+            # Into the last block: one way to join, one to open, no shift.
+            spread = [1] * (steps + 2)
+        after: dict[int, int] = {}
+        for c, hist in states.items():
             if c:
-                out[c, w] += 1
-            out[c + 1, w] += 1
-        elif left > 0:
-            left -= 1
-            for d in range(c):
-                grow(left, c, w + d, end, out)
-            for d in range(c + 1 - keep_first):
-                grow(left, c + 1, w + d, end, out)
-        else:
-            out[c, w] += 1
-
-    cut = steps - (steps + 1) // 3 if steps > 1 else 0
-    heads: Counter[tuple[int, int]] = Counter()
-    grow(cut, int(keep_first), 0, False, heads)
-    hist: Counter[tuple[int, int]] = Counter()
-    for c, lows in _by_blocks(heads).items():
-        tails: Counter[tuple[int, int]] = Counter()
-        grow(steps - cut, c, 0, end_in_last, tails)
-        for (top, wu), mu in tails.items():
-            for wl, ml in lows:
-                hist[top, wl + wu] += ml * mu
-    return hist
-
-
-def _by_blocks(hist: Counter[tuple[int, int]]) -> dict[int, list[tuple[int, int]]]:
-    """The (weight, multiplicity) entries of a histogram over (block
-    count, weight) pairs, grouped by block count."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for (c, w), mult in hist.items():
-        groups.setdefault(c, []).append((w, mult))
-    return groups
+                after[c] = after.get(c, 0) + hist * spread[c]
+            after[c + 1] = after.get(c + 1, 0) + hist * spread[c + 1 - keep_first]
+        states = after
+    return {c: QPoly.from_packed(hist, width) for c, hist in states.items()}
 
 
 def fubini_oracle(n: int) -> QPoly:
     """Sum of q**inv_star over all ordered set partitions of {1,...,n},
     scored while the partitions are built."""
     _check_partition_size(n)
-    counts: Counter[int] = Counter()
-    for (_, w), mult in _insertion_hist(n).items():
-        counts[w] += mult
-    return QPoly.from_terms(counts)
+    return sum(_insertion_hist(n).values(), QPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +192,8 @@ def fubini_oracle(n: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 def _check_pair_size(n: int, k: int) -> None:
-    # ordered_q_oracle, (4, 4)..(6, 6): 0.3, 0.8, 1.2 ms, best of 7, 2-vCPU VM (CHANGES.md).
+    # ordered_q_oracle, (4, 4)..(6, 6): 0.06-0.08, 0.10-0.12, 0.15-0.29 ms,
+    # best of 5 x 20, 2-vCPU VM (BENCH_insertion_transfer.json).
     if n > 6 or k > 6:
         raise SizeLimitError(f"alternating pairs at ({n}, {k})")
     if n < 0 or k < 0:
@@ -250,17 +225,13 @@ def ordered_q_oracle(n: int, k: int) -> QPoly:
     blue side starts from the 0-block and never opens a block in front of
     it, and the red side's last element k+1 goes into the last block.  The
     weight is additive across the two partitions and the block counts must
-    agree, so both one-sided histograms of (block count, weight) are
-    grouped by block count and convolved group by group.
+    agree, so the pairs with c blocks give the product of the two sides'
+    polynomials at c.
     """
     _check_pair_size(n, k)
-    blues = _by_blocks(_insertion_hist(n, keep_first=True))
-    counts: Counter[int] = Counter()
-    for c, reds in _by_blocks(_insertion_hist(k + 1, end_in_last=True)).items():
-        for wb, mb in blues.get(c, ()):
-            for wr, mr in reds:
-                counts[wb + wr] += mb * mr
-    return QPoly.from_terms(counts)
+    blues = _insertion_hist(n, keep_first=True)
+    reds = _insertion_hist(k + 1, end_in_last=True)
+    return sum((blue * reds[c] for c, blue in blues.items() if c in reds), QPoly.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ __all__ = [
 
 DEFAULT_MAX_AREA = 64
 
+_CELL_VALUES = frozenset((0, 1))
+
 
 @dataclass(frozen=True)
 class Board:
@@ -59,7 +61,12 @@ class Board:
         for row in self.cells:
             if len(row) != cols:
                 raise ValueError("board rows have unequal lengths")
-            if any(v not in (0, 1) for v in row):
+            try:
+                # One subset test per row; 1.0 and True equal 1, as in (0, 1).
+                cells_ok = _CELL_VALUES.issuperset(row)
+            except TypeError:  # an unhashable entry is no 0/1 cell either
+                cells_ok = False
+            if not cells_ok:
                 raise ValueError("board entries must be 0 or 1")
 
     @property

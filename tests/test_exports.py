@@ -1,5 +1,6 @@
-"""Export lists: every name a module lists in __all__ exists, once; and
-no module imports another's private names."""
+"""Export lists: every name a module lists in __all__ exists, once; no
+module imports another's private names; and the object routes import no
+formula route."""
 
 import ast
 import importlib
@@ -37,3 +38,26 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qpb")):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def _qpb_imports(path: Path) -> set[str]:
+    """The qpb modules a source file imports, by module name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {a.name.removeprefix("qpb.") for a in node.names if a.name.startswith("qpb.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("qpb"):
+                module = module.removeprefix("qpb").lstrip(".")
+                # "from . import x" and "from qpb import x" import the module x.
+                names |= {a.name for a in node.names} if not module else {module.split(".")[0]}
+    return names
+
+
+@pytest.mark.parametrize("name", ["objects.py", "rook.py"])
+def test_object_routes_call_no_formula(name):
+    # The two-route boundary: an oracle never calls a formula, so the
+    # enumerators import only the error types and the exact arithmetic.
+    path = Path(qpb.__file__).parent / name
+    assert _qpb_imports(path) <= {"errors", "exactnum"}

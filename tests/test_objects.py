@@ -83,7 +83,7 @@ def test_fubini_oracle_matches_generator():
 
 def _reference_insertion_hist(steps, keep_first=False, end_in_last=False):
     """The single insertion search that visits every ordered partition as a
-    leaf, kept as the reference for the split into halves."""
+    leaf, kept as the reference for the transfer count over block counts."""
     hist = Counter()
 
     def grow(left, c, w):
@@ -104,13 +104,34 @@ def _reference_insertion_hist(steps, keep_first=False, end_in_last=False):
     return hist
 
 
+def _by_block_count(hist):
+    """A histogram over (block count, weight) pairs as one polynomial per
+    block count."""
+    groups = {}
+    for (c, w), mult in hist.items():
+        groups.setdefault(c, {})[w] = mult
+    return {c: QPoly.from_terms(terms) for c, terms in groups.items()}
+
+
 @pytest.mark.parametrize("steps", range(10))
 def test_insertion_hist_halves_match_single_search(steps):
+    # (the name is older than the transfer count it now checks)
     # steps = 9 reaches fubini_oracle(9); the blue and red sides of
     # ordered_q_oracle(6, k) and (n, 6) are steps 6 and 7
     for keep_first, end_in_last in product((False, True), repeat=2):
         expected = _reference_insertion_hist(steps, keep_first, end_in_last)
-        assert _insertion_hist(steps, keep_first, end_in_last) == expected
+        assert _insertion_hist(steps, keep_first, end_in_last) == _by_block_count(expected)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_fubini_oracle_matches_formula_over_the_guarded_range(n):
+    assert fubini_oracle(n) == families.q_fubini(n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_ordered_q_oracle_matches_formula_over_the_guarded_range(n):
+    for k in range(7):
+        assert ordered_q_oracle(n, k) == families.ordered_q_pb(n, k)
 
 
 @pytest.mark.parametrize("n, k", [(6, k) for k in range(7)] + [(n, 6) for n in range(6)])

@@ -312,3 +312,21 @@ def test_band_permanents_count_poly_bernoulli_negk():
     for n in range(17):
         for k in range(17 - n):
             assert build_v_matrix(n, k).to_int_matrix().permanent() == families.classical_pb_negk(n, k), (n, k)
+
+
+@pytest.mark.parametrize("cells", [
+    ((1, 0), (1,)),
+    ((1,), (0, 1)),
+    ((0, 2),),
+    ((1, 1), (0, -1)),
+    ((0.5, 1),),
+    ((0, [1]),),
+], ids=["ragged-short", "ragged-long", "two", "minus-one", "half", "unhashable"])
+def test_board_rejects_ragged_rows_and_non_binary_entries(cells):
+    with pytest.raises(ValueError):
+        Board(cells)
+
+
+def test_board_accepts_zero_one_rows():
+    assert Board(((0, 1, 1), (1, 0, 0))).area == 6
+    assert Board(()).area == Board(((), ())).area == 0

@@ -234,6 +234,11 @@ BROKEN_ROUTES = {
         lambda: run_suite("golden"),
         ({"item": "vesztergombi-1-1"}, {"got": "q", "want": "1 + q"}),
     ),
+    "golden-permanent-v5": (
+        "golden", rook, "build_v_matrix", lambda n, k: rook.full_board(2, 2),
+        lambda: run_suite("golden"),
+        ({"item": "permanent-v5"}, {"got": "2", "want": "46"}),
+    ),
     "rook-full-square": (
         "rook-full-square", verify, "q_factorial", lambda i: q_factorial(i) * 2,
         lambda: [verify.rook_full_square_check(2)],
@@ -267,6 +272,11 @@ BROKEN_ROUTES = {
             "closed": "(1 + 3*q + 2*q^2 + q^3) / (1 + 2*q + 2*q^2 + q^3)",
             "triangle": "(q) / (1 + 2*q + 2*q^2 + q^3)",
         }),
+    ),
+    "carlitz-beta": (
+        "carlitz-beta", families, "carlitz_beta", lambda n: _carlitz_beta(n) + 1,
+        lambda: run_suite("akiyama-tanigawa", max_n=2),
+        ({"n": 2, "at": "q=1"}, {"got": "7/6", "want": "1/6"}),
     ),
     "gf-classical": (
         "gf-classical", families, "classical_pb", lambda n, k: Fraction(n + 1, 2),
