@@ -6,7 +6,10 @@ Four carriers, all immutable and exact (no floats anywhere):
 * ``QRational``       normalized ratio of two QPoly, reduced by an integer
                       primitive remainder sequence (no rational
                       coefficients in any intermediate step); its
-                      operators take gcds of the operands' parts only.
+                      operators take gcds of the operands' parts only,
+                      and ``QRational.over_factors`` takes none: it
+                      reaches the normal form of a numerator over known
+                      irreducible factors by trial division.
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
@@ -37,7 +40,10 @@ q = 2**(8*width), coefficient i being the little-endian width-byte digit
 i.  ``QPoly.packed`` and ``QPoly.from_packed`` convert; ``_digits`` is the
 one reader.  Digits read back lie in [0, 2**(8*width)), so width must hold
 every coefficient read: the value at q = 1 bounds them for nonnegative
-operands, and ``_kronecker_mul`` bounds signed ones, plus a sign bit.
+operands.  Signed coefficients pack the same way and are read back as
+signed digits (``QPoly.from_signed_packed``), so width must hold their
+absolute values plus a sign bit; ``_kronecker_mul`` and the packed sums
+of ``families`` state their bounds.
 
 Values are safe to share between threads: every operation returns a new
 object and never mutates its inputs.
@@ -122,6 +128,16 @@ class QPoly:
         cs = _digits(value, width)
         # The top digit is nonzero; when the bottom one is too, cs is canonical.
         return _canonical(cs, 0) if cs and cs[0] else cls(cs)
+
+    @classmethod
+    def from_signed_packed(cls, value: int, width: int) -> "QPoly":
+        """The polynomial with no negative exponent whose value at
+        q = 2**(8*width) is value, for coefficients of absolute value
+        below 2**(8*width-1): the packed form of signed coefficients
+        (module docstring), read as signed digits."""
+        # A top coefficient at q**t puts |value| past 2**(8*width*t - 1).
+        count = abs(value).bit_length() // (8 * width) + 1
+        return cls(_signed_digits(value, width, count))
 
     # -- structure ---------------------------------------------------------
 
@@ -394,16 +410,13 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
     No product coefficient exceeds min(len) * max|a| * max|b| in absolute
     value, so width bytes with one bit to spare for the sign hold every
-    one.  Adding 2**(8*width - 1) to every digit makes them all
-    nonnegative and the top one nonzero; it is taken off the digits read back.
+    one.
     """
     ma = max(max(a), -min(a))
     mb = max(max(b), -min(b))
     bits = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (len(a) + len(b) - 1), "little")
-    return tuple(map(sub, _digits(_pack(a, width) * _pack(b, width) + offset, width), repeat(half)))
+    return _signed_digits(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 def _pack(cs: tuple[int, ...], width: int) -> int:
@@ -423,6 +436,16 @@ def _digits(value: int, width: int) -> tuple[int, ...]:
     # struct splits the bytes into the digits' bytes in one call.
     data = unpack(f"{width}s" * count, value.to_bytes(count * width, "little"))
     return tuple(map(int.from_bytes, data, repeat("little")))
+
+
+def _signed_digits(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The count signed width-byte digits of value, lowest first, for a
+    value whose digits all have absolute value below 2**(8*width-1).
+    Adding 2**(8*width-1) to every digit makes them all nonnegative and
+    the top one nonzero; it is taken off the digits read back."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    return tuple(map(sub, _digits(value + offset, width), repeat(half)))
 
 
 def _divmod_int(
@@ -573,6 +596,50 @@ class QRational:
     @classmethod
     def from_fraction(cls, f: Fraction) -> "QRational":
         return cls(QPoly.const(f.numerator), QPoly.const(f.denominator))
+
+    @classmethod
+    def over_factors(cls, num: QPoly, factors: Iterable[tuple[QPoly, int]]) -> "QRational":
+        """num / (the product of f**e over (f, e) in factors) in normal
+        form, with no remainder sequence.
+
+        Each f must be irreducible over the rationals, content-free and
+        have a nonzero constant term, as the cyclotomic polynomials are.
+        The gcd of num and the denominator is then the product of the
+        copies of each f that divide num, so f is divided into num up to e
+        times, and the copies left over make the denominator, content-free
+        by Gauss's lemma.  Each trial division is gated by an integer test
+        at the packed point q = 2**(8*width), width the bytes of the
+        largest coefficient of num or of any f (f | num implies
+        f(q) | num(q)), and confirmed by exact division, so a coincidence
+        at that point cannot change the result.  Content and sign are then
+        settled as for the operators' results.
+        """
+        factors = [(f, e) for f, e in factors if e]
+        if any(f.min_exp or f.is_zero or e < 0 for f, e in factors):
+            raise ValueError("over_factors needs factors with a nonzero constant term and powers e >= 0")
+        if num.is_zero:
+            return _qrational(num, _ONE)
+        top = max(map(abs, chain(num.coeffs, *(f.coeffs for f, _ in factors))))
+        width = top.bit_length() // 8 + 1
+        value = _pack(num.coeffs, width)
+        kept = []
+        for f, e in factors:
+            at = f.packed(width)
+            while e and value % at == 0:
+                try:
+                    num = num.exact_div(f)
+                except ValueError:  # f(q) divides num(q), but f does not divide num
+                    break
+                value //= at
+                e -= 1
+            if e:
+                kept.append((f, e))
+        # One packed product: no coefficient of the denominator exceeds
+        # the product of ||f||_1**e.
+        top = prod(sum(map(abs, f.coeffs)) ** e for f, e in kept)
+        width = top.bit_length() // 8 + 1
+        den = QPoly.from_signed_packed(prod(f.packed(width) ** e for f, e in kept), width)
+        return _finish(num, den)
 
     @staticmethod
     def _coerce(value) -> "QRational | None":

@@ -6,8 +6,12 @@ sum over m of w(m) * S(n+1,m+1) * S(k+1,m+1) gives classical_pb_negk
 (m!**2, stirling2), ordered_q_pb ([m]!**2, carlitz), lonesum_q_pb (m!**2,
 cigler) and, with q -> 1/q, vesztergombi_q_pb (q**m * [m]!**2, carlitz).
 The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
-(carlitz_sum) gives at_q_pb and carlitz_beta, and is the closed form of the
-zengA (s = 1) and zengB (s = 0) triangles' leading columns.
+(carlitz_sum) is the closed form of the zengA (s = 1) and zengB (s = 0)
+triangles' leading columns.  With a[m] = [m+1]**-k it gives at_q_pb
+(s = 0) and carlitz_beta (s = 1, k = 1); those two take
+_carlitz_power_sum, one packed sum over the cyclotomic common denominator
+with no gcd, so carlitz_sum over q_power_row stays an independent route
+for the checks that compare them with the triangles.
 
 The three q-valued paired sums are defined once, in _PAIRED_SUMS: their
 weight, q-Stirling variant and finish step; a value past
@@ -33,14 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm
-from operator import mul
+from itertools import accumulate
+from math import comb, factorial, lcm, prod
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from . import objects
 from .errors import NotPolynomialError, SizeLimitError
 from .exactnum import QPoly, QRational
-from .qkernels import q_factorial, q_int, q_stirling, s2_inv_q, s2_q, stirling2
+from .qkernels import cyclotomic, q_factorial, q_int, q_stirling, s2_inv_q, s2_q, stirling2
 
 __all__ = [
     "classical_pb",
@@ -317,8 +322,73 @@ def carlitz_sum(a: Sequence, s: int) -> QPoly | QRational:
     return acc
 
 
-# Bound on n*k for at_q_pb with k > 0, whose cost grows steeply; the costliest
-# shape at a given n*k is k = 1, and (40, 1) took 0.6 s on a 2-vCPU VM (CHANGES.md table).
+def _over_q_int(cs: Sequence[int], j: int) -> list[int]:
+    """The coefficients of the polynomial cs divided by [j], which must
+    divide it.  Since [j] * (1 - q) = 1 - q**j, the quotient is cs times
+    1 - q (a difference of neighbours) divided by 1 - q**j (a running sum
+    over each residue class mod j)."""
+    diff = [cs[0], *map(sub, cs[1:], cs)]  # cs * (1 - q) below its top term
+    out = [0] * len(diff)
+    for r in range(j):
+        out[r::j] = accumulate(diff[r::j])
+    return out[:len(cs) - j + 1]
+
+
+def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
+    """sum over m <= n of (-1)**m * [m]! * {n+s, m+s}_q * [m+1]**-k
+    (carlitz), for any integer k and s in {0, 1}, as one packed sum.
+
+    For k > 0 the common denominator is known: [j] is the product of the
+    cyclotomic Phi_d over the divisors d > 1 of j, so L = P**k, with P the
+    product of Phi_d for 2 <= d <= n+1, is a multiple of every [m+1]**k.
+    The numerator N = sum over m of (-1)**m * [m]! * {n+s, m+s} * R_m,
+    with R_m = L / [m+1]**k = (P / [m+1])**k, is summed at
+    q = 2**(8*width): each term is one big-integer product of the packed
+    [m]!, {n+s, m+s} and R_m, and N's coefficients are read back once as
+    signed digits.  For k <= 0, R_m is [m+1]**-k and N is the value.
+
+    width bounds the final sum only, since digits of a partial sum may
+    overflow freely: the coefficients of a product A * R are at most
+    ||A||_1 * ||R||_inf, and [m]! * {n+s, m+s} has nonnegative
+    coefficients summing to m! * S(n+s, m+s), so every coefficient of N is
+    at most sum over m of m! * S(n+s, m+s) * ||R_m||_inf.  For k <= 0,
+    ||R_m||_inf <= ||R_m||_1 = (m+1)**-k.  width holds that bound and a
+    sign bit.
+
+    N / L reaches normal form by QRational.over_factors, which
+    trial-divides each Phi_d into N: the sum takes no gcd and makes no
+    QRational operator call.
+    """
+    weights = [factorial(m) * stirling2(n + s, m + s) for m in range(n + 1)]
+    live = [m for m, w in enumerate(weights) if w]
+    if k > 0:
+        phis = [cyclotomic(d) for d in range(2, n + 2)]
+        # P and every R_m are read at a width that holds the coefficients
+        # of L = P**k: at most the product of ||Phi_d||_1**k.
+        wide = (prod(sum(map(abs, phi.coeffs)) for phi in phis) ** k).bit_length() // 8 + 1
+        base = QPoly.from_signed_packed(prod(phi.packed(wide) for phi in phis), wide).coeffs
+        rest = {}
+        for m in live:
+            r = QPoly(_over_q_int(base, m + 1))
+            rest[m] = r if k == 1 else QPoly.from_signed_packed(r.packed(wide) ** k, wide)
+        bound = sum(weights[m] * max(map(abs, rest[m].coeffs)) for m in live)
+    else:
+        bound = sum(weights[m] * (m + 1) ** -k for m in live)
+    width = bound.bit_length() // 8 + 1
+    total = 0
+    for m in live:
+        term = q_factorial(m).packed(width) * q_stirling("carlitz", n + s, m + s).packed(width)
+        term *= rest[m].packed(width) if k > 0 else q_int(m + 1).packed(width) ** -k
+        total = total - term if m % 2 else total + term
+    num = QPoly.from_signed_packed(total, width)
+    return QRational.over_factors(num, ((phi, k) for phi in phis)) if k > 0 else num
+
+
+# Bound on n*k for at_q_pb with k > 0, whose cost grows steeply with n.  At
+# n*k = 40 the costliest shape is k = 1: a first call in a fresh process took
+# 0.28 s at (40, 1), 21 ms at (20, 2), 4.3 ms at (10, 4), 2.9 ms at (8, 5),
+# 1.3 ms at (5, 8), 0.75 ms at (4, 10), 0.57 ms at (2, 20) and 0.27 ms at
+# (1, 40) (2-vCPU VM, BENCH_at_q_cyclotomic.json).
 AT_Q_MAX_NK = 40
 
 
@@ -327,15 +397,16 @@ def at_q_pb(n: int, k: int) -> QPoly | QRational:
     (-1)**n * sum over m of (-1)**m * [m]! / [m+1]**k * {n,m}_q  (carlitz).
 
     Returns a QPoly for k <= 0 and a QRational otherwise; for k > 0, raises
-    SizeLimitError past n*k = AT_Q_MAX_NK.
+    SizeLimitError past n*k = AT_Q_MAX_NK.  The sum is
+    _carlitz_power_sum(n, k, 0), one packed sum over the cyclotomic common
+    denominator; carlitz_sum over q_power_row(-k, n+1) is the independent
+    route that the triangle checks compare with.
     """
     if n < 0:
         raise ValueError("at_q_pb needs n >= 0")
     if k > 0 and n * k > AT_Q_MAX_NK:
         raise SizeLimitError(f"at_q_pb({n}, {k}): n*k = {n * k} exceeds bound {AT_Q_MAX_NK} for k > 0")
-    # For k <= 0 the row holds the polynomials [m+1]**-k, and the sum stays a QPoly.
-    row = [q_int(m + 1) ** -k for m in range(n + 1)] if k <= 0 else q_power_row(-k, n + 1)
-    acc = carlitz_sum(row, 0)
+    acc = _carlitz_power_sum(n, k, 0)
     return -acc if n % 2 else acc
 
 
@@ -402,10 +473,12 @@ def carlitz_beta(n: int) -> QRational:
     """q-deformed Bernoulli value by the closed form
     sum over k of (-1)**k * {n+1,k+1}_q * [k]! / [k+1];
     it is the leading column of the zengA triangle with initial row
-    1/[m+1] (the carlitz-beta-vs-triangle check pins that)."""
+    1/[m+1] (the carlitz-beta-vs-triangle check pins that).  The sum is
+    _carlitz_power_sum(n, 1, 1), one packed sum over the cyclotomic common
+    denominator, with no gcd."""
     if n < 0:
         raise ValueError("carlitz_beta needs n >= 0")
-    return carlitz_sum(q_power_row(-1, n + 1), 1)
+    return _carlitz_power_sum(n, 1, 1)
 
 
 # ---------------------------------------------------------------------------

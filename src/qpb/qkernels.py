@@ -1,8 +1,13 @@
 """q-combinatorial number kernels.
 
-q-integers, q-factorials, q-binomials, three q-deformations of the
-Stirling numbers of the second kind, two auxiliary Stirling-type arrays
-with a q parameter, and the q-exponential series.
+q-integers, q-factorials, q-binomials, cyclotomic polynomials, three
+q-deformations of the Stirling numbers of the second kind, two auxiliary
+Stirling-type arrays with a q parameter, and the q-exponential series.
+
+The cyclotomic polynomials factor the q-integers into irreducibles:
+[j] = product of Phi_d over the divisors d > 1 of j, so the least common
+multiple of [1]**k, ..., [n+1]**k is the product of Phi_d**k for
+2 <= d <= n+1, a denominator known before any sum is taken.
 
 The three Stirling deformations and the classical table share one
 recurrence T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1 and
@@ -20,18 +25,19 @@ All kernels return canonical QPoly/QRational values and are memoized.
 Each triangle is stored by column, cols[j][i] = T(j+i, j), so a request
 for T(n, m) grows columns 0..m, in order, to index n-m and builds no
 column to the right of m: a tall table that reads only the first columns
-never pays for the rest of the triangle.  The memo tables only grow and
-never change an entry.  Every table and every column grows through one
-function, under one module lock, which re-checks the length once held,
-so concurrent callers never append an entry twice; a read of an entry
-that already exists takes no lock.
+never pays for the rest of the triangle.  The memo tables (q-factorials,
+cyclotomic polynomials, the triangles' columns) only grow and never change
+an entry.  Every table and every column grows through one function, under
+one module lock, which re-checks the length once held, so concurrent
+callers never append an entry twice; a read of an entry that already
+exists takes no lock.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable
 
 from .exactnum import QPoly, QRational, TruncatedSeries
@@ -41,6 +47,7 @@ __all__ = [
     "q_int",
     "q_factorial",
     "q_binomial",
+    "cyclotomic",
     "q_stirling",
     "stirling2",
     "s2_q",
@@ -51,6 +58,8 @@ __all__ = [
 STIRLING_VARIANTS = ("carlitz", "cigler", "shifted")
 
 _q_factorials: list[QPoly] = [QPoly.one()]
+# _cyclotomics[d-1] = Phi_d; it starts as [Phi_1] = [q - 1].
+_cyclotomics: list[QPoly] = [QPoly((-1, 1))]
 # Column tables: cols[j][i] = T(j+i, j); each starts as column 0 = [T(0,0)].
 _stirling_tables: dict[str, list[list[QPoly]]] = {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
 _classical_cols: list[list[int]] = [[1]]
@@ -67,10 +76,11 @@ def q_int(n: int) -> QPoly:
 def _memo_row(rows: list, n: int, next_row: Callable[[list], object]):
     """rows[n], appending next_row(rows) until it exists.
 
-    Grows the q-factorials, the list of a triangle's columns and each
-    column.  The only place that takes the growth lock; an entry that
-    already exists is read without it.  next_row must not call a
-    memoized kernel, since the lock is not reentrant.
+    Grows the q-factorials, the cyclotomic polynomials, the list of a
+    triangle's columns and each column.  The only place that takes the
+    growth lock; an entry that already exists is read without it.
+    next_row must not call a memoized kernel, since the lock is not
+    reentrant.
     """
     if len(rows) <= n:
         with _grow_lock:
@@ -84,6 +94,23 @@ def q_factorial(n: int) -> QPoly:
     if n < 0:
         raise ValueError(f"q_factorial needs n >= 0, got {n}")
     return _memo_row(_q_factorials, n, lambda fs: fs[-1] * q_int(len(fs)))
+
+
+def _next_cyclotomic(phis: list[QPoly]) -> QPoly:
+    """Phi_d for d = len(phis) + 1: q**d - 1 divided exactly by Phi_e for
+    every proper divisor e of d, read from phis."""
+    d = len(phis) + 1
+    below = prod((phis[e - 1] for e in range(1, d // 2 + 1) if d % e == 0), start=QPoly.one())
+    return (QPoly.q(d) - 1).exact_div(below)
+
+
+def cyclotomic(d: int) -> QPoly:
+    """Phi_d, the d-th cyclotomic polynomial: monic, irreducible over the
+    rationals, of degree phi(d), and q**d - 1 is the product of Phi_e over
+    the divisors e of d."""
+    if d < 1:
+        raise ValueError(f"cyclotomic needs d >= 1, got {d}")
+    return _memo_row(_cyclotomics, d - 1, _next_cyclotomic)
 
 
 def q_binomial(n: int, k: int) -> QPoly:

@@ -22,7 +22,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import families, objects, rook
-from .errors import UnknownSuiteError
+from .errors import SizeLimitError, UnknownSuiteError
 from .exactnum import IntMatrix, QPoly, QRational, TruncatedSeries
 from .qkernels import q_binomial, q_exponential, q_factorial, q_int, q_stirling
 
@@ -32,6 +32,8 @@ __all__ = [
     "suite_names",
     "sylvester_matrix",
     "sylvester_conjecture",
+    "conjecture_range",
+    "CONJECTURE_MAX_N",
     "gf_check_classical",
     "gf_check_cenkci",
     "gf_check_ernst",
@@ -227,15 +229,36 @@ def sylvester_matrix(n: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
+# Largest n the Sylvester conjecture harness checks.  A check's cost is
+# almost all the characteristic polynomial of the (2n-1) x (2n-1) matrix,
+# and a run checks every n from 2: n = 40 took 0.64 s and the run to 40
+# 5.4 s, n = 52 2.0 s and the run to 52 21 s (2-vCPU VM, CHANGES.md table).
+CONJECTURE_MAX_N = 40
+
+
+def _check_conjecture_size(n: int) -> None:
+    if n > CONJECTURE_MAX_N:
+        raise SizeLimitError(f"sylvester conjecture at n = {n} exceeds bound {CONJECTURE_MAX_N}")
+
+
+def conjecture_range(max_n: int) -> range:
+    """The n that a conjecture run up to max_n checks, 2..max_n; raises
+    SizeLimitError past CONJECTURE_MAX_N before any n is checked."""
+    _check_conjecture_size(max_n)
+    return range(2, max_n + 1)
+
+
 def sylvester_conjecture(n: int) -> CheckReport:
     """Check pB(n,2) == (1+q) * W_n(-q) with W_n the characteristic
     polynomial of the resultant matrix of [n] and [n+1].
 
     When the primary comparison fails, the sign-flipped comparison with
-    -(1+q)*W_n(-q) is recorded in the witness as well.
+    -(1+q)*W_n(-q) is recorded in the witness as well.  Raises
+    SizeLimitError past CONJECTURE_MAX_N.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _check_conjecture_size(n)
     w_n = sylvester_matrix(n).charpoly()
     candidate = (QPoly.one() + QPoly.q(1)) * w_n.subs_neg_q()
     target = families.vesztergombi_q_pb(n, 2)
@@ -574,7 +597,7 @@ def _suite_cenkci_comb(max_n: int, max_k: int, order: int) -> list[CheckReport]:
 
 
 def _suite_conjecture(max_n: int, max_k: int, order: int) -> list[CheckReport]:
-    return [sylvester_conjecture(n) for n in range(2, max(max_n, 2) + 1)]
+    return [sylvester_conjecture(n) for n in conjecture_range(max(max_n, 2))]
 
 
 _SUITES: dict[str, Callable[[int, int, int], list[CheckReport]]] = {
@@ -598,6 +621,7 @@ def suite_names() -> list[str]:
 def run_suite(suite: str, *, max_n: int = 4, max_k: int = 4, order: int = 6) -> list[CheckReport]:
     """Run one named suite (or 'all') and return its reports in stable order."""
     if suite == "all":
+        conjecture_range(max_n)  # a run past the conjecture's bound stops before any suite
         return [report for run in _SUITES.values() for report in run(max_n, max_k, order)]
     if suite not in _SUITES:
         raise UnknownSuiteError(suite)

@@ -120,11 +120,27 @@ def test_conjecture_reaches_n_80(capsys, monkeypatch):
         return SimpleNamespace(charpoly=lambda: w_n)
 
     monkeypatch.setattr(verify, "sylvester_matrix", matrix)
+    # The stand-in makes every n cheap, so the size bound measured on the
+    # real matrices (test_conjecture_past_its_bound_exits_3) is lifted here.
+    monkeypatch.setattr(verify, "CONJECTURE_MAX_N", 80)
     code, out, err = run_cli(capsys, "conjecture", "--max-n", "80")
     assert (code, err) == (0, "")
     reports = [json.loads(line) for line in out.splitlines()]
     assert [r["parameters"]["n"] for r in reports] == list(range(2, 81))
     assert {r["status"] for r in reports} == {"pass"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("conjecture", "--max-n", "41"),
+    ("verify", "--suite", "conjecture", "--max-n", "41"),
+    ("verify", "--suite", "all", "--max-n", "41"),
+])
+def test_conjecture_past_its_bound_exits_3(capsys, argv):
+    # past verify.CONJECTURE_MAX_N, refused before any n is checked, so
+    # stdout stays empty
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "size limit: sylvester conjecture at n = 41 exceeds bound 40\n"
 
 
 def test_oeis_command_offline(capsys, tmp_path, monkeypatch):

@@ -254,6 +254,17 @@ def test_packed_digit_at_the_top_of_the_width():
             assert_packed_round_trip(p, width)
 
 
+def test_signed_packed_round_trip():
+    for width in (1, 2, 8, 9):
+        top = 2 ** (8 * width - 1) - 1
+        for p in (QPoly.zero(), QPoly.const(-1), QPoly([-top, top]), QPoly([top, 0, -top]),
+                  QPoly([-3, 0, 0, -top], 2), QPoly([1, -1] * 4, 1)):
+            value = p.packed(width)
+            assert value == sum(c << (8 * width * e) for e, c in p.terms())
+            back = QPoly.from_signed_packed(value, width)
+            assert (back.min_exp, back.coeffs) == (p.min_exp, p.coeffs)
+
+
 def test_packed_negative_exponent_raises():
     for p in (QPoly.q(-1), QPoly([1, 2, 3], -2), QPoly([4, 5], -7)):
         with pytest.raises(ValueError):
@@ -343,6 +354,79 @@ def test_qrational_normal_form_unique(a, b, scale):
 def test_qrational_cancels_any_common_factor(a, b, c):
     assume(not b.is_zero and not c.is_zero)
     assert QRational(a * c, b * c) == QRational(a, b)
+
+
+# Irreducible over the rationals, content-free, nonzero constant term.
+IRREDUCIBLES = (QPoly([-1, 1]), QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1]), QPoly([1, -1, 1]),
+                QPoly([2, 1]), QPoly([1, 2, 3]), QPoly([1, -1]), QPoly([-3, 0, 0, -2]))
+
+
+def _product(pairs):
+    out = QPoly.one()
+    for f, e in pairs:
+        out = out * f ** e
+    return out
+
+
+def test_over_factors_cancelling_and_coprime_cases():
+    phi2, phi3, phi4 = QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1])
+    factors = [(phi2, 3), (phi3, 1), (phi4, 2)]
+    den = _product(factors)
+    # cancelling: two copies of phi2 and the one phi3 divide the numerator
+    num = QPoly([3, -1, 4], 1) * phi2 ** 2 * phi3 * 6
+    got = QRational.over_factors(num, factors)
+    assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
+    assert got.den == phi2 * phi4 ** 2
+    # coprime: nothing divides, so the denominator is the whole product
+    num = QPoly([5, 0, -2, 7], -2)
+    got = QRational.over_factors(num, factors)
+    assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
+    assert got.den == den
+    assert QRational.over_factors(QPoly.zero(), factors) == QRational.from_int(0)
+    assert QRational.over_factors(QPoly.const(4), []) == QRational.from_int(4)
+
+
+def test_over_factors_settles_the_sign_and_content():
+    # 1 - q has a negative leading coefficient; 6 shares no content with a
+    # content-free denominator
+    got = QRational.over_factors(QPoly([6, 12]), [(QPoly([1, -1]), 2), (QPoly([-3, 0, 0, -2]), 1)])
+    want = QRational(QPoly([6, 12]), QPoly([1, -1]) ** 2 * QPoly([-3, 0, 0, -2]))
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.den.coeffs[-1] > 0
+
+
+def test_over_factors_confirms_a_packed_coincidence():
+    # num = 1 - q + q**2 - ... + q**256 has digits of one byte, so the packed
+    # point is q = 256, and num(256) = (256**257 + 1) / 257 is a multiple of
+    # 257 = (1 + q)(256).  Yet 1 + q does not divide num: num(-1) = 257.
+    num = QPoly([(-1) ** i for i in range(257)])
+    assert num.packed(1) % 257 == 0
+    got = QRational.over_factors(num, [(QPoly([1, 1]), 1)])
+    assert (got.num, got.den) == (num, QPoly([1, 1]))
+
+
+def test_over_factors_rejects_a_factor_without_constant_term():
+    for factors in ([(QPoly.q(1), 1)], [(QPoly([0, 1, 1]), 2)], [(QPoly([1, 1]), -1)]):
+        with pytest.raises(ValueError):
+            QRational.over_factors(QPoly([1, 2]), factors)
+
+
+@settings(max_examples=80)
+@given(
+    small_polys,
+    st.lists(st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(min_value=0, max_value=3)), max_size=4),
+    st.lists(st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(min_value=0, max_value=3)), max_size=4),
+)
+def test_over_factors_matches_the_constructor(a, shared, factors):
+    # a times some of the factors (and others) over the factors, against the
+    # remainder sequence of the constructor
+    num = a * _product(shared)
+    distinct = {}
+    for f, e in factors:
+        distinct[f] = distinct.get(f, 0) + e
+    got = QRational.over_factors(num, distinct.items())
+    want = QRational(num, _product(distinct.items()))
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 @settings(max_examples=80)

@@ -272,6 +272,51 @@ def test_at_q_large_cells_match_pointwise_sum(n, k):
         assert value.eval_rational(r) == (-total if n % 2 else total)
 
 
+def _same(got, want):
+    # equal values in the same type, with equal parts in normal form
+    assert type(got) is type(want)
+    if isinstance(want, QRational):
+        assert (got.num, got.den) == (want.num, want.den)
+    assert got == want and str(got) == str(want)
+
+
+@pytest.mark.parametrize("k", range(1, F.AT_Q_MAX_NK + 1))
+def test_at_q_packed_sum_matches_the_carlitz_sum_route(k):
+    # carlitz_sum over q_power_row adds one QRational term at a time, with a
+    # gcd per step: no packing, no cyclotomic factor and no over_factors.
+    for n in range(F.AT_Q_MAX_NK // k + 1):
+        want = F.carlitz_sum(F.q_power_row(-k, n + 1), 0)
+        _same(F.at_q_pb(n, k), -want if n % 2 else want)
+
+
+def test_at_q_polynomial_branch_matches_the_carlitz_sum_route():
+    for n in range(13):
+        for k in range(-8, 1):
+            want = F.carlitz_sum(F.q_power_row(-k, n + 1), 0).as_qpoly()
+            _same(F.at_q_pb(n, k), -want if n % 2 else want)
+
+
+def test_packed_sum_takes_no_gcd_and_no_qrational_operator(monkeypatch):
+    from qpb import exactnum
+
+    def refuse(*args):
+        raise AssertionError("the packed sum called a gcd or a QRational operator")
+
+    # at_q_pb negates the sum for odd n, which takes no gcd
+    monkeypatch.setattr(exactnum, "_primitive_gcd", refuse)
+    for name in ("__init__", "__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+        monkeypatch.setattr(QRational, name, refuse)
+    for n, k in ((7, 3), (8, 2), (40, 1), (1, 40), (6, -3)):
+        F.at_q_pb(n, k)
+    for n in range(9):
+        F.carlitz_beta(n)
+
+
+def test_carlitz_beta_matches_the_carlitz_sum_route():
+    for n in range(21):
+        _same(F.carlitz_beta(n), F.carlitz_sum(F.q_power_row(-1, n + 1), 1))
+
+
 HARMONIC = [Fraction(1, m + 1) for m in range(10)]
 
 

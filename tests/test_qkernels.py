@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -13,6 +13,7 @@ from qpb.exactnum import QPoly, QRational, TruncatedSeries
 from qpb.objects import gen_set_partitions, inv_star
 from qpb.qkernels import (
     STIRLING_VARIANTS,
+    cyclotomic,
     q_binomial,
     q_exponential,
     q_factorial,
@@ -22,6 +23,25 @@ from qpb.qkernels import (
     s2_q,
     stirling2,
 )
+
+
+def test_cyclotomic_factors_q_power_minus_one():
+    for j in range(1, 41):
+        divisors = [d for d in range(1, j + 1) if j % d == 0]
+        assert prod(map(cyclotomic, divisors), start=QPoly.one()) == QPoly.q(j) - 1
+
+
+def test_cyclotomic_degree_and_primes():
+    for d in range(1, 41):
+        phi = cyclotomic(d)
+        assert phi.min_exp == 0 and phi.coeffs[-1] == 1
+        assert phi.max_exp == sum(gcd(d, i) == 1 for i in range(1, d + 1))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        assert cyclotomic(p) == q_int(p)
+    assert cyclotomic(1) == QPoly([-1, 1])
+    assert cyclotomic(12) == QPoly([1, 0, -1, 0, 1])
+    with pytest.raises(ValueError):
+        cyclotomic(0)
 
 
 def test_q_int_and_factorial_basics():
@@ -191,6 +211,7 @@ def _fresh_memo_tables(monkeypatch):
         qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
     )
     monkeypatch.setattr(qkernels, "_classical_cols", [[1]])
+    monkeypatch.setattr(qkernels, "_cyclotomics", [QPoly((-1, 1))])
 
 
 def _grow_all(top):
@@ -200,6 +221,7 @@ def _grow_all(top):
         q_stirling(variant, top, 1)
     for n in range(top + 1):
         q_factorial(n)
+        cyclotomic(n + 1)
         stirling2(n, n // 2)
         for variant in STIRLING_VARIANTS:
             q_stirling(variant, n, n // 2)
@@ -211,6 +233,7 @@ def _memo_snapshot():
         list(qkernels._q_factorials),
         {v: [list(col) for col in cols] for v, cols in qkernels._stirling_tables.items()},
         [list(col) for col in qkernels._classical_cols],
+        list(qkernels._cyclotomics),
     )
 
 

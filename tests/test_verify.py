@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qpb import families, rook, verify
-from qpb.errors import UnknownSuiteError
+from qpb.errors import SizeLimitError, UnknownSuiteError
 from qpb.exactnum import IntMatrix, QPoly
 from qpb.qkernels import q_factorial, q_stirling
 from qpb.verify import (
@@ -108,6 +108,20 @@ def test_conjecture_range_and_bounds():
     with pytest.raises(ValueError):
         sylvester_conjecture(1)
     assert sylvester_conjecture(11).status == "pass"
+
+
+def test_conjecture_size_bound():
+    # the benchmark's runs (--max-n 10 and 6) stay inside the bound
+    assert verify.CONJECTURE_MAX_N == 40
+    assert verify.conjecture_range(40) == range(2, 41)
+    assert verify.conjecture_range(10) == range(2, 11)
+    assert verify.conjecture_range(6) == range(2, 7)
+    with pytest.raises(SizeLimitError):
+        verify.conjecture_range(41)
+    with pytest.raises(SizeLimitError):
+        sylvester_conjecture(41)
+    with pytest.raises(SizeLimitError):
+        verify.run_suite("conjecture", max_n=41)
 
 
 def test_gf_classical():
