@@ -163,8 +163,9 @@ def cmd_conjecture(args) -> int:
     if args.max_n < 2:
         # no n would be checked, and an empty run must not read as a pass
         return _domain_error(args, f"the identity starts at n = 2, got --max-n {args.max_n}")
-    # conjecture_range refuses a run past the bound here, before any output.
-    reports = (verify.sylvester_conjecture(n) for n in verify.conjecture_range(args.max_n))
+    # The reports stream, so a run past the bound is refused before the first.
+    verify._check_conjecture_size(args.max_n)
+    reports = (verify.sylvester_conjecture(n) for n in range(2, args.max_n + 1))
     return _write_reports(reports, "value(s) of n refute the identity as stated")
 
 

@@ -7,9 +7,9 @@ Four carriers, all immutable and exact (no floats anywhere):
                       primitive remainder sequence (no rational
                       coefficients in any intermediate step); its
                       operators take gcds of the operands' parts only,
-                      and ``QRational.over_factors`` takes none: it
-                      reaches the normal form of a numerator over known
-                      irreducible factors by trial division.
+                      and the constructor takes none for a denominator
+                      given as a product of known irreducible factors:
+                      it reaches the normal form by trial division.
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
@@ -28,7 +28,8 @@ operands alone:
   such as the cigler weight q**(n-1) + (m-1);
 * a window sum, O(len), when one operand is all ones (a q-integer [m]
   times a power of q): prefix sums of the other operand, differenced over
-  a window of width m;
+  a window of width m (``exact_div`` by such a divisor inverts it, also
+  in O(len));
 * Kronecker substitution, when both are dense enough that schoolbook would
   take at least ``_KRONECKER_MIN_WORK`` products per packed coefficient:
   each operand becomes one big integer, CPython multiplies the two once
@@ -292,11 +293,17 @@ class QPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return QPoly()
-        quo, rem = _divmod_int(self.coeffs, other.coeffs)
-        if quo is None:
-            raise ValueError("quotient has non-integer coefficients")
-        if any(rem):
-            raise ValueError("division is not exact")
+        m = len(other.coeffs)
+        if other.coeffs.count(1) == m:  # a q-integer [m] times a power of q
+            quo = _over_q_int(self.coeffs, m)
+            if quo is None:
+                raise ValueError("division is not exact")
+        else:
+            quo, rem = _divmod_int(self.coeffs, other.coeffs)
+            if quo is None:
+                raise ValueError("quotient has non-integer coefficients")
+            if any(rem):
+                raise ValueError("division is not exact")
         return QPoly(quo, self.min_exp - other.min_exp)
 
     # -- comparison, hashing, display -----------------------------------------
@@ -401,6 +408,22 @@ def _times_q_int(a: tuple[int, ...], m: int) -> tuple[int, ...]:
         return a
     s = list(accumulate(chain(a, repeat(0, m - 1)), initial=0))
     return tuple(chain(islice(s, 1, m), map(sub, islice(s, m, None), s)))
+
+
+def _over_q_int(a: tuple[int, ...], m: int) -> list[int] | None:
+    """a divided by [m], the inverse of _times_q_int, or None when [m] does
+    not divide a.  Since [m] * (1 - q) = 1 - q**m, the quotient is a times
+    1 - q (a difference of neighbours) divided by 1 - q**m (a running sum
+    over each residue class mod m); that series ends, and the division is
+    exact, when the m sums from index len(a) - m + 1 on are all zero."""
+    cut = len(a) - m + 1
+    if cut < 1:
+        return None
+    diff = [a[0], *map(sub, a[1:], a), -a[-1]]  # a * (1 - q)
+    out = [0] * len(diff)
+    for r in range(m):
+        out[r::m] = accumulate(diff[r::m])
+    return None if any(out[cut:]) else out[:cut]
 
 
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -554,6 +577,12 @@ class QRational:
     long division.  The integer content and the sign are then settled as
     for the operators' results (_finish).
 
+    The denominator may also be given factored, as pairs (f, e) standing
+    for the product of f**e, each f irreducible over the rationals,
+    content-free and with a nonzero constant term, as the cyclotomic
+    polynomials are.  The common factor is then found with no remainder
+    sequence: each f is trial-divided into the numerator (_over_factors).
+
     The operators reach the same normal form from smaller gcds, those of
     the operands' parts, whose quotients are already coprime (Henrici,
     JACM 3, 1956; Knuth, TAOCP Vol. 2, 4.5.1).  For x = a/b and y = c/d:
@@ -573,14 +602,18 @@ class QRational:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QPoly, den: QPoly = QPoly.one()):
-        if den.is_zero:
+    def __init__(self, num: QPoly, den: "QPoly | Iterable[tuple[QPoly, int]]" = QPoly.one()):
+        if not isinstance(den, QPoly):
+            num, den = _over_factors(num, den)
+        elif den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        # Pull the q-power out of the denominator entirely.
-        shift = -den.min_exp
-        num, den = num.shift(shift), den.shift(shift)
-        g = [1] if num.is_zero else _primitive_gcd(num.coeffs, den.coeffs)
-        r = _finish(_quo(num, g), _quo(den, g))
+        else:
+            # Pull the q-power out of the denominator entirely.
+            shift = -den.min_exp
+            num, den = num.shift(shift), den.shift(shift)
+            g = [1] if num.is_zero else _primitive_gcd(num.coeffs, den.coeffs)
+            num, den = _quo(num, g), _quo(den, g)
+        r = _finish(num, den)
         object.__setattr__(self, "num", r.num)
         object.__setattr__(self, "den", r.den)
 
@@ -596,50 +629,6 @@ class QRational:
     @classmethod
     def from_fraction(cls, f: Fraction) -> "QRational":
         return cls(QPoly.const(f.numerator), QPoly.const(f.denominator))
-
-    @classmethod
-    def over_factors(cls, num: QPoly, factors: Iterable[tuple[QPoly, int]]) -> "QRational":
-        """num / (the product of f**e over (f, e) in factors) in normal
-        form, with no remainder sequence.
-
-        Each f must be irreducible over the rationals, content-free and
-        have a nonzero constant term, as the cyclotomic polynomials are.
-        The gcd of num and the denominator is then the product of the
-        copies of each f that divide num, so f is divided into num up to e
-        times, and the copies left over make the denominator, content-free
-        by Gauss's lemma.  Each trial division is gated by an integer test
-        at the packed point q = 2**(8*width), width the bytes of the
-        largest coefficient of num or of any f (f | num implies
-        f(q) | num(q)), and confirmed by exact division, so a coincidence
-        at that point cannot change the result.  Content and sign are then
-        settled as for the operators' results.
-        """
-        factors = [(f, e) for f, e in factors if e]
-        if any(f.min_exp or f.is_zero or e < 0 for f, e in factors):
-            raise ValueError("over_factors needs factors with a nonzero constant term and powers e >= 0")
-        if num.is_zero:
-            return _qrational(num, _ONE)
-        top = max(map(abs, chain(num.coeffs, *(f.coeffs for f, _ in factors))))
-        width = top.bit_length() // 8 + 1
-        value = _pack(num.coeffs, width)
-        kept = []
-        for f, e in factors:
-            at = f.packed(width)
-            while e and value % at == 0:
-                try:
-                    num = num.exact_div(f)
-                except ValueError:  # f(q) divides num(q), but f does not divide num
-                    break
-                value //= at
-                e -= 1
-            if e:
-                kept.append((f, e))
-        # One packed product: no coefficient of the denominator exceeds
-        # the product of ||f||_1**e.
-        top = prod(sum(map(abs, f.coeffs)) ** e for f, e in kept)
-        width = top.bit_length() // 8 + 1
-        den = QPoly.from_signed_packed(prod(f.packed(width) ** e for f, e in kept), width)
-        return _finish(num, den)
 
     @staticmethod
     def _coerce(value) -> "QRational | None":
@@ -824,6 +813,45 @@ def _finish(num: QPoly, den: QPoly) -> QRational:
     if den.coeffs[-1] < 0:
         num, den = -num, -den
     return _qrational(num, den)
+
+
+def _over_factors(num: QPoly, factors: Iterable[tuple[QPoly, int]]) -> tuple[QPoly, QPoly]:
+    """Coprime parts of num / (the product of f**e over (f, e) in
+    factors), for the constructor's factored form (QRational docstring).
+
+    The gcd of num and the product is the product of the copies of each f
+    that divide num, so f is divided into num up to e times, and the
+    copies left over make the denominator, content-free by Gauss's lemma.
+    Each trial division is gated by an integer test at the packed point
+    q = 2**(8*width), width the bytes of the largest coefficient of num or
+    of any f (f | num implies f(q) | num(q)), and confirmed by exact
+    division, so a coincidence at that point cannot change the result.
+    """
+    factors = [(f, e) for f, e in factors if e]
+    if any(f.min_exp or f.is_zero or e < 0 for f, e in factors):
+        raise ValueError("a factored denominator needs factors with a nonzero constant term and powers e >= 0")
+    if num.is_zero:
+        return num, _ONE
+    top = max(map(abs, chain(num.coeffs, *(f.coeffs for f, _ in factors))))
+    width = top.bit_length() // 8 + 1
+    value = _pack(num.coeffs, width)
+    kept = []
+    for f, e in factors:
+        at = f.packed(width)
+        while e and value % at == 0:
+            try:
+                num = num.exact_div(f)
+            except ValueError:  # f(q) divides num(q), but f does not divide num
+                break
+            value //= at
+            e -= 1
+        if e:
+            kept.append((f, e))
+    # One packed product: no coefficient of the denominator exceeds
+    # the product of ||f||_1**e.
+    top = prod(sum(map(abs, f.coeffs)) ** e for f, e in kept)
+    width = top.bit_length() // 8 + 1
+    return num, QPoly.from_signed_packed(prod(f.packed(width) ** e for f, e in kept), width)
 
 
 def _product(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRational:

@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from math import comb, factorial, lcm, prod
-from operator import mul, sub
+from operator import mul
 from typing import Callable, Sequence
 
 from . import objects
@@ -322,18 +321,6 @@ def carlitz_sum(a: Sequence, s: int) -> QPoly | QRational:
     return acc
 
 
-def _over_q_int(cs: Sequence[int], j: int) -> list[int]:
-    """The coefficients of the polynomial cs divided by [j], which must
-    divide it.  Since [j] * (1 - q) = 1 - q**j, the quotient is cs times
-    1 - q (a difference of neighbours) divided by 1 - q**j (a running sum
-    over each residue class mod j)."""
-    diff = [cs[0], *map(sub, cs[1:], cs)]  # cs * (1 - q) below its top term
-    out = [0] * len(diff)
-    for r in range(j):
-        out[r::j] = accumulate(diff[r::j])
-    return out[:len(cs) - j + 1]
-
-
 def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
     """sum over m <= n of (-1)**m * [m]! * {n+s, m+s}_q * [m+1]**-k
     (carlitz), for any integer k and s in {0, 1}, as one packed sum.
@@ -355,9 +342,9 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
     ||R_m||_inf <= ||R_m||_1 = (m+1)**-k.  width holds that bound and a
     sign bit.
 
-    N / L reaches normal form by QRational.over_factors, which
-    trial-divides each Phi_d into N: the sum takes no gcd and makes no
-    QRational operator call.
+    N / L reaches normal form by the QRational constructor with L given
+    factored, which trial-divides each Phi_d into N: the sum takes no gcd
+    and makes no QRational operator call.
     """
     weights = [factorial(m) * stirling2(n + s, m + s) for m in range(n + 1)]
     live = [m for m, w in enumerate(weights) if w]
@@ -366,10 +353,10 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
         # P and every R_m are read at a width that holds the coefficients
         # of L = P**k: at most the product of ||Phi_d||_1**k.
         wide = (prod(sum(map(abs, phi.coeffs)) for phi in phis) ** k).bit_length() // 8 + 1
-        base = QPoly.from_signed_packed(prod(phi.packed(wide) for phi in phis), wide).coeffs
+        base = QPoly.from_signed_packed(prod(phi.packed(wide) for phi in phis), wide)
         rest = {}
         for m in live:
-            r = QPoly(_over_q_int(base, m + 1))
+            r = base.exact_div(q_int(m + 1))
             rest[m] = r if k == 1 else QPoly.from_signed_packed(r.packed(wide) ** k, wide)
         bound = sum(weights[m] * max(map(abs, rest[m].coeffs)) for m in live)
     else:
@@ -381,14 +368,14 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
         term *= rest[m].packed(width) if k > 0 else q_int(m + 1).packed(width) ** -k
         total = total - term if m % 2 else total + term
     num = QPoly.from_signed_packed(total, width)
-    return QRational.over_factors(num, ((phi, k) for phi in phis)) if k > 0 else num
+    return QRational(num, [(phi, k) for phi in phis]) if k > 0 else num
 
 
 # Bound on n*k for at_q_pb with k > 0, whose cost grows steeply with n.  At
 # n*k = 40 the costliest shape is k = 1: a first call in a fresh process took
-# 0.28 s at (40, 1), 21 ms at (20, 2), 4.3 ms at (10, 4), 2.9 ms at (8, 5),
-# 1.3 ms at (5, 8), 0.75 ms at (4, 10), 0.57 ms at (2, 20) and 0.27 ms at
-# (1, 40) (2-vCPU VM, BENCH_at_q_cyclotomic.json).
+# 0.26 s at (40, 1), 23 ms at (20, 2), 2.7 ms at (10, 4), 1.8 ms at (8, 5),
+# 1.2 ms at (5, 8), 0.97 ms at (4, 10), 0.42 ms at (2, 20) and 0.25 ms at
+# (1, 40) (2-vCPU VM, best of 3, BENCH_at_q_cyclotomic.json).
 AT_Q_MAX_NK = 40
 
 

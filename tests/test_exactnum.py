@@ -124,6 +124,23 @@ def test_exact_div_and_failure():
         QPoly([1, 1, 1]).exact_div(QPoly([1, 1]))
 
 
+@settings(max_examples=120)
+@given(small_polys, small_polys, st.integers(min_value=1, max_value=7), st.integers(min_value=-2, max_value=2))
+def test_exact_div_by_a_q_integer_matches_long_division(a, b, m, shift):
+    # an all-ones divisor takes the running-sum route; long division by a
+    # divisor with the same quotient, [m] * (1 + 2q), is the reference
+    by = QPoly([1] * m, shift)
+    assert (a * by).exact_div(by) == a
+    c = a * by + b
+    try:
+        want = (c * QPoly([1, 2])).exact_div(by * QPoly([1, 2]))
+    except ValueError:
+        with pytest.raises(ValueError):
+            c.exact_div(by)
+    else:
+        assert c.exact_div(by) == want
+
+
 @settings(max_examples=80)
 @given(small_polys, small_polys, small_polys)
 def test_ring_axioms(a, b, c):
@@ -368,47 +385,47 @@ def _product(pairs):
     return out
 
 
-def test_over_factors_cancelling_and_coprime_cases():
+def test_factored_denominator_cancelling_and_coprime_cases():
     phi2, phi3, phi4 = QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1])
     factors = [(phi2, 3), (phi3, 1), (phi4, 2)]
     den = _product(factors)
     # cancelling: two copies of phi2 and the one phi3 divide the numerator
     num = QPoly([3, -1, 4], 1) * phi2 ** 2 * phi3 * 6
-    got = QRational.over_factors(num, factors)
+    got = QRational(num, factors)
     assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
     assert got.den == phi2 * phi4 ** 2
     # coprime: nothing divides, so the denominator is the whole product
     num = QPoly([5, 0, -2, 7], -2)
-    got = QRational.over_factors(num, factors)
+    got = QRational(num, factors)
     assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
     assert got.den == den
-    assert QRational.over_factors(QPoly.zero(), factors) == QRational.from_int(0)
-    assert QRational.over_factors(QPoly.const(4), []) == QRational.from_int(4)
+    assert QRational(QPoly.zero(), factors) == QRational.from_int(0)
+    assert QRational(QPoly.const(4), []) == QRational.from_int(4)
 
 
-def test_over_factors_settles_the_sign_and_content():
+def test_factored_denominator_settles_the_sign_and_content():
     # 1 - q has a negative leading coefficient; 6 shares no content with a
     # content-free denominator
-    got = QRational.over_factors(QPoly([6, 12]), [(QPoly([1, -1]), 2), (QPoly([-3, 0, 0, -2]), 1)])
+    got = QRational(QPoly([6, 12]), [(QPoly([1, -1]), 2), (QPoly([-3, 0, 0, -2]), 1)])
     want = QRational(QPoly([6, 12]), QPoly([1, -1]) ** 2 * QPoly([-3, 0, 0, -2]))
     assert (got.num, got.den) == (want.num, want.den)
     assert got.den.coeffs[-1] > 0
 
 
-def test_over_factors_confirms_a_packed_coincidence():
+def test_factored_denominator_confirms_a_packed_coincidence():
     # num = 1 - q + q**2 - ... + q**256 has digits of one byte, so the packed
     # point is q = 256, and num(256) = (256**257 + 1) / 257 is a multiple of
     # 257 = (1 + q)(256).  Yet 1 + q does not divide num: num(-1) = 257.
     num = QPoly([(-1) ** i for i in range(257)])
     assert num.packed(1) % 257 == 0
-    got = QRational.over_factors(num, [(QPoly([1, 1]), 1)])
+    got = QRational(num, [(QPoly([1, 1]), 1)])
     assert (got.num, got.den) == (num, QPoly([1, 1]))
 
 
-def test_over_factors_rejects_a_factor_without_constant_term():
+def test_factored_denominator_rejects_a_factor_without_constant_term():
     for factors in ([(QPoly.q(1), 1)], [(QPoly([0, 1, 1]), 2)], [(QPoly([1, 1]), -1)]):
         with pytest.raises(ValueError):
-            QRational.over_factors(QPoly([1, 2]), factors)
+            QRational(QPoly([1, 2]), factors)
 
 
 @settings(max_examples=80)
@@ -417,14 +434,14 @@ def test_over_factors_rejects_a_factor_without_constant_term():
     st.lists(st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(min_value=0, max_value=3)), max_size=4),
     st.lists(st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(min_value=0, max_value=3)), max_size=4),
 )
-def test_over_factors_matches_the_constructor(a, shared, factors):
+def test_factored_denominator_matches_the_remainder_sequence(a, shared, factors):
     # a times some of the factors (and others) over the factors, against the
     # remainder sequence of the constructor
     num = a * _product(shared)
     distinct = {}
     for f, e in factors:
         distinct[f] = distinct.get(f, 0) + e
-    got = QRational.over_factors(num, distinct.items())
+    got = QRational(num, distinct.items())
     want = QRational(num, _product(distinct.items()))
     assert (got.num, got.den) == (want.num, want.den)
 

@@ -283,7 +283,7 @@ def _same(got, want):
 @pytest.mark.parametrize("k", range(1, F.AT_Q_MAX_NK + 1))
 def test_at_q_packed_sum_matches_the_carlitz_sum_route(k):
     # carlitz_sum over q_power_row adds one QRational term at a time, with a
-    # gcd per step: no packing, no cyclotomic factor and no over_factors.
+    # gcd per step: no packing, no cyclotomic factor and no factored denominator.
     for n in range(F.AT_Q_MAX_NK // k + 1):
         want = F.carlitz_sum(F.q_power_row(-k, n + 1), 0)
         _same(F.at_q_pb(n, k), -want if n % 2 else want)
@@ -302,9 +302,17 @@ def test_packed_sum_takes_no_gcd_and_no_qrational_operator(monkeypatch):
     def refuse(*args):
         raise AssertionError("the packed sum called a gcd or a QRational operator")
 
+    init = QRational.__init__
+
+    def factored_only(self, num, den):
+        # the one constructor call takes the denominator factored
+        assert not isinstance(den, QPoly)
+        init(self, num, den)
+
     # at_q_pb negates the sum for odd n, which takes no gcd
     monkeypatch.setattr(exactnum, "_primitive_gcd", refuse)
-    for name in ("__init__", "__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+    monkeypatch.setattr(QRational, "__init__", factored_only)
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
         monkeypatch.setattr(QRational, name, refuse)
     for n, k in ((7, 3), (8, 2), (40, 1), (1, 40), (6, -3)):
         F.at_q_pb(n, k)

@@ -113,15 +113,12 @@ def test_conjecture_range_and_bounds():
 def test_conjecture_size_bound():
     # the benchmark's runs (--max-n 10 and 6) stay inside the bound
     assert verify.CONJECTURE_MAX_N == 40
-    assert verify.conjecture_range(40) == range(2, 41)
-    assert verify.conjecture_range(10) == range(2, 11)
-    assert verify.conjecture_range(6) == range(2, 7)
-    with pytest.raises(SizeLimitError):
-        verify.conjecture_range(41)
     with pytest.raises(SizeLimitError):
         sylvester_conjecture(41)
-    with pytest.raises(SizeLimitError):
-        verify.run_suite("conjecture", max_n=41)
+    # refused before any n, or any other suite of "all", is checked
+    for suite in ("conjecture", "all"):
+        with pytest.raises(SizeLimitError):
+            verify.run_suite(suite, max_n=41)
 
 
 def test_gf_classical():
