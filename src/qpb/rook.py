@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import or_
+from operator import mul, or_
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
@@ -174,34 +174,43 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
     is empty or holds one of cols rooks, so (cols+1)**rows bounds each
     count and sets the packed width.
     """
-    if board.area > max_area:
-        raise SizeLimitError(f"board area {board.area} exceeds bound {max_area}")
-    if k < 0 or k > min(board.rows, board.cols):
+    cells = board.cells
+    n_rows, cols = len(cells), board.cols
+    if n_rows * cols > max_area:
+        raise SizeLimitError(f"board area {n_rows * cols} exceeds bound {max_area}")
+    if k < 0 or k > min(n_rows, cols):
         raise ValueError(f"k must lie in [0, min(rows, cols)], got {k}")
-    cols = board.cols
-    width = (((cols + 1) ** board.rows).bit_length() + 7) // 8
+    width = (((cols + 1) ** n_rows).bit_length() + 7) // 8
     shift = 8 * width
-    rows = [sum(v << j for j, v in enumerate(r)) for r in board.cells]
+    bits = [1 << j for j in range(cols)]  # row r's mask: bit j set for each cell r[j] == 1
+    rows = [sum(map(mul, r, bits)) for r in cells]
     # reach[i]: the columns with a cell in rows 0..i-1, the rows left after row i.
     reach = list(accumulate(rows, or_, initial=0))
     states = {0: 1}
-    for i in range(board.rows - 1, -1, -1):
+    for i in range(n_rows - 1, -1, -1):
         after: dict[int, int] = {}
+        get = after.get
+        row, left = rows[i], reach[i]
         for below, hist in states.items():
             placed = below.bit_count()
-            if placed + min(i, (reach[i] & ~below).bit_count()) >= k:
-                after[below] = after.get(below, 0) + (hist << shift * (cols - placed))
-            free = rows[i] & ~below if placed < k else 0
+            lack = k - placed  # the rooks the state still needs
+            room = (left & ~below).bit_count()  # the free columns the rows left reach
+            if i >= lack and room >= lack:  # this row empty
+                after[below] = get(below, 0) + (hist << shift * (cols - placed))
+            # A rook at column j leaves lack - 1 rooks to place, and room
+            # less one when j is in left.
+            if lack < 1 or room < lack - 1:
+                continue
+            free = row & ~below if room >= lack else row & ~below & ~left
             while free:
-                j = (free & -free).bit_length() - 1
-                free &= free - 1
-                key = below | 1 << j
-                if placed + 1 + (reach[i] & ~key).bit_count() >= k:
-                    w = cols - 1 - j - (below >> (j + 1)).bit_count()
-                    after[key] = after.get(key, 0) + (hist << shift * w)
+                low = free & -free  # bit j; the row's uncancelled cells lie right of j
+                free ^= low
+                j1 = low.bit_length()
+                w = cols - j1 - (below >> j1).bit_count()
+                key = below | low
+                after[key] = get(key, 0) + (hist << shift * w)
         states = after
-    done = (hist for below, hist in states.items() if below.bit_count() == k)
-    return QPoly.from_packed(sum(done), width)
+    return QPoly.from_packed(sum(hist for below, hist in states.items() if below.bit_count() == k), width)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from itertools import product, zip_longest
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import families, objects, rook
@@ -366,8 +366,8 @@ def _all_square_boards(n: int) -> Iterable[rook.Board]:
     """Every n x n board, numbered from 0: row r of board i is the r-th
     n-bit group of i, row 0 in the high bits, each row's first cell its
     group's high bit."""
-    for bits in product((0, 1), repeat=n * n):
-        yield rook.Board(tuple(bits[i * n:(i + 1) * n] for i in range(n)))
+    for cells in product(list(product((0, 1), repeat=n)), repeat=n):
+        yield rook.Board(cells)
 
 
 def _sample_square_boards(n: int, count: int, seed: int) -> list[rook.Board]:
@@ -399,53 +399,76 @@ def rook_reflection_check(n: int) -> CheckReport:
     """Reflection law over every n x n board:
     R_n(reflect_updown B) == q**C(n,2) * R_n(B)(1/q)."""
     # Reflection maps the n x n boards onto themselves, so each number is
-    # computed once; the reflected board's index is board i's index with
-    # its n row groups reversed (_all_square_boards numbering).
+    # computed once and the reflected board's is looked up by its cells.
     boards = list(_all_square_boards(n))
     numbers = [rook.q_rook_number(board, n) for board in boards]
-    mask = (1 << n) - 1
-
-    def reflected(i: int) -> int:
-        return sum(((i >> n * r) & mask) << n * (n - 1 - r) for r in range(n))
-
-    lhs = (numbers[reflected(i)] for i in range(len(boards)))
-    rhs = (QPoly.q(comb(n, 2)) * number.subs_inv_q() for number in numbers)
+    number_of = {board.cells: number for board, number in zip(boards, numbers)}
+    lhs = (number_of[board.cells[::-1]] for board in boards)
+    rhs = (number.subs_inv_q().shift(comb(n, 2)) for number in numbers)
     return CheckReport.compare_each(
         "rook-reflection", {"n": n, "boards": "all"}, zip(lhs, rhs), ("lhs", "rhs"),
         lambda i: {"index": i, "board": _board_rows(boards[i])},
     )
 
 
+def _abs_sum(p: QPoly) -> int:
+    """The value at q = 1 of p with every coefficient made nonnegative: a
+    bound on the absolute value of each coefficient of p."""
+    return sum(map(abs, p.coeffs))
+
+
 def rook_block_law_check(pairs: Sequence[tuple[rook.Board, rook.Board]]) -> CheckReport:
     """Block-composition law, squared-factorial form, for each square pair (A, B):
       R_{a+b}(B/A) = sum_i R_{a-i}(A) * R_{b-i}(rot180 B) * ([i]!)**2 * q**(-i*i)
     (the form consistent with the banded-permutation identity; the
-    single-factorial variant fails already on empty 2x2 blocks).  Each
-    block's side of the sum is built once per call, as a list over i:
-    R_{a-i}(A) * [i]! for A, and R_{b-i}(rot180 B) * [i]! * q**(-i*i) for
-    B, so a pair costs its lhs and one product per i.  The witness is the
-    first pair that breaks the law."""
-    # The pairs share few blocks; the caches live for this call only.
-    @cache
+    single-factorial variant fails already on empty 2x2 blocks).
+
+    Each board's side of the sum is built once per call, as a list over i:
+    R_{a-i}(A) * [i]! for A, and R_{b-i}(rot180 B) * [i]! * q**(lift - i*i)
+    for B, with lift the largest b*b, so that no exponent is negative.
+    Every side is packed (QPoly.packed) at one width, and a pair is one
+    integer sum over i of the products of its sides' packed terms,
+    compared with its packed lhs times q**lift.  The width holds, with a
+    sign bit to spare, a bound on every coefficient of either side: the
+    largest _abs_sum of an lhs, and the sum over i of the largest _abs_sum
+    of an A term i times the largest of a B term i.  So equal packed sides
+    are equal polynomials, whatever integer coefficients the routes
+    return.  The witness is the first pair that breaks the law, with its
+    rhs read back from the packed sum."""
     def upper(a: rook.Board) -> list[QPoly]:
         return [rook.q_rook_number(a, a.rows - i) * q_factorial(i) for i in range(a.rows + 1)]
 
-    @cache
     def lower(b: rook.Board) -> list[QPoly]:
         rotated = rook.rotate_180(b)
         return [
-            (rook.q_rook_number(rotated, b.rows - i) * q_factorial(i)).shift(-i * i)
+            (rook.q_rook_number(rotated, b.rows - i) * q_factorial(i)).shift(lift - i * i)
             for i in range(b.rows + 1)
         ]
 
-    def sides(a: rook.Board, b: rook.Board) -> tuple[QPoly, QPoly]:
-        lhs = rook.q_rook_number(rook.block_over(b, a), a.rows + b.rows)
-        return lhs, sum((x * y for x, y in zip(upper(a), lower(b))), QPoly.zero())
+    # The pairs share few blocks, so each side is built once per board.
+    lift = max((b.rows ** 2 for _, b in pairs), default=0)
+    uppers = {a: upper(a) for a in dict.fromkeys(a for a, _ in pairs)}
+    lowers = {b: lower(b) for b in dict.fromkeys(b for _, b in pairs)}
+    lhs = [rook.q_rook_number(rook.block_over(b, a), a.rows + b.rows) for a, b in pairs]
 
-    return CheckReport.compare_each(
-        "rook-block-law", {"pairs": len(pairs)}, (sides(a, b) for a, b in pairs),
-        ("lhs", "rhs"), lambda i: {"a": _board_rows(pairs[i][0]), "b": _board_rows(pairs[i][1])},
-    )
+    def largest(sides: Iterable[list[QPoly]]) -> list[int]:
+        return [max(map(_abs_sum, terms)) for terms in zip_longest(*sides, fillvalue=QPoly.zero())]
+
+    bound = max(sum(map(mul, largest(uppers.values()), largest(lowers.values()))),
+                max(map(_abs_sum, lhs), default=0))
+    width = (bound.bit_length() + 8) // 8
+    packed_upper = {a: [p.packed(width) for p in side] for a, side in uppers.items()}
+    packed_lower = {b: [p.packed(width) for p in side] for b, side in lowers.items()}
+    lift_bits = 8 * width * lift
+    params = {"pairs": len(pairs)}
+    for (a, b), left in zip(pairs, lhs):
+        right = sum(map(mul, packed_upper[a], packed_lower[b]))
+        if left.packed(width) << lift_bits != right:
+            return CheckReport.compare(
+                "rook-block-law", params, left, QPoly.from_signed_packed(right, width).shift(-lift),
+                ("lhs", "rhs"), a=_board_rows(a), b=_board_rows(b),
+            )
+    return CheckReport("rook-block-law", params, "pass")
 
 
 def _suite_rook_laws(max_n: int, max_k: int, order: int) -> list[CheckReport]:
@@ -589,6 +612,7 @@ def _suite_cenkci_comb(max_n: int, max_k: int, order: int) -> list[CheckReport]:
 
 
 def _suite_conjecture(max_n: int, max_k: int, order: int) -> list[CheckReport]:
+    _check_conjecture_size(max_n)  # refuse before any n is checked
     return [sylvester_conjecture(n) for n in range(2, max(max_n, 2) + 1)]
 
 

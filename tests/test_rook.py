@@ -208,6 +208,20 @@ def test_split_rook_number_sampled_tall_boards(data):
     )))
 
 
+def test_rook_number_on_boards_wider_than_64_columns():
+    # Row masks past bit 63 must keep every cell; a fixed-size bit table
+    # would drop the cells past its width and still return a polynomial.
+    wide = [
+        Board((tuple(int(j % 3 != 1) for j in range(70)),)),
+        Board((tuple(int(j == 69) for j in range(70)),)),
+    ]
+    for board in wide:
+        for k in (0, 1):
+            assert q_rook_number(board, k, max_area=board.area) == _placement_hist(board, k)
+    two = Board((tuple(int(j % 4 != 0) for j in range(40)), tuple(int(j % 5 != 2) for j in range(40))))
+    assert q_rook_number(two, 2, max_area=two.area) == _placement_hist(two, 2)
+
+
 def test_rook_number_on_seven_row_boards():
     # At k == cols every column takes a rook, so most partial placements die.
     for cols in (5, 7):

@@ -389,3 +389,52 @@ def test_rook_block_law_fail_witness_with_reused_blocks(monkeypatch):
         "lhs": "1 + q + 2*q^2 + 3*q^3 + 3*q^4 + 3*q^5 + q^6",
         "rhs": "4 + 4*q + 4*q^2 + 3*q^3 + 3*q^4 + 3*q^5 + q^6",
     }
+
+
+_X2, _FULL2 = rook.lower_triangular(2), rook.full_board(2, 2)
+_BLOCK_X_UNDER_FULL = rook.block_over(_FULL2, _X2)
+_RHS_X_FULL = "1 + 2*q + 3*q^2 + 4*q^3 + 4*q^4 + 3*q^5 + q^6"
+
+
+# case -> (module, attribute, broken replacement, expected witness).  Every
+# broken side exceeds 4! = 24 at q = 1, where a correct side of a 2x2 pair
+# stays, and "carry" is 256*q^2 - q^3 away from the true lhs: the two
+# sides would pack to the same integer at a width of one byte.
+WIDE_BROKEN_SIDES = {
+    "lhs-plus-300": (
+        rook, "q_rook_number",
+        lambda b, k: _q_rook_number(b, k) + QPoly([0, 0, 300]) * int(b == _BLOCK_X_UNDER_FULL),
+        {"a": [[1, 0], [1, 1]], "b": [[1, 1], [1, 1]],
+         "lhs": "1 + 2*q + 303*q^2 + 4*q^3 + 4*q^4 + 3*q^5 + q^6", "rhs": _RHS_X_FULL},
+    ),
+    "lhs-minus-300": (
+        rook, "q_rook_number",
+        lambda b, k: _q_rook_number(b, k) - 300 * int(b == _BLOCK_X_UNDER_FULL),
+        {"a": [[1, 0], [1, 1]], "b": [[1, 1], [1, 1]],
+         "lhs": "-299 + 2*q + 3*q^2 + 4*q^3 + 4*q^4 + 3*q^5 + q^6", "rhs": _RHS_X_FULL},
+    ),
+    "carry": (
+        rook, "q_rook_number",
+        lambda b, k: _q_rook_number(b, k) + QPoly([0, 0, 256, -1]) * int(b == _BLOCK_X_UNDER_FULL),
+        {"a": [[1, 0], [1, 1]], "b": [[1, 1], [1, 1]],
+         "lhs": "1 + 2*q + 259*q^2 + 3*q^3 + 4*q^4 + 3*q^5 + q^6", "rhs": _RHS_X_FULL},
+    ),
+    "rhs-times-1000000": (
+        verify, "q_factorial", lambda i: q_factorial(i) * 1000,
+        {"a": [[1, 1], [1, 1]], "b": [[1, 1], [1, 1]],
+         "lhs": "1 + 3*q + 5*q^2 + 6*q^3 + 5*q^4 + 3*q^5 + q^6",
+         "rhs": "1000000 + 3000000*q + 5000000*q^2 + 6000000*q^3 + 5000000*q^4 + 3000000*q^5 + 1000000*q^6"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WIDE_BROKEN_SIDES)
+def test_rook_block_law_fail_witness_past_a_correct_width(monkeypatch, case):
+    # The packed width must follow the sides as computed, not the bound a
+    # correct route keeps, or a broken side would carry into its neighbours.
+    module, name, broken, witness = WIDE_BROKEN_SIDES[case]
+    pairs = [(_FULL2, _FULL2), (_X2, _FULL2)]
+    assert rook_block_law_check(pairs).status == "pass"
+    monkeypatch.setattr(module, name, broken)
+    report = rook_block_law_check(pairs)
+    assert (report.status, report.parameters, report.witness) == ("fail", {"pairs": 2}, witness)
