@@ -3,13 +3,12 @@
 Four carriers, all immutable and exact (no floats anywhere):
 
 * ``QPoly``           Laurent polynomial in q with big-integer coefficients.
-* ``QRational``       normalized ratio of two QPoly, reduced by an integer
-                      primitive remainder sequence (no rational
-                      coefficients in any intermediate step); its
-                      operators take gcds of the operands' parts only,
-                      and the constructor takes none for a denominator
-                      given as a product of known irreducible factors:
-                      it reaches the normal form by trial division.
+* ``QRational``       normalized ratio of a QPoly and a denominator that
+                      is a positive integer times a product of cyclotomic
+                      polynomials Phi_d (``cyclotomic``, memoised here),
+                      kept as the map {d: e} of their exponents; the
+                      normal form is reached by trial division of the
+                      numerator by the Phi_d alone, with no polynomial gcd.
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
@@ -47,21 +46,23 @@ absolute values plus a sign bit; ``_kronecker_mul`` and the packed sums
 of ``families`` state their bounds.
 
 Values are safe to share between threads: every operation returns a new
-object and never mutates its inputs.
+object and never mutates its inputs (a QRational stores its denominator
+polynomial on first read, the same value whichever thread builds it).
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
 from struct import unpack
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
 
-__all__ = ["QPoly", "QRational", "TruncatedSeries", "IntMatrix"]
+__all__ = ["QPoly", "QRational", "TruncatedSeries", "IntMatrix", "cyclotomic"]
 
 
 class QPoly:
@@ -495,127 +496,186 @@ def _divmod_int(
     return quo, r
 
 
-def _content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = gcd(g, abs(c))
+_ONE = QPoly.one()
+
+# _cyclotomics[d-1] = Phi_d; it starts as [Phi_1] = [q - 1].  It only grows,
+# under _cyclotomic_lock, which re-checks the length once held, so
+# concurrent callers never append an entry twice; a read of an entry that
+# already exists takes no lock.
+_cyclotomics: list[QPoly] = [QPoly((-1, 1))]
+_cyclotomic_lock = threading.Lock()
+
+
+def cyclotomic(d: int) -> QPoly:
+    """Phi_d, the d-th cyclotomic polynomial: monic, irreducible over the
+    rationals, of degree phi(d), and q**d - 1 is the product of Phi_e over
+    the divisors e of d.  Memoised; each new Phi_n is q**n - 1 divided
+    exactly by the Phi_e of the proper divisors e of n."""
+    if d < 1:
+        raise ValueError(f"cyclotomic needs d >= 1, got {d}")
+    phis = _cyclotomics
+    if len(phis) < d:
+        with _cyclotomic_lock:
+            while len(phis) < d:
+                n = len(phis) + 1
+                below = prod((phis[e - 1] for e in range(1, n // 2 + 1) if n % e == 0), start=_ONE)
+                phis.append((QPoly.q(n) - 1).exact_div(below))
+    return phis[d - 1]
+
+
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d, from the prime factors of d."""
+    out, p = d, 2
+    while p * p <= d:
+        if d % p == 0:
+            out -= out // p
+            while d % p == 0:
+                d //= p
+        p += 1
+    return out - out // d if d > 1 else out
+
+
+def _strip(num: QPoly, phis: dict[int, int]) -> tuple[QPoly, dict[int, int]]:
+    """num divided by each Phi_d of phis = {d: e} as often as it divides,
+    at most e times, and the map of the copies not divided (no zero
+    exponents).  The one routine that divides a numerator by a Phi_d.
+
+    Each trial division is gated by an integer test at the packed point
+    X = 2**(8*width), width the bytes of num's largest coefficient (Phi_d
+    divides num only if Phi_d(X) divides num(X)), and confirmed by exact
+    division, so a coincidence at X cannot change the result.  No Phi_d
+    divides a constant, and the map of one is phis itself.  Neither map is
+    ever changed after it is built, so results may share them.
+    """
+    if len(num.coeffs) < 2 or not phis:
+        return num, phis
+    width = max(map(abs, num.coeffs)).bit_length() // 8 + 1
+    value = _pack(num.coeffs, width)
+    left = {}
+    for d, e in phis.items():
+        phi = cyclotomic(d)
+        at = phi.packed(width)
+        while e and value % at == 0:
+            try:
+                num = num.exact_div(phi)
+            except ValueError:  # Phi_d(X) divides num(X), but Phi_d does not divide num
+                break
+            value //= at
+            e -= 1
+        if e:
+            left[d] = e
+    return num, left
+
+
+def _split(p: QPoly) -> tuple[int, dict[int, int]]:
+    """(k, {d: e}) with p = q**p.min_exp * k * (the product of Phi_d**e),
+    for a nonzero p; ValueError when p has no such form.
+
+    Every Phi_d but Phi_1 = q - 1 reads the same backwards, and Phi_1
+    reads backwards as its negative, so a p that does neither is refused
+    at once.  Otherwise d runs up from 1 until the rest is a constant.  A
+    Phi_d whose degree phi(d) exceeds the rest's degree is skipped without
+    being built, and past d = max(6, deg**2) no Phi_d can divide a rest of
+    degree deg, since phi(d) >= sqrt(d) for d > 6.
+    """
+    cs = p.coeffs
+    symmetric = cs[::-1] in (cs, tuple(map(neg, cs)))
+    rest = _canonical(cs, 0)
+    phis = {}
+    d = 0
+    while len(rest.coeffs) > 1:
+        deg = len(rest.coeffs) - 1
+        d += 1
+        if not symmetric or d > max(6, deg * deg):
+            raise ValueError(f"the denominator {p} is not q**s times an integer times "
+                             "a product of cyclotomic polynomials")
+        t = _totient(d)
+        if t <= deg:
+            rest, _ = _strip(rest, {d: deg // t})
+            if len(rest.coeffs) <= deg:
+                phis[d] = (deg + 1 - len(rest.coeffs)) // t
+    return rest.coeffs[0], phis
+
+
+def _settle(num: QPoly, c: int) -> tuple[QPoly, int]:
+    """num and c over the integer content they share, with the sign of c
+    moved to num: the integer side of the normal form."""
+    if c < 0:
+        num, c = -num, -c
+    g = c
+    for x in num.coeffs:
         if g == 1:
             break
-    return g
+        g = gcd(g, x)
+    if g > 1:
+        num = _canonical(tuple([x // g for x in num.coeffs]), num.min_exp)
+        c //= g
+    return num, c
 
 
-def _primitive(cs: Sequence[int]) -> list[int]:
-    """Primitive part with positive leading coefficient; [] for zero."""
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    if not cs:
-        return cs
-    g = _content(cs)
-    if cs[-1] < 0:
-        g = -g
-    if g != 1:
-        cs = [c // g for c in cs]
-    return cs
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """The remainder of a by b times some nonzero integer.
-
-    Each step scales the partial remainder by lc(b)/g and subtracts
-    lr/g times b, where g = gcd(lr, lc(b)) for the current leading
-    coefficient lr, so no step leaves the integers.
-    """
-    r = list(a)
-    nb = len(b)
-    lead = b[-1]
-    while len(r) >= nb:
-        lr = r.pop()
-        if lr:
-            g = gcd(lr, lead)
-            s, f = lead // g, lr // g
-            if s != 1:
-                r = [s * c for c in r]
-            off = len(r) - nb + 1
-            for j in range(nb - 1):
-                r[off + j] -= f * b[j]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """GCD of two integer coefficient lists, primitive, positive leading.
-
-    Primitive polynomial remainder sequence over Z (Collins 1967, Brown
-    1971): pseudo-divide, then strip the content of every remainder.  By
-    Gauss's lemma the last nonzero remainder is the primitive gcd over Q.
-    """
-    a, b = _primitive(a), _primitive(b)
-    if len(a) == 1 or len(b) == 1:
-        return [1]  # a nonzero constant divides nothing but units
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
-    return a
+def _phi_product(phis: dict[int, int]) -> QPoly:
+    """The product of Phi_d**e over phis, as one packed product: no
+    coefficient exceeds the product of ||Phi_d||_1**e."""
+    if not phis:
+        return _ONE
+    top = prod(sum(map(abs, cyclotomic(d).coeffs)) ** e for d, e in phis.items())
+    width = top.bit_length() // 8 + 1
+    return QPoly.from_signed_packed(prod(cyclotomic(d).packed(width) ** e for d, e in phis.items()), width)
 
 
 class QRational:
     """Ratio of two QPoly in a unique normal form.
 
-    Normalization: the denominator is an ordinary polynomial (min_exp 0,
-    nonzero constant term) with positive leading coefficient, the pair has
-    no common polynomial factor over the rationals and no common integer
-    content.  Any q-power freed during reduction lives in the numerator,
-    which may therefore be a genuine Laurent polynomial.
+    The denominator is a positive integer c times a product of cyclotomic
+    polynomials, kept as the map phis = {d: e} of the exponent e > 0 of
+    each Phi_d; the numerator num is a Laurent polynomial, so any power of
+    q lives there.  Normal form: no Phi_d of phis divides num, and c shares
+    no factor with the integer content of num.  The Phi_d are monic,
+    content-free and irreducible over the rationals, so den = c * (the
+    product of Phi_d**e), built on its first read, is an ordinary
+    polynomial with positive leading coefficient, coprime to num over the
+    rationals and sharing no integer content with it.
 
-    The constructor accepts any pair and finds the common factor over the
-    integers alone: a primitive remainder sequence yields the primitive gcd
-    of numerator and denominator, which by Gauss's lemma is their gcd over
-    the rationals up to a unit, and both are divided by it with integer
-    long division.  The integer content and the sign are then settled as
-    for the operators' results (_finish).
+    The constructor takes the denominator as a nonzero QPoly or as a map
+    {d: e}.  A QPoly is split over the Phi_d (_split); one that is not q**s
+    times an integer times a product of Phi_d raises ValueError.  Every
+    denominator qpb builds has that form: [j] is the product of Phi_d over
+    the divisors d > 1 of j.  num is then divided by each Phi_d of the map
+    as often as it divides (_strip), and the integer content and sign are
+    settled (_settle).
 
-    The denominator may also be given factored, as pairs (f, e) standing
-    for the product of f**e, each f irreducible over the rationals,
-    content-free and with a nonzero constant term, as the cyclotomic
-    polynomials are.  The common factor is then found with no remainder
-    sequence: each f is trial-divided into the numerator (_over_factors).
+    The operators never split a denominator.  For x = a/(c*B) and
+    y = b/(c'*D), B and D products of Phi_d:
 
-    The operators reach the same normal form from smaller gcds, those of
-    the operands' parts, whose quotients are already coprime (Henrici,
-    JACM 3, 1956; Knuth, TAOCP Vol. 2, 4.5.1).  For x = a/b and y = c/d:
+    * x * y tries each Phi_d of B against b and each of D against a, the
+      only numerator it can divide, and adds the two maps;
+    * x + y is t over l*M, with l = lcm(c, c'), M the largest exponent of
+      each Phi_d and t = a*(l/c)*(M/B) + b*(l/c')*(M/D); a Phi_d whose
+      exponents in B and D differ divides one term of t and not the other,
+      so only the Phi_d with equal exponents are tried against t;
+    * x / y and x ** -n multiply by 1/y, whose denominator is b split over
+      the Phi_d, so they raise ValueError when b does not split; x ** n for
+      n >= 0 is a**n over c**n and n times each exponent, already normal.
 
-    * x * y divides a and d by gcd(a, d), and c and b by gcd(c, b);
-    * x + y with b == d divides a + c and b by their gcd;
-    * x + y otherwise takes g = gcd(b, d) and t = a*(d/g) + c*(b/g); the
-      sum is t over (b/g)*d, reduced by gcd(t, g), with no gcd at all
-      when g is 1;
-    * x / y multiplies by the reciprocal, and x ** n for n >= 0 is
-      a**n / b**n, already normal.
-
-    Every result then loses the integer content its two parts share and
-    gets a positive leading coefficient in the denominator, the two things
-    a gcd over the rationals leaves open.
+    Every result then loses the integer content its two parts share.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "c", "phis", "_den")
 
-    def __init__(self, num: QPoly, den: "QPoly | Iterable[tuple[QPoly, int]]" = QPoly.one()):
-        if not isinstance(den, QPoly):
-            num, den = _over_factors(num, den)
-        elif den.is_zero:
-            raise ZeroDivisionError("zero denominator")
+    def __init__(self, num: QPoly, den: "QPoly | dict[int, int]" = _ONE):
+        if isinstance(den, QPoly):
+            if den.is_zero:
+                raise ZeroDivisionError("zero denominator")
+            c, phis = _split(den)
+            num = num.shift(-den.min_exp)
         else:
-            # Pull the q-power out of the denominator entirely.
-            shift = -den.min_exp
-            num, den = num.shift(shift), den.shift(shift)
-            g = [1] if num.is_zero else _primitive_gcd(num.coeffs, den.coeffs)
-            num, den = _quo(num, g), _quo(den, g)
-        r = _finish(num, den)
-        object.__setattr__(self, "num", r.num)
-        object.__setattr__(self, "den", r.den)
+            if any(d < 1 or e < 0 for d, e in den.items()):
+                raise ValueError(f"a cyclotomic denominator {{d: e}} needs d >= 1 and e >= 0, got {den}")
+            c, phis = 1, {d: e for d, e in den.items() if e}
+        if num.is_zero:
+            c, phis = 1, {}
+        num, phis = _strip(num, phis)
+        _fill(self, *_settle(num, c), phis)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("QRational is immutable")
@@ -636,19 +696,24 @@ class QRational:
         if isinstance(value, QRational):
             return value
         if isinstance(value, QPoly):
-            return _qrational(value, _ONE)
+            return _new(value, 1, {})
         if isinstance(value, int):
-            return _qrational(QPoly.const(value), _ONE)
+            return _new(QPoly.const(value), 1, {})
         if isinstance(value, Fraction):
-            return _qrational(QPoly.const(value.numerator), QPoly.const(value.denominator))
+            return _new(QPoly.const(value.numerator), value.denominator, {})
         return None
 
-    def _reciprocal_parts(self) -> tuple[QPoly, QPoly]:
-        """(num, den) of 1/self, coprime and content-free; the leading
-        coefficient of den may be negative."""
-        return self.den.shift(-self.num.min_exp), _canonical(self.num.coeffs, 0)
+    # -- parts and predicates ----------------------------------------------------
 
-    # -- predicates ------------------------------------------------------------
+    @property
+    def den(self) -> QPoly:
+        """c times the product of Phi_d**e over phis, built on the first read
+        and kept (two threads that both build it store equal values)."""
+        den = self._den
+        if den is None:
+            den = _phi_product(self.phis) * self.c
+            object.__setattr__(self, "_den", den)
+        return den
 
     @property
     def is_zero(self) -> bool:
@@ -656,7 +721,7 @@ class QRational:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == QPoly.one()
+        return self.c == 1 and not self.phis
 
     def as_qpoly(self) -> QPoly:
         """Return the value as a QPoly; raises if it is not polynomial."""
@@ -666,11 +731,9 @@ class QRational:
 
     def as_fraction(self) -> Fraction:
         """Return the value as a Fraction; raises if q survives."""
-        if self.is_zero:
-            return Fraction(0)
-        if self.num.min_exp != 0 or self.num.max_exp != 0 or self.den.max_exp != 0:
+        if self.phis or self.num.min_exp != 0 or self.num.max_exp != 0:
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self.num.coeff(0), self.den.coeff(0))
+        return Fraction(self.num.coeff(0), self.c)
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -678,18 +741,18 @@ class QRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _sum(self.num, self.den, o.num, o.den)
+        return _sum(self, o)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QRational":
-        return _qrational(-self.num, self.den)
+        return _new(-self.num, self.c, self.phis)
 
     def __sub__(self, other) -> "QRational":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _sum(self.num, self.den, -o.num, o.den)
+        return _sum(self, -o)
 
     def __rsub__(self, other) -> "QRational":
         o = self._coerce(other)
@@ -701,7 +764,7 @@ class QRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _product(self.num, self.den, o.num, o.den)
+        return _product(self, o)
 
     __rmul__ = __mul__
 
@@ -711,7 +774,7 @@ class QRational:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero QRational")
-        return _product(self.num, self.den, *o._reciprocal_parts())
+        return _product(self, _reciprocal(o))
 
     def __rtruediv__(self, other) -> "QRational":
         o = self._coerce(other)
@@ -723,8 +786,9 @@ class QRational:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return _finish(*self._reciprocal_parts()) ** (-n)
-        return _qrational(self.num ** n, self.den ** n)
+            return _reciprocal(self) ** (-n)
+        phis = {d: e * n for d, e in self.phis.items()} if n else {}
+        return _new(self.num ** n, self.c ** n, phis)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -743,16 +807,17 @@ class QRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == o.num and self.c == o.c and self.phis == o.phis
 
     def __hash__(self) -> int:
         # As the QPoly, int or Fraction it equals, if any.
-        num, den = self.num, self.den
-        if den.coeffs == (1,):
-            return hash(num)
-        if num.min_exp == 0 and len(num.coeffs) == 1 and len(den.coeffs) == 1:
-            return hash(Fraction(num.coeffs[0], den.coeffs[0]))
-        return hash((num, den))
+        num = self.num
+        if not self.phis:
+            if self.c == 1:
+                return hash(num)
+            if num.min_exp == 0 and len(num.coeffs) == 1:
+                return hash(Fraction(num.coeffs[0], self.c))
+        return hash((num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -769,123 +834,71 @@ class QRational:
         return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
 
 
-def _exact_int_div(cs: Sequence[int], by: Sequence[int]) -> list[int]:
-    quo, rem = _divmod_int(cs, by)
-    assert quo is not None, "internal gcd quotient not integral"
-    assert not any(rem), "internal gcd division left a remainder"
-    return quo
-
-
-_ONE = QPoly.one()
-
-
-def _qrational(num: QPoly, den: QPoly) -> QRational:
-    """A QRational from parts already in normal form, without reducing."""
-    r = object.__new__(QRational)
+def _fill(r: QRational, num: QPoly, c: int, phis: dict[int, int]) -> QRational:
+    """r with the parts num, c and phis, already in normal form."""
     object.__setattr__(r, "num", num)
-    object.__setattr__(r, "den", den)
+    object.__setattr__(r, "c", c)
+    object.__setattr__(r, "phis", phis)
+    object.__setattr__(r, "_den", None)
     return r
 
 
-def _quo(p: QPoly, g: list[int]) -> QPoly:
-    """p divided by a primitive gcd g of p and some denominator.
-
-    g has a nonzero constant term (it divides a denominator) and divides p
-    over the integers (Gauss's lemma), so the quotient has nonzero ends.
-    """
-    if len(g) == 1:
-        return p
-    return _canonical(tuple(_exact_int_div(p.coeffs, g)), p.min_exp)
+def _new(num: QPoly, c: int, phis: dict[int, int]) -> QRational:
+    """A QRational from parts already in normal form, without reducing."""
+    return _fill(object.__new__(QRational), num, c, phis)
 
 
-def _finish(num: QPoly, den: QPoly) -> QRational:
-    """num/den in normal form, for parts with no common factor over the
-    rationals and a denominator with nonzero constant term: divide out
-    their common integer content and make lc(den) positive."""
-    if num.is_zero:
-        return _qrational(num, _ONE)
-    c = _content(den.coeffs)
-    if c > 1:
-        c = gcd(c, _content(num.coeffs))
-        if c > 1:
-            num = _canonical(tuple([x // c for x in num.coeffs]), num.min_exp)
-            den = _canonical(tuple([x // c for x in den.coeffs]), 0)
-    if den.coeffs[-1] < 0:
-        num, den = -num, -den
-    return _qrational(num, den)
+def _reciprocal(x: QRational) -> QRational:
+    """1/x for a nonzero x: x's numerator, split over the Phi_d, is the new
+    denominator, coprime to the new numerator c*B.  ValueError when it
+    does not split."""
+    k, phis = _split(x.num)
+    return _new(*_settle(x.den.shift(-x.num.min_exp), k), phis)
 
 
-def _over_factors(num: QPoly, factors: Iterable[tuple[QPoly, int]]) -> tuple[QPoly, QPoly]:
-    """Coprime parts of num / (the product of f**e over (f, e) in
-    factors), for the constructor's factored form (QRational docstring).
-
-    The gcd of num and the product is the product of the copies of each f
-    that divide num, so f is divided into num up to e times, and the
-    copies left over make the denominator, content-free by Gauss's lemma.
-    Each trial division is gated by an integer test at the packed point
-    q = 2**(8*width), width the bytes of the largest coefficient of num or
-    of any f (f | num implies f(q) | num(q)), and confirmed by exact
-    division, so a coincidence at that point cannot change the result.
-    """
-    factors = [(f, e) for f, e in factors if e]
-    if any(f.min_exp or f.is_zero or e < 0 for f, e in factors):
-        raise ValueError("a factored denominator needs factors with a nonzero constant term and powers e >= 0")
-    if num.is_zero:
-        return num, _ONE
-    top = max(map(abs, chain(num.coeffs, *(f.coeffs for f, _ in factors))))
-    width = top.bit_length() // 8 + 1
-    value = _pack(num.coeffs, width)
-    kept = []
-    for f, e in factors:
-        at = f.packed(width)
-        while e and value % at == 0:
-            try:
-                num = num.exact_div(f)
-            except ValueError:  # f(q) divides num(q), but f does not divide num
-                break
-            value //= at
-            e -= 1
-        if e:
-            kept.append((f, e))
-    # One packed product: no coefficient of the denominator exceeds
-    # the product of ||f||_1**e.
-    top = prod(sum(map(abs, f.coeffs)) ** e for f, e in kept)
-    width = top.bit_length() // 8 + 1
-    return num, QPoly.from_signed_packed(prod(f.packed(width) ** e for f, e in kept), width)
+def _product(x: QRational, y: QRational) -> QRational:
+    """x * y (QRational docstring): each operand's Phi_d tried against the
+    other's numerator, and the maps added."""
+    a, b = x.num, y.num
+    if a.is_zero or b.is_zero:
+        return _new(QPoly(), 1, {})
+    b, xm = _strip(b, x.phis)
+    a, ym = _strip(a, y.phis)
+    phis = dict(xm)
+    for d, e in ym.items():
+        phis[d] = phis.get(d, 0) + e
+    return _new(*_settle(a * b, x.c * y.c), phis)
 
 
-def _product(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRational:
-    """(a/b) * (c/d) for operands in normal form but for the sign of d:
-    gcd(a, d) and gcd(c, b) leave coprime parts."""
-    if d.coeffs != (1,):
-        g = _primitive_gcd(a.coeffs, d.coeffs)
-        a, d = _quo(a, g), _quo(d, g)
-    if b.coeffs != (1,):
-        g = _primitive_gcd(c.coeffs, b.coeffs)
-        c, b = _quo(c, g), _quo(b, g)
-    return _finish(a * c, b * d)
-
-
-def _sum(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRational:
-    """a/b + c/d for operands in normal form.
-
-    With g = gcd(b, d), every common factor of t = a*(d/g) + c*(b/g) and
-    (b/g)*d divides g, since b/g and d/g are coprime and each is coprime
-    to its own numerator; so gcd(t, g) is the only gcd left to take.
-    """
-    if b.coeffs == d.coeffs:
-        t = a + c
-        if b.coeffs == (1,):
-            return _qrational(t, b)
-        g = _primitive_gcd(t.coeffs, b.coeffs)
-        return _finish(_quo(t, g), _quo(b, g))
-    g = _primitive_gcd(b.coeffs, d.coeffs)
-    if len(g) == 1:
-        return _finish(a * d + c * b, b * d)
-    b_g = _quo(b, g)
-    t = a * _quo(d, g) + c * b_g
-    g2 = _primitive_gcd(t.coeffs, g)
-    return _finish(_quo(t, g2), b_g * _quo(d, g2))
+def _sum(x: QRational, y: QRational) -> QRational:
+    """x + y (QRational docstring): over the lcm of the denominators, with
+    only the Phi_d of equal exponents on both sides tried against the sum."""
+    a, b = x.num, y.num
+    if a.is_zero:
+        return y
+    if b.is_zero:
+        return x
+    xm, ym = x.phis, y.phis
+    c = lcm(x.c, y.c)
+    if xm == ym:
+        t = a * (c // x.c) + b * (c // y.c)
+        phis = shared = xm
+    else:
+        phis = dict(xm)
+        for d, e in ym.items():
+            if e > phis.get(d, 0):
+                phis[d] = e
+        # One packed product per cofactor M/B and M/D.
+        x_rest = _phi_product({d: e - xm.get(d, 0) for d, e in phis.items() if e > xm.get(d, 0)})
+        y_rest = _phi_product({d: e - ym.get(d, 0) for d, e in phis.items() if e > ym.get(d, 0)})
+        t = a * (c // x.c) * x_rest + b * (c // y.c) * y_rest
+        shared = {d: e for d, e in xm.items() if ym.get(d) == e}
+    if t.is_zero:
+        phis = shared = {}
+    t, left = _strip(t, shared)
+    if left is not shared:
+        phis = {**{d: e for d, e in phis.items() if d not in shared}, **left}
+    return _new(*_settle(t, c), phis)
 
 
 class TruncatedSeries:

@@ -9,9 +9,9 @@ The Carlitz sum sum over m of (-1)**m * a[m] * [m]! * {n+s,m+s}_q
 (carlitz_sum) is the closed form of the zengA (s = 1) and zengB (s = 0)
 triangles' leading columns.  With a[m] = [m+1]**-k it gives at_q_pb
 (s = 0) and carlitz_beta (s = 1, k = 1); those two take
-_carlitz_power_sum, one packed sum over the cyclotomic common denominator
-with no gcd, so carlitz_sum over q_power_row stays an independent route
-for the checks that compare them with the triangles.
+_carlitz_power_sum, one packed sum over the cyclotomic common denominator,
+so carlitz_sum over q_power_row stays an independent route for the
+checks that compare them with the triangles.
 
 The three q-valued paired sums are defined once, in _PAIRED_SUMS: their
 weight, q-Stirling variant and finish step; a value past
@@ -342,9 +342,9 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
     ||R_m||_inf <= ||R_m||_1 = (m+1)**-k.  width holds that bound and a
     sign bit.
 
-    N / L reaches normal form by the QRational constructor with L given
-    factored, which trial-divides each Phi_d into N: the sum takes no gcd
-    and makes no QRational operator call.
+    N / L reaches normal form by the QRational constructor with L given as
+    the map {d: k}, which trial-divides each Phi_d into N: the sum splits
+    no denominator and makes no QRational operator call.
     """
     weights = [factorial(m) * stirling2(n + s, m + s) for m in range(n + 1)]
     live = [m for m, w in enumerate(weights) if w]
@@ -368,7 +368,7 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
         term *= rest[m].packed(width) if k > 0 else q_int(m + 1).packed(width) ** -k
         total = total - term if m % 2 else total + term
     num = QPoly.from_signed_packed(total, width)
-    return QRational(num, [(phi, k) for phi in phis]) if k > 0 else num
+    return QRational(num, {d: k for d in range(2, n + 2)}) if k > 0 else num
 
 
 # Bound on n*k for at_q_pb with k > 0, whose cost grows steeply with n.  At

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count, product
-from math import comb, factorial
+from math import factorial
 from operator import lshift
 from typing import Iterator, Sequence
 
@@ -61,7 +61,6 @@ __all__ = [
     "inversions",
     "gen_vesztergombi",
     "vesztergombi_oracle",
-    "gamma_free_first_column_decomposition_check",
 ]
 
 # Largest n*k that the matrix classes search, set by hand rather than
@@ -689,23 +688,3 @@ def vesztergombi_oracle(n: int, k: int) -> QPoly:
                 after[key] = after.get(key, 0) + (hist << shift * (used >> v).bit_count())
         states = after
     return QPoly.from_packed(sum(states.values()), width)
-
-
-# ---------------------------------------------------------------------------
-# first-column peeling of gamma-free matrices
-# ---------------------------------------------------------------------------
-
-def gamma_free_first_column_decomposition_check(n: int, k: int) -> bool:
-    """Count n x (k+1) gamma-free matrices against the first-column
-    construction: pick a set R of rows carrying a 1 in column one; all of
-    them except the bottom-most are forced to be zero to the right, and
-    the untouched rows plus that bottom row form a free gamma-free matrix
-    with k columns.  The empty R leaves an all-zero first column.  Both
-    sides are counted by count_class, so n*(k+1) is bounded by
-    MAX_SCAN_CELLS.
-    """
-    lhs = count_class("gamma_free", n, k + 1)
-    rhs = count_class("gamma_free", n, k)
-    for r in range(1, n + 1):
-        rhs += comb(n, r) * count_class("gamma_free", n - r + 1, k)
-    return lhs == rhs

@@ -1,13 +1,16 @@
 """q-combinatorial number kernels.
 
-q-integers, q-factorials, q-binomials, cyclotomic polynomials, three
-q-deformations of the Stirling numbers of the second kind, two auxiliary
-Stirling-type arrays with a q parameter, and the q-exponential series.
+q-integers, q-factorials, q-binomials, three q-deformations of the
+Stirling numbers of the second kind, two auxiliary Stirling-type arrays
+with a q parameter, and the q-exponential series.  The cyclotomic
+polynomials are exactnum.cyclotomic, exported here too.
 
 The cyclotomic polynomials factor the q-integers into irreducibles:
-[j] = product of Phi_d over the divisors d > 1 of j, so the least common
+[j] = product of Phi_d over the divisors d > 1 of j, so [k]! is the
+product of Phi_d**(k // d) for 2 <= d <= k, and the least common
 multiple of [1]**k, ..., [n+1]**k is the product of Phi_d**k for
-2 <= d <= n+1, a denominator known before any sum is taken.
+2 <= d <= n+1: denominators known before any sum is taken, and passed to
+QRational as the map {d: e} of those exponents.
 
 The three Stirling deformations and the classical table share one
 recurrence T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1 and
@@ -26,21 +29,22 @@ Each triangle is stored by column, cols[j][i] = T(j+i, j), so a request
 for T(n, m) grows columns 0..m, in order, to index n-m and builds no
 column to the right of m: a tall table that reads only the first columns
 never pays for the rest of the triangle.  The memo tables (q-factorials,
-cyclotomic polynomials, the triangles' columns) only grow and never change
-an entry.  Every table and every column grows through one function, under
-one module lock, which re-checks the length once held, so concurrent
-callers never append an entry twice; a read of an entry that already
-exists takes no lock.
+the triangles' columns) only grow and never change an entry.  Every
+table and every column grows through one function, under one module
+lock, which re-checks the length once held, so concurrent callers never
+append an entry twice; a read of an entry that already exists takes no
+lock.  The Phi_d memo in exactnum follows the same rule under its own
+lock.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Callable
 
-from .exactnum import QPoly, QRational, TruncatedSeries
+from .exactnum import QPoly, QRational, TruncatedSeries, cyclotomic
 
 __all__ = [
     "STIRLING_VARIANTS",
@@ -58,8 +62,6 @@ __all__ = [
 STIRLING_VARIANTS = ("carlitz", "cigler", "shifted")
 
 _q_factorials: list[QPoly] = [QPoly.one()]
-# _cyclotomics[d-1] = Phi_d; it starts as [Phi_1] = [q - 1].
-_cyclotomics: list[QPoly] = [QPoly((-1, 1))]
 # Column tables: cols[j][i] = T(j+i, j); each starts as column 0 = [T(0,0)].
 _stirling_tables: dict[str, list[list[QPoly]]] = {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
 _classical_cols: list[list[int]] = [[1]]
@@ -76,9 +78,9 @@ def q_int(n: int) -> QPoly:
 def _memo_row(rows: list, n: int, next_row: Callable[[list], object]):
     """rows[n], appending next_row(rows) until it exists.
 
-    Grows the q-factorials, the cyclotomic polynomials, the list of a
-    triangle's columns and each column.  The only place that takes the
-    growth lock; an entry that already exists is read without it.
+    Grows the q-factorials, the list of a triangle's columns and each
+    column.  The only place that takes the growth lock; an entry that
+    already exists is read without it.
     next_row must not call a memoized kernel, since the lock is not
     reentrant.
     """
@@ -94,23 +96,6 @@ def q_factorial(n: int) -> QPoly:
     if n < 0:
         raise ValueError(f"q_factorial needs n >= 0, got {n}")
     return _memo_row(_q_factorials, n, lambda fs: fs[-1] * q_int(len(fs)))
-
-
-def _next_cyclotomic(phis: list[QPoly]) -> QPoly:
-    """Phi_d for d = len(phis) + 1: q**d - 1 divided exactly by Phi_e for
-    every proper divisor e of d, read from phis."""
-    d = len(phis) + 1
-    below = prod((phis[e - 1] for e in range(1, d // 2 + 1) if d % e == 0), start=QPoly.one())
-    return (QPoly.q(d) - 1).exact_div(below)
-
-
-def cyclotomic(d: int) -> QPoly:
-    """Phi_d, the d-th cyclotomic polynomial: monic, irreducible over the
-    rationals, of degree phi(d), and q**d - 1 is the product of Phi_e over
-    the divisors e of d."""
-    if d < 1:
-        raise ValueError(f"cyclotomic needs d >= 1, got {d}")
-    return _memo_row(_cyclotomics, d - 1, _next_cyclotomic)
 
 
 def q_binomial(n: int, k: int) -> QPoly:
@@ -219,6 +204,7 @@ def q_exponential(scale: QPoly, order: int) -> TruncatedSeries:
     coeffs = []
     power = QPoly.one()
     for k in range(order + 1):
-        coeffs.append(QRational(power, q_factorial(k)))
+        # [k]! is the product of Phi_d**(k // d) over 2 <= d <= k.
+        coeffs.append(QRational(power, {d: k // d for d in range(2, k + 1)}))
         power = power * scale
     return TruncatedSeries(coeffs)

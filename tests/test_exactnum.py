@@ -1,15 +1,17 @@
 """Kernel tests: Laurent polynomials, rational functions, series, matrices."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpb.errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
-from qpb.exactnum import MAX_PERMANENT_DIM, IntMatrix, QPoly, QRational, TruncatedSeries, _primitive_gcd
+from qpb.exactnum import MAX_PERMANENT_DIM, IntMatrix, QPoly, QRational, TruncatedSeries, cyclotomic
 
 small_polys = st.builds(
     QPoly,
@@ -312,6 +314,37 @@ def test_add_matches_termwise_sum(ca, ea, cb, eb):
 # QRational
 # ---------------------------------------------------------------------------
 
+# Denominators as qpb builds them: a nonzero integer times q**s times a
+# product of cyclotomic polynomials Phi_d.
+cyclotomic_polys = st.builds(
+    lambda k, s, factors: QPoly.q(s) * k * prod((cyclotomic(d) ** e for d, e in factors), start=QPoly.one()),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.tuples(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=2)), max_size=3),
+)
+
+
+def splits(p: QPoly) -> bool:
+    """Whether p can be a denominator: q**s times an integer times Phi_d's."""
+    try:
+        QRational(QPoly.one(), p)
+    except ValueError:
+        return False
+    return True
+
+
+def assert_invariants(r: QRational) -> None:
+    """c > 0, no integer content shared with num, no zero exponent, no
+    Phi_d of the map dividing num, and den built from the parts."""
+    assert r.c > 0
+    assert gcd(r.c, *r.num.coeffs) == 1 or r.num.is_zero
+    assert all(e > 0 for e in r.phis.values())
+    for d in r.phis:
+        with pytest.raises(ValueError):
+            r.num.exact_div(cyclotomic(d))
+    assert r.den == prod((cyclotomic(d) ** e for d, e in r.phis.items()), start=QPoly.const(r.c))
+
+
 def test_qrational_normalization_unique():
     a = QRational(QPoly([0, 1, 1], -1), QPoly([2, 2]))  # (q^-1)(q + q^2) / (2 + 2q)
     b = QRational(QPoly([1]), QPoly([2]))
@@ -352,134 +385,168 @@ def test_qrational_as_qpoly():
         QRational(QPoly([1]), QPoly([1, 1])).as_qpoly()
 
 
+@pytest.mark.parametrize("den", [
+    QPoly([2, 1]), QPoly([1, 0, 2]), QPoly([3, 1, 0, 1]), QPoly([2, 1], 3),
+    QPoly([1, 3, 1]), QPoly([2, 1, 2]), QPoly([1, 3, 1]) * cyclotomic(5) * cyclotomic(1),
+])
+def test_a_denominator_that_is_not_cyclotomic_is_refused(den):
+    # 2 + q, 1 + 2q^2, 3 + q + q^3 and q^3(2 + q) do not read the same
+    # backwards up to sign; 1 + 3q + q^2, 2 + q + 2q^2 (its roots on the unit
+    # circle) and (1 + 3q + q^2)(q^5 - 1) do, and the scan over d refuses them
+    named = pytest.raises(ValueError, match=re.escape(str(den)))
+    with named:
+        QRational(QPoly([1, 1]), den)
+    with named:
+        QRational(QPoly([1, 1]), {2: 1}) / QRational(den)
+    with named:
+        QRational(den) ** -2
+    with named:
+        1 / QRational(den)
+
+
+def test_a_denominator_map_needs_d_at_least_one_and_no_negative_power():
+    for phis in ({0: 1}, {-1: 2}, {2: -1}, {3: 1, 2: -1}):
+        with pytest.raises(ValueError):
+            QRational(QPoly([1, 2]), phis)
+
+
+@settings(max_examples=40)
+@given(small_polys, cyclotomic_polys)
+def test_zero_powers_and_differences_leave_an_empty_map(a, b):
+    x = QRational(a, b)
+    for got, want in ((x ** 0, 1), (x - x, 0), (x * 0, 0), (0 * x, 0), (x + (-x), 0)):
+        assert got.phis == {} and got.c == 1
+        assert got == QRational.from_int(want)
+        assert (got.num, got.den) == (QPoly.const(want), QPoly.one())
+
+
 @settings(max_examples=60)
-@given(small_polys, small_polys, small_polys)
-def test_qrational_normal_form_unique(a, b, scale):
+@given(small_polys, cyclotomic_polys, cyclotomic_polys)
+def test_qrational_normal_form_unique(a, den, mult):
     # common factors never leak into the normal form
-    den = b + QPoly([1], 4)
-    mult = scale + QPoly([2], 2)
-    assume(not den.is_zero)
-    assume(not mult.is_zero)
     direct = QRational(a, den)
     scaled = QRational(a * mult, den * mult)
     assert direct == scaled
     assert direct.num == scaled.num and direct.den == scaled.den
+    assert_invariants(direct)
 
 
 @settings(max_examples=80)
-@given(small_polys, small_polys, small_polys)
+@given(small_polys, cyclotomic_polys, cyclotomic_polys)
 def test_qrational_cancels_any_common_factor(a, b, c):
-    assume(not b.is_zero and not c.is_zero)
     assert QRational(a * c, b * c) == QRational(a, b)
 
 
-# Irreducible over the rationals, content-free, nonzero constant term.
-IRREDUCIBLES = (QPoly([-1, 1]), QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1]), QPoly([1, -1, 1]),
-                QPoly([2, 1]), QPoly([1, 2, 3]), QPoly([1, -1]), QPoly([-3, 0, 0, -2]))
-
-
-def _product(pairs):
-    out = QPoly.one()
-    for f, e in pairs:
-        out = out * f ** e
-    return out
+def _product(phis: dict) -> QPoly:
+    return prod((cyclotomic(d) ** e for d, e in phis.items()), start=QPoly.one())
 
 
 def test_factored_denominator_cancelling_and_coprime_cases():
-    phi2, phi3, phi4 = QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1])
-    factors = [(phi2, 3), (phi3, 1), (phi4, 2)]
-    den = _product(factors)
+    phi2, phi3, phi4 = cyclotomic(2), cyclotomic(3), cyclotomic(4)
+    phis = {2: 3, 3: 1, 4: 2}
+    den = _product(phis)
     # cancelling: two copies of phi2 and the one phi3 divide the numerator
     num = QPoly([3, -1, 4], 1) * phi2 ** 2 * phi3 * 6
-    got = QRational(num, factors)
+    got = QRational(num, phis)
     assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
-    assert got.den == phi2 * phi4 ** 2
+    assert got.den == phi2 * phi4 ** 2 and got.phis == {2: 1, 4: 2}
     # coprime: nothing divides, so the denominator is the whole product
     num = QPoly([5, 0, -2, 7], -2)
-    got = QRational(num, factors)
+    got = QRational(num, phis)
     assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
-    assert got.den == den
-    assert QRational(QPoly.zero(), factors) == QRational.from_int(0)
-    assert QRational(QPoly.const(4), []) == QRational.from_int(4)
+    assert got.den == den and got.phis == phis
+    assert QRational(QPoly.zero(), phis) == QRational.from_int(0)
+    assert QRational(QPoly.const(4), {}) == QRational.from_int(4)
+    assert QRational(QPoly.const(4), {5: 0}).phis == {}
 
 
 def test_factored_denominator_settles_the_sign_and_content():
-    # 1 - q has a negative leading coefficient; 6 shares no content with a
-    # content-free denominator
-    got = QRational(QPoly([6, 12]), [(QPoly([1, -1]), 2), (QPoly([-3, 0, 0, -2]), 1)])
-    want = QRational(QPoly([6, 12]), QPoly([1, -1]) ** 2 * QPoly([-3, 0, 0, -2]))
-    assert (got.num, got.den) == (want.num, want.den)
+    # -3 * (q - 1)**2 * Phi_6 as a polynomial: its sign goes to the
+    # numerator, and 3 leaves both parts; the map form has neither
+    den = cyclotomic(1) ** 2 * cyclotomic(6) * -3
+    got = QRational(QPoly([6, 12]), den)
+    assert (got.num, got.c, got.phis) == (QPoly([-2, -4]), 1, {1: 2, 6: 1})
     assert got.den.coeffs[-1] > 0
+    mapped = QRational(QPoly([-2, -4]), {1: 2, 6: 1})
+    assert (mapped.num, mapped.den) == (got.num, got.den)
 
 
 def test_factored_denominator_confirms_a_packed_coincidence():
     # num = 1 - q + q**2 - ... + q**256 has digits of one byte, so the packed
     # point is q = 256, and num(256) = (256**257 + 1) / 257 is a multiple of
-    # 257 = (1 + q)(256).  Yet 1 + q does not divide num: num(-1) = 257.
+    # 257 = Phi_2(256).  Yet Phi_2 = 1 + q does not divide num: num(-1) = 257.
     num = QPoly([(-1) ** i for i in range(257)])
     assert num.packed(1) % 257 == 0
-    got = QRational(num, [(QPoly([1, 1]), 1)])
+    got = QRational(num, {2: 1})
     assert (got.num, got.den) == (num, QPoly([1, 1]))
-
-
-def test_factored_denominator_rejects_a_factor_without_constant_term():
-    for factors in ([(QPoly.q(1), 1)], [(QPoly([0, 1, 1]), 2)], [(QPoly([1, 1]), -1)]):
-        with pytest.raises(ValueError):
-            QRational(QPoly([1, 2]), factors)
+    assert QRational(num, QPoly([1, 1])).phis == {2: 1}
 
 
 @settings(max_examples=80)
 @given(
     small_polys,
-    st.lists(st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(min_value=0, max_value=3)), max_size=4),
-    st.lists(st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(min_value=0, max_value=3)), max_size=4),
+    st.dictionaries(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=3), max_size=4),
+    st.dictionaries(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=3), max_size=4),
 )
-def test_factored_denominator_matches_the_remainder_sequence(a, shared, factors):
+def test_factored_denominator_matches_the_polynomial_form(a, shared, phis):
     # a times some of the factors (and others) over the factors, against the
-    # remainder sequence of the constructor
+    # same denominator given as a polynomial and split by the constructor
     num = a * _product(shared)
-    distinct = {}
-    for f, e in factors:
-        distinct[f] = distinct.get(f, 0) + e
-    got = QRational(num, distinct.items())
-    want = QRational(num, _product(distinct.items()))
-    assert (got.num, got.den) == (want.num, want.den)
+    got = QRational(num, phis)
+    want = QRational(num, _product(phis))
+    assert (got.num, got.c, got.phis, got.den) == (want.num, want.c, want.phis, want.den)
 
 
-@settings(max_examples=80)
-@given(
-    st.lists(st.integers(min_value=-30, max_value=30), max_size=7),
-    st.lists(st.integers(min_value=-30, max_value=30), max_size=7),
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4),
-)
-def test_primitive_gcd_matches_sympy(a, b, common):
+def _sympy_parts(expr, q) -> tuple[QPoly, QPoly]:
+    """(num, den) of expr in QRational's normal form, from sympy.cancel:
+    integer coefficients with no common content, lc(den) > 0, and any power
+    of q moved from den to num."""
+    sympy = pytest.importorskip("sympy")
+    polys = [sympy.Poly(p, q, domain="QQ") for p in sympy.fraction(sympy.cancel(expr))]
+    coeffs = [p.all_coeffs()[::-1] for p in polys]
+    scale = lcm(*(c.q for cs in coeffs for c in cs))
+    num, den = ([int(c * scale) for c in cs] for cs in coeffs)
+    g = gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    num, den = [c // g for c in num], [c // g for c in den]
+    s = next(i for i, c in enumerate(den) if c)
+    return QPoly(num, -s), QPoly(den[s:])
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_polys, cyclotomic_polys, st.one_of(small_polys, cyclotomic_polys), cyclotomic_polys,
+       st.integers(min_value=-3, max_value=3))
+def test_qrational_matches_sympy_cancel(a, b, c, d, n):
+    # an independent reference for the constructor and every operator
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
-    # a shared factor makes nontrivial gcds common rather than rare
-    a = list((QPoly(a) * QPoly(common)).coeffs) if any(a) else a
-    b = list((QPoly(b) * QPoly(common)).coeffs) if any(b) else b
-    assume(any(a) or any(b))
-    g = sympy.Poly(sympy.gcd(sympy.Poly(a[::-1], q), sympy.Poly(b[::-1], q)), q)
-    _, g = g.primitive()
-    if g.LC() < 0:
-        g = -g
-    expected = [int(c) for c in reversed(g.all_coeffs())]
-    assert _primitive_gcd(a, b) == expected
+
+    def sym(p: QPoly):
+        return sum((coef * q ** e for e, coef in p.terms()), sympy.Integer(0))
+
+    x, y = QRational(a, b), QRational(c, d)
+    xs, ys = sym(a) / sym(b), sym(c) / sym(d)
+    cases = [(x, xs), (y, ys), (x + y, xs + ys), (x - y, xs - ys), (x * y, xs * ys), (x ** abs(n), xs ** abs(n))]
+    if y and splits(c):
+        cases += [(x / y, xs / ys), (y ** n, ys ** n)]
+    elif y:
+        with pytest.raises(ValueError):
+            x / y
+    for got, expr in cases:
+        assert_invariants(got)
+        assert (got.num, got.den) == _sympy_parts(expr, q), (got, expr)
 
 
 @settings(max_examples=40)
-@given(small_polys, small_polys, small_polys)
-def test_qrational_field_axioms(a, b, c):
-    den = b + QPoly([1], 4)  # guaranteed nonzero
-    x = QRational(a, den)
-    y = QRational(c, QPoly([3, 1]))
+@given(small_polys, cyclotomic_polys, cyclotomic_polys, cyclotomic_polys)
+def test_qrational_field_axioms(a, b, c, d):
+    x = QRational(a, b)
+    y = QRational(c, d)
     assert (x + y) - y == x
-    if not y.is_zero:
-        assert (x / y) * y == x
+    assert (x / y) * y == x
 
 
-# The operators reduce by gcds of the operands' parts; the constructor,
-# which reduces the plain cross product by one gcd, is their reference.
+# The operators reduce over the operands' parts; the constructor, which
+# splits the plain cross product's denominator, is their reference.
 PLANTED = (
     QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1]), QPoly.q(1),
     QPoly.const(2), QPoly.const(3), QPoly.const(-1), QPoly([2, 2]),
@@ -498,25 +565,38 @@ def planted_poly(rng: random.Random, laurent: bool) -> QPoly:
     return p
 
 
+def cyclotomic_poly(rng: random.Random) -> QPoly:
+    """An integer times q**s times up to three Phi_d, d <= 8, some shared
+    with PLANTED."""
+    p = QPoly.q(rng.randint(0, 2)) * rng.choice((1, 2, -3, 6))
+    for _ in range(rng.randint(0, 3)):
+        p = p * cyclotomic(rng.randint(1, 8))
+    return p
+
+
 def random_operand_pair(rng: random.Random) -> tuple[QRational, QRational]:
     def den() -> QPoly:
-        return QPoly.one() if rng.random() < 0.2 else planted_poly(rng, False)
+        return QPoly.one() if rng.random() < 0.2 else cyclotomic_poly(rng)
 
-    x = QRational(planted_poly(rng, True), den())
+    def num() -> QPoly:
+        # a numerator that splits, so that it can divide, or any other
+        return cyclotomic_poly(rng) if rng.random() < 0.3 else planted_poly(rng, True)
+
+    x = QRational(num(), den())
     shape = rng.randrange(7)
     if shape == 0:  # mostly equal denominators
-        y = QRational(planted_poly(rng, True), x.den)
+        y = QRational(num(), x.den)
     elif shape == 1:  # denominators with a common factor
-        y = QRational(planted_poly(rng, True), x.den * rng.choice(PLANTED))
+        y = QRational(num(), x.den * cyclotomic_poly(rng))
     elif shape == 2:  # zero results: x - x, x + (-x)
         y = rng.choice((x, -x))
     elif shape == 3:  # a polynomial operand
-        y = QRational(planted_poly(rng, True))
+        y = QRational(num())
     elif shape == 4:  # y = z - x, so that x + y cancels x's denominator
-        z = QRational(planted_poly(rng, True), den())
+        z = QRational(num(), den())
         y = QRational(z.num * x.den - x.num * z.den, z.den * x.den)
     else:
-        y = QRational(planted_poly(rng, True), den())
+        y = QRational(num(), den())
     return (x, y) if rng.random() < 0.5 else (y, x)
 
 
@@ -524,34 +604,43 @@ def normal_form(r: QRational) -> tuple:
     return r.num.min_exp, r.num.coeffs, r.den.min_exp, r.den.coeffs
 
 
-def assert_ops_match_constructor(x: QRational, y: QRational) -> None:
+def assert_ops_match_constructor(x: QRational, y: QRational) -> int:
+    """The operators against the constructor on the cross products; the
+    number of divisions checked, those by a numerator that splits."""
     a, b, c, d = x.num, x.den, y.num, y.den
     cases = [
-        ("+", x + y, a * d + c * b, b * d),
-        ("-", x - y, a * d - c * b, b * d),
-        ("*", x * y, a * c, b * d),
+        ("+", lambda: x + y, a * d + c * b, b * d),
+        ("-", lambda: x - y, a * d - c * b, b * d),
+        ("*", lambda: x * y, a * c, b * d),
     ]
     if not y.is_zero:
-        cases.append(("/", x / y, a * d, b * c))
+        cases.append(("/", lambda: x / y, a * d, b * c))
     for n in range(4):
-        cases.append((f"**{n}", x ** n, a ** n, b ** n))
+        cases.append((f"**{n}", lambda n=n: x ** n, a ** n, b ** n))
         if n and not x.is_zero:
-            cases.append((f"**-{n}", x ** -n, b ** n, a ** n))
+            cases.append((f"**-{n}", lambda n=n: x ** -n, b ** n, a ** n))
+    divisions = 0
     for op, got, num, den in cases:
-        assert normal_form(got) == normal_form(QRational(num, den)), (x, op, y)
+        if splits(den):
+            assert normal_form(got()) == normal_form(QRational(num, den)), (x, op, y)
+            divisions += op[0] == "/" or op.startswith("**-")
+        else:  # a divisor whose numerator does not split
+            with pytest.raises(ValueError):
+                got()
+    return divisions
 
 
 def test_qrational_ops_match_constructor_on_cross_products():
     rng = random.Random(20261018)
-    for _ in range(1500):
-        assert_ops_match_constructor(*random_operand_pair(rng))
+    divisions = sum(assert_ops_match_constructor(*random_operand_pair(rng)) for _ in range(1500))
+    assert divisions > 1500  # the divisions by a numerator that splits are not rare
 
 
 def test_qrational_ops_with_int_fraction_and_qpoly_operands():
     rng = random.Random(7)
     for _ in range(200):
         x, _ = random_operand_pair(rng)
-        p = planted_poly(rng, True)
+        p = cyclotomic_poly(rng)
         k = rng.choice((-2, 3, 6))
         f = Fraction(rng.choice((-3, 2)), rng.choice((4, 9)))
         for other, y in ((p, QRational(p)), (k, QRational.from_int(k)), (f, QRational.from_fraction(f))):
@@ -559,7 +648,7 @@ def test_qrational_ops_with_int_fraction_and_qpoly_operands():
             pairs = [(x + other, x + y), (other + x, y + x), (x - other, x - y),
                      (other - x, y - x), (x * other, x * y), (other * x, y * x),
                      (x / other, x / y)]
-            if not x.is_zero:
+            if not x.is_zero and splits(x.num):
                 pairs.append((other / x, y / x))
             for got, want in pairs:
                 assert normal_form(got) == normal_form(want), (x, other)

@@ -61,3 +61,11 @@ def test_object_routes_call_no_formula(name):
     # enumerators import only the error types and the exact arithmetic.
     path = Path(qpb.__file__).parent / name
     assert _qpb_imports(path) <= {"errors", "exactnum"}
+
+
+@pytest.mark.parametrize("name", ["objects", "rook"])
+def test_object_routes_hold_no_check(name):
+    # A check compares two routes, so its home is verify; the enumerators
+    # only count.
+    module = importlib.import_module(f"qpb.{name}")
+    assert [x for x in vars(module) if x.endswith("_check")] == []

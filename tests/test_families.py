@@ -282,8 +282,9 @@ def _same(got, want):
 
 @pytest.mark.parametrize("k", range(1, F.AT_Q_MAX_NK + 1))
 def test_at_q_packed_sum_matches_the_carlitz_sum_route(k):
-    # carlitz_sum over q_power_row adds one QRational term at a time, with a
-    # gcd per step: no packing, no cyclotomic factor and no factored denominator.
+    # carlitz_sum over q_power_row adds one QRational term at a time, each
+    # operator reducing over the two operands' denominators: no packed sum
+    # and no denominator given as a whole.
     for n in range(F.AT_Q_MAX_NK // k + 1):
         want = F.carlitz_sum(F.q_power_row(-k, n + 1), 0)
         _same(F.at_q_pb(n, k), -want if n % 2 else want)
@@ -300,17 +301,17 @@ def test_packed_sum_takes_no_gcd_and_no_qrational_operator(monkeypatch):
     from qpb import exactnum
 
     def refuse(*args):
-        raise AssertionError("the packed sum called a gcd or a QRational operator")
+        raise AssertionError("the packed sum split a denominator or called a QRational operator")
 
     init = QRational.__init__
 
     def factored_only(self, num, den):
-        # the one constructor call takes the denominator factored
-        assert not isinstance(den, QPoly)
+        # the one constructor call takes the denominator as its map {d: e}
+        assert isinstance(den, dict)
         init(self, num, den)
 
-    # at_q_pb negates the sum for odd n, which takes no gcd
-    monkeypatch.setattr(exactnum, "_primitive_gcd", refuse)
+    # at_q_pb negates the sum for odd n, which splits nothing
+    monkeypatch.setattr(exactnum, "_split", refuse)
     monkeypatch.setattr(QRational, "__init__", factored_only)
     for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
         monkeypatch.setattr(QRational, name, refuse)
@@ -318,6 +319,15 @@ def test_packed_sum_takes_no_gcd_and_no_qrational_operator(monkeypatch):
         F.at_q_pb(n, k)
     for n in range(9):
         F.carlitz_beta(n)
+
+
+def test_packed_sums_rebuilt_from_their_parts_give_the_same_parts():
+    # The constructor splits the polynomial denominator over the Phi_d and
+    # strips the numerator again: coprime parts of degrees 489 and 529.
+    for value in (F.at_q_pb(F.AT_Q_MAX_NK, 1), F.carlitz_beta(40)):
+        rebuilt = QRational(value.num, value.den)
+        assert (rebuilt.num, rebuilt.den) == (value.num, value.den)
+        assert rebuilt.phis == value.phis == {d: 1 for d in range(2, 42)}
 
 
 def test_carlitz_beta_matches_the_carlitz_sum_route():

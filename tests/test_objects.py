@@ -21,7 +21,6 @@ from qpb.objects import (
     class_poly,
     count_class,
     fubini_oracle,
-    gamma_free_first_column_decomposition_check,
     gen_alternating_pairs,
     gen_matrix_class,
     gen_ordered_partitions,
@@ -398,15 +397,6 @@ def test_permmatrix_row_column_symmetry():
     poly = {shape: families.permmatrix_q_pb(*shape) for shape in shapes}
     for n, k in shapes:
         assert poly[n, k] == poly[k + 1, n - 1], (n, k)
-
-
-def test_gamma_free_decomposition():
-    assert gamma_free_first_column_decomposition_check(2, 2)
-    assert gamma_free_first_column_decomposition_check(1, 4)
-    assert gamma_free_first_column_decomposition_check(3, 2)
-    assert gamma_free_first_column_decomposition_check(4, 3)
-    with pytest.raises(SizeLimitError):  # the scan's bound on n*(k+1)
-        gamma_free_first_column_decomposition_check(4, 6)
 
 
 def test_class_poly_matches_formula_routes_on_wide_and_tall_shapes():

@@ -8,7 +8,7 @@ from math import comb, factorial, gcd, prod
 
 import pytest
 
-from qpb import qkernels
+from qpb import exactnum, qkernels
 from qpb.exactnum import QPoly, QRational, TruncatedSeries
 from qpb.objects import gen_set_partitions, inv_star
 from qpb.qkernels import (
@@ -205,13 +205,14 @@ def test_ernst_polynomial_identity():
 
 
 def _fresh_memo_tables(monkeypatch):
-    # Each triangle starts as its column 0 holding T(0, 0).
+    # Each triangle starts as its column 0 holding T(0, 0).  The Phi_d memo
+    # lives in exactnum, beside QRational, its one structural user.
     monkeypatch.setattr(qkernels, "_q_factorials", [QPoly.one()])
     monkeypatch.setattr(
         qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
     )
     monkeypatch.setattr(qkernels, "_classical_cols", [[1]])
-    monkeypatch.setattr(qkernels, "_cyclotomics", [QPoly((-1, 1))])
+    monkeypatch.setattr(exactnum, "_cyclotomics", [QPoly((-1, 1))])
 
 
 def _grow_all(top):
@@ -233,7 +234,7 @@ def _memo_snapshot():
         list(qkernels._q_factorials),
         {v: [list(col) for col in cols] for v, cols in qkernels._stirling_tables.items()},
         [list(col) for col in qkernels._classical_cols],
-        list(qkernels._cyclotomics),
+        list(exactnum._cyclotomics),
     )
 
 

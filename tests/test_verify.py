@@ -15,6 +15,7 @@ from qpb.verify import (
     gf_check_cenkci,
     gf_check_classical,
     gf_check_ernst,
+    gamma_free_first_column_check,
     oracle_check,
     q1_collapse_check,
     rook_block_law_check,
@@ -119,6 +120,22 @@ def test_conjecture_size_bound():
     for suite in ("conjecture", "all"):
         with pytest.raises(SizeLimitError):
             verify.run_suite(suite, max_n=41)
+
+
+def test_gamma_free_decomposition(monkeypatch):
+    for n, k in ((2, 2), (1, 4), (3, 2), (4, 3)):
+        assert gamma_free_first_column_check(n, k) == CheckReport(
+            "gamma-free-first-column", {"n": n, "k": k}, "pass")
+    with pytest.raises(SizeLimitError):  # the scan's bound on n*(k+1)
+        gamma_free_first_column_check(4, 6)
+    # a count off by one on the k+1 side shows both sums
+    count = verify.objects.count_class
+    monkeypatch.setattr(verify.objects, "count_class",
+                        lambda cls, n, k: count(cls, n, k) + (k == 3))
+    report = gamma_free_first_column_check(2, 2)
+    assert report.status == "fail"
+    assert report.witness == {"lhs": str(count("gamma_free", 2, 3) + 1), "rhs": str(
+        count("gamma_free", 2, 2) + 2 * count("gamma_free", 2, 2) + count("gamma_free", 1, 2))}
 
 
 def test_gf_classical():
