@@ -24,10 +24,10 @@ gen_vesztergombi and inversions) stay as the specification the tests
 check those oracles against.  The 0/1 matrix classes are searched row
 by row, each row drawn from a bitset over the 2**k row codes of the
 rows compatible with every row above it under the class's forbidden 2x2
-patterns; class_poly scores the last row of each merged prefix from
-that bitset (popcounts, against the bitsets of the codes with j ones
-under ones_minus_cols) without building a matrix.  The is_* recognizers
-state the same classes matrix by matrix.  Matrix classes go up to
+patterns.  class_poly runs its rows along the longer side, reading a
+wide matrix transposed, as every class and statistic allows, so its
+rows have at most four cells.  The is_* recognizers state the same
+classes matrix by matrix.  Matrix classes go up to
 n*k = MAX_SCAN_CELLS cells; a table of permmatrix_q reaches that bound
 through its corner cell, which families.table computes first.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count, product
 from math import factorial
-from operator import lshift
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
@@ -66,13 +65,15 @@ __all__ = [
 # Largest n*k that the matrix classes search, set by hand rather than
 # from measured cost.  A class has up to 2**(n*k) members (at n = 1 the
 # lonesum and gamma-free classes take every row), and gen_matrix_class
-# lists them one by one.  class_poly merges prefixes, so its cost follows
-# k, not n*k.  With the class's family statistic, best of 3 per class on
-# a 2-vCPU VM under Python 3.11.7 (BENCH_class_transfer.json,
-# cost_table): (2, 12) 4-58 ms, or 26-87 ms for the first call at that
-# k, which builds the compatible-row table; (3, 8) 2-47 ms; (1, 24)
-# 4-21 ms; (4, 6) 0.4-16 ms; (12, 2) and (24, 1) under 0.2 ms, where
-# (24, 1) took 8.5-17.5 s before the transfer count.
+# lists them one by one.  class_poly merges prefixes along the longer
+# side, so its cost follows min(n, k), not n*k.  With the class's family
+# statistic, best of 3 per class on a 2-vCPU VM under Python 3.11.7
+# (BENCH_class_shorter_side.json, cost_table): every shape within the
+# bound under 3 ms, first calls included, the costliest being lonesum
+# (4, 6) and (6, 4); (2, 12), (1, 24) and (24, 1) under 0.3 ms.  Past the
+# bound, lonesum nu_sum, the costliest class, takes 0.14 ms at (2, 13),
+# 4.7 ms at (100, 1), 6.2 ms at (5, 5), 121 ms at (6, 6) and 1.7 s at
+# (7, 7).
 MAX_SCAN_CELLS = 24
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -346,8 +347,9 @@ def _set_bits(bits: int) -> Iterator[int]:
     return compress(count(skip), bin(bits >> skip)[:1:-1].encode().translate(_BINARY_DIGITS))
 
 
-# Cached: the column-covering class asks for one mask per last row, and
-# there are at most 2**k masks.
+# Cached: gen_matrix_class asks for one mask per last row of the
+# column-covering class, at most 2**k masks, and _column_sets for the k
+# single bits.
 @lru_cache(maxsize=1 << 12)
 def _supersets(mask: int, k: int) -> int:
     """Bitset of the k-bit codes that contain every bit of mask, built bit
@@ -391,13 +393,14 @@ def _rows_below(upper: int, k: int, patterns: tuple[tuple[int, int, int, int], .
     return ((1 << (1 << k)) - 1) ^ forbidden
 
 
-# Cached: the table depends on k and the class alone, and a row lies above
-# another only when k <= MAX_SCAN_CELLS // 2, so at most 3 * 13 tables of
-# at most 2**12 bitsets each are held.
+# Cached: the table depends on k and the class alone.  class_poly asks
+# only for k <= 4, its shorter side, and gen_matrix_class places a row
+# above another only when k <= MAX_SCAN_CELLS // 2, so at most 3 * 13
+# tables of at most 2**12 bitsets each are held.
 @lru_cache(maxsize=None)
 def _below_table(k: int, cls: str) -> tuple[int, ...]:
-    """_rows_below for every code, for the searches that place a row above
-    another (n >= 2): the first row takes every code."""
+    """_rows_below for every code; the first row of a search takes every
+    code."""
     patterns = _FORBIDDEN[cls]
     return tuple(_rows_below(code, k, patterns) for code in range(1 << k))
 
@@ -449,73 +452,37 @@ def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
                          for code in reversed(list(_set_bits(scope))))
 
 
-def _zero_weights(width: int, top: int) -> list[int]:
-    """For each width-bit mask, the sum of top - b over its clear bits b,
-    built by doubling: bit b copies the masks seen so far, and the lower
-    copy, where b is clear, gains top - b."""
-    weights = [0]
-    for b in range(width):
-        weights = [w + top - b for w in weights] + weights
-    return weights
-
-
-@lru_cache(maxsize=None)
-def _popcount_sets(k: int) -> tuple[int, ...]:
-    """For j = 0..k, the bitset of the k-bit codes with j ones, built by
-    doubling as _supersets is: bit b copies the codes seen so far, and
-    the upper copy, where b is set, moves up one class."""
-    sets = [1]
-    for b in range(k):
-        sets = [lower | upper << (1 << b) for lower, upper in zip(sets + [0], [0] + sets)]
-    return tuple(sets)
-
-
-def _code_blocks(scope: int, k: int, low: int) -> list[tuple[int, int]]:
-    """The bitset scope over k-bit codes cut into blocks of the codes that
-    share their high k - low bits (low >= 3 when low < k): a pair (high,
-    part) for each block holding a code of scope, high being the block's
-    high bits and part the bitset of the low bits of its codes in scope."""
-    if low == k:
-        return [(0, scope)]
-    # Whole bytes: one conversion rather than a shift of scope per block,
-    # and an empty block is skipped by one comparison of its bytes.
-    size = 1 << low - 3
-    data = scope.to_bytes(size << k - low, "little")
-    chunks = (data[at:at + size] for at in range(0, len(data), size))
-    empty = bytes(size)
-    return [(high, int.from_bytes(chunk, "little"))
-            for high, chunk in enumerate(chunks) if chunk != empty]
-
-
 def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     """Weight generating polynomial sum of q**statistic over the class, as a
     row transfer count (Stanley, EC1 4.7) that builds no matrix.
 
+    Orientation.  The rows run along the longer side: when k > n the count
+    fills the k rows of the transpose, n cells each, so a row has c =
+    min(n, k) cells: within MAX_SCAN_CELLS, at most 4 cells and 16 codes.  This is a bijection of the
+    objects counted.  Every forbidden set maps to itself under the
+    transpose (a, b, c, d) -> (a, c, b, d); nu_sum trades zero rows for
+    zero columns, each keeping its 1-based index; ones_minus_cols keeps
+    its count of 1s, and its -k is the caller's k.  The column-covering
+    condition of perm_matrix reads "no zero row" on the transpose, so
+    there code 0 is dropped from every row's scope.
+
     State.  Rows are filled top to bottom.  A state is one int, scope <<
-    k | covered: scope is the bitset of the codes allowed in the next row
+    c | covered: scope is the bitset of the codes allowed in the next row
     (the codes compatible with every row placed), covered the mask of the
     columns holding a 1.  covered is kept only where something reads it,
-    the column-covering class and nu_sum, and is 0 otherwise.  Each state
-    carries the histogram of the statistic's share of the rows placed,
-    packed (QPoly.packed).  No count exceeds the 2**(n*k) matrices of the
-    shape, so a digit of (n*k)//8 + 1 bytes holds it.
+    nu_sum and the untransposed column-covering class, and is 0 otherwise.
+    Each state carries the histogram of the statistic's share of the rows
+    placed, packed (QPoly.packed).  No count exceeds the 2**(n*k) matrices
+    of the shape, so a digit of (n*k)//8 + 1 bytes holds it.
 
     Step and merge.  Placing row i with code moves a state to
     (scope & below[code], covered | code) and shifts its histogram by the
     row's share: i+1 for a zero row under nu_sum, the row's number of 1s
-    under ones_minus_cols (whose -k is added at the end), and nothing
-    otherwise.  States with the same key have the same completions, so
-    equal children merge by adding their histograms.
-
-    Last row.  Each state after n-1 rows scores the last row from its
-    bitset; the column-covering class first keeps only the codes that
-    cover the columns still empty.  With no statistic the row adds the
-    bitset's popcount.  Under ones_minus_cols it adds the popcounts of
-    the bitset against the k+1 bitsets of the codes with j ones
-    (_popcount_sets).  Under nu_sum each code adds the zero-column weight
-    of covered | code, and the zero row n more.  From k = 7 on, the codes
-    are cut into blocks by their high bits, and a block's histogram, which
-    depends only on its bitset and the low bits of covered, is made once.
+    under ones_minus_cols, and nothing otherwise.  States with the same
+    key have the same completions, so equal children merge by adding their
+    histograms; after the last row they are keyed by covered alone.  One
+    pass then keeps, for column covering, the states with every column
+    covered, and shifts each, under nu_sum, by its zero-column weight.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -530,78 +497,50 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
             return QPoly.zero()
         return QPoly.q(_STATISTICS[statistic](((0,) * k,) * n, k))
     nu = statistic == "nu_sum"
-    ones = statistic == "ones_minus_cols"
-    full = (1 << k) - 1
+    transposed = k > n
+    rows, c = (k, n) if transposed else (n, k)
+    covering_columns = covering and not transposed
+    full = (1 << c) - 1
     width = n * k // 8 + 1
     shift = 8 * width
-    kept = k if covering or nu else 0
+    kept = c if covering_columns or nu else 0
     mask = (1 << kept) - 1
-    states = {((1 << (1 << k)) - 1) << kept: 1}
-    if n > 1:
-        below = _below_table(k, cls)
-        # lift[code] shifts a histogram by the share of the row coded code.
-        lift = [shift * code.bit_count() for code in range(1 << k)] if ones else [0] * (1 << k)
-        for i in range(n - 1):
-            if nu:
-                lift[0] = shift * (i + 1)
-            after: dict[int, int] = {}
-            get = after.get
-            for key, hist in states.items():
-                scope, covered = key >> kept, key & mask
-                for code in _set_bits(scope):
-                    child = (scope & below[code]) << kept | (covered | code) & mask
-                    after[child] = get(child, 0) + (hist << lift[code])
-            states = after
-
-    # A row above the last fits only when k <= MAX_SCAN_CELLS // 2, so a
-    # block never holds more than 2**(MAX_SCAN_CELLS // 2) codes, and under
-    # ones_minus_cols only n = 1 cuts the last row into blocks.  Under
-    # nu_sum, blocks of about 2**(2k/3) codes were the fastest or within
-    # 5 % of it from k = 7 on, and one block below (interleaved sweep in
-    # BENCH_class_transfer.json, nu_block_sweep).
-    if ones:
-        low = min(k, MAX_SCAN_CELLS // 2)
-        pops = _popcount_sets(low)
-        ones_lifts = range(0, shift * (low + 1), shift)
-    if nu:
-        low = k if k < 7 else min(k - (k + 1) // 3, MAX_SCAN_CELLS // 2)
-        # Zero-column weight of a column mask (bit b is the 1-based column
-        # k-b): a table for the high bits, monomials for the low bits.
-        heads, tails = _zero_weights(k - low, k - low), _zero_weights(low, k)
-        monomials = [1 << shift * w for w in tails]
-        seen: dict[int, int] = {}
+    below = _below_table(c, cls)
+    # lift[code] shifts a histogram by the share of the row coded code.
+    if statistic == "ones_minus_cols":
+        lift = [shift * code.bit_count() for code in range(1 << c)]
+    else:
+        lift = [0] * (1 << c)
+    scope = (1 << (1 << c)) - 1
+    if covering and transposed:
+        # No row of the transpose is zero; every later scope is a subset
+        # of the first.
+        scope ^= 1
+    states = {scope << kept: 1}
+    for i in range(rows):
+        if nu:
+            lift[0] = shift * (i + 1)
+        if i == rows - 1:
+            # No row follows the last: its children are keyed by covered alone.
+            below = (0,) * (1 << c)
+        after: dict[int, int] = {}
+        get = after.get
+        for key, hist in states.items():
+            scope, covered = key >> kept, key & mask
+            for code in _set_bits(scope):
+                child = (scope & below[code]) << kept | (covered | code) & mask
+                after[child] = get(child, 0) + (hist << lift[code])
+        states = after
     total = 0
-    for key, hist in states.items():
-        scope, covered = key >> kept, key & mask
-        if covering:
-            scope &= _supersets(full ^ covered, k)
-        if not (ones or nu):
-            row = scope.bit_count()
-        elif ones:
-            row = 0
-            for high, part in _code_blocks(scope, k, low):
-                counts = map(int.bit_count, map(part.__and__, pops))
-                row += sum(map(lshift, counts, ones_lifts)) << shift * high.bit_count()
-        else:
-            top, bottom = covered >> low, covered & (1 << low) - 1
-            if low == k:
-                # One block, whose bitset and mask no other state has.
-                row = sum(map(monomials.__getitem__, map(covered.__or__, _set_bits(scope))))
-            else:
-                row = 0
-                for high, part in _code_blocks(scope, k, low):
-                    block = part << low | bottom
-                    if block not in seen:
-                        seen[block] = sum(map(monomials.__getitem__,
-                                              map(bottom.__or__, _set_bits(part))))
-                    row += seen[block] << shift * heads[top | high]
-            if scope & 1:
-                # The zero row: weight n more than its columns give.
-                w = shift * (heads[top] + tails[bottom])
-                row += (1 << w + shift * n) - (1 << w)
-        total += hist * row
+    for covered, hist in states.items():
+        if covering_columns and covered != full:
+            continue
+        if nu:
+            # Zero-column weight: bit b is the 1-based column c - b.
+            hist <<= shift * sum(c - b for b in range(c) if not covered >> b & 1)
+        total += hist
     poly = QPoly.from_packed(total, width)
-    return poly.shift(-k) if ones else poly
+    return poly.shift(-k) if statistic == "ones_minus_cols" else poly
 
 
 def count_class(cls: str, n: int, k: int) -> int:
