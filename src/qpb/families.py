@@ -301,22 +301,20 @@ def cenkci_comb_check(n: int, k: int) -> bool:
     return lhs == rhs
 
 
-def carlitz_sum(a: Sequence, s: int) -> QPoly | QRational:
+def carlitz_sum(a: Sequence, s: int) -> QRational:
     """sum over m <= n of (-1)**m * a[m] * [m]! * {n+s, m+s}_q  (carlitz),
-    with n = len(a) - 1 and shift s in {0, 1}.
+    with n = len(a) - 1 and shift s in {0, 1}, as one QRational.
 
-    A row of QPoly entries gives a QPoly sum.  Any other entries are
-    anything a QRational multiplies with, and the sum is a QRational.
+    The row a holds Fractions (the closed-form checks' initial rows) or
+    QRationals (q_power_row).
     """
     n = len(a) - 1
-    poly = all(isinstance(v, QPoly) for v in a)
-    acc = QPoly.zero() if poly else QRational.from_int(0)
+    acc = QRational.from_int(0)
     for m in range(n + 1):
         st = q_stirling("carlitz", n + s, m + s)
         if st.is_zero:
             continue
-        weight = q_factorial(m) * st
-        term = (weight if poly else QRational(weight)) * a[m]
+        term = QRational(q_factorial(m) * st) * a[m]
         acc = acc - term if m % 2 else acc + term
     return acc
 

@@ -11,8 +11,7 @@ oracle is a transfer count (Stanley, EC1 4.7): it builds its statistic
 during the search, adding each step's share as an element, row or value
 is placed, and merges the partial objects with the same state into one
 packed histogram (QPoly.packed, read back by QPoly.from_packed).  So no
-object is materialised, no search is cut into halves to be paired, and
-no weight is tallied in a Counter.  fubini_oracle and ordered_q_oracle
+object is materialised.  fubini_oracle and ordered_q_oracle
 insert the elements in increasing order, and a state is the block
 count.  vesztergombi_oracle places the values position by position, and
 a state is the set of values used.  class_poly places the rows top to

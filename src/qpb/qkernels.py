@@ -29,12 +29,12 @@ Each triangle is stored by column, cols[j][i] = T(j+i, j), so a request
 for T(n, m) grows columns 0..m, in order, to index n-m and builds no
 column to the right of m: a tall table that reads only the first columns
 never pays for the rest of the triangle.  The memo tables (q-factorials,
-the triangles' columns) only grow and never change an entry.  Every
-table and every column grows through one function, under one module
-lock, which re-checks the length once held, so concurrent callers never
-append an entry twice; a read of an entry that already exists takes no
-lock.  The Phi_d memo in exactnum follows the same rule under its own
-lock.
+the triangles' columns) only grow and never change an entry.  q_factorial
+and _grow_columns each grow their table in one loop held under one module
+lock, which reads the lengths once the lock is held, so concurrent
+callers never append an entry twice; a read of an entry that already
+exists takes no lock.  The Phi_d memo in exactnum follows the same rule
+under its own lock.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable
 
 from .exactnum import QPoly, QRational, TruncatedSeries, cyclotomic
 
@@ -75,27 +74,16 @@ def q_int(n: int) -> QPoly:
     return QPoly([1] * n)
 
 
-def _memo_row(rows: list, n: int, next_row: Callable[[list], object]):
-    """rows[n], appending next_row(rows) until it exists.
-
-    Grows the q-factorials, the list of a triangle's columns and each
-    column.  The only place that takes the growth lock; an entry that
-    already exists is read without it.
-    next_row must not call a memoized kernel, since the lock is not
-    reentrant.
-    """
-    if len(rows) <= n:
-        with _grow_lock:
-            while len(rows) <= n:
-                rows.append(next_row(rows))
-    return rows[n]
-
-
 def q_factorial(n: int) -> QPoly:
     """[n]! = [1][2]...[n]."""
     if n < 0:
         raise ValueError(f"q_factorial needs n >= 0, got {n}")
-    return _memo_row(_q_factorials, n, lambda fs: fs[-1] * q_int(len(fs)))
+    fs = _q_factorials
+    if len(fs) <= n:
+        with _grow_lock:
+            while len(fs) <= n:
+                fs.append(fs[-1] * q_int(len(fs)))
+    return fs[n]
 
 
 def q_binomial(n: int, k: int) -> QPoly:
@@ -118,20 +106,20 @@ def _grow_columns(cols: list, n: int, m: int, weights, zero):
     growing columns 0..m in order, each to index n-m.
 
     Entry i of column j > 0 is T(j+i, j) = a*cols[j-1][i] + b*cols[j][i-1],
-    so column j-1 reaches an index before column j does.
+    so column j-1 reaches an index before column j does.  The whole growth
+    runs under the lock, so weights must not call a memoised kernel: the
+    lock is not reentrant.
     """
     top = n - m
-    _memo_row(cols[0], top, lambda col: zero)
-    for j in range(1, m + 1):
-        left = cols[j - 1]
-
-        # Called only by this iteration's _memo_row, so j and left are current.
-        def next_entry(col: list):
-            i = len(col)
-            a, b = weights(j + i, j)
-            return a * left[i] + b * col[-1] if i else a * left[0]
-
-        _memo_row(_memo_row(cols, j, lambda cs: []), top, next_entry)
+    with _grow_lock:
+        cols[0].extend([zero] * (top + 1 - len(cols[0])))
+        for j in range(1, m + 1):
+            if len(cols) == j:
+                cols.append([])
+            left, col = cols[j - 1], cols[j]
+            for i in range(len(col), top + 1):
+                a, b = weights(j + i, j)
+                col.append(a * left[i] + b * col[-1] if i else a * left[0])
     return cols[m][top]
 
 

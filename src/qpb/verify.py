@@ -2,10 +2,12 @@
 conjecture harness.
 
 Every check produces a CheckReport; suites are deterministic and report in
-a stable order, so repeated runs emit byte-identical JSON lines.  A check
-that compares two routes gets its verdict and witness from
-CheckReport.compare (compare_each for a scan of many pairs); _pass_fail
-serves the few whose witness is not the two sides.  Status 'reported' is
+a stable order, so repeated runs emit byte-identical JSON lines.  Every
+pass/fail report gets its verdict and witness from CheckReport.compare
+(compare_each for a scan of many pairs): a check that compares two
+routes passes their two values, the step-down checks pass the families
+bool and True, and the classical Akiyama-Tanigawa rows pass a row,
+rendered as strings, and its known values.  Status 'reported' is
 reserved for construction-dependent comparisons whose outcome is data
 rather than a correctness verdict.
 """
@@ -105,12 +107,6 @@ class CheckReport:
         return cls(check_id, params, "pass")
 
 
-def _pass_fail(check_id: str, params: dict, ok: bool, witness: dict | None = None) -> CheckReport:
-    if ok:
-        return CheckReport(check_id, params, "pass")
-    return CheckReport(check_id, params, "fail", witness or {"detail": "mismatch"})
-
-
 # ---------------------------------------------------------------------------
 # series helpers (Fraction coefficients)
 # ---------------------------------------------------------------------------
@@ -123,23 +119,20 @@ def _one_minus_exp_neg(scale: Fraction, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _li_of(k: int, arg: TruncatedSeries) -> TruncatedSeries:
-    """Polylogarithm weight-k composed with a series vanishing at 0.
+def _li_over(k: int, arg: TruncatedSeries) -> TruncatedSeries:
+    """Li_k(arg) / arg, the weight-k polylogarithm of a series vanishing
+    at 0 divided by that series, to arg's order.
 
-    Termwise: sum over i >= 1 of arg**i / i**k; i**|k| multiplies for
+    Termwise: sum over i >= 1 of arg**(i-1) / i**k; i**|k| multiplies for
     nonpositive k.  Truncation makes the sum finite because arg has
-    valuation >= 1.
+    valuation >= 1, so arg**(i-1) vanishes below order i-1.
     """
     order = arg.order
-    zero = Fraction(0)
-    acc = TruncatedSeries([zero] * (order + 1))
+    acc = TruncatedSeries([Fraction(1)] + [Fraction(0)] * order)
     power = arg
-    for i in range(1, order + 1):
-        if k >= 0:
-            acc = acc + power * Fraction(1, i ** k)
-        else:
-            acc = acc + power * Fraction(i ** (-k))
-        if i < order:
+    for i in range(2, order + 2):
+        acc = acc + power * Fraction(i) ** -k
+        if i <= order:
             power = power * arg
     return acc
 
@@ -153,8 +146,7 @@ def gf_check_classical(k: int, order: int) -> CheckReport:
     coefficient with classical_pb(n, k) for n <= order."""
     if order > 12:
         raise ValueError("order capped at 12")
-    w = _one_minus_exp_neg(Fraction(1), order + 1)
-    series = _li_of(k, w) / w
+    series = _li_over(k, _one_minus_exp_neg(Fraction(1), order))
     got = (series.coefficient(n) * factorial(n) for n in range(order + 1))
     want = (families.classical_pb(n, k) for n in range(order + 1))
     return CheckReport.compare_each(
@@ -171,8 +163,8 @@ def gf_check_cenkci(k: int, q_sample: Fraction, order: int) -> CheckReport:
     if order > 10:
         raise ValueError("order capped at 10")
     q = Fraction(q_sample)
-    u = _one_minus_exp_neg(q, order + 1)
-    series = (_li_of(k, u * (1 / q)) * q) / u
+    # q * Li_k(u/q) / u is Li_k(u/q) / (u/q).
+    series = _li_over(k, _one_minus_exp_neg(q, order) * (1 / q))
     got = (series.coefficient(n) * factorial(n) for n in range(order + 1))
     want = (families.cenkci_q_pb(n, k).eval_rational(q) for n in range(order + 1))
     return CheckReport.compare_each(
@@ -516,13 +508,13 @@ def _suite_cross_formula(max_n: int, max_k: int, order: int) -> list[CheckReport
                 "explicit-vs-paired", {"n": n, "k": k},
                 families.classical_pb(n, -k), families.classical_pb_negk(n, k), ("explicit", "paired"),
             ))
-            reports.append(_pass_fail(
-                "step-down-recursion", {"n": n, "k": k}, families.pb_recursion_check(n, k),
+            reports.append(CheckReport.compare(
+                "step-down-recursion", {"n": n, "k": k}, families.pb_recursion_check(n, k), True,
             ))
     for n in range(1, min(max_n, 6) + 1):
         for k in range(-4, 1):
-            reports.append(_pass_fail(
-                "cenkci-step-down", {"n": n, "k": k}, families.cenkci_recursion_check(n, k),
+            reports.append(CheckReport.compare(
+                "cenkci-step-down", {"n": n, "k": k}, families.cenkci_recursion_check(n, k), True,
             ))
     for n in range(min(max_n, 8) + 1):
         for k in range(n + 1):
@@ -568,18 +560,9 @@ def _suite_akiyama_tanigawa(max_n: int, max_k: int, order: int) -> list[CheckRep
     reports = []
     harmonic = [Fraction(1, m + 1) for m in range(5)]
     tri = families.akiyama_tanigawa("classical", harmonic, n_rows=3)
-    row1 = [c.as_fraction() for c in tri.rows[1][:3]]
-    row2 = [c.as_fraction() for c in tri.rows[2][:3]]
-    reports.append(_pass_fail(
-        "at-classical-rows", {"row": 1},
-        row1 == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)],
-        {"got": [str(x) for x in row1]},
-    ))
-    reports.append(_pass_fail(
-        "at-classical-rows", {"row": 2},
-        row2 == [Fraction(1, 6), Fraction(1, 6), Fraction(3, 20)],
-        {"got": [str(x) for x in row2]},
-    ))
+    for row, want in ((1, ["1/2", "1/3", "1/4"]), (2, ["1/6", "1/6", "3/20"])):
+        got = [str(c.as_fraction()) for c in tri.rows[row][:3]]
+        reports.append(CheckReport.compare("at-classical-rows", {"row": row}, got, want))
 
     # Closed forms for the two q-rules against a generic rational initial row.
     depth = min(max_n, 6) + 1

@@ -1,7 +1,5 @@
 """One home for a check's verdict: verify and oeis build a "fail"
-CheckReport only inside CheckReport.compare, for a comparison of two
-routes, or inside verify._pass_fail, for the few reports whose witness is
-not their two sides."""
+CheckReport only inside CheckReport.compare."""
 
 import ast
 from pathlib import Path
@@ -10,12 +8,12 @@ import pytest
 
 import qpb
 
-HOMES = {"compare", "_pass_fail"}
+HOMES = {"compare"}
 
 
 def _fail_sites(tree: ast.AST) -> list[str]:
-    """The enclosing function of every call that builds a fail: a call
-    with a literal "fail" argument, or a _pass_fail call with ok = False."""
+    """The enclosing function of every call with a literal "fail"
+    argument."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -25,13 +23,7 @@ def _fail_sites(tree: ast.AST) -> list[str]:
                 continue
             if isinstance(child, ast.Call):
                 args = child.args + [kw.value for kw in child.keywords]
-                literal_fail = any(isinstance(a, ast.Constant) and a.value == "fail" for a in args)
-                forced = (
-                    isinstance(child.func, ast.Name) and child.func.id == "_pass_fail"
-                    and len(child.args) > 2
-                    and isinstance(child.args[2], ast.Constant) and child.args[2].value is False
-                )
-                if literal_fail or forced:
+                if any(isinstance(a, ast.Constant) and a.value == "fail" for a in args):
                     found.append(owner)
             visit(child, owner)
 
@@ -47,7 +39,7 @@ def test_fail_reports_are_built_in_one_home(module):
 
 
 def test_the_homes_are_found():
-    # The scan sees both homes, so an empty result above is not vacuous.
+    # The scan sees the home, so an empty result above is not vacuous.
     path = Path(qpb.__file__).parent / "verify.py"
     assert set(_fail_sites(ast.parse(path.read_text()))) == HOMES
 
@@ -58,6 +50,6 @@ def test_the_scan_flags_a_fail_built_elsewhere():
         "    for x in xs:\n"
         "        if x:\n"
         "            return CheckReport('c', {}, 'fail', {'x': str(x)})\n"
-        "    return _pass_fail('c', {}, False, {})\n"
+        "    return CheckReport('c', {}, status='fail', witness={})\n"
     )
     assert _fail_sites(ast.parse(source)) == ["scan", "scan"]

@@ -139,11 +139,11 @@ def test_gamma_free_decomposition(monkeypatch):
 
 
 def test_gf_classical():
-    assert gf_check_classical(0, 5).status == "pass"
-    assert gf_check_classical(-1, 5).status == "pass"
-    assert gf_check_classical(-2, 5).status == "pass"
-    assert gf_check_classical(1, 8).status == "pass"
-    assert gf_check_classical(2, 6).status == "pass"
+    # -3 <= k <= 3, each to the check's order cap
+    for k in range(-3, 4):
+        assert gf_check_classical(k, 12).status == "pass"
+    with pytest.raises(ValueError):
+        gf_check_classical(0, 13)
 
 
 def test_gf_classical_row_values_against_table():
@@ -157,9 +157,11 @@ def test_gf_classical_row_values_against_table():
 def test_gf_cenkci():
     for q in (Fraction(1), Fraction(2, 3), Fraction(-1)):
         for k in (-2, -1, 0):
-            assert gf_check_cenkci(k, q, 6).status == "pass"
+            assert gf_check_cenkci(k, q, 10).status == "pass"
     with pytest.raises(ValueError):
         gf_check_cenkci(-1, Fraction(0), 4)
+    with pytest.raises(ValueError):
+        gf_check_cenkci(-1, Fraction(1), 11)
 
 
 def test_gf_ernst():
@@ -193,10 +195,8 @@ def test_cenkci_comb_suite_reports_only():
 
 def test_fail_witness_is_replayable():
     # corrupt a comparison on purpose and replay the witness
-    from qpb.verify import _pass_fail
-
     got = families.classical_pb_negk(3, 2)
-    report = _pass_fail("demo", {"n": 3, "k": 2}, got == 47, {"got": str(got), "want": "47"})
+    report = CheckReport.compare("demo", {"n": 3, "k": 2}, got, 47)
     assert report.status == "fail"
     assert int(report.witness["got"]) == 46
     assert int(report.witness["got"]) != int(report.witness["want"])
@@ -232,6 +232,8 @@ def test_checks_fail_on_a_broken_route(monkeypatch):
 
 
 _vesztergombi_q_pb = families.vesztergombi_q_pb
+_cenkci_q_pb = families.cenkci_q_pb
+_akiyama_tanigawa = families.akiyama_tanigawa
 _carlitz_beta = families.carlitz_beta
 _at_q_pb = families.at_q_pb
 _q_rook_number = rook.q_rook_number
@@ -281,6 +283,26 @@ BROKEN_ROUTES = {
         "explicit-vs-paired", families, "classical_pb", lambda n, k: Fraction(n + 1, 2),
         lambda: run_suite("cross-formula", max_n=1, max_k=1),
         ({"n": 0, "k": 0}, {"explicit": "1/2", "paired": "1"}),
+    ),
+    "step-down-recursion": (
+        # A constant column breaks the step down from n = 1 on.
+        "step-down-recursion", families, "classical_pb_negk", lambda n, k: 7,
+        lambda: run_suite("cross-formula", max_n=1, max_k=0),
+        ({"n": 1, "k": 0}, {"got": "False", "want": "True"}),
+    ),
+    "cenkci-step-down": (
+        "cenkci-step-down", families, "cenkci_q_pb",
+        lambda n, k: _cenkci_q_pb(n, k) + (k == -3),
+        lambda: run_suite("cross-formula", max_n=1, max_k=0),
+        ({"n": 1, "k": -3}, {"got": "False", "want": "True"}),
+    ),
+    "at-classical-rows": (
+        # The classical rule is linear in its initial row, so doubling the
+        # row doubles row 1 of the triangle.
+        "at-classical-rows", families, "akiyama_tanigawa",
+        lambda rule, row, n_rows: _akiyama_tanigawa(rule, [2 * x for x in row], n_rows),
+        lambda: run_suite("akiyama-tanigawa", max_n=1),
+        ({"row": 1}, {"got": "['1', '2/3', '1/2']", "want": "['1/2', '1/3', '1/4']"}),
     ),
     "shifted-vs-carlitz": (
         "shifted-vs-carlitz", verify, "q_stirling",
