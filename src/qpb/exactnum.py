@@ -6,9 +6,10 @@ Four carriers, all immutable and exact (no floats anywhere):
 * ``QRational``       normalized ratio of a QPoly and a denominator that
                       is a positive integer times a product of cyclotomic
                       polynomials Phi_d (``cyclotomic``, memoised here),
-                      kept as the map {d: e} of their exponents; the
-                      normal form is reached by trial division of the
-                      numerator by the Phi_d alone, with no polynomial gcd.
+                      kept as the map {d: e} of their exponents; a QPoly
+                      denominator is split, and the normal form reached,
+                      by exact division by the Phi_d alone, with no
+                      polynomial gcd.
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
@@ -45,9 +46,8 @@ signed digits (``QPoly.from_signed_packed``), so width must hold their
 absolute values plus a sign bit; ``_kronecker_mul`` and the packed sums
 of ``families`` state their bounds.
 
-Values are safe to share between threads: every operation returns a new
-object and never mutates its inputs (a QRational stores its denominator
-polynomial on first read, the same value whichever thread builds it).
+Values are safe to share between threads: each is immutable once built,
+and every operation returns a new object and never mutates its inputs.
 """
 
 from __future__ import annotations
@@ -127,9 +127,10 @@ class QPoly:
     @classmethod
     def from_packed(cls, value: int, width: int) -> "QPoly":
         """The polynomial whose packed form (module docstring) is value >= 0."""
-        cs = _digits(value, width)
-        # The top digit is nonzero; when the bottom one is too, cs is canonical.
-        return _canonical(cs, 0) if cs and cs[0] else cls(cs)
+        # Reading from the lowest nonzero digit s (the one holding value's
+        # lowest set bit), both end digits are nonzero.
+        s = ((value & -value).bit_length() - 1) // (8 * width) if value else 0
+        return _canonical(_digits(value >> (8 * width * s), width), s)
 
     @classmethod
     def from_signed_packed(cls, value: int, width: int) -> "QPoly":
@@ -523,18 +524,6 @@ def cyclotomic(d: int) -> QPoly:
     return phis[d - 1]
 
 
-def _totient(d: int) -> int:
-    """Euler's phi(d), the degree of Phi_d, from the prime factors of d."""
-    out, p = d, 2
-    while p * p <= d:
-        if d % p == 0:
-            out -= out // p
-            while d % p == 0:
-                d //= p
-        p += 1
-    return out - out // d if d > 1 else out
-
-
 def _strip(num: QPoly, phis: dict[int, int]) -> tuple[QPoly, dict[int, int]]:
     """num divided by each Phi_d of phis = {d: e} as often as it divides,
     at most e times, and the map of the copies not divided (no zero
@@ -573,10 +562,11 @@ def _split(p: QPoly) -> tuple[int, dict[int, int]]:
 
     Every Phi_d but Phi_1 = q - 1 reads the same backwards, and Phi_1
     reads backwards as its negative, so a p that does neither is refused
-    at once.  Otherwise d runs up from 1 until the rest is a constant.  A
-    Phi_d whose degree phi(d) exceeds the rest's degree is skipped without
-    being built, and past d = max(6, deg**2) no Phi_d can divide a rest of
-    degree deg, since phi(d) >= sqrt(d) for d > 6.
+    at once.  Otherwise d runs up from 1 until the rest is a constant, and
+    the rest is divided exactly by Phi_d while the division is exact; a
+    Phi_d of higher degree than the rest is not tried.  Past
+    d = max(6, deg**2) no Phi_d can divide a rest of degree deg, since
+    phi(d) >= sqrt(d) for d > 6.
     """
     cs = p.coeffs
     symmetric = cs[::-1] in (cs, tuple(map(neg, cs)))
@@ -589,11 +579,16 @@ def _split(p: QPoly) -> tuple[int, dict[int, int]]:
         if not symmetric or d > max(6, deg * deg):
             raise ValueError(f"the denominator {p} is not q**s times an integer times "
                              "a product of cyclotomic polynomials")
-        t = _totient(d)
-        if t <= deg:
-            rest, _ = _strip(rest, {d: deg // t})
-            if len(rest.coeffs) <= deg:
-                phis[d] = (deg + 1 - len(rest.coeffs)) // t
+        phi = cyclotomic(d)
+        e = 0
+        try:
+            while len(phi.coeffs) <= len(rest.coeffs):
+                rest = rest.exact_div(phi)
+                e += 1
+        except ValueError:  # Phi_d does not divide the rest (again)
+            pass
+        if e:
+            phis[d] = e
     return rest.coeffs[0], phis
 
 
@@ -632,7 +627,7 @@ class QRational:
     q lives there.  Normal form: no Phi_d of phis divides num, and c shares
     no factor with the integer content of num.  The Phi_d are monic,
     content-free and irreducible over the rationals, so den = c * (the
-    product of Phi_d**e), built on its first read, is an ordinary
+    product of Phi_d**e), built from c and phis when read, is an ordinary
     polynomial with positive leading coefficient, coprime to num over the
     rationals and sharing no integer content with it.
 
@@ -660,7 +655,7 @@ class QRational:
     Every result then loses the integer content its two parts share.
     """
 
-    __slots__ = ("num", "c", "phis", "_den")
+    __slots__ = ("num", "c", "phis")
 
     def __init__(self, num: QPoly, den: "QPoly | dict[int, int]" = _ONE):
         if isinstance(den, QPoly):
@@ -682,38 +677,33 @@ class QRational:
 
     # -- constructors --------------------------------------------------------
 
+    # An integer, a Fraction's parts and a polynomial over 1 are already normal.
     @classmethod
     def from_int(cls, n: int) -> "QRational":
-        return cls(QPoly.const(n))
+        return _new(QPoly.const(n), 1, {})
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "QRational":
-        return cls(QPoly.const(f.numerator), QPoly.const(f.denominator))
+        return _new(QPoly.const(f.numerator), f.denominator, {})
 
     @staticmethod
     def _coerce(value) -> "QRational | None":
-        # A polynomial over 1 and a Fraction's parts are already normal.
         if isinstance(value, QRational):
             return value
         if isinstance(value, QPoly):
             return _new(value, 1, {})
         if isinstance(value, int):
-            return _new(QPoly.const(value), 1, {})
+            return QRational.from_int(value)
         if isinstance(value, Fraction):
-            return _new(QPoly.const(value.numerator), value.denominator, {})
+            return QRational.from_fraction(value)
         return None
 
     # -- parts and predicates ----------------------------------------------------
 
     @property
     def den(self) -> QPoly:
-        """c times the product of Phi_d**e over phis, built on the first read
-        and kept (two threads that both build it store equal values)."""
-        den = self._den
-        if den is None:
-            den = _phi_product(self.phis) * self.c
-            object.__setattr__(self, "_den", den)
-        return den
+        """c times the product of Phi_d**e over phis, built when read."""
+        return _phi_product(self.phis) * self.c
 
     @property
     def is_zero(self) -> bool:
@@ -817,7 +807,7 @@ class QRational:
                 return hash(num)
             if num.min_exp == 0 and len(num.coeffs) == 1:
                 return hash(Fraction(num.coeffs[0], self.c))
-        return hash((num, self.den))
+        return hash((num, self.c, frozenset(self.phis.items())))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -839,7 +829,6 @@ def _fill(r: QRational, num: QPoly, c: int, phis: dict[int, int]) -> QRational:
     object.__setattr__(r, "num", num)
     object.__setattr__(r, "c", c)
     object.__setattr__(r, "phis", phis)
-    object.__setattr__(r, "_den", None)
     return r
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import comb, factorial
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families, objects, rook
 from .errors import SizeLimitError, UnknownSuiteError
@@ -34,6 +34,7 @@ __all__ = [
     "suite_names",
     "sylvester_matrix",
     "sylvester_conjecture",
+    "conjecture_reports",
     "CONJECTURE_MAX_N",
     "gf_check_classical",
     "gf_check_cenkci",
@@ -253,6 +254,14 @@ def sylvester_conjecture(n: int) -> CheckReport:
         "sylvester-conjecture", {"n": n}, candidate, target, ("candidate", "target"),
         sign_flipped_matches=-candidate == target,
     )
+
+
+def conjecture_reports(max_n: int) -> Iterator[CheckReport]:
+    """The reports of sylvester_conjecture for n = 2..max_n, lazily and in
+    order.  A max_n past CONJECTURE_MAX_N raises SizeLimitError here, at
+    the call, before any n is checked."""
+    _check_conjecture_size(max_n)
+    return map(sylvester_conjecture, range(2, max_n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +621,7 @@ def _suite_cenkci_comb(max_n: int, max_k: int, order: int) -> list[CheckReport]:
 
 
 def _suite_conjecture(max_n: int, max_k: int, order: int) -> list[CheckReport]:
-    _check_conjecture_size(max_n)  # refuse before any n is checked
-    return [sylvester_conjecture(n) for n in range(2, max(max_n, 2) + 1)]
+    return list(conjecture_reports(max(max_n, 2)))
 
 
 _SUITES: dict[str, Callable[[int, int, int], list[CheckReport]]] = {

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qpb.errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
 from qpb.exactnum import MAX_PERMANENT_DIM, IntMatrix, QPoly, QRational, TruncatedSeries, cyclotomic
+from qpb.qkernels import q_stirling
 
 small_polys = st.builds(
     QPoly,
@@ -261,9 +262,13 @@ def test_packed_zero_polynomial():
 
 
 def test_packed_positive_min_exp():
+    # from_packed reads from the lowest nonzero digit, however far up; the
+    # cigler coefficients (41 bits) need the widest digits
     for width in (1, 3, 9):
-        for p in (QPoly.q(1), QPoly.q(13), QPoly([5, 0, 0, 2], 4), QPoly([1, 2, 3], 1)):
-            assert_packed_round_trip(p, width)
+        for p in (QPoly.q(1), QPoly.q(13), QPoly([5, 0, 0, 2], 4), QPoly([1, 2, 3], 1),
+                  QPoly.q(1176), QPoly([1, 0, 7], 600), q_stirling("cigler", 49, 2).shift(5)):
+            if max(p.coeffs).bit_length() <= 8 * width:
+                assert_packed_round_trip(p, width)
 
 
 def test_packed_digit_at_the_top_of_the_width():
@@ -350,6 +355,12 @@ def test_qrational_normalization_unique():
     b = QRational(QPoly([1]), QPoly([2]))
     assert a == b
     assert hash(a) == hash(b)
+    # from_int and from_fraction build their parts directly, as the
+    # constructor would reduce them
+    for built, reduced in ((QRational.from_int(0), QRational(QPoly.zero())),
+                           (QRational.from_int(-4), QRational(QPoly.const(-4))),
+                           (QRational.from_fraction(Fraction(-6, 4)), QRational(QPoly.const(-6), QPoly.const(4)))):
+        assert (built.num, built.c, built.phis) == (reduced.num, reduced.c, reduced.phis)
 
 
 def test_qrational_den_has_constant_term():
@@ -663,6 +674,7 @@ def test_equal_values_hash_equal_across_types():
         QRational(QPoly([2, 2]), QPoly([2])), half, half * 2,
         QRational(QPoly([-14]), QPoly([6])), QRational(QPoly.q(-1)),
         QRational(QPoly([1, 1]), QPoly([2])), QRational(QPoly.one(), QPoly([1, 1])),
+        QRational(QPoly.one(), {2: 1}), QRational.from_int(1) / QRational(QPoly([1, 1])),
     ]
     cross_type = 0
     for u in values:

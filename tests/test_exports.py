@@ -1,6 +1,6 @@
 """Export lists: every name a module lists in __all__ exists, once; no
-module imports another's private names; and the object routes import no
-formula route."""
+module imports or reads another's private names; and the object routes
+import no formula route."""
 
 import ast
 import importlib
@@ -32,11 +32,21 @@ def test_star_import():
 
 
 def test_no_module_imports_a_private_name_of_another():
+    # Neither "from .m import _x" nor "m._x" on a module m bound by
+    # "from . import m" (or "from qpb import m").
     private = []
     for path in sorted(Path(qpb.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qpb")):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+                if not (node.module or "").removeprefix("qpb"):
+                    modules |= {a.asname or a.name for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and node.attr.startswith("_"):
+                    private.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert private == []
 
 
