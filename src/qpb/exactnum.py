@@ -53,6 +53,7 @@ and every operation returns a new object and never mutates its inputs.
 from __future__ import annotations
 
 import threading
+from contextlib import suppress
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, lcm, prod
@@ -524,6 +525,18 @@ def cyclotomic(d: int) -> QPoly:
     return phis[d - 1]
 
 
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d, from the prime factors of d."""
+    out, p = d, 2
+    while p * p <= d:
+        if d % p == 0:
+            out -= out // p
+            while d % p == 0:
+                d //= p
+        p += 1
+    return out - out // d if d > 1 else out
+
+
 def _strip(num: QPoly, phis: dict[int, int]) -> tuple[QPoly, dict[int, int]]:
     """num divided by each Phi_d of phis = {d: e} as often as it divides,
     at most e times, and the map of the copies not divided (no zero
@@ -563,9 +576,10 @@ def _split(p: QPoly) -> tuple[int, dict[int, int]]:
     Every Phi_d but Phi_1 = q - 1 reads the same backwards, and Phi_1
     reads backwards as its negative, so a p that does neither is refused
     at once.  Otherwise d runs up from 1 until the rest is a constant, and
-    the rest is divided exactly by Phi_d while the division is exact; a
-    Phi_d of higher degree than the rest is not tried.  Past
-    d = max(6, deg**2) no Phi_d can divide a rest of degree deg, since
+    the rest is divided exactly by Phi_d while the division is exact.  A
+    Phi_d whose degree phi(d) exceeds the rest's degree is skipped without
+    being built, so a refusal builds no Phi_d of higher degree than p.
+    Past d = max(6, deg**2) no Phi_d can divide a rest of degree deg, since
     phi(d) >= sqrt(d) for d > 6.
     """
     cs = p.coeffs
@@ -579,16 +593,13 @@ def _split(p: QPoly) -> tuple[int, dict[int, int]]:
         if not symmetric or d > max(6, deg * deg):
             raise ValueError(f"the denominator {p} is not q**s times an integer times "
                              "a product of cyclotomic polynomials")
+        if _totient(d) > deg:
+            continue
         phi = cyclotomic(d)
-        e = 0
-        try:
+        with suppress(ValueError):  # Phi_d does not divide the rest (again)
             while len(phi.coeffs) <= len(rest.coeffs):
                 rest = rest.exact_div(phi)
-                e += 1
-        except ValueError:  # Phi_d does not divide the rest (again)
-            pass
-        if e:
-            phis[d] = e
+                phis[d] = phis.get(d, 0) + 1
     return rest.coeffs[0], phis
 
 

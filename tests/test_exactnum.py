@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qpb import exactnum
 from qpb.errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
 from qpb.exactnum import MAX_PERMANENT_DIM, IntMatrix, QPoly, QRational, TruncatedSeries, cyclotomic
 from qpb.qkernels import q_stirling
@@ -399,11 +400,16 @@ def test_qrational_as_qpoly():
 @pytest.mark.parametrize("den", [
     QPoly([2, 1]), QPoly([1, 0, 2]), QPoly([3, 1, 0, 1]), QPoly([2, 1], 3),
     QPoly([1, 3, 1]), QPoly([2, 1, 2]), QPoly([1, 3, 1]) * cyclotomic(5) * cyclotomic(1),
+    QPoly([1] + [3] * 29 + [1]),
 ])
-def test_a_denominator_that_is_not_cyclotomic_is_refused(den):
+def test_a_denominator_that_is_not_cyclotomic_is_refused(den, monkeypatch):
     # 2 + q, 1 + 2q^2, 3 + q + q^3 and q^3(2 + q) do not read the same
     # backwards up to sign; 1 + 3q + q^2, 2 + q + 2q^2 (its roots on the unit
-    # circle) and (1 + 3q + q^2)(q^5 - 1) do, and the scan over d refuses them
+    # circle), (1 + 3q + q^2)(q^5 - 1) and 1 + 3q + ... + 3q^29 + q^30 do,
+    # and the scan over d refuses them.  The scan builds no Phi_d of higher
+    # degree than den: at degree 30 the Phi_d memo stops at Phi_90, not at
+    # Phi_900, the scan's last d.
+    monkeypatch.setattr(exactnum, "_cyclotomics", [QPoly((-1, 1))])
     named = pytest.raises(ValueError, match=re.escape(str(den)))
     with named:
         QRational(QPoly([1, 1]), den)
@@ -413,6 +419,7 @@ def test_a_denominator_that_is_not_cyclotomic_is_refused(den):
         QRational(den) ** -2
     with named:
         1 / QRational(den)
+    assert len(exactnum._cyclotomics[-1].coeffs) <= len(den.coeffs)
 
 
 def test_a_denominator_map_needs_d_at_least_one_and_no_negative_power():
@@ -877,8 +884,6 @@ def _permanent_by_laplace(rows) -> int:
 
 
 def test_permanent_transfer_count_matches_laplace(monkeypatch):
-    from qpb import exactnum
-
     rng = random.Random(74)
     cases = []
     for d in range(7, 13):
@@ -925,8 +930,6 @@ def test_permanent_transfer_count_matches_laplace(monkeypatch):
 
 
 def test_permanent_band_orientations_agree_and_reach_below_needs_no_pairing(monkeypatch):
-    from qpb import exactnum
-
     # As in the Laplace test: a second call on a dict that no step returned
     # marks a matrix whose rows reached the pairing.
     fresh: list[bool] = []
