@@ -17,10 +17,6 @@ class PoleError(QpbError, ZeroDivisionError):
     """Evaluation or substitution at a pole of a Laurent object."""
 
 
-class SeriesDivisionError(QpbError, ZeroDivisionError):
-    """Series division is undefined (denominator zero to the stated order)."""
-
-
 class NotPolynomialError(QpbError):
     """A Laurent computation was expected to land in nonnegative exponents."""
 

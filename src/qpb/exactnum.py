@@ -46,6 +46,20 @@ signed digits (``QPoly.from_signed_packed``), so width must hold their
 absolute values plus a sign bit; ``_kronecker_mul`` and the packed sums
 of ``families`` state their bounds.
 
+The packed pair halves the integers of a packed product (Harvey's
+multipoint Kronecker substitution, KS2).  With h = 4*width bits, it is
+(p(2**h), p(-2**h)) = (E + (O << h), E - (O << h)), where E and O are p's
+even and odd coefficients packed at width, so that p(x) = E(x**2) +
+x*O(x**2) at x**2 = 2**(8*width); ``QPoly.packed_pair`` builds it.  Each
+side is a ring map, so sums of products of pairs are the pair of the sum
+of products, on integers half as long as the packed ones.  From a pair
+(P, M) of a polynomial r, ``QPoly.from_packed_pair`` reads (P + M) >> 1,
+which is r's even part E_r packed, and (P - M) >> (h + 1), its odd part
+O_r: P + M = 2*E_r and P - M = 2**(h+1)*O_r exactly, so both shifts drop
+only zero bits.  The width rule is the packed form's: each even and each
+odd digit holds one coefficient of r, so for nonnegative coefficients
+width must hold the largest.
+
 Values are safe to share between threads: each is immutable once built,
 and every operation returns a new object and never mutates its inputs.
 """
@@ -61,7 +75,7 @@ from operator import add, mul, neg, sub
 from struct import unpack
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
+from .errors import NonSquareError, PoleError, SizeLimitError
 
 __all__ = ["QPoly", "QRational", "TruncatedSeries", "IntMatrix", "cyclotomic"]
 
@@ -132,6 +146,17 @@ class QPoly:
         # lowest set bit), both end digits are nonzero.
         s = ((value & -value).bit_length() - 1) // (8 * width) if value else 0
         return _canonical(_digits(value >> (8 * width * s), width), s)
+
+    @classmethod
+    def from_packed_pair(cls, plus: int, minus: int, width: int) -> "QPoly":
+        """The polynomial whose packed pair (module docstring) is
+        (plus, minus), for coefficients in [0, 2**(8*width))."""
+        even = _digits((plus + minus) >> 1, width)
+        odd = _digits((plus - minus) >> (4 * width + 1), width)
+        cs = [0] * max(2 * len(even) - 1, 2 * len(odd))
+        cs[:2 * len(even):2] = even
+        cs[1:2 * len(odd):2] = odd
+        return cls(cs)
 
     @classmethod
     def from_signed_packed(cls, value: int, width: int) -> "QPoly":
@@ -363,6 +388,21 @@ class QPoly:
         if self.min_exp < 0:
             raise ValueError(f"no packed form with the negative exponent {self.min_exp}")
         return _pack(self.coeffs, width) << (8 * width * self.min_exp) if self.coeffs else 0
+
+    def packed_pair(self, width: int) -> tuple[int, int]:
+        """The values at q = 2**h and q = -2**h, h = 4*width bits: the
+        packed pair (module docstring)."""
+        if self.min_exp < 0:
+            raise ValueError(f"no packed form with the negative exponent {self.min_exp}")
+        if not self.coeffs:
+            return 0, 0
+        h = 4 * width
+        even = _pack(self.coeffs[::2], width)
+        odd = _pack(self.coeffs[1::2], width) << h if len(self.coeffs) > 1 else 0
+        # q**min_exp * (E(q**2) + q * O(q**2)), E and O counted from min_exp
+        shift = h * self.min_exp
+        minus = (even - odd) << shift
+        return (even + odd) << shift, -minus if self.min_exp % 2 else minus
 
     def to_json_dict(self) -> dict:
         return {
@@ -964,35 +1004,6 @@ class TruncatedSeries:
 
     def __rmul__(self, other) -> "TruncatedSeries":
         return self * other
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Quotient after cancelling any shared power of the variable.
-
-        Both operands may vanish at 0 to the same order v; the quotient is
-        then reported to the common order minus v.
-        """
-        v = 0
-        while v <= other.order and not other.coeffs[v]:
-            v += 1
-        if v > other.order:
-            raise SeriesDivisionError("denominator is zero to the truncation order")
-        if any(self.coeffs[i] for i in range(min(v, self.order + 1))):
-            raise SeriesDivisionError(
-                "numerator valuation below denominator valuation"
-            )
-        a = self.coeffs[v:]
-        b = other.coeffs[v:]
-        n = min(len(a), len(b)) - 1
-        if n < 0:
-            raise SeriesDivisionError("no coefficients left after cancellation")
-        lead = b[0]
-        out: list = []
-        for i in range(n + 1):
-            t = a[i]
-            for j in range(1, min(i, len(b) - 1) + 1):
-                t = t - b[j] * out[i - j]
-            out.append(t / lead)
-        return TruncatedSeries(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -18,13 +18,14 @@ weight, q-Stirling variant and finish step; a value past
 PAIRED_VALUE_MAX_SIZE or a table past PAIRED_TABLE_MAX_SIZE is refused
 with SizeLimitError.  table is the one entry point for a table of any
 registered family.  A paired sum's table has a second route,
-paired_table.  It packs each q-Stirling number and each weight once as an
-integer (QPoly.packed; the format and its width rule are stated once, in
-the exactnum docstring), so a cell costs plain big-integer products
-instead of QPoly products.  A table takes this route once its shorter
-side reaches PACKED_TABLE_MIN_SIDE, where the packed operands are reused
-enough to pay for the packing; below it, for the other families, and for
-single values, each cell comes from the family's own function.
+paired_table.  It packs each q-Stirling number and each weight once as a
+pair of integers (QPoly.packed_pair; the format and its width rule are
+stated once, in the exactnum docstring), so a cell costs plain
+big-integer products instead of QPoly products.  A table takes this
+route once its shorter side reaches PACKED_TABLE_MIN_SIDE, where the
+packed operands are reused enough to pay for the packing; below it, for
+the other families, and for single values, each cell comes from the
+family's own function.
 
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
@@ -213,8 +214,9 @@ _PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
 # about a**2 / 2, so lonesum_q(400, 1) took 5.6 s and 784 MB against 0.2 s
 # for ordered_q(1000, 1).  Inside its bound a value took at most 2.0 s and
 # 193 MB.  A table costs far more than its corner value, so its size is
-# (n+1)*(k+1)*max(n, k) at the corner; inside the bound a table took at
-# most 1.1 s and 38 MB.
+# (n+1)*(k+1)*max(n, k) at the corner; inside the bound a whole `qpb table`
+# process took at most 0.85 s and 38 MB (24x24 lonesum_q and 63x3 lonesum_q,
+# median of 3, BENCH_paired_pm.json).
 PAIRED_VALUE_MAX_SIZE = {"carlitz": 2 ** 11, "cigler": 2 ** 17}
 PAIRED_TABLE_MAX_SIZE = 2 ** 14
 
@@ -374,6 +376,16 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
 # 0.26 s at (40, 1), 23 ms at (20, 2), 2.7 ms at (10, 4), 1.8 ms at (8, 5),
 # 1.2 ms at (5, 8), 0.97 ms at (4, 10), 0.42 ms at (2, 20) and 0.25 ms at
 # (1, 40) (2-vCPU VM, best of 3, BENCH_at_q_cyclotomic.json).
+# For k <= 0 the value is a polynomial of degree n*(n-1)/2 + n*|k|, and its
+# cost follows that degree, whatever the shape.  At degree 2016-2049 a first
+# call in a fresh process took 0.90 s at (64, 0), 1.03 s at (50, -16),
+# 0.76 s at (40, -31), 0.65 s at (30, -53), 0.53 s at (20, -92), 0.31 s at
+# (10, -200), 0.39 s at (5, -407), 0.43 s at (2, -1023) and 0.29 s at
+# (1, -2048); past it, 0.89 s at (40, -40) (2380), 2.4 s at (45, -45)
+# (3015) and 3.6 s at (20, -200) (4190) (2-vCPU VM, single runs,
+# BENCH_paired_pm.json).  So the degree is bounded by the carlitz value
+# bound, PAIRED_VALUE_MAX_SIZE["carlitz"] = 2**11, under which a paired
+# carlitz value took at most 1.5 s.
 AT_Q_MAX_NK = 40
 
 
@@ -381,8 +393,10 @@ def at_q_pb(n: int, k: int) -> QPoly | QRational:
     """Formula-level q-analogue:
     (-1)**n * sum over m of (-1)**m * [m]! / [m+1]**k * {n,m}_q  (carlitz).
 
-    Returns a QPoly for k <= 0 and a QRational otherwise; for k > 0, raises
-    SizeLimitError past n*k = AT_Q_MAX_NK.  The sum is
+    Returns a QPoly for k <= 0 and a QRational otherwise.  Raises
+    SizeLimitError, before any work, past n*k = AT_Q_MAX_NK for k > 0 and
+    past the degree n*(n-1)/2 + n*|k| = PAIRED_VALUE_MAX_SIZE["carlitz"]
+    for k <= 0.  The sum is
     _carlitz_power_sum(n, k, 0), one packed sum over the cyclotomic common
     denominator; carlitz_sum over q_power_row(-k, n+1) is the independent
     route that the triangle checks compare with.
@@ -391,6 +405,9 @@ def at_q_pb(n: int, k: int) -> QPoly | QRational:
         raise ValueError("at_q_pb needs n >= 0")
     if k > 0 and n * k > AT_Q_MAX_NK:
         raise SizeLimitError(f"at_q_pb({n}, {k}): n*k = {n * k} exceeds bound {AT_Q_MAX_NK} for k > 0")
+    bound, degree = PAIRED_VALUE_MAX_SIZE["carlitz"], n * (n - 1) // 2 - n * k
+    if k <= 0 and degree > bound:
+        raise SizeLimitError(f"at_q_pb({n}, {k}): degree {degree} exceeds bound {bound} for k <= 0")
     acc = _carlitz_power_sum(n, k, 0)
     return -acc if n % 2 else acc
 
@@ -472,7 +489,9 @@ def carlitz_beta(n: int) -> QRational:
 
 # Tables whose shorter side is at least this take the packed route of
 # paired_table; below it, the packed operands are not reused often enough
-# to pay for the packing (crossover table in BENCH_table_output.json).
+# to pay for the packing (crossover tables in BENCH_table_output.json and,
+# for the packed pair, BENCH_paired_pm.json: at side 2 lonesum_q is faster
+# per cell, at side 3 every family is faster packed).
 PACKED_TABLE_MIN_SIDE = 3
 
 
@@ -482,13 +501,16 @@ def paired_table(family: str, max_n: int, max_k: int):
     vesztergombi_q) that its per-cell function gives.
 
     Every operand, each S(a+1, m+1) and each weight w(m), is packed once
-    (QPoly.packed; an integer weight is its own packed form), U[n][m] =
-    w(m) * S(n+1, m+1) once per (n, m), and a cell is the integer
-    sum over m <= min(n, k) of U[n][m] * S(k+1, m+1), read back by
-    QPoly.from_packed.  width follows the packed form's rule for
+    as its pair of values at q = 2**h and q = -2**h (QPoly.packed_pair; an
+    integer weight w is its own pair (w, w)), U[n][m] = w(m) * S(n+1, m+1)
+    once per (n, m) on each side, and a cell is the two integer sums over
+    m <= min(n, k) of U[n][m] * S(k+1, m+1), one per side, read back by
+    QPoly.from_packed_pair.  Each product is half as long as at
+    q = 2**(8*width).  width follows the packed form's rule for
     nonnegative operands (exactnum docstring), with one bit to spare: it
     holds the sum over m of w(m) times the largest S(n+1, m+1) and the
-    largest S(k+1, m+1) at q = 1 in the table.  The sum is symmetric in
+    largest S(k+1, m+1) at q = 1 in the table, so each even and each odd
+    digit holds one coefficient of the cell.  The sum is symmetric in
     n and k, so a cell whose mirror (k, n) came first reuses its value.
     A corner (max_n, max_k) past PAIRED_TABLE_MAX_SIZE raises
     SizeLimitError.
@@ -510,16 +532,20 @@ def paired_table(family: str, max_n: int, max_k: int):
     weights_at_one = [w if isinstance(w, int) else w.at_one() for w in weights]
     bound = sum(map(mul, weights_at_one, map(mul, column_max(max_n), column_max(max_k))))
     width = (bound.bit_length() + 8) // 8
-    packed = [[p.packed(width) for p in row] for row in stirling]
-    packed_weights = [w if isinstance(w, int) else w.packed(width) for w in weights]
-    left = [list(map(mul, packed_weights, row)) for row in packed[:max_n + 1]]
+    # pairs[a] = (the S(a+1, m+1) at 2**h, the same at -2**h), m <= min(a, side)
+    pairs = [tuple(zip(*(p.packed_pair(width) for p in row))) for row in stirling]
+    w_plus, w_minus = zip(*((w, w) if isinstance(w, int) else w.packed_pair(width) for w in weights))
+    left = [(list(map(mul, w_plus, plus)), list(map(mul, w_minus, minus)))
+            for plus, minus in pairs[:max_n + 1]]
     mirrored = {}  # cell (k, n) computed as (n, k) before its turn
     for k in range(max_k + 1):
-        right = packed[k]
+        plus, minus = pairs[k]
         for n in range(max_n + 1):
             value = mirrored.pop((n, k), None)
             if value is None:
-                value = QPoly.from_packed(sum(map(mul, left[n], right)), width)
+                left_plus, left_minus = left[n]
+                value = QPoly.from_packed_pair(
+                    sum(map(mul, left_plus, plus)), sum(map(mul, left_minus, minus)), width)
                 if finish is not None:
                     value = finish(value, n, k)
                 if k < n <= max_k:

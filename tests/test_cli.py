@@ -236,6 +236,36 @@ def test_oversized_permmatrix_table_stops_at_its_corner(capsys, monkeypatch):
     assert calls == [(6, 6)]
 
 
+def test_at_q_polynomial_branch_is_bounded_by_its_degree(capsys, monkeypatch):
+    # For k <= 0, at_q's value has degree n*(n-1)/2 + n*|k|; at the carlitz
+    # value bound, 2**11, a value computes, and one past it exits 3 before
+    # any work.
+    bound = families.PAIRED_VALUE_MAX_SIZE["carlitz"]
+    assert bound == 2 ** 11
+    for n, k in ((1, 2048), (2, 1023)):
+        code, out, _ = run_cli(capsys, "eval", "--family", "at_q", "--n", str(n), "--k", str(-k))
+        assert code == 0 and f"q^{n * (n - 1) // 2 + n * k}" in out
+    sums = []
+    monkeypatch.setattr(families, "_carlitz_power_sum", lambda *args: sums.append(args) or QPoly.one())
+    past = ((1, 2049), (2, 1024), (65, 0), (40, 40), (45, 45), (20, 200))
+    for n, k in past:
+        for argv in (("eval", "--n", str(n), "--k", str(-k)), ("table", "--max-n", str(n), "--max-k", str(k))):
+            code, out, err = run_cli(capsys, argv[0], "--family", "at_q", *argv[1:])
+            assert (code, out) == (3, "")
+            assert err.splitlines() == [
+                f"size limit: at_q_pb({n}, {-k}): degree {n * (n - 1) // 2 + n * k} "
+                f"exceeds bound {bound} for k <= 0"]
+    assert sums == []
+    # the shapes at the bound pass the guard; their sums are stubbed out,
+    # since a table of them takes far longer than its corner
+    for n, k in ((64, 0), (50, 16), (20, 92), (1, 2048)):
+        assert n * (n - 1) // 2 + n * k <= bound
+        for argv in (("eval", "--n", str(n), "--k", str(-k)), ("table", "--max-n", str(n), "--max-k", str(k))):
+            code, out, _ = run_cli(capsys, argv[0], "--family", "at_q", *argv[1:], "--format", "json")
+            assert code == 0 and json.loads(out)
+    assert (64, 0, 0) in sums and (1, -2048, 0) in sums
+
+
 @pytest.mark.parametrize("fmt", ["csv", "latex", "json"])
 def test_table_value_too_long_to_print_writes_nothing(capsys, monkeypatch, fmt):
     # one cell past the interpreter's digit limit, after cells that print

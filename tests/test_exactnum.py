@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpb import exactnum
-from qpb.errors import NonSquareError, PoleError, SeriesDivisionError, SizeLimitError
-from qpb.exactnum import MAX_PERMANENT_DIM, IntMatrix, QPoly, QRational, TruncatedSeries, cyclotomic
+from qpb.errors import NonSquareError, PoleError, SizeLimitError
+from qpb.exactnum import MAX_PERMANENT_DIM, IntMatrix, QPoly, QRational, cyclotomic
 from qpb.qkernels import q_stirling
 
 small_polys = st.builds(
@@ -294,6 +294,61 @@ def test_packed_negative_exponent_raises():
     for p in (QPoly.q(-1), QPoly([1, 2, 3], -2), QPoly([4, 5], -7)):
         with pytest.raises(ValueError):
             p.packed(2)
+        with pytest.raises(ValueError):
+            p.packed_pair(2)
+
+
+# The packed pair: the values at q = 2**h and q = -2**h, h = 4*width bits.
+def assert_packed_pair_round_trip(p: QPoly, width: int) -> None:
+    h = 4 * width
+    assert p.packed_pair(width) == (
+        sum(c << (h * e) for e, c in p.terms()),
+        sum((-c if e % 2 else c) << (h * e) for e, c in p.terms()),
+    )
+    back = QPoly.from_packed_pair(*p.packed_pair(width), width)
+    assert (back.min_exp, back.coeffs) == (p.min_exp, p.coeffs)
+    assert hash(back) == hash(p)
+
+
+def smallest_width(p: QPoly) -> int:
+    return max(max(p.coeffs, default=0).bit_length() + 7, 8) // 8
+
+
+PAIR_CASES = [
+    QPoly.zero(), QPoly.one(), QPoly.q(1), QPoly.q(7), QPoly.q(600),
+    QPoly([3, 0, 5, 0, 9]),          # even coefficients only
+    QPoly([3, 0, 5, 0, 9], 1),       # odd coefficients only
+    QPoly([1, 2]), QPoly([1, 2, 3, 4], 2),     # top coefficient at an odd index
+    QPoly([5, 0, 0, 2], 4), QPoly([1, 0, 7], 3),
+    q_stirling("carlitz", 17, 9), q_stirling("cigler", 49, 2).shift(5),
+]
+
+
+@pytest.mark.parametrize("p", PAIR_CASES, ids=str)
+def test_packed_pair_round_trip_at_the_smallest_width(p):
+    # coefficients fill their top digit here, or reach the next byte below it
+    for width in (smallest_width(p), smallest_width(p) + 1):
+        assert_packed_pair_round_trip(p, width)
+
+
+def test_packed_pair_digit_at_the_top_of_the_width():
+    for width in (1, 2, 3, 8, 9):
+        top = 2 ** (8 * width) - 1
+        for p in (QPoly.const(top), QPoly([top] * 5), QPoly([top, 0, 1, top], 2),
+                  QPoly([1, top, 1], 3), QPoly([top, top], 1), QPoly([0, top], 5)):
+            assert_packed_pair_round_trip(p, width)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=12), st.integers(0, 9))
+def test_packed_pair_of_a_sum_of_products(coeffs, shift):
+    # The pair is a ring map on each side, so a sum of pairwise products
+    # reads back as the polynomial sum of products, as in paired_table.
+    p, r = QPoly(coeffs, shift), QPoly(coeffs[::-1], 1)
+    total = p * r + r * r
+    width = smallest_width(total)
+    (pp, pm), (rp, rm) = p.packed_pair(width), r.packed_pair(width)
+    assert QPoly.from_packed_pair(pp * rp + rp * rp, pm * rm + rm * rm, width) == total
 
 
 @settings(max_examples=150)
@@ -693,43 +748,6 @@ def test_equal_values_hash_equal_across_types():
     assert len({QPoly.const(5), 5, QRational.from_int(5), Fraction(5)}) == 1
     assert QPoly.const(5) == Fraction(5) and Fraction(5) == QPoly.const(5)
     assert QPoly.const(1) != Fraction(1, 2) and Fraction(1, 2) != QPoly.const(1)
-
-
-# ---------------------------------------------------------------------------
-# TruncatedSeries
-# ---------------------------------------------------------------------------
-
-def _frac_series(*vals):
-    return TruncatedSeries([Fraction(v) for v in vals])
-
-
-def test_series_self_division():
-    w = _frac_series(0, 1, -1, 2)
-    one = w / w
-    assert one.coeffs == (Fraction(1), Fraction(0), Fraction(0))
-    # order drops by the cancelled valuation
-    assert one.order == 2
-
-
-def test_series_division_undefined():
-    zero = _frac_series(0, 0, 0)
-    with pytest.raises(SeriesDivisionError):
-        _frac_series(1, 2, 3) / zero
-    with pytest.raises(SeriesDivisionError):
-        _frac_series(1, 0, 0) / _frac_series(0, 1, 0)
-
-
-@settings(max_examples=40)
-@given(
-    st.lists(st.fractions(max_denominator=6), min_size=1, max_size=6),
-    st.lists(st.fractions(max_denominator=6), min_size=1, max_size=6),
-)
-def test_series_div_mul_round_trip(a, b):
-    b = [Fraction(1)] + b  # invertible constant term
-    a = a + [Fraction(0)] * (len(b) - len(a))
-    b = b + [Fraction(0)] * (len(a) - len(b))
-    fa, fb = TruncatedSeries(a), TruncatedSeries(b)
-    assert (fa / fb) * fb == fa
 
 
 # ---------------------------------------------------------------------------

@@ -246,13 +246,16 @@ def test_at_q_values():
 
 def test_at_q_size_guard_on_positive_k():
     # n*k at the bound computes and one past it raises, whatever the shape;
-    # k <= 0 is the polynomial branch, which the guard leaves alone.
+    # k <= 0, the polynomial branch, is bounded by its degree instead.
     assert F.AT_Q_MAX_NK == 40
     assert F.at_q_pb(2, 20).eval_rational(1) == F.classical_pb(2, 20)
     for n, k in ((41, 1), (3, 14), (1, 41), (3, 250)):
         with pytest.raises(SizeLimitError):
             F.at_q_pb(n, k)
     assert F.at_q_pb(3, -14).at_one() == F.classical_pb(3, -14)
+    assert F.at_q_pb(3, -680).max_exp == 2043
+    with pytest.raises(SizeLimitError):
+        F.at_q_pb(3, -682)
 
 
 @pytest.mark.parametrize("n, k", [(10, 3), (14, 2)])
@@ -426,14 +429,15 @@ GATE = F.PACKED_TABLE_MIN_SIDE
 
 @pytest.mark.parametrize("family", PAIRED_FAMILIES)
 @pytest.mark.parametrize("shape", [
-    (0, 0), (0, 5), (5, 0), (2, 7), (7, 2), (16, 16),
+    (0, 0), (0, 5), (5, 0), (2, 7), (7, 2), (16, 16), (12, 12), (9, 20), (20, 9),
     (48, GATE), (GATE, 48), (48, GATE - 1), (GATE - 1, GATE - 1), (GATE, GATE),
+    (GATE, 16), (16, GATE),
 ], ids=lambda shape: f"{shape[0]}x{shape[1]}")
 def test_paired_table_matches_per_cell(family, shape):
     # The packed route against the per-cell formula, in the order a table
     # prints its cells: k outer, n inner.  At (16, 16) the largest
     # coefficients take 99-102 bits, against a bound of 104 bits plus the
-    # spare one.
+    # spare one; the even and the odd coefficients each fill one digit.
     max_n, max_k = shape
     fn = F.FAMILIES[family].fn
     expected = [(n, k, fn(n, k)) for k in range(max_k + 1) for n in range(max_n + 1)]
