@@ -73,7 +73,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
 from struct import unpack
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NonSquareError, PoleError, SizeLimitError
 
@@ -129,17 +129,6 @@ class QPoly:
         return cls((1,), exp)
 
     @classmethod
-    def from_terms(cls, terms: dict[int, int]) -> "QPoly":
-        if not terms:
-            return cls()
-        lo = min(terms)
-        hi = max(terms)
-        cs = [0] * (hi - lo + 1)
-        for e, c in terms.items():
-            cs[e - lo] = c
-        return cls(cs, lo)
-
-    @classmethod
     def from_packed(cls, value: int, width: int) -> "QPoly":
         """The polynomial whose packed form (module docstring) is value >= 0."""
         # Reading from the lowest nonzero digit s (the one holding value's
@@ -186,12 +175,6 @@ class QPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def terms(self) -> Iterator[tuple[int, int]]:
-        """Yield (exponent, coefficient) for nonzero terms, ascending."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.min_exp + i, c
 
     # -- arithmetic --------------------------------------------------------
 
@@ -1057,10 +1040,12 @@ class IntMatrix:
     def __init__(self, entries: Sequence[Sequence[int]]):
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
-        tup = tuple(tuple(int(x) for x in row) for row in entries)
-        for row in tup:
-            if len(row) != cols:
+        tup = tuple(tuple(map(int, row)) for row in entries)
+        for row, ints in zip(entries, tup):
+            if len(ints) != cols:
                 raise ValueError("matrix rows have unequal lengths")
+            if ints != tuple(row):  # 1.0 and True equal 1; 1.5, 7/2 and '3' equal no int
+                raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tup)

@@ -1,40 +1,35 @@
-"""Brute-force generators, recognizers, and weight statistics.
+"""Brute-force oracles: weighted sums over combinatorial objects.
 
-Everything here enumerates combinatorial objects directly and never calls
-a closed formula, so these functions serve as independent oracles for the
-families module.  Matrices are plain tuples of 0/1 row tuples; partitions
-are lists of integer lists; permutations are 1-based one-line tuples.
+Everything here counts combinatorial objects directly and never calls a
+closed formula, so these functions serve as independent oracles for the
+families module.  Statistics use 1-based row/column indices (the
+zero-line weight of a matrix sums 1-based positions of its all-zero rows
+and columns).  Every oracle is a transfer count (Stanley, EC1 4.7): it
+builds its statistic during the search, adding each step's share as an
+element, row or value is placed, and merges the partial objects with the
+same state into one packed histogram (QPoly.packed, read back by
+QPoly.from_packed).  So no object is materialised.  fubini_oracle and
+ordered_q_oracle insert the elements in increasing order, and a state is
+the block count.  vesztergombi_oracle places the values position by
+position, and a state is the set of values used.  class_poly places the
+rows top to bottom, and a state is the allowed-row bitset and, where the
+class or statistic reads it, the covered columns; it runs its rows along
+the longer side, reading a wide matrix transposed, as every class and
+statistic allows, so its rows have at most four cells.  Matrix classes
+go up to n*k = MAX_SCAN_CELLS cells; a table of permmatrix_q reaches
+that bound through its corner cell, which families.table computes first.
 
-Statistics use 1-based row/column indices (the zero-line weight of a
-matrix sums 1-based positions of its all-zero rows and columns).  Every
-oracle is a transfer count (Stanley, EC1 4.7): it builds its statistic
-during the search, adding each step's share as an element, row or value
-is placed, and merges the partial objects with the same state into one
-packed histogram (QPoly.packed, read back by QPoly.from_packed).  So no
-object is materialised.  fubini_oracle and ordered_q_oracle
-insert the elements in increasing order, and a state is the block
-count.  vesztergombi_oracle places the values position by position, and
-a state is the set of values used.  class_poly places the rows top to
-bottom, and a state is the allowed-row bitset and, where the class or
-statistic reads it, the covered columns.  The generators and per-object
-statistics (gen_matrix_class with nu_weight and ones_minus_cols;
-gen_ordered_partitions, gen_alternating_pairs and inv_star;
-gen_vesztergombi and inversions) stay as the specification the tests
-check those oracles against.  The 0/1 matrix classes are searched row
-by row, each row drawn from a bitset over the 2**k row codes of the
-rows compatible with every row above it under the class's forbidden 2x2
-patterns.  class_poly runs its rows along the longer side, reading a
-wide matrix transposed, as every class and statistic allows, so its
-rows have at most four cells.  The is_* recognizers state the same
-classes matrix by matrix.  Matrix classes go up to
-n*k = MAX_SCAN_CELLS cells; a table of permmatrix_q reaches that bound
-through its corner cell, which families.table computes first.
+The listing specifications that state the same sums object by object
+(the generators, the is_* recognizers of the matrix classes, and the
+per-object statistics inv_star and inversions) live with the tests, in
+tests/reference_objects.py.  nu_weight and ones_minus_cols stay here,
+because class_poly scores the empty shapes with them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import compress, count
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -42,71 +37,29 @@ from .errors import SizeLimitError
 from .exactnum import QPoly
 
 __all__ = [
-    "inv_star",
-    "gen_ordered_partitions",
-    "gen_set_partitions",
     "fubini_oracle",
-    "gen_alternating_pairs",
     "ordered_q_oracle",
-    "is_lonesum",
-    "is_gamma_free",
-    "is_perm_matrix",
-    "nu_weight",
-    "ones_minus_cols",
-    "gen_matrix_class",
     "class_poly",
-    "count_class",
-    "inversions",
-    "gen_vesztergombi",
     "vesztergombi_oracle",
 ]
 
 # Largest n*k that the matrix classes search, set by hand rather than
 # from measured cost.  A class has up to 2**(n*k) members (at n = 1 the
-# lonesum and gamma-free classes take every row), and gen_matrix_class
-# lists them one by one.  class_poly merges prefixes along the longer
-# side, so its cost follows min(n, k), not n*k.  With the class's family
-# statistic, best of 3 per class on a 2-vCPU VM under Python 3.11.7
-# (BENCH_class_shorter_side.json, cost_table): every shape within the
-# bound under 3 ms, first calls included, the costliest being lonesum
-# (4, 6) and (6, 4); (2, 12), (1, 24) and (24, 1) under 0.3 ms.  Past the
-# bound, lonesum nu_sum, the costliest class, takes 0.14 ms at (2, 13),
-# 4.7 ms at (100, 1), 6.2 ms at (5, 5), 121 ms at (6, 6) and 1.7 s at
-# (7, 7).
+# lonesum and gamma-free classes take every row), but class_poly merges
+# prefixes along the longer side, so its cost follows min(n, k), not
+# n*k.  With the class's family statistic, best of 3 per class on a
+# 2-vCPU VM under Python 3.11.7 (BENCH_class_shorter_side.json,
+# cost_table): every shape within the bound under 3 ms, first calls
+# included, the costliest being lonesum (4, 6) and (6, 4); (2, 12),
+# (1, 24) and (24, 1) under 0.3 ms.  Past the bound, lonesum nu_sum, the
+# costliest class, takes 0.14 ms at (2, 13), 4.7 ms at (100, 1), 6.2 ms
+# at (5, 5), 121 ms at (6, 6) and 1.7 s at (7, 7).
 MAX_SCAN_CELLS = 24
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
 # partitions and the inversion statistic
 # ---------------------------------------------------------------------------
-
-def inv_star(blocks: Sequence[Sequence[int]]) -> int:
-    """Partition inversions: pairs (b, B_j) with b in an earlier block and
-    b greater than min(B_j)."""
-    mins = [min(b) for b in blocks]
-    count = 0
-    for i, block in enumerate(blocks):
-        for j in range(i + 1, len(blocks)):
-            mj = mins[j]
-            for b in block:
-                if b > mj:
-                    count += 1
-    return count
-
-
-def _ordered_partitions(items: list) -> Iterator[list[list]]:
-    if not items:
-        yield []
-        return
-    rest, last = items[:-1], items[-1]
-    for part in _ordered_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [last]] + part[i + 1:]
-        for i in range(len(part) + 1):
-            yield part[:i] + [[last]] + part[i:]
-
 
 def _check_partition_size(n: int) -> None:
     # fubini_oracle, n = 6..9: 0.03-0.04, 0.04-0.06, 0.06-0.08, 0.07-0.09 ms,
@@ -115,28 +68,6 @@ def _check_partition_size(n: int) -> None:
         raise SizeLimitError(f"ordered partitions of {n} elements (Fubini growth)")
     if n < 0:
         raise ValueError(f"ordered partitions need n >= 0, got {n}")
-
-
-def gen_ordered_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All ordered set partitions of {1,...,n}, each exactly once."""
-    _check_partition_size(n)
-    yield from _ordered_partitions(list(range(1, n + 1)))
-
-
-def gen_set_partitions(items: list) -> Iterator[list[list]]:
-    """Unordered set partitions with blocks in canonical (min-sorted) order.
-
-    Inserting the largest element never disturbs the order of block minima,
-    so the canonical order is maintained for free.
-    """
-    if not items:
-        yield []
-        return
-    rest, last = items[:-1], items[-1]
-    for part in gen_set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [last]] + part[i + 1:]
-        yield part + [[last]]
 
 
 def _insertion_hist(steps: int, keep_first: bool = False,
@@ -199,24 +130,6 @@ def _check_pair_size(n: int, k: int) -> None:
         raise ValueError(f"alternating pairs need n, k >= 0, got ({n}, {k})")
 
 
-def gen_alternating_pairs(n: int, k: int) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
-    """Pairs (blue, red) of anchored ordered partitions with equal block
-    counts, each pair once: blue partitions {0,1,...,n} with the 0-block
-    first, red partitions {1,...,k,k+1} with the (k+1)-block last.  The
-    special low element is encoded as 0 and the special high element as
-    k+1, which gives them the right comparison order for inv_star.
-    """
-    _check_pair_size(n, k)
-    blues = (p for p in _ordered_partitions(list(range(n + 1))) if 0 in p[0])
-    reds = (p for p in _ordered_partitions(list(range(1, k + 2))) if k + 1 in p[-1])
-    by_blocks: dict[int, list[list[list[int]]]] = {}
-    for blue in blues:
-        by_blocks.setdefault(len(blue), []).append(blue)
-    for red in reds:
-        for blue in by_blocks.get(len(red), ()):
-            yield blue, red
-
-
 def ordered_q_oracle(n: int, k: int) -> QPoly:
     """Sum of q**(inv_star(blue) + inv_star(red)) over alternating pairs.
 
@@ -237,53 +150,10 @@ def ordered_q_oracle(n: int, k: int) -> QPoly:
 # 0/1 matrix classes
 # ---------------------------------------------------------------------------
 
-def _pattern_scan(m: Matrix, patterns: tuple[tuple[int, int, int, int], ...]) -> bool:
-    """True when no 2x2 minor (arbitrary row and column pairs) matches any
-    forbidden pattern (a, b, c, d) read row-major."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    for i1 in range(rows):
-        r1 = m[i1]
-        for i2 in range(i1 + 1, rows):
-            r2 = m[i2]
-            for j1 in range(cols):
-                a, c = r1[j1], r2[j1]
-                for j2 in range(j1 + 1, cols):
-                    quad = (a, r1[j2], c, r2[j2])
-                    if quad in patterns:
-                        return False
-    return True
-
-
-_LONESUM_FORBIDDEN = ((0, 1, 1, 0), (1, 0, 0, 1))
-_GAMMA_FORBIDDEN = ((1, 1, 1, 0), (1, 1, 1, 1))
-_PERM_FORBIDDEN = ((0, 1, 1, 0), (1, 1, 1, 0))
-
-
-def is_lonesum(m: Sequence[Sequence[int]]) -> bool:
-    """Reconstructible from row and column sums: avoids the two crossing
-    2x2 patterns."""
-    return _pattern_scan(tuple(tuple(r) for r in m), _LONESUM_FORBIDDEN)
-
-
-def is_gamma_free(m: Sequence[Sequence[int]]) -> bool:
-    return _pattern_scan(tuple(tuple(r) for r in m), _GAMMA_FORBIDDEN)
-
-
-def is_perm_matrix(m: Sequence[Sequence[int]]) -> bool:
-    """Rectangular permutation tableau: every column holds a 1 and the two
-    tableau patterns are avoided."""
-    mt = tuple(tuple(r) for r in m)
-    if mt:
-        cols = len(mt[0])
-        for j in range(cols):
-            if not any(row[j] for row in mt):
-                return False
-    return _pattern_scan(mt, _PERM_FORBIDDEN)
-
-
 def nu_weight(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
-    """Sum of the 1-based indices of all-zero rows plus all-zero columns.
+    """Sum of the 1-based indices of all-zero rows plus all-zero columns:
+    the nu_sum statistic of one matrix, with which class_poly scores an
+    empty shape.
 
     cols pins the column count for degenerate shapes (a matrix with no
     rows still has columns, all of them zero).
@@ -301,16 +171,19 @@ def nu_weight(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
 
 
 def ones_minus_cols(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
+    """The ones_minus_cols statistic of one matrix, with which class_poly
+    scores an empty shape."""
     if cols is None:
         cols = len(m[0]) if m else 0
     ones = sum(sum(row) for row in m)
     return ones - cols
 
 
+# Each class's forbidden 2x2 patterns (a, b, c, d), read row-major.
 _FORBIDDEN = {
-    "lonesum": _LONESUM_FORBIDDEN,
-    "gamma_free": _GAMMA_FORBIDDEN,
-    "perm_matrix": _PERM_FORBIDDEN,
+    "lonesum": ((0, 1, 1, 0), (1, 0, 0, 1)),
+    "gamma_free": ((1, 1, 1, 0), (1, 1, 1, 1)),
+    "perm_matrix": ((0, 1, 1, 0), (1, 1, 1, 0)),
 }
 
 _STATISTICS = {
@@ -337,34 +210,18 @@ _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _set_bits(bits: int) -> Iterator[int]:
-    """The positions of the set bits, lowest first: past the trailing
-    zeros, the binary digits read from the low end select from the
-    counting numbers, in C and in one pass.  (The skip keeps a lone high
-    bit, as the column-covering class leaves at n = 1, from costing a
-    scan of 2**k digits.)"""
-    skip = (bits & -bits).bit_length() - 1 if bits else 0
-    return compress(count(skip), bin(bits >> skip)[:1:-1].encode().translate(_BINARY_DIGITS))
-
-
-# Cached: gen_matrix_class asks for one mask per last row of the
-# column-covering class, at most 2**k masks, and _column_sets for the k
-# single bits.
-@lru_cache(maxsize=1 << 12)
-def _supersets(mask: int, k: int) -> int:
-    """Bitset of the k-bit codes that contain every bit of mask, built bit
-    by bit: bit b doubles the codes seen so far, and a bit of mask keeps
-    only the upper copy."""
-    bits = 1
-    for b in range(k):
-        bits = bits << (1 << b) if mask >> b & 1 else bits | bits << (1 << b)
-    return bits
+    """The positions of the set bits, lowest first: the binary digits read
+    from the low end select from the counting numbers, in C and in one
+    pass."""
+    return compress(count(), bin(bits)[:1:-1].encode().translate(_BINARY_DIGITS))
 
 
 @lru_cache(maxsize=None)
 def _column_sets(k: int) -> tuple[tuple[int, int], ...]:
     """For each bit b, the bitsets of the k-bit codes reading 0 and 1 there."""
-    everything = (1 << (1 << k)) - 1
-    return tuple((everything ^ ones, ones) for ones in (_supersets(1 << b, k) for b in range(k)))
+    codes = range(1 << k)
+    return tuple((sum(1 << c for c in codes if not c >> b & 1), sum(1 << c for c in codes if c >> b & 1))
+                 for b in range(k))
 
 
 def _rows_below(upper: int, k: int, patterns: tuple[tuple[int, int, int, int], ...]) -> int:
@@ -393,62 +250,14 @@ def _rows_below(upper: int, k: int, patterns: tuple[tuple[int, int, int, int], .
 
 
 # Cached: the table depends on k and the class alone.  class_poly asks
-# only for k <= 4, its shorter side, and gen_matrix_class places a row
-# above another only when k <= MAX_SCAN_CELLS // 2, so at most 3 * 13
-# tables of at most 2**12 bitsets each are held.
+# only for k <= 4, its shorter side, so at most 3 * 4 tables of at most
+# 16 bitsets each are held.
 @lru_cache(maxsize=None)
 def _below_table(k: int, cls: str) -> tuple[int, ...]:
     """_rows_below for every code; the first row of a search takes every
     code."""
     patterns = _FORBIDDEN[cls]
     return tuple(_rows_below(code, k, patterns) for code in range(1 << k))
-
-
-def gen_matrix_class(cls: str, n: int, k: int) -> Iterator[Matrix]:
-    """All n x k matrices of the class, in lexicographic order of their
-    cells read row by row; n*k is at most MAX_SCAN_CELLS.
-
-    Each class forbids 2x2 patterns on pairs of rows, so a matrix belongs
-    to it iff every (upper, lower) pair of its rows is compatible.  Rows
-    are placed top to bottom in code order, each from the bitset of the
-    codes compatible with every row above it; the column-covering class
-    keeps for the last row only the codes that cover the columns still
-    empty.
-    """
-    if cls not in _FORBIDDEN:
-        raise ValueError(f"unknown matrix class {cls!r}")
-    _check_matrix_size(n, k)
-    if n == 0:
-        # The empty filling still has k columns; only the column-covering
-        # class rejects it when k > 0.
-        if cls != "perm_matrix" or k == 0:
-            yield ()
-        return
-    covering = cls == "perm_matrix"
-    full = (1 << k) - 1
-    below = _below_table(k, cls) if n > 1 else ()
-    # A row is the tuple of its high half of bits joined to that of its low
-    # half: two tables of 2**(k//2) entries rather than one of 2**k.
-    half = k // 2
-    heads = list(product((0, 1), repeat=k - half))
-    tails = list(product((0, 1), repeat=half))
-    low = (1 << half) - 1
-
-    # Depth first over (rows placed, codes allowed next, covered columns),
-    # with the children pushed in reverse so they pop in code order; one
-    # frame yields every matrix, however many rows lie above.
-    stack = [((), (1 << (1 << k)) - 1, 0)]
-    while stack:
-        prefix, scope, covered = stack.pop()
-        if len(prefix) == n - 1:
-            if covering:
-                scope &= _supersets(full ^ covered, k)
-            for code in _set_bits(scope):
-                yield prefix + (heads[code >> half] + tails[code & low],)
-        else:
-            stack.extend((prefix + (heads[code >> half] + tails[code & low],),
-                          scope & below[code], covered | code)
-                         for code in reversed(list(_set_bits(scope))))
 
 
 def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
@@ -542,55 +351,15 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     return poly.shift(-k) if statistic == "ones_minus_cols" else poly
 
 
-def count_class(cls: str, n: int, k: int) -> int:
-    """Number of n x k matrices in the class: class_poly at q = 1."""
-    return class_poly(cls, n, k).at_one()
-
-
 # ---------------------------------------------------------------------------
 # banded permutations
 # ---------------------------------------------------------------------------
-
-def inversions(perm: Sequence[int]) -> int:
-    count = 0
-    for i in range(len(perm)):
-        pi = perm[i]
-        for j in range(i + 1, len(perm)):
-            if pi > perm[j]:
-                count += 1
-    return count
-
 
 def _check_band_size(n: int, k: int) -> None:
     if n + k > 9:
         raise SizeLimitError(f"banded permutations of [{n + k}]")
     if n < 0 or k < 0:
         raise ValueError(f"banded permutations need n, k >= 0, got ({n}, {k})")
-
-
-def gen_vesztergombi(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Permutations pi of [n+k] with -k <= pi(i) - i <= n, generated by
-    backtracking inside the band (1-based one-line notation)."""
-    _check_band_size(n, k)
-    m = n + k
-    chosen: list[int] = []
-    used = [False] * (m + 1)
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i > m:
-            yield tuple(chosen)
-            return
-        lo = max(1, i - k)
-        hi = min(m, i + n)
-        for v in range(lo, hi + 1):
-            if not used[v]:
-                used[v] = True
-                chosen.append(v)
-                yield from rec(i + 1)
-                chosen.pop()
-                used[v] = False
-
-    yield from rec(1)
 
 
 def vesztergombi_oracle(n: int, k: int) -> QPoly:

@@ -10,6 +10,7 @@ directory comes from the QPB_CACHE_DIR environment variable, defaulting to
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from dataclasses import dataclass
@@ -113,12 +114,15 @@ def fetch_sequence(
         try:
             text = get(url)
             terms, reader = _parse_bfile(text)
-            if terms:
-                cache.mkdir(parents=True, exist_ok=True)
-                cache_file.write_text(text)
-                return SequenceFixture(seq_id, terms, "remote", reader)
         except Exception as exc:  # fall through to the bundled fixture
             network_error = exc
+        else:
+            if terms:
+                # A cache that cannot be written costs only the next fetch.
+                with contextlib.suppress(OSError):
+                    cache.mkdir(parents=True, exist_ok=True)
+                    cache_file.write_text(text)
+                return SequenceFixture(seq_id, terms, "remote", reader)
     bundled = _bundled_path(seq_id)
     if bundled.exists():
         terms, reader = _parse_bfile(bundled.read_text())

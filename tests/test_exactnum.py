@@ -14,6 +14,8 @@ from qpb import exactnum
 from qpb.errors import NonSquareError, PoleError, SizeLimitError
 from qpb.exactnum import MAX_PERMANENT_DIM, IntMatrix, QPoly, QRational, cyclotomic
 from qpb.qkernels import q_stirling
+from qpb.rook import Board
+from reference_objects import from_terms, terms
 
 small_polys = st.builds(
     QPoly,
@@ -60,7 +62,7 @@ def _reference_str(p: QPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for e, c in p.terms():
+    for e, c in terms(p):
         if e == 0:
             body = str(abs(c))
         else:
@@ -250,7 +252,7 @@ def test_mul_sparse_short_and_all_ones_operands():
 # The packed form: the value at q = 2**(8*width), read back digit by digit.
 def assert_packed_round_trip(p: QPoly, width: int) -> None:
     value = p.packed(width)
-    assert value == sum(c << (8 * width * e) for e, c in p.terms())
+    assert value == sum(c << (8 * width * e) for e, c in terms(p))
     back = QPoly.from_packed(value, width)
     assert (back.min_exp, back.coeffs) == (p.min_exp, p.coeffs)
     assert hash(back) == hash(p)
@@ -285,7 +287,7 @@ def test_signed_packed_round_trip():
         for p in (QPoly.zero(), QPoly.const(-1), QPoly([-top, top]), QPoly([top, 0, -top]),
                   QPoly([-3, 0, 0, -top], 2), QPoly([1, -1] * 4, 1)):
             value = p.packed(width)
-            assert value == sum(c << (8 * width * e) for e, c in p.terms())
+            assert value == sum(c << (8 * width * e) for e, c in terms(p))
             back = QPoly.from_signed_packed(value, width)
             assert (back.min_exp, back.coeffs) == (p.min_exp, p.coeffs)
 
@@ -302,8 +304,8 @@ def test_packed_negative_exponent_raises():
 def assert_packed_pair_round_trip(p: QPoly, width: int) -> None:
     h = 4 * width
     assert p.packed_pair(width) == (
-        sum(c << (h * e) for e, c in p.terms()),
-        sum((-c if e % 2 else c) << (h * e) for e, c in p.terms()),
+        sum(c << (h * e) for e, c in terms(p)),
+        sum((-c if e % 2 else c) << (h * e) for e, c in terms(p)),
     )
     back = QPoly.from_packed_pair(*p.packed_pair(width), width)
     assert (back.min_exp, back.coeffs) == (p.min_exp, p.coeffs)
@@ -360,11 +362,11 @@ def test_packed_pair_of_a_sum_of_products(coeffs, shift):
 )
 def test_add_matches_termwise_sum(ca, ea, cb, eb):
     a, b = QPoly(ca, ea), QPoly(cb, eb)
-    terms: dict[int, int] = {}
+    summed: dict[int, int] = {}
     for p in (a, b):
-        for e, c in p.terms():
-            terms[e] = terms.get(e, 0) + c
-    expected = QPoly.from_terms(terms)
+        for e, c in terms(p):
+            summed[e] = summed.get(e, 0) + c
+    expected = from_terms(summed)
     for got in (a + b, b + a):
         assert (got.min_exp, got.coeffs) == (expected.min_exp, expected.coeffs)
         assert hash(got) == hash(expected)
@@ -594,7 +596,7 @@ def test_qrational_matches_sympy_cancel(a, b, c, d, n):
     q = sympy.Symbol("q")
 
     def sym(p: QPoly):
-        return sum((coef * q ** e for e, coef in p.terms()), sympy.Integer(0))
+        return sum((coef * q ** e for e, coef in terms(p)), sympy.Integer(0))
 
     x, y = QRational(a, b), QRational(c, d)
     xs, ys = sym(a) / sym(b), sym(c) / sym(d)
@@ -812,6 +814,18 @@ def test_charpoly_rejects_non_square():
         IntMatrix([[1, 2]]).charpoly()
     with pytest.raises(NonSquareError):
         IntMatrix([[1, 2]]).permanent()
+
+
+@pytest.mark.parametrize("entry", [1.5, Fraction(7, 2), "3", -0.5])
+def test_int_matrix_rejects_inexact_entries(entry):
+    with pytest.raises(ValueError):
+        IntMatrix([[1, entry], [0, 1]])
+
+
+def test_int_matrix_converts_integral_entries():
+    # a board's cells of 1.0 and True are the integer 1
+    assert IntMatrix([[1.0, True], [Fraction(4, 2), 0]]) == IntMatrix([[1, 1], [2, 0]])
+    assert Board(((1.0, True), (True, 1))).to_int_matrix().permanent() == 2
 
 
 def test_permanent_small_cases():

@@ -79,3 +79,36 @@ def test_object_routes_hold_no_check(name):
     # only count.
     module = importlib.import_module(f"qpb.{name}")
     assert [x for x in vars(module) if x.endswith("_check")] == []
+
+
+# What objects and rook export: the oracles and boards that verify, the
+# package root and the benchmark read.  The listing specifications that
+# only the tests read live in tests/reference_objects.py.
+OBJECT_ROUTE_EXPORTS = {
+    "objects": {"fubini_oracle", "ordered_q_oracle", "class_poly", "vesztergombi_oracle"},
+    "rook": {"Board", "q_rook_number", "rotate_180", "block_over", "full_board", "lower_triangular",
+             "upper_triangular", "secondary_staircase", "build_v_matrix"},
+}
+
+
+def _names_read_from(module: str, path: Path) -> set[str]:
+    """The names a source file reads from the qpb module: m.x on the bare
+    module name, and x in "from .m import x" or "from qpb.m import x"."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module:
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").removeprefix("qpb").lstrip(".") == module:
+            names |= {a.name for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_ROUTE_EXPORTS))
+def test_object_routes_export_only_what_another_module_reads(name):
+    module = importlib.import_module(f"qpb.{name}")
+    assert set(module.__all__) == OBJECT_ROUTE_EXPORTS[name]
+    package = Path(qpb.__file__).parent
+    paths = [path for path in sorted(package.glob("*.py")) if path.stem != name]
+    paths += sorted((package.parent.parent / "perfbench").glob("*.py"))
+    read = set().union(*(_names_read_from(name, path) for path in paths))
+    assert sorted(OBJECT_ROUTE_EXPORTS[name] - read) == []

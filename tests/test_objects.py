@@ -14,12 +14,18 @@ from qpb.objects import (
     MAX_SCAN_CELLS,
     _FORBIDDEN,
     _insertion_hist,
-    _pattern_scan,
     _rows_below,
     _STATISTICS,
     class_poly,
-    count_class,
     fubini_oracle,
+    nu_weight,
+    ordered_q_oracle,
+    vesztergombi_oracle,
+)
+from reference_objects import (
+    _pattern_scan,
+    count_class,
+    from_terms,
     gen_alternating_pairs,
     gen_matrix_class,
     gen_ordered_partitions,
@@ -29,9 +35,6 @@ from qpb.objects import (
     is_gamma_free,
     is_lonesum,
     is_perm_matrix,
-    nu_weight,
-    ordered_q_oracle,
-    vesztergombi_oracle,
 )
 
 # The 6x9 worked example: lonesum with zero line indices {3; 5, 9}.
@@ -74,7 +77,7 @@ def test_fubini_oracle_matches_generator():
     # the insertion search against inv_star scored on each generated partition
     for n in range(8):
         weights = Counter(inv_star(p) for p in gen_ordered_partitions(n))
-        assert fubini_oracle(n) == QPoly.from_terms(weights)
+        assert fubini_oracle(n) == from_terms(weights)
     with pytest.raises(SizeLimitError):
         fubini_oracle(10)
 
@@ -108,7 +111,7 @@ def _by_block_count(hist):
     groups = {}
     for (c, w), mult in hist.items():
         groups.setdefault(c, {})[w] = mult
-    return {c: QPoly.from_terms(terms) for c, terms in groups.items()}
+    return {c: from_terms(terms) for c, terms in groups.items()}
 
 
 # The flag pairs that some oracle uses reach these steps: no flag reaches
@@ -147,7 +150,7 @@ def test_ordered_q_oracle_matches_single_search_convolution(n, k):
         for (r, wr), mr in _reference_insertion_hist(k + 1, end_in_last=True).items():
             if b == r:
                 expected[wb + wr] += mb * mr
-    assert ordered_q_oracle(n, k) == QPoly.from_terms(expected)
+    assert ordered_q_oracle(n, k) == from_terms(expected)
 
 
 def test_alternating_pairs_worked_example():
@@ -162,7 +165,7 @@ def test_alternating_pairs_sum_to_oracle():
     for n in range(6):
         for k in range(6):
             weights = Counter(inv_star(b) + inv_star(r) for b, r in gen_alternating_pairs(n, k))
-            assert QPoly.from_terms(weights) == ordered_q_oracle(n, k)
+            assert from_terms(weights) == ordered_q_oracle(n, k)
     with pytest.raises(SizeLimitError):
         next(gen_alternating_pairs(1, 7))
 
@@ -268,7 +271,7 @@ def test_class_poly_matches_generator_and_statistic():
         matrices = list(gen_matrix_class(cls, n, k))
         assert count_class(cls, n, k) == len(matrices), (cls, n, k)
         for statistic, stat in _STATISTICS.items():
-            expect = QPoly.from_terms(Counter(stat(m, k) for m in matrices))
+            expect = from_terms(Counter(stat(m, k) for m in matrices))
             assert class_poly(cls, n, k, statistic) == expect, (cls, n, k, statistic)
 
 
@@ -328,7 +331,7 @@ def test_vesztergombi_oracle_matches_generator():
     for m in range(9):
         for n in range(m + 1):
             weights = Counter(inversions(p) for p in gen_vesztergombi(n, m - n))
-            assert vesztergombi_oracle(n, m - n) == QPoly.from_terms(weights)
+            assert vesztergombi_oracle(n, m - n) == from_terms(weights)
     with pytest.raises(SizeLimitError):
         vesztergombi_oracle(5, 5)
 
@@ -337,7 +340,7 @@ def test_vesztergombi_oracle_matches_generator():
 def test_vesztergombi_oracle_matches_generator_at_the_bound(n, k):
     # m = 9: the prefix covers positions 1..4 and the suffix 5..9
     weights = Counter(inversions(p) for p in gen_vesztergombi(n, k))
-    assert vesztergombi_oracle(n, k) == QPoly.from_terms(weights)
+    assert vesztergombi_oracle(n, k) == from_terms(weights)
 
 
 def test_vesztergombi_band_membership():
@@ -434,6 +437,15 @@ def test_class_poly_matches_formula_routes_on_wide_and_tall_shapes():
         assert class_poly("lonesum", n, k, "nu_sum") == families.lonesum_q_pb(n, k), (n, k)
         assert count_class("gamma_free", n, k) == families.classical_pb_negk(n, k), (n, k)
         assert count_class("perm_matrix", n, k) == families.c_relative(n, k), (n, k)
+
+
+def test_gamma_free_under_nu_sum_matches_lonesum_q():
+    # a second object route for lonesum_q: the gamma-free matrices under
+    # the zero-line statistic, on every shape within the scan bound
+    shapes = [(n, k) for n in range(MAX_SCAN_CELLS + 1) for k in range(MAX_SCAN_CELLS + 1)
+              if n * k <= MAX_SCAN_CELLS]
+    for n, k in shapes:
+        assert class_poly("gamma_free", n, k, "nu_sum") == families.lonesum_q_pb(n, k), (n, k)
 
 
 def test_permmatrix_row_column_symmetry_up_to_the_bound():

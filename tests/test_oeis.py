@@ -69,6 +69,17 @@ def test_remote_fetch_populates_cache_and_round_trips(tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seq_id", ["A000045", "A099594"])
+def test_unwritable_cache_keeps_the_fetched_terms(tmp_path, seq_id):
+    # the cache path is a file, so the cache directory cannot be made; the
+    # fetch still returns its terms, and A099594 not its bundled fixture
+    cache = tmp_path / "not-a-directory"
+    cache.write_text("")
+    fx = fetch_sequence(seq_id, offline=False, transport=lambda url: "0 5\n1 7\n2 11\n", cache=cache)
+    assert (fx.source, fx.terms) == ("remote", (5, 7, 11))
+    assert cache.read_text() == ""
+
+
 def test_corrupt_cache_is_a_miss(tmp_path):
     (tmp_path / "A099594.txt").write_text("0 1\n1 not-a-number\n")
     fx = fetch_sequence("A099594", offline=True, transport=_boom, cache=tmp_path)
