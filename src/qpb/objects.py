@@ -21,9 +21,9 @@ that bound through its corner cell, which families.table computes first.
 
 The listing specifications that state the same sums object by object
 (the generators, the is_* recognizers of the matrix classes, and the
-per-object statistics inv_star and inversions) live with the tests, in
-tests/reference_objects.py.  nu_weight and ones_minus_cols stay here,
-because class_poly scores the empty shapes with them.
+per-object statistics inv_star, nu_weight, ones_minus_cols and
+inversions) live with the tests, in tests/reference_objects.py.  So this
+module holds the transfer counts, their row tables and their guards.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import SizeLimitError
 from .exactnum import QPoly
@@ -150,46 +150,11 @@ def ordered_q_oracle(n: int, k: int) -> QPoly:
 # 0/1 matrix classes
 # ---------------------------------------------------------------------------
 
-def nu_weight(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
-    """Sum of the 1-based indices of all-zero rows plus all-zero columns:
-    the nu_sum statistic of one matrix, with which class_poly scores an
-    empty shape.
-
-    cols pins the column count for degenerate shapes (a matrix with no
-    rows still has columns, all of them zero).
-    """
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    total = 0
-    for i, row in enumerate(m):
-        if not any(row):
-            total += i + 1
-    for j in range(cols):
-        if not any(row[j] for row in m):
-            total += j + 1
-    return total
-
-
-def ones_minus_cols(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
-    """The ones_minus_cols statistic of one matrix, with which class_poly
-    scores an empty shape."""
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    ones = sum(sum(row) for row in m)
-    return ones - cols
-
-
 # Each class's forbidden 2x2 patterns (a, b, c, d), read row-major.
 _FORBIDDEN = {
     "lonesum": ((0, 1, 1, 0), (1, 0, 0, 1)),
     "gamma_free": ((1, 1, 1, 0), (1, 1, 1, 1)),
     "perm_matrix": ((0, 1, 1, 0), (1, 1, 1, 0)),
-}
-
-_STATISTICS = {
-    "none": lambda m, cols: 0,
-    "nu_sum": nu_weight,
-    "ones_minus_cols": ones_minus_cols,
 }
 
 
@@ -292,18 +257,21 @@ def class_poly(cls: str, n: int, k: int, statistic: str = "none") -> QPoly:
     pass then keeps, for column covering, the states with every column
     covered, and shifts each, under nu_sum, by its zero-column weight.
     """
-    if statistic not in _STATISTICS:
+    if statistic not in ("none", "nu_sum", "ones_minus_cols"):
         raise ValueError(f"unknown statistic {statistic!r}")
     if cls not in _FORBIDDEN:
         raise ValueError(f"unknown matrix class {cls!r}")
     _check_matrix_size(n, k)
     covering = cls == "perm_matrix"
     if n == 0 or k == 0:
-        # The one n x k matrix is all zeros; with no rows, the
+        # The one n x k matrix is all zeros, so every row and column is a
+        # zero line and no cell holds a 1; with no rows, the
         # column-covering class rejects it when k > 0.
         if covering and k:
             return QPoly.zero()
-        return QPoly.q(_STATISTICS[statistic](((0,) * k,) * n, k))
+        if statistic == "nu_sum":
+            return QPoly.q(n * (n + 1) // 2 + k * (k + 1) // 2)
+        return QPoly.q(-k if statistic == "ones_minus_cols" else 0)
     nu = statistic == "nu_sum"
     transposed = k > n
     rows, c = (k, n) if transposed else (n, k)

@@ -168,8 +168,11 @@ def crosscheck_table(
 
     The reader (antidiagonal or row) defaults to the fixture's recorded
     reading order.  Reports the first mismatching index on failure.  A
-    bound below 1 would compare nothing and is rejected before any fetch.
+    malformed id names no sequence, and a bound below 1 would compare
+    nothing, so both are rejected before any fetch.
     """
+    if not _ID_RE.match(seq_id):
+        raise ValueError(f"malformed OEIS id {seq_id!r}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     fx = fixture or fetch_sequence(seq_id, offline=offline, transport=transport, cache=cache)

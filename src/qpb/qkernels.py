@@ -24,11 +24,14 @@ T(n,0) = 0 for n > 0; the weights (a, b) define each of them:
 * shifted   (q**(m-1), [m]); equals q**C(m,2) times the carlitz value.
 * stirling2 (1, m), over the integers.
 
-All kernels return canonical QPoly/QRational values and are memoized.
-Each triangle is stored by column, cols[j][i] = T(j+i, j), so a request
-for T(n, m) grows columns 0..m, in order, to index n-m and builds no
-column to the right of m: a tall table that reads only the first columns
-never pays for the rest of the triangle.  The memo tables (q-factorials,
+All kernels return canonical QPoly/QRational values.  q_factorial,
+q_stirling and stirling2 are memoised (as is exactnum.cyclotomic);
+q_int, q_binomial, s2_q, s2_inv_q and q_exponential compute on every
+call, from the memoised kernels where they read one.  Each triangle is
+stored by column, cols[j][i] = T(j+i, j), so a request for T(n, m)
+grows columns 0..m, in order, to index n-m and builds no column to the
+right of m: a tall table that reads only the first columns never pays
+for the rest of the triangle.  The memo tables (q-factorials,
 the triangles' columns) only grow and never change an entry.  q_factorial
 and _grow_columns each grow their table in one loop held under one module
 lock, which reads the lengths once the lock is held, so concurrent

@@ -79,7 +79,7 @@ class CheckReport:
     def to_json(self) -> str:
         payload = {
             "check_id": self.check_id,
-            "parameters": {k: self.parameters[k] for k in sorted(self.parameters)},
+            "parameters": self.parameters,
             "status": self.status,
             "witness": self.witness,
         }

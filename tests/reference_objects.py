@@ -5,10 +5,11 @@ every oracle there merges the partial objects with the same state into
 one packed histogram.  The functions here state the same sums object by
 object instead.  They list every ordered set partition, anchored
 partition pair, 0/1 matrix of a class and banded permutation, or every
-rook placement, and score each with its own statistic (inv_star, the
-class recognizers, inversions, gr_inv).  The tests compare the two
-routes.  Each listing generator raises where its oracle does, through
-the oracle's own size guard.  from_terms, terms and count_class are the
+rook placement, and score each with its own statistic (inv_star; for
+the matrix classes, found by their recognizers, nu_weight and
+ones_minus_cols; inversions; gr_inv).  The tests compare the two routes.
+Each listing generator raises where its oracle does, through the
+oracle's own size guard.  from_terms, terms and count_class are the
 small readers the tests share.
 """
 
@@ -131,6 +132,43 @@ def gen_alternating_pairs(n: int, k: int) -> Iterator[tuple[list[list[int]], lis
 def count_class(cls: str, n: int, k: int) -> int:
     """Number of n x k matrices in the class: class_poly at q = 1."""
     return class_poly(cls, n, k).at_one()
+
+
+def nu_weight(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
+    """Sum of the 1-based indices of all-zero rows plus all-zero columns:
+    the nu_sum statistic of one matrix, which class_poly adds row by row.
+
+    cols pins the column count for degenerate shapes (a matrix with no
+    rows still has columns, all of them zero).
+    """
+    if cols is None:
+        cols = len(m[0]) if m else 0
+    total = 0
+    for i, row in enumerate(m):
+        if not any(row):
+            total += i + 1
+    for j in range(cols):
+        if not any(row[j] for row in m):
+            total += j + 1
+    return total
+
+
+def ones_minus_cols(m: Sequence[Sequence[int]], cols: int | None = None) -> int:
+    """The number of 1s less the number of columns: the ones_minus_cols
+    statistic of one matrix, which class_poly adds row by row."""
+    if cols is None:
+        cols = len(m[0]) if m else 0
+    ones = sum(sum(row) for row in m)
+    return ones - cols
+
+
+# Each statistic class_poly accepts, by name, as a function of one matrix
+# and its column count.
+_STATISTICS = {
+    "none": lambda m, cols: 0,
+    "nu_sum": nu_weight,
+    "ones_minus_cols": ones_minus_cols,
+}
 
 
 def _pattern_scan(m: Matrix, patterns: tuple[tuple[int, int, int, int], ...]) -> bool:

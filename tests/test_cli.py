@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qpb import families, verify
+from qpb import families, oeis, verify
 from qpb.cli import main
 from qpb.exactnum import QPoly
 
@@ -150,6 +150,19 @@ def test_oeis_command_offline(capsys, tmp_path, monkeypatch):
     rec = json.loads(out)
     assert rec["status"] == "pass"
     assert rec["parameters"]["source"] == "bundled"
+
+
+@pytest.mark.parametrize("seq_id", ["foo", "A12345"])
+def test_oeis_malformed_id_is_a_domain_error(capsys, monkeypatch, seq_id):
+    # A malformed id names no sequence: out-of-domain input, refused
+    # before any fetch with one line on stderr.
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("fetch of a malformed id")
+
+    monkeypatch.setattr(oeis, "fetch_sequence", no_fetch)
+    code, out, err = run_cli(capsys, "oeis", "--id", seq_id, "--offline")
+    assert (code, out) == (2, "")
+    assert err == f"qpb oeis: error: malformed OEIS id {seq_id!r}\n"
 
 
 def test_size_limit_exit_code(capsys):

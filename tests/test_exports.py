@@ -4,6 +4,7 @@ import no formula route."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -112,3 +113,15 @@ def test_object_routes_export_only_what_another_module_reads(name):
     paths += sorted((package.parent.parent / "perfbench").glob("*.py"))
     read = set().union(*(_names_read_from(name, path) for path in paths))
     assert sorted(OBJECT_ROUTE_EXPORTS[name] - read) == []
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_ROUTE_EXPORTS))
+def test_object_routes_export_every_public_definition(name):
+    # A public function or class of an object route is one that another
+    # module reads, so it is exported; one only the tests read lives in
+    # tests/reference_objects.py.
+    module = importlib.import_module(f"qpb.{name}")
+    public = [x for x, obj in vars(module).items()
+              if not x.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == module.__name__]
+    assert sorted(set(public) - set(module.__all__)) == []

@@ -15,15 +15,14 @@ from qpb.objects import (
     _FORBIDDEN,
     _insertion_hist,
     _rows_below,
-    _STATISTICS,
     class_poly,
     fubini_oracle,
-    nu_weight,
     ordered_q_oracle,
     vesztergombi_oracle,
 )
 from reference_objects import (
     _pattern_scan,
+    _STATISTICS,
     count_class,
     from_terms,
     gen_alternating_pairs,
@@ -35,6 +34,7 @@ from reference_objects import (
     is_gamma_free,
     is_lonesum,
     is_perm_matrix,
+    nu_weight,
 )
 
 # The 6x9 worked example: lonesum with zero line indices {3; 5, 9}.
@@ -223,13 +223,30 @@ def test_degenerate_shapes():
 
 
 @pytest.mark.parametrize("cls", ["lonesum", "gamma_free", "perm_matrix"])
-def test_columnless_shape_is_scored_without_a_row_search(cls):
+def test_columnless_shape_is_scored_without_a_row_search(cls, monkeypatch):
+    # A row search would read the class's row table; an empty shape is
+    # scored in closed form and reads none.
+    def no_row_table(*args):
+        raise AssertionError("row search on an empty shape")
+
+    monkeypatch.setattr("qpb.objects._below_table", no_row_table)
     # One matrix of 5000 empty rows: every row is zero, so nu_sum is
     # 1 + 2 + ... + 5000, and the other statistics read 0.
     n = 5000
     assert class_poly(cls, n, 0, "nu_sum") == QPoly.q(n * (n + 1) // 2)
     assert class_poly(cls, n, 0, "ones_minus_cols") == QPoly.one()
     assert class_poly(cls, n, 0) == QPoly.one()
+    # One matrix with no rows and 5000 zero columns, which the
+    # column-covering class rejects: nu_sum is 1 + 2 + ... + 5000 again,
+    # and ones_minus_cols reads -5000.
+    k = 5000
+    if cls == "perm_matrix":
+        for statistic in ("none", "nu_sum", "ones_minus_cols"):
+            assert class_poly(cls, 0, k, statistic) == QPoly.zero()
+    else:
+        assert class_poly(cls, 0, k, "nu_sum") == QPoly.q(k * (k + 1) // 2)
+        assert class_poly(cls, 0, k, "ones_minus_cols") == QPoly.q(-k)
+        assert class_poly(cls, 0, k) == QPoly.one()
 
 
 def scan_matrix_class(cls, n, k):
