@@ -33,8 +33,16 @@ _CONVENTIONS = (
 )
 
 
+# One encoder for every table value, as json.dumps(..., sort_keys=True) writes it.
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _value_to_json(v):
     return v.to_json_dict() if isinstance(v, (QPoly, QRational)) else str(v)
+
+
+def _json_value(v) -> str:
+    return _JSON.encode(_value_to_json(v))
 
 
 @contextmanager
@@ -71,27 +79,40 @@ def _negative_bounds(args) -> str | None:
     return f"bounds must be >= 0, got {', '.join(bad)}" if bad else None
 
 
+def _render_in_place(cells: list, render) -> None:
+    """Replace the value of each (n, k, value) cell with render(value).
+
+    A value object met again reuses its text: paired_table yields the
+    mirrored value itself for each off-diagonal cell.  Keying by id is
+    safe because every value stays alive in the list until its turn, so
+    no id of a value yet to come can belong to one already released."""
+    texts = {}
+    for i, (n, k, v) in enumerate(cells):
+        text = texts.get(id(v))
+        if text is None:
+            text = texts[id(v)] = render(v)
+        cells[i] = n, k, text
+
+
 def cmd_table(args) -> int:
     cells = list(families.table(args.family, args.max_n, args.max_k))
     # Every cell is rendered before the first byte is written, so a value
     # too long to print leaves stdout empty.
-    render = _value_to_json if args.format == "json" else str
+    render = _json_value if args.format == "json" else str
     with _digit_limit():
-        shown = [render(v) for _, _, v in cells]
+        _render_in_place(cells, render)
     out = sys.stdout
     if args.format == "json":
-        payload = {
-            "family": args.family,
-            "max_n": args.max_n,
-            "max_k": args.max_k,
-            "cells": [
-                {"n": n, "k": k, "value": text} for (n, k, _), text in zip(cells, shown)
-            ],
-        }
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        # The bytes of json.dumps(payload, sort_keys=True), written one cell
+        # fragment at a time so that no encoding of the whole table is held.
+        out.write('{"cells": [')
+        for i, (n, k, text) in enumerate(cells):
+            out.write(f'{", " if i else ""}{{"k": {k}, "n": {n}, "value": {text}}}')
+        out.write(f'], "family": {_JSON.encode(args.family)}, '
+                  f'"max_k": {args.max_k}, "max_n": {args.max_n}}}\n')
         return EXIT_OK
     by_k: dict[int, list[str]] = {}  # in the table's k order: 0, 1, 2... or 0, -1, -2...
-    for (_, k, _), text in zip(cells, shown):
+    for _, k, text in cells:
         by_k.setdefault(k, []).append(text)
     if args.format == "csv":
         out.write("k\\n," + ",".join(str(n) for n in range(args.max_n + 1)) + "\n")

@@ -280,18 +280,25 @@ class QPoly:
         """Exact evaluation at a rational point.
 
         Raises PoleError at value 0 when negative exponents are present.
+        Horner's rule runs on integers: at value p/r, with len(coeffs) = L,
+        acc = sum over j of coeffs[j] * p**j * r**(L-1-j), and one Fraction
+        divides out r**(L-1) and applies q**min_exp.
         """
         v = Fraction(value)
         if self.is_zero:
             return Fraction(0)
-        if v == 0:
-            if self.min_exp < 0:
-                raise PoleError("evaluation at q=0 with negative exponents")
-            return Fraction(self.coeff(0))
-        acc = Fraction(0)
+        if v == 0 and self.min_exp < 0:
+            raise PoleError("evaluation at q=0 with negative exponents")
+        p, r = v.numerator, v.denominator
+        acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc * v ** self.min_exp
+            acc = acc * p + c * scale
+            scale *= r
+        den = scale // r
+        e = self.min_exp
+        if e >= 0:
+            return Fraction(acc * p ** e, den * r ** e)
+        return Fraction(acc * r ** -e, den * p ** -e)
 
     def at_one(self) -> int:
         return sum(self.coeffs)
@@ -817,10 +824,11 @@ class QRational:
     # -- evaluation -------------------------------------------------------------
 
     def eval_rational(self, value: Fraction | int) -> Fraction:
-        d = self.den.eval_rational(value)
-        if d == 0:
+        # den's value as c times each Phi_d's value to the e: den is not built
+        den = self.c * prod(cyclotomic(d).eval_rational(value) ** e for d, e in self.phis.items())
+        if den == 0:
             raise PoleError(f"denominator vanishes at q={value}")
-        return self.num.eval_rational(value) / d
+        return self.num.eval_rational(value) / den
 
     def at_one(self) -> Fraction:
         return self.eval_rational(1)

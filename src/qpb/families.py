@@ -215,8 +215,9 @@ _PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
 # for ordered_q(1000, 1).  Inside its bound a value took at most 2.0 s and
 # 193 MB.  A table costs far more than its corner value, so its size is
 # (n+1)*(k+1)*max(n, k) at the corner; inside the bound a whole `qpb table`
-# process took at most 0.85 s and 38 MB (24x24 lonesum_q and 63x3 lonesum_q,
-# median of 3, BENCH_paired_pm.json).
+# process took at most 0.64 s and 36 MB in each of csv, json and latex
+# (24x24 and 63x3 of the three families, median of 3, paired_table_cost in
+# BENCH_table_render.json).
 PAIRED_VALUE_MAX_SIZE = {"carlitz": 2 ** 11, "cigler": 2 ** 17}
 PAIRED_TABLE_MAX_SIZE = 2 ** 14
 
@@ -388,6 +389,36 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
 # carlitz value took at most 1.5 s.
 AT_Q_MAX_NK = 40
 
+# Bound on an at_q table (k = 0, -1, ..., -max_k), which costs far more than
+# its corner: inside the degree bound, (1, -2048) ran past 60 s.  Its size
+# is the work of the packed sums: (n+1)*(k+1) cells, each of at most n+1
+# terms of at most the corner's degree n*(n-1)/2 + n*k in coefficients, each
+# of about (n+k)*log2(n+1) bits.  At the largest k it admits for each n, a
+# whole `qpb table` process took 0.5-1.4 s, at most 1.42 s at (51, 0), and
+# at most 37 MB, at (1, -511) (csv and json, median of 3); past it, 1.9 s
+# at (1, -600), 2.6 s at (55, 0) and 2.5 s at (8, -100) (2-vCPU VM,
+# at_q_table_cost in BENCH_table_render.json).
+AT_Q_TABLE_MAX_SIZE = 2 ** 30
+
+
+def _check_at_q_size(n: int, k: int) -> None:
+    if k > 0 and n * k > AT_Q_MAX_NK:
+        raise SizeLimitError(f"at_q_pb({n}, {k}): n*k = {n * k} exceeds bound {AT_Q_MAX_NK} for k > 0")
+    bound, degree = PAIRED_VALUE_MAX_SIZE["carlitz"], n * (n - 1) // 2 - n * k
+    if k <= 0 and degree > bound:
+        raise SizeLimitError(f"at_q_pb({n}, {k}): degree {degree} exceeds bound {bound} for k <= 0")
+
+
+def _check_at_q_table_size(max_n: int, max_k: int) -> None:
+    """Refuse an at_q table up to (max_n, -max_k) whose corner is past its
+    value bound, and then one past AT_Q_TABLE_MAX_SIZE."""
+    _check_at_q_size(max_n, -max_k)
+    degree = max_n * (max_n - 1) // 2 + max_n * max_k
+    size = (max_n + 1) ** 2 * (max_k + 1) * degree * (max_n + max_k) * (max_n + 1).bit_length()
+    if size > AT_Q_TABLE_MAX_SIZE:
+        raise SizeLimitError(
+            f"at_q table up to ({max_n}, {-max_k}): size {size} exceeds bound {AT_Q_TABLE_MAX_SIZE}")
+
 
 def at_q_pb(n: int, k: int) -> QPoly | QRational:
     """Formula-level q-analogue:
@@ -403,11 +434,7 @@ def at_q_pb(n: int, k: int) -> QPoly | QRational:
     """
     if n < 0:
         raise ValueError("at_q_pb needs n >= 0")
-    if k > 0 and n * k > AT_Q_MAX_NK:
-        raise SizeLimitError(f"at_q_pb({n}, {k}): n*k = {n * k} exceeds bound {AT_Q_MAX_NK} for k > 0")
-    bound, degree = PAIRED_VALUE_MAX_SIZE["carlitz"], n * (n - 1) // 2 - n * k
-    if k <= 0 and degree > bound:
-        raise SizeLimitError(f"at_q_pb({n}, {k}): degree {degree} exceeds bound {bound} for k <= 0")
+    _check_at_q_size(n, k)
     acc = _carlitz_power_sum(n, k, 0)
     return -acc if n % 2 else acc
 
@@ -563,7 +590,8 @@ def table(family: str, max_n: int, max_k: int):
     when the table starts, once per cell, and the corner (max_n, max_k)
     first: it has the largest n*k, so an n*k size guard (permmatrix_q's,
     in objects) refuses the table before any other cell is computed.  A
-    paired sum's table past PAIRED_TABLE_MAX_SIZE is refused on either route.
+    paired sum's table past PAIRED_TABLE_MAX_SIZE is refused on either
+    route, and an at_q table past AT_Q_TABLE_MAX_SIZE before any cell.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("table needs max_n, max_k >= 0")
@@ -572,6 +600,8 @@ def table(family: str, max_n: int, max_k: int):
             yield from paired_table(family, max_n, max_k)
             return
         _check_paired_size(family, max_n, max_k, table=True)
+    elif family == "at_q":
+        _check_at_q_table_size(max_n, max_k)
     spec = FAMILIES[family]
     sign = -1 if spec.signed else 1
     corner = spec.fn(max_n, sign * max_k)

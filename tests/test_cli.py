@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 
 from qpb import families, oeis, verify
 from qpb.cli import main
-from qpb.exactnum import QPoly
+from qpb.exactnum import QPoly, QRational
 
 
 def run_cli(capsys, *argv):
@@ -269,14 +270,42 @@ def test_at_q_polynomial_branch_is_bounded_by_its_degree(capsys, monkeypatch):
                 f"size limit: at_q_pb({n}, {-k}): degree {n * (n - 1) // 2 + n * k} "
                 f"exceeds bound {bound} for k <= 0"]
     assert sums == []
-    # the shapes at the bound pass the guard; their sums are stubbed out,
-    # since a table of them takes far longer than its corner
+    # the values at the bound pass the guard; their sums are stubbed out.
+    # A table up to one of them takes far longer than its corner, so the
+    # table's own measure refuses it before any cell is computed.
     for n, k in ((64, 0), (50, 16), (20, 92), (1, 2048)):
         assert n * (n - 1) // 2 + n * k <= bound
-        for argv in (("eval", "--n", str(n), "--k", str(-k)), ("table", "--max-n", str(n), "--max-k", str(k))):
-            code, out, _ = run_cli(capsys, argv[0], "--family", "at_q", *argv[1:], "--format", "json")
-            assert code == 0 and json.loads(out)
-    assert (64, 0, 0) in sums and (1, -2048, 0) in sums
+        code, out, _ = run_cli(capsys, "eval", "--family", "at_q", "--n", str(n), "--k", str(-k), "--format", "json")
+        assert code == 0 and json.loads(out)
+        code, out, err = run_cli(
+            capsys, "table", "--family", "at_q", "--max-n", str(n), "--max-k", str(k), "--format", "json")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"size limit: at_q table up to ({n}, {-k}): size ")
+    assert sums == [(64, 0, 0), (50, -16, 0), (20, -92, 0), (1, -2048, 0)]
+
+
+def test_at_q_table_is_bounded_by_its_own_measure(capsys, monkeypatch):
+    # An at_q table (k <= 0) costs far more than its corner value, so it is
+    # measured on its own: (n+1)**2 * (k+1) * degree * (n+k) * bits(n+1).
+    # Inside the bound, every shape of the cost table took at most 1.35 s;
+    # the six refused here took 1.9 s to past 60 s.
+    bound = families.AT_Q_TABLE_MAX_SIZE
+    assert bound == 2 ** 30
+    sums = []
+    monkeypatch.setattr(families, "_carlitz_power_sum", lambda *args: sums.append(args) or QPoly.one())
+    for n, k in ((1, 600), (55, 0), (30, 30), (10, 100), (1, 2048), (8, 100)):
+        code, out, err = run_cli(capsys, "table", "--family", "at_q", "--max-n", str(n), "--max-k", str(k))
+        assert (code, out) == (3, "")
+        size = (n + 1) ** 2 * (k + 1) * (n * (n - 1) // 2 + n * k) * (n + k) * (n + 1).bit_length()
+        assert size > bound
+        assert err.splitlines() == [f"size limit: at_q table up to ({n}, {-k}): size {size} exceeds bound {bound}"]
+    assert sums == []
+    for n, k in ((1, 400), (50, 0), (10, 50), (15, 30), (0, 5000)):
+        code, out, err = run_cli(capsys, "table", "--family", "at_q", "--max-n", str(n), "--max-k", str(k))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == k + 2
+    assert len(sums) == 2 * 401 + 51 + 11 * 51 + 16 * 31 + 5001
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex", "json"])
@@ -418,3 +447,85 @@ def test_table_route_follows_the_gate(capsys, monkeypatch):
         outputs.append(json.loads(out))
     assert calls == [(48, gate), (gate, gate)]
     assert outputs[2]["cells"][:len(outputs[0]["cells"])] == outputs[0]["cells"]
+
+
+def _reference_table(family, max_n, max_k, fmt):
+    """A table as `qpb table` wrote it from one list of rendered values:
+    every cell materialised, each value rendered, and, for json, one
+    json.dumps of the whole payload."""
+    cells = list(families.table(family, max_n, max_k))
+    if fmt == "json":
+        payload = {
+            "family": family,
+            "max_n": max_n,
+            "max_k": max_k,
+            "cells": [
+                {"n": n, "k": k, "value": v.to_json_dict() if isinstance(v, (QPoly, QRational)) else str(v)}
+                for n, k, v in cells
+            ],
+        }
+        return json.dumps(payload, sort_keys=True) + "\n"
+    by_k = {}
+    for _, k, v in cells:
+        by_k.setdefault(k, []).append(str(v))
+    columns = [str(n) for n in range(max_n + 1)]
+    if fmt == "csv":
+        rows = ["k\\n," + ",".join(columns)] + [f"{k}," + ",".join(texts) for k, texts in by_k.items()]
+        return "\n".join(rows) + "\n"
+    rows = ["\\begin{tabular}{c|" + "c" * (max_n + 1) + "}", "k/n & " + " & ".join(columns) + " \\\\", "\\hline"]
+    rows += [f"{k} & " + " & ".join(texts) + " \\\\" for k, texts in by_k.items()]
+    return "\n".join(rows + ["\\end{tabular}"]) + "\n"
+
+
+# The empty table, two mirrored shapes (square and not) on the packed
+# route, and a tall and a wide table on the per-cell route; permmatrix_q's
+# matrix search takes at most 24 cells, so its mirrored shapes are smaller.
+GRID_SHAPES = ((0, 0), (8, 8), (12, 5), (20, 1), (1, 20))
+GRID_SHAPES_WITHIN_GUARD = {"permmatrix_q": ((0, 0), (4, 4), (6, 4), (20, 1), (1, 20))}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "latex"])
+@pytest.mark.parametrize("family", sorted(families.FAMILIES))
+def test_table_bytes_match_one_rendering_of_the_whole_table(capsys, family, fmt):
+    for max_n, max_k in GRID_SHAPES_WITHIN_GUARD.get(family, GRID_SHAPES):
+        code, out, err = run_cli(
+            capsys, "table", "--family", family,
+            "--max-n", str(max_n), "--max-k", str(max_k), "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        assert out == _reference_table(family, max_n, max_k, fmt), (max_n, max_k)
+
+
+@pytest.mark.parametrize("fmt, method", [("csv", "__str__"), ("json", "to_json_dict")])
+def test_a_mirrored_value_is_rendered_once(capsys, monkeypatch, fmt, method):
+    # A 9x9 ordered_q table has 45 distinct values: paired_table yields the
+    # mirrored value itself for each of the 36 cells above the diagonal.
+    render = getattr(QPoly, method)
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(QPoly, method, counted)
+    code, _, _ = run_cli(
+        capsys, "table", "--family", "ordered_q", "--max-n", "8", "--max-k", "8", "--format", fmt,
+    )
+    assert code == 0
+    assert len(calls) == 45
+
+
+def test_json_table_peak_memory_follows_its_output(capsys):
+    # A json table is written from its cells' texts, not encoded as one
+    # payload holding every coefficient string and dict at once (17 times
+    # the output when it was).  The first call warms the memo tables.
+    argv = ("table", "--family", "lonesum_q", "--max-n", "48", "--max-k", "1", "--format", "json")
+    run_cli(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * len(out.encode())

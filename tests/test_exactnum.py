@@ -123,6 +123,33 @@ def test_eval_at_zero_pole():
     assert QPoly([7, 1]).eval_rational(0) == 7
 
 
+def _fraction_horner(p: QPoly, v: Fraction) -> Fraction:
+    """p at v by Horner's rule over Fractions, one Fraction per step;
+    a negative power of v = 0 raises ZeroDivisionError."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc * v ** p.min_exp
+
+
+rational_points = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(min_value=-10 ** 12, max_value=10 ** 12), max_size=9),
+    st.integers(min_value=-4, max_value=4),
+    rational_points,
+)
+def test_eval_rational_matches_fraction_horner(coeffs, min_exp, v):
+    p = QPoly(coeffs, min_exp)
+    if v == 0 and p.min_exp < 0:
+        with pytest.raises(PoleError):
+            p.eval_rational(v)
+    else:
+        assert p.eval_rational(v) == _fraction_horner(p, v)
+
+
 def test_exact_div_and_failure():
     num = QPoly([1, 2, 1])
     assert num.exact_div(QPoly([1, 1])) == QPoly([1, 1])
@@ -493,6 +520,27 @@ def test_zero_powers_and_differences_leave_an_empty_map(a, b):
         assert got.phis == {} and got.c == 1
         assert got == QRational.from_int(want)
         assert (got.num, got.den) == (QPoly.const(want), QPoly.one())
+
+
+@settings(max_examples=150)
+@given(small_polys, cyclotomic_polys, rational_points)
+def test_qrational_eval_rational_matches_fraction_horner(a, den, v):
+    # den's value is read from c and the Phi_d values; the reference
+    # evaluates the built den.  Phi_1 vanishes at 1 and Phi_2 at -1.
+    x = QRational(a, den)
+    d = _fraction_horner(x.den, v)
+    if d == 0 or (v == 0 and x.num.min_exp < 0):
+        with pytest.raises(PoleError):
+            x.eval_rational(v)
+    else:
+        assert x.eval_rational(v) == _fraction_horner(x.num, v) / d
+
+
+def test_eval_at_a_root_of_a_denominator_phi_is_a_pole():
+    for phis, root in (({1: 1}, 1), ({2: 3}, -1), ({2: 1, 3: 1}, -1)):
+        with pytest.raises(PoleError):
+            QRational(QPoly.one(), phis).eval_rational(root)
+    assert QRational(QPoly.one(), {2: 1}).eval_rational(1) == Fraction(1, 2)
 
 
 @settings(max_examples=60)
