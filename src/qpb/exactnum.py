@@ -50,15 +50,17 @@ The packed pair halves the integers of a packed product (Harvey's
 multipoint Kronecker substitution, KS2).  With h = 4*width bits, it is
 (p(2**h), p(-2**h)) = (E + (O << h), E - (O << h)), where E and O are p's
 even and odd coefficients packed at width, so that p(x) = E(x**2) +
-x*O(x**2) at x**2 = 2**(8*width); ``QPoly.packed_pair`` builds it.  Each
-side is a ring map, so sums of products of pairs are the pair of the sum
-of products, on integers half as long as the packed ones.  From a pair
-(P, M) of a polynomial r, ``QPoly.from_packed_pair`` reads (P + M) >> 1,
-which is r's even part E_r packed, and (P - M) >> (h + 1), its odd part
-O_r: P + M = 2*E_r and P - M = 2**(h+1)*O_r exactly, so both shifts drop
-only zero bits.  The width rule is the packed form's: each even and each
-odd digit holds one coefficient of r, so for nonnegative coefficients
-width must hold the largest.
+x*O(x**2) at x**2 = 2**(8*width).  Each side is a ring map, so sums of
+products of pairs are the pair of the sum of products, on integers half
+as long as the packed ones, and a polynomial given by a recurrence has
+its pair from the same recurrence run on integers
+(``qkernels.q_stirling_at``).  From a pair (P, M) of a polynomial r,
+``QPoly.from_packed_pair`` reads (P + M) >> 1, which is r's even part
+E_r packed, and (P - M) >> (h + 1), its odd part O_r: P + M = 2*E_r and
+P - M = 2**(h+1)*O_r exactly, so both shifts drop only zero bits.  The
+width rule is the packed form's: each even and each odd digit holds one
+coefficient of r, so for nonnegative coefficients width must hold the
+largest.
 
 Values are safe to share between threads: each is immutable once built,
 and every operation returns a new object and never mutates its inputs.
@@ -69,10 +71,10 @@ from __future__ import annotations
 import threading
 from contextlib import suppress
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
-from struct import unpack
+from struct import unpack, unpack_from
 from typing import Iterable, Sequence
 
 from .errors import NonSquareError, PoleError, SizeLimitError
@@ -145,7 +147,10 @@ class QPoly:
         cs = [0] * max(2 * len(even) - 1, 2 * len(odd))
         cs[:2 * len(even):2] = even
         cs[1:2 * len(odd):2] = odd
-        return cls(cs)
+        # _digits ends each part on a nonzero digit, so the top of cs is
+        # nonzero and only its low end needs trimming.
+        lo = next(compress(count(), cs), 0)
+        return _canonical(tuple(cs[lo:]), lo)
 
     @classmethod
     def from_signed_packed(cls, value: int, width: int) -> "QPoly":
@@ -379,21 +384,6 @@ class QPoly:
             raise ValueError(f"no packed form with the negative exponent {self.min_exp}")
         return _pack(self.coeffs, width) << (8 * width * self.min_exp) if self.coeffs else 0
 
-    def packed_pair(self, width: int) -> tuple[int, int]:
-        """The values at q = 2**h and q = -2**h, h = 4*width bits: the
-        packed pair (module docstring)."""
-        if self.min_exp < 0:
-            raise ValueError(f"no packed form with the negative exponent {self.min_exp}")
-        if not self.coeffs:
-            return 0, 0
-        h = 4 * width
-        even = _pack(self.coeffs[::2], width)
-        odd = _pack(self.coeffs[1::2], width) << h if len(self.coeffs) > 1 else 0
-        # q**min_exp * (E(q**2) + q * O(q**2)), E and O counted from min_exp
-        shift = h * self.min_exp
-        minus = (even - odd) << shift
-        return (even + odd) << shift, -minus if self.min_exp % 2 else minus
-
     def to_json_dict(self) -> dict:
         return {
             "var": "q",
@@ -488,10 +478,19 @@ def _pack(cs: tuple[int, ...], width: int) -> int:
 def _digits(value: int, width: int) -> tuple[int, ...]:
     """The width-byte digits of value >= 0, lowest first, up to its top
     nonzero one: the one reader of the packed form."""
-    count = -(-value.bit_length() // (8 * width))
-    # struct splits the bytes into the digits' bytes in one call.
-    data = unpack(f"{width}s" * count, value.to_bytes(count * width, "little"))
-    return tuple(map(int.from_bytes, data, repeat("little")))
+    n_digits = -(-value.bit_length() // (8 * width))
+    data = value.to_bytes(n_digits * width, "little")
+    # struct splits the bytes into the digits' bytes, in one call up to 64
+    # digits and 64 digits a call past that: struct caches the compiled
+    # format of each call, and one format per digit count kept up to 100
+    # of them, some of tens of kB, alive.  Most reads are short, and the
+    # chunk loop costs them about a microsecond more than one call.
+    if n_digits <= 64:
+        chunks = unpack(f"{width}s" * n_digits, data)
+    else:
+        chunks = chain.from_iterable(
+            unpack_from(f"{width}s" * min(64, n_digits - i), data, i * width) for i in range(0, n_digits, 64))
+    return tuple(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _signed_digits(value: int, width: int, count: int) -> tuple[int, ...]:

@@ -16,16 +16,17 @@ checks that compare them with the triangles.
 The three q-valued paired sums are defined once, in _PAIRED_SUMS: their
 weight, q-Stirling variant and finish step; a value past
 PAIRED_VALUE_MAX_SIZE or a table past PAIRED_TABLE_MAX_SIZE is refused
-with SizeLimitError.  table is the one entry point for a table of any
-registered family.  A paired sum's table has a second route,
-paired_table.  It packs each q-Stirling number and each weight once as a
-pair of integers (QPoly.packed_pair; the format and its width rule are
-stated once, in the exactnum docstring), so a cell costs plain
-big-integer products instead of QPoly products.  A table takes this
-route once its shorter side reaches PACKED_TABLE_MIN_SIDE, where the
-packed operands are reused enough to pay for the packing; below it, for
-the other families, and for single values, each cell comes from the
-family's own function.
+with SizeLimitError.  Each weight is written, as the q-Stirling
+recurrence is in qkernels, over a ring: times(v, e) = v * q**e and
+factorial_q(m) = [m]!.  A single value takes it over QPoly.  table is the
+one entry point for a table of any registered family, and a paired sum's
+table, of any shape, is paired_table: every operand, each q-Stirling
+number and each weight, is computed directly as its two values at
+q = 2**h and q = -2**h (qkernels.q_ring_at, q_stirling_at), so no QPoly
+operand is built and no memo grows, and a cell costs plain big-integer
+products read back once (QPoly.from_packed_pair; the packed pair and its
+width rule are stated once, in the exactnum docstring).  The other
+families' tables compute each cell by the family's own function.
 
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
@@ -45,7 +47,8 @@ from typing import Callable, Sequence
 from . import objects
 from .errors import NotPolynomialError, SizeLimitError
 from .exactnum import QPoly, QRational
-from .qkernels import cyclotomic, q_factorial, q_int, q_stirling, s2_inv_q, s2_q, stirling2
+from .qkernels import (cyclotomic, q_factorial, q_int, q_ring_at, q_stirling, q_stirling_at, s2_inv_q,
+                       s2_q, stirling2)
 
 __all__ = [
     "classical_pb",
@@ -180,16 +183,18 @@ def vesztergombi_q_pb(n: int, k: int) -> QPoly:
     return _paired_q_sum("vesztergombi_q", n, k)
 
 
-def _ordered_weight(m: int) -> QPoly:
-    return q_factorial(m) * q_factorial(m)
+# The paired weights w(m) over a ring: times(v, e) = v * q**e and
+# factorial_q(m) = [m]!.  Each is m!**2 at q = 1.
+def _ordered_weight(m: int, times: Callable, factorial_q: Callable):
+    return factorial_q(m) * factorial_q(m)
 
 
-def _lonesum_weight(m: int) -> int:
+def _lonesum_weight(m: int, times: Callable, factorial_q: Callable) -> int:
     return factorial(m) ** 2
 
 
-def _vesztergombi_weight(m: int) -> QPoly:
-    return _ordered_weight(m).shift(m)
+def _vesztergombi_weight(m: int, times: Callable, factorial_q: Callable):
+    return times(_ordered_weight(m, times, factorial_q), m)
 
 
 def _vesztergombi_finish(total: QPoly, n: int, k: int) -> QPoly:
@@ -200,7 +205,8 @@ def _vesztergombi_finish(total: QPoly, n: int, k: int) -> QPoly:
     return total
 
 
-# family -> (weight w(m), q-Stirling variant, finish(total, n, k) or None)
+# family -> (weight w(m, times, factorial_q), q-Stirling variant,
+#            finish(total, n, k) or None)
 _PAIRED_SUMS: dict[str, tuple[Callable, str, Callable | None]] = {
     "ordered_q": (_ordered_weight, "carlitz", None),
     "lonesum_q": (_lonesum_weight, "cigler", None),
@@ -236,7 +242,8 @@ def _paired_q_sum(family: str, n: int, k: int) -> QPoly:
     raises SizeLimitError past PAIRED_VALUE_MAX_SIZE."""
     _check_paired_size(family, n, k)
     weight, variant, finish = _PAIRED_SUMS[family]
-    total = _paired_sum(n, k, weight, partial(q_stirling, variant))
+    w = partial(weight, times=QPoly.shift, factorial_q=q_factorial)
+    total = _paired_sum(n, k, w, partial(q_stirling, variant))
     return total if finish is None else finish(total, n, k)
 
 
@@ -514,65 +521,62 @@ def carlitz_beta(n: int) -> QRational:
 # tables
 # ---------------------------------------------------------------------------
 
-# Tables whose shorter side is at least this take the packed route of
-# paired_table; below it, the packed operands are not reused often enough
-# to pay for the packing (crossover tables in BENCH_table_output.json and,
-# for the packed pair, BENCH_paired_pm.json: at side 2 lonesum_q is faster
-# per cell, at side 3 every family is faster packed).
-PACKED_TABLE_MIN_SIDE = 3
-
-
 def paired_table(family: str, max_n: int, max_k: int):
     """Yield (n, k, value) for k <= max_k (outer) and n <= max_n (inner),
     the values of a paired-sum family (ordered_q, lonesum_q or
     vesztergombi_q) that its per-cell function gives.
 
-    Every operand, each S(a+1, m+1) and each weight w(m), is packed once
-    as its pair of values at q = 2**h and q = -2**h (QPoly.packed_pair; an
-    integer weight w is its own pair (w, w)), U[n][m] = w(m) * S(n+1, m+1)
-    once per (n, m) on each side, and a cell is the two integer sums over
-    m <= min(n, k) of U[n][m] * S(k+1, m+1), one per side, read back by
-    QPoly.from_packed_pair.  Each product is half as long as at
-    q = 2**(8*width).  width follows the packed form's rule for
-    nonnegative operands (exactnum docstring), with one bit to spare: it
-    holds the sum over m of w(m) times the largest S(n+1, m+1) and the
-    largest S(k+1, m+1) at q = 1 in the table, so each even and each odd
-    digit holds one coefficient of the cell.  The sum is symmetric in
-    n and k, so a cell whose mirror (k, n) came first reuses its value.
-    A corner (max_n, max_k) past PAIRED_TABLE_MAX_SIZE raises
-    SizeLimitError.
+    Every operand is computed directly as an integer at q = x for
+    x = 2**h and x = -2**h, h = 4*width bits: the q-Stirling numbers
+    S(a+1, m+1) by their recurrence on integers (qkernels.q_stirling_at)
+    and the weights w(m) over the integers at x (qkernels.q_ring_at).
+    Evaluation at x is a ring map, so these are the packed pairs of the
+    QPoly operands (exactnum docstring), and no QPoly operand is built.
+    U[n][m] = w(m) * S(n+1, m+1) once per (n, m) on each side, and a cell
+    is the two integer sums over m <= min(n, k) of U[n][m] * S(k+1, m+1),
+    one per side, read back by QPoly.from_packed_pair.  width follows the
+    packed form's rule for nonnegative operands, with one bit to spare:
+    it holds the sum over m of w(m) times the largest S(n+1, m+1) and the
+    largest S(k+1, m+1) at q = 1 in the table (the same operands at
+    x = 1, where every variant is stirling2 and every weight m!**2), so
+    each even and each odd digit holds one coefficient of the cell.  The
+    sum is symmetric in n and k, so a cell whose mirror (k, n) came first
+    reuses its value.  A corner (max_n, max_k) past PAIRED_TABLE_MAX_SIZE
+    raises SizeLimitError.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("paired_table needs max_n, max_k >= 0")
     _check_paired_size(family, max_n, max_k, table=True)
     weight, variant, finish = _PAIRED_SUMS[family]
     side = min(max_n, max_k)
-    stirling = [
-        [q_stirling(variant, a + 1, m + 1) for m in range(min(a, side) + 1)]
-        for a in range(max(max_n, max_k) + 1)
-    ]
-    weights = [weight(m) for m in range(side + 1)]
 
-    def column_max(rows: int) -> list[int]:
-        return [max(stirling[a][m].at_one() for a in range(m, rows + 1)) for m in range(side + 1)]
+    def operands(x: int) -> tuple[list[list[int]], list[list[int]]]:
+        """At q = x: left[n] = the w(m) * S(n+1, m+1) for n <= max_n and
+        right[k] = the S(k+1, m+1) for k <= max_k, each for m <= min(n, side)
+        or min(k, side)."""
+        times, bracket = q_ring_at(x)
+        factorials = list(accumulate(map(bracket, range(1, side + 1)), mul, initial=1))
+        weights = [weight(m, times, factorials.__getitem__) for m in range(side + 1)]
+        cols = q_stirling_at(variant, x, max(max_n, max_k) + 1, side + 1)
+        rows = [[cols[m + 1][a - m] for m in range(min(a, side) + 1)] for a in range(max(max_n, max_k) + 1)]
+        return [list(map(mul, weights, row)) for row in rows[:max_n + 1]], rows[:max_k + 1]
 
-    weights_at_one = [w if isinstance(w, int) else w.at_one() for w in weights]
-    bound = sum(map(mul, weights_at_one, map(mul, column_max(max_n), column_max(max_k))))
+    def column_max(rows: list[list[int]]) -> list[int]:
+        return [max(rows[a][m] for a in range(m, len(rows))) for m in range(side + 1)]
+
+    # Every weight and coefficient is nonnegative, so the bound is the sum
+    # over m of the largest left and right entries at q = 1.
+    bound = sum(map(mul, *map(column_max, operands(1))))
     width = (bound.bit_length() + 8) // 8
-    # pairs[a] = (the S(a+1, m+1) at 2**h, the same at -2**h), m <= min(a, side)
-    pairs = [tuple(zip(*(p.packed_pair(width) for p in row))) for row in stirling]
-    w_plus, w_minus = zip(*((w, w) if isinstance(w, int) else w.packed_pair(width) for w in weights))
-    left = [(list(map(mul, w_plus, plus)), list(map(mul, w_minus, minus)))
-            for plus, minus in pairs[:max_n + 1]]
+    (left_plus, right_plus), (left_minus, right_minus) = map(operands, (1 << 4 * width, -1 << 4 * width))
     mirrored = {}  # cell (k, n) computed as (n, k) before its turn
     for k in range(max_k + 1):
-        plus, minus = pairs[k]
+        plus, minus = right_plus[k], right_minus[k]
         for n in range(max_n + 1):
             value = mirrored.pop((n, k), None)
             if value is None:
-                left_plus, left_minus = left[n]
                 value = QPoly.from_packed_pair(
-                    sum(map(mul, left_plus, plus)), sum(map(mul, left_minus, minus)), width)
+                    sum(map(mul, left_plus[n], plus)), sum(map(mul, left_minus[n], minus)), width)
                 if finish is not None:
                     value = finish(value, n, k)
                 if k < n <= max_k:
@@ -585,22 +589,20 @@ def table(family: str, max_n: int, max_k: int):
     (outer) and n <= max_n (inner), with k shown negative for a signed
     family; the one table entry point.
 
-    A paired sum whose shorter side reaches PACKED_TABLE_MIN_SIDE takes
-    paired_table.  Every other table calls the family's fn, looked up
-    when the table starts, once per cell, and the corner (max_n, max_k)
-    first: it has the largest n*k, so an n*k size guard (permmatrix_q's,
-    in objects) refuses the table before any other cell is computed.  A
-    paired sum's table past PAIRED_TABLE_MAX_SIZE is refused on either
-    route, and an at_q table past AT_Q_TABLE_MAX_SIZE before any cell.
+    A paired sum's table is paired_table, whatever its shape.  Every other
+    table calls the family's fn, looked up when the table starts, once per
+    cell, and the corner (max_n, max_k) first: it has the largest n*k, so
+    an n*k size guard (permmatrix_q's, in objects) refuses the table
+    before any other cell is computed.  A paired sum's table past
+    PAIRED_TABLE_MAX_SIZE, and an at_q table past AT_Q_TABLE_MAX_SIZE, are
+    refused before any cell.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("table needs max_n, max_k >= 0")
     if family in _PAIRED_SUMS:
-        if min(max_n, max_k) >= PACKED_TABLE_MIN_SIDE:
-            yield from paired_table(family, max_n, max_k)
-            return
-        _check_paired_size(family, max_n, max_k, table=True)
-    elif family == "at_q":
+        yield from paired_table(family, max_n, max_k)
+        return
+    if family == "at_q":
         _check_at_q_table_size(max_n, max_k)
     spec = FAMILIES[family]
     sign = -1 if spec.signed else 1

@@ -22,21 +22,28 @@ T(n,0) = 0 for n > 0; the weights (a, b) define each of them:
             with 0): element n-1 joins the 0-block, joins one of the
             m-1 other blocks, or opens a new block.
 * shifted   (q**(m-1), [m]); equals q**C(m,2) times the carlitz value.
-* stirling2 (1, m), over the integers.
+* stirling2 (1, m), over the integers: carlitz at q = 1.
+
+The weights are written once, over a ring of q-values given by two
+operations: times(v, e) = v * q**e and bracket(m) = [m].  q_stirling runs
+the recurrence over QPoly (QPoly.shift, q_int).  q_ring_at(x) gives the
+two operations on the integers at q = x, for x = +-2**h, where times is a
+shift; q_stirling_at runs the recurrence there, which is the ring map
+p -> p(x) applied to the whole triangle, and stirling2 runs it at q = 1.
 
 All kernels return canonical QPoly/QRational values.  q_factorial,
 q_stirling and stirling2 are memoised (as is exactnum.cyclotomic);
-q_int, q_binomial, s2_q, s2_inv_q and q_exponential compute on every
-call, from the memoised kernels where they read one.  Each triangle is
-stored by column, cols[j][i] = T(j+i, j), so a request for T(n, m)
-grows columns 0..m, in order, to index n-m and builds no column to the
-right of m: a tall table that reads only the first columns never pays
-for the rest of the triangle.  The memo tables (q-factorials,
-the triangles' columns) only grow and never change an entry.  q_factorial
-and _grow_columns each grow their table in one loop held under one module
-lock, which reads the lengths once the lock is held, so concurrent
-callers never append an entry twice; a read of an entry that already
-exists takes no lock.  The Phi_d memo in exactnum follows the same rule
+q_int, q_binomial, q_stirling_at, s2_q, s2_inv_q and q_exponential
+compute on every call, from the memoised kernels where they read one.
+Each memoised triangle is stored by column, cols[j][i] = T(j+i, j), so a
+request for T(n, m) grows columns 0..m, in order, to index n-m and
+builds no column to the right of m: a tall request that reads only the
+first columns never pays for the rest of the triangle.  The memo tables
+(q-factorials, the triangles' columns) only grow and never change an
+entry.  q_factorial and _grow_columns each grow their table in one loop
+held under one module lock, which reads the lengths once the lock is
+held, so concurrent callers never append an entry twice; a read of an
+entry that already exists takes no lock.  The Phi_d memo in exactnum follows the same rule
 under its own lock.
 """
 
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from .exactnum import QPoly, QRational, TruncatedSeries, cyclotomic
@@ -55,6 +63,8 @@ __all__ = [
     "q_binomial",
     "cyclotomic",
     "q_stirling",
+    "q_ring_at",
+    "q_stirling_at",
     "stirling2",
     "s2_q",
     "s2_inv_q",
@@ -96,34 +106,64 @@ def q_binomial(n: int, k: int) -> QPoly:
     return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
 
 
-# Weights (a, b) of T(n,m) = a*T(n-1,m-1) + b*T(n-1,m), per variant.
-_STIRLING_WEIGHTS = {
-    "carlitz": lambda n, m: (1, q_int(m)),
-    "cigler": lambda n, m: (1, QPoly.q(n - 1) + (m - 1)),
-    "shifted": lambda n, m: (QPoly.q(m - 1), q_int(m)),
+# The step T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) of each variant, from
+# left = T(n-1,m-1) and up = T(n-1,m), with its weights (a, b) written over
+# the ring whose times(v, e) is v * q**e and bracket(m) is [m].
+_STIRLING_STEPS = {
+    "carlitz": lambda n, m, left, up, times, bracket: left + bracket(m) * up,
+    "cigler": lambda n, m, left, up, times, bracket: left + times(up, n - 1) + (m - 1) * up,
+    "shifted": lambda n, m, left, up, times, bracket: times(left, m - 1) + bracket(m) * up,
 }
 
 
-def _grow_columns(cols: list, n: int, m: int, weights, zero):
-    """T(n, m) = cols[m][n-m] of the triangle with the given weights,
-    growing columns 0..m in order, each to index n-m.
+def q_ring_at(x: int):
+    """(times, bracket) on the integers at q = x, for x = +-2**h:
+    times(v, e) = v * x**e, as a shift, and bracket(m) = [m] at x.
 
-    Entry i of column j > 0 is T(j+i, j) = a*cols[j-1][i] + b*cols[j][i-1],
-    so column j-1 reaches an index before column j does.  The whole growth
-    runs under the lock, so weights must not call a memoised kernel: the
-    lock is not reentrant.
+    Evaluation at x is a ring map, so a recurrence run on these values
+    gives the values at x of the polynomials it gives over QPoly.
+    """
+    h = abs(x).bit_length() - 1
+    if abs(x) != 1 << max(h, 0):
+        raise ValueError(f"q_ring_at needs x = +-2**h, got {x}")
+    brackets = [0]  # [0], [1], ... at x, grown on demand
+
+    def times(v: int, e: int) -> int:
+        v <<= h * e
+        return -v if x < 0 and e & 1 else v
+
+    def bracket(m: int) -> int:
+        while len(brackets) <= m:
+            brackets.append(brackets[-1] + times(1, len(brackets) - 1))
+        return brackets[m]
+
+    return times, bracket
+
+
+def _fill_columns(cols: list, n: int, m: int, step, zero):
+    """T(n, m) = cols[m][n-m] of the triangle that step builds, growing
+    columns 0..m in order, each to index n-m.
+
+    Entry i of column j > 0 is T(j+i, j) = step(j+i, j, cols[j-1][i],
+    cols[j][i-1]), so column j-1 reaches an index before column j does.
     """
     top = n - m
-    with _grow_lock:
-        cols[0].extend([zero] * (top + 1 - len(cols[0])))
-        for j in range(1, m + 1):
-            if len(cols) == j:
-                cols.append([])
-            left, col = cols[j - 1], cols[j]
-            for i in range(len(col), top + 1):
-                a, b = weights(j + i, j)
-                col.append(a * left[i] + b * col[-1] if i else a * left[0])
+    cols[0].extend([zero] * (top + 1 - len(cols[0])))
+    for j in range(1, m + 1):
+        if len(cols) == j:
+            cols.append([])
+        left, col = cols[j - 1], cols[j]
+        for i in range(len(col), top + 1):
+            col.append(step(j + i, j, left[i], col[-1] if i else zero))
     return cols[m][top]
+
+
+def _grow_columns(cols: list, n: int, m: int, step, zero):
+    """_fill_columns on a memo table.  The whole growth runs under the
+    lock, so step must not call a memoised kernel: the lock is not
+    reentrant."""
+    with _grow_lock:
+        return _fill_columns(cols, n, m, step, zero)
 
 
 def q_stirling(variant: str, n: int, m: int) -> QPoly:
@@ -140,7 +180,28 @@ def q_stirling(variant: str, n: int, m: int) -> QPoly:
     cols = _stirling_tables[variant]
     if m < len(cols) and n - m < len(cols[m]):
         return cols[m][n - m]
-    return _grow_columns(cols, n, m, _STIRLING_WEIGHTS[variant], QPoly.zero())
+    step = partial(_STIRLING_STEPS[variant], times=QPoly.shift, bracket=q_int)
+    return _grow_columns(cols, n, m, step, QPoly.zero())
+
+
+def q_stirling_at(variant: str, x: int, n: int, m: int) -> list[list[int]]:
+    """The variant's triangle at q = x, for x = +-2**h, as columns
+    cols[j][i] = T(j+i, j) at x, for j <= min(n, m) and j + i <= n.
+
+    Built afresh on integers by q_stirling's recurrence over q_ring_at(x):
+    no memo is read or grown, and no QPoly is built.
+    """
+    if variant not in STIRLING_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {STIRLING_VARIANTS}")
+    if n < 0 or m < 0:
+        raise ValueError("q_stirling_at needs n, m >= 0")
+    times, bracket = q_ring_at(x)
+    step = partial(_STIRLING_STEPS[variant], times=times, bracket=bracket)
+    cols = [[1]]
+    # Column j to index n - j: the columns left of j are already longer.
+    for j in range(min(n, m) + 1):
+        _fill_columns(cols, n, j, step, 0)
+    return cols
 
 
 def stirling2(n: int, k: int) -> int:
@@ -152,7 +213,8 @@ def stirling2(n: int, k: int) -> int:
     cols = _classical_cols
     if k < len(cols) and n - k < len(cols[k]):
         return cols[k][n - k]
-    return _grow_columns(cols, n, k, lambda r, j: (1, j), 0)
+    times, bracket = q_ring_at(1)
+    return _grow_columns(cols, n, k, partial(_STIRLING_STEPS["carlitz"], times=times, bracket=bracket), 0)
 
 
 def s2_q(n: int, j: int) -> QPoly:

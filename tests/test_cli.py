@@ -424,9 +424,10 @@ def test_stdout_matches_recorded_digests(capsys):
     assert mismatches == []
 
 
-def test_table_route_follows_the_gate(capsys, monkeypatch):
-    # A paired-sum family's table takes the packed route once its shorter
-    # side reaches the gate, and the per-cell route below it.
+def test_every_paired_table_takes_paired_table(capsys, monkeypatch):
+    # A paired-sum family's table takes paired_table at every shape, the
+    # lines and the sides below 3 included, and a table's first columns
+    # are the narrower table's.
     paired_table = families.paired_table
     calls = []
 
@@ -435,8 +436,7 @@ def test_table_route_follows_the_gate(capsys, monkeypatch):
         return paired_table(family, max_n, max_k)
 
     monkeypatch.setattr(families, "paired_table", spy)
-    gate = families.PACKED_TABLE_MIN_SIDE
-    shapes = ((48, gate - 1), (gate - 1, 48), (48, gate), (gate, gate), (0, 0))
+    shapes = ((48, 2), (2, 48), (48, 3), (3, 3), (0, 0), (1, 1), (90, 1))
     outputs = []
     for max_n, max_k in shapes:
         code, out, _ = run_cli(
@@ -445,7 +445,7 @@ def test_table_route_follows_the_gate(capsys, monkeypatch):
         )
         assert code == 0
         outputs.append(json.loads(out))
-    assert calls == [(48, gate), (gate, gate)]
+    assert calls == list(shapes)
     assert outputs[2]["cells"][:len(outputs[0]["cells"])] == outputs[0]["cells"]
 
 

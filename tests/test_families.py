@@ -6,9 +6,10 @@ from math import comb, factorial, lcm
 import pytest
 
 from qpb import families as F
+from qpb import qkernels
 from qpb.errors import SizeLimitError
 from qpb.exactnum import QPoly, QRational
-from qpb.qkernels import q_factorial, q_int, q_stirling, stirling2
+from qpb.qkernels import STIRLING_VARIANTS, q_factorial, q_int, q_stirling, stirling2
 from reference_objects import from_terms, terms
 
 NEGK_TABLE = (
@@ -425,24 +426,44 @@ def test_family_registry_covers_everything():
 
 
 PAIRED_FAMILIES = ("ordered_q", "lonesum_q", "vesztergombi_q")
-GATE = F.PACKED_TABLE_MIN_SIDE
 
 
 @pytest.mark.parametrize("family", PAIRED_FAMILIES)
 @pytest.mark.parametrize("shape", [
     (0, 0), (0, 5), (5, 0), (2, 7), (7, 2), (16, 16), (12, 12), (9, 20), (20, 9),
-    (48, GATE), (GATE, 48), (48, GATE - 1), (GATE - 1, GATE - 1), (GATE, GATE),
-    (GATE, 16), (16, GATE),
+    (48, 3), (3, 48), (48, 2), (2, 2), (3, 3), (3, 16), (16, 3),
+    (1, 1), (48, 1), (1, 48), (30, 0), (0, 30), (1, 7), (7, 1), (48, 0), (63, 3),
 ], ids=lambda shape: f"{shape[0]}x{shape[1]}")
 def test_paired_table_matches_per_cell(family, shape):
-    # The packed route against the per-cell formula, in the order a table
-    # prints its cells: k outer, n inner.  At (16, 16) the largest
-    # coefficients take 99-102 bits, against a bound of 104 bits plus the
-    # spare one; the even and the odd coefficients each fill one digit.
+    # The table route against the per-cell formula, in the order a table
+    # prints its cells: k outer, n inner, for every shape, the lines and
+    # sides below 3 included.  At (16, 16) the largest coefficients take
+    # 99-102 bits, against a bound of 104 bits plus the spare one; the even
+    # and the odd coefficients each fill one digit.
     max_n, max_k = shape
     fn = F.FAMILIES[family].fn
     expected = [(n, k, fn(n, k)) for k in range(max_k + 1) for n in range(max_n + 1)]
     assert list(F.paired_table(family, max_n, max_k)) == expected
+
+
+@pytest.mark.parametrize("shape", [(90, 1), (1, 90)], ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_paired_table_matches_per_cell_at_the_guard(shape):
+    # The longest lines the table guard admits, 90 x 1 and 1 x 90.
+    max_n, max_k = shape
+    expected = [(n, k, F.ordered_q_pb(n, k)) for k in range(max_k + 1) for n in range(max_n + 1)]
+    assert list(F.table("ordered_q", max_n, max_k)) == expected
+
+
+@pytest.mark.parametrize("family", PAIRED_FAMILIES)
+def test_paired_table_grows_no_memo(family, monkeypatch):
+    # A paired table computes its operands as integers at q = +-2**h: it
+    # reads and grows neither the q-Stirling memo nor the q-factorial memo.
+    monkeypatch.setattr(qkernels, "_q_factorials", [QPoly.one()])
+    monkeypatch.setattr(qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS})
+    for shape in ((9, 4), (40, 1), (1, 1), (0, 6)):
+        assert len(list(F.table(family, *shape))) == (shape[0] + 1) * (shape[1] + 1)
+    assert qkernels._q_factorials == [QPoly.one()]
+    assert qkernels._stirling_tables == {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
 
 
 # variant -> the largest values inside PAIRED_VALUE_MAX_SIZE and the
@@ -456,7 +477,7 @@ VALUE_EDGES = {
 @pytest.mark.parametrize("family", PAIRED_FAMILIES)
 def test_paired_size_guard(family, monkeypatch):
     # A table whose corner has (n+1)*(k+1)*max(n, k) past
-    # PAIRED_TABLE_MAX_SIZE raises on either route before any work; a
+    # PAIRED_TABLE_MAX_SIZE raises before any work; a
     # value is bounded by PAIRED_VALUE_MAX_SIZE of its q-Stirling variant.
     assert F.PAIRED_TABLE_MAX_SIZE == 2 ** 14
     assert F.PAIRED_VALUE_MAX_SIZE == {"carlitz": 2 ** 11, "cigler": 2 ** 17}
@@ -489,15 +510,16 @@ def test_paired_guard_admits_the_conjecture_range():
 
 
 def test_paired_table_registry_and_domain(monkeypatch):
-    assert GATE >= 1
     with pytest.raises(ValueError):
         list(F.paired_table("ordered_q", -1, 2))
-    # At the gate, table takes the packed route for the paired sums alone.
+    # table takes paired_table for the paired sums alone, at every shape.
     routed = []
-    monkeypatch.setattr(F, "paired_table", lambda family, *shape: routed.append(family) or [])
+    monkeypatch.setattr(F, "paired_table", lambda family, *shape: routed.append((family, shape)) or [])
+    shapes = ((0, 0), (1, 1), (2, 2), (20, 1), (1, 20), (5, 0), (3, 3))
     for name in F.FAMILIES:
-        list(F.table(name, GATE, GATE))
-    assert sorted(routed) == sorted(PAIRED_FAMILIES)
+        for shape in shapes:
+            list(F.table(name, *shape))
+    assert routed == [(family, shape) for family in PAIRED_FAMILIES for shape in shapes]
 
 
 @pytest.mark.parametrize("family", sorted(F.FAMILIES))

@@ -17,7 +17,9 @@ from qpb.qkernels import (
     q_exponential,
     q_factorial,
     q_int,
+    q_ring_at,
     q_stirling,
+    q_stirling_at,
     s2_inv_q,
     s2_q,
     stirling2,
@@ -314,3 +316,31 @@ def test_column_memo_matches_row_recurrence_in_any_order(monkeypatch):
             assert stirling2(n, m) == tables["classical"][(n, m)]
             for variant in STIRLING_VARIANTS:
                 assert q_stirling(variant, n, m) == tables[variant][(n, m)]
+
+
+@pytest.mark.parametrize("x", [1, -1, 2, -2, 2 ** 5, -(2 ** 5), 2 ** 40])
+def test_stirling_triangle_at_a_point_is_the_memo_triangle_evaluated(x):
+    # q_stirling_at runs the same recurrence on the integers at q = x, so
+    # each entry is the memoised QPoly evaluated at x, for every variant
+    # (shifted included, which no table reads) and at q = 1 stirling2.
+    n, m = 14, 9
+    for variant in STIRLING_VARIANTS:
+        cols = q_stirling_at(variant, x, n, m)
+        assert [len(col) for col in cols] == [n + 1 - j for j in range(m + 1)]
+        for j, col in enumerate(cols):
+            for i, value in enumerate(col):
+                assert value == q_stirling(variant, j + i, j).eval_rational(x)
+                if x == 1:
+                    assert value == stirling2(j + i, j)
+    assert len(q_stirling_at("cigler", x, 3, 7)) == 4
+    times, bracket = q_ring_at(x)
+    assert [bracket(j) for j in range(6)] == [q_int(j).eval_rational(x) for j in range(6)]
+    assert times(3, 5) == 3 * x ** 5
+
+
+@pytest.mark.parametrize("x", [0, 3, -6, 12])
+def test_ring_at_a_point_needs_a_power_of_two(x):
+    with pytest.raises(ValueError):
+        q_ring_at(x)
+    with pytest.raises(ValueError):
+        q_stirling_at("carlitz", x, 4, 2)
