@@ -252,13 +252,15 @@ class QPoly:
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative power of a QPoly; use QRational")
-        out = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return QPoly.one()
+        # Over the bits of n below the top one: a square per bit and a
+        # product by self per set bit, so bit_length + popcount - 2 products.
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def shift(self, k: int) -> "QPoly":

@@ -20,13 +20,18 @@ with SizeLimitError.  Each weight is written, as the q-Stirling
 recurrence is in qkernels, over a ring: times(v, e) = v * q**e and
 factorial_q(m) = [m]!.  A single value takes it over QPoly.  table is the
 one entry point for a table of any registered family, and a paired sum's
-table, of any shape, is paired_table: every operand, each q-Stirling
-number and each weight, is computed directly as its two values at
-q = 2**h and q = -2**h (qkernels.q_ring_at, q_stirling_at), so no QPoly
-operand is built and no memo grows, and a cell costs plain big-integer
-products read back once (QPoly.from_packed_pair; the packed pair and its
-width rule are stated once, in the exactnum docstring).  The other
-families' tables compute each cell by the family's own function.
+table, of any shape, is paired_table: every cell is computed directly as
+its two values at q = 2**h and q = -2**h, from operands computed there
+on integers (qkernels.q_ring_at, q_stirling_at), so no QPoly operand is
+built and no memo grows, and each cell is read back once
+(QPoly.from_packed_pair; the packed pair and its width rule are stated
+once, in the exactnum docstring).  It takes one of two inner routes,
+chosen by the family.  lonesum_q splits each cigler number by the block
+of element 0, which turns the sum into multiplications by small integers
+and by powers of q, that is shifts (_split_cells).  The carlitz families
+take a dot product of big integers per cell (_dot_cells): their step
+multiplies by [m], not by a power of q, so it has no such split.  The
+other families' tables compute each cell by the family's own function.
 
 Sign convention for k: entry points named *_negk and every q-family keyed
 by a combinatorial object class take k >= 0 and mean the negative
@@ -39,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import add, lshift, mul, sub
 from typing import Callable, Sequence
 
 from . import objects
@@ -521,62 +526,99 @@ def carlitz_beta(n: int) -> QRational:
 # tables
 # ---------------------------------------------------------------------------
 
+def _dot_cells(weight: Callable, variant: str, max_n: int, max_k: int, x: int) -> Callable:
+    """cell(n, k) = the paired sum at (n, k) at q = x, for x = +-2**h, as
+    the dot product over m <= min(n, k) of U[n][m] = w(m) * S(n+1, m+1)
+    and S(k+1, m+1): the q-Stirling numbers by their recurrence on
+    integers (qkernels.q_stirling_at), the weights over the integers at x
+    (qkernels.q_ring_at)."""
+    side = min(max_n, max_k)
+    times, bracket = q_ring_at(x)
+    factorials = list(accumulate(map(bracket, range(1, side + 1)), mul, initial=1))
+    weights = [weight(m, times, factorials.__getitem__) for m in range(side + 1)]
+    cols = q_stirling_at(variant, x, max(max_n, max_k) + 1, side + 1)
+    rows = [[cols[m + 1][a - m] for m in range(min(a, side) + 1)] for a in range(max(max_n, max_k) + 1)]
+    left = [list(map(mul, weights, row)) for row in rows[:max_n + 1]]
+    return lambda n, k: sum(map(mul, left[n], rows[k]))
+
+
+def _split_cells(surjections: list[list[int]], max_n: int, max_k: int, x: int) -> Callable:
+    """cell(n, k) = lonesum_q(n, k) at q = x, for x = +-2**h, by the
+    zero-block split of the cigler numbers, with no product of two big
+    integers.
+
+    Element 0's block takes i of the elements 1..k, with weight
+    q**C(i+1, 2) * [k choose i] over the i-sets, and the other elements
+    form m classical blocks: T(k+1, m+1) = sum over i of q**C(i+1, 2) *
+    [k choose i] * S(k-i, m).  By the q-binomial theorem, lonesum_q(a, b)
+    is then [y**b] of the product over j <= b of (1 + q**j * y) times the
+    sum over c of z(a, c) * y**c, with z(a, c) = the sum over m of
+    surjections[c][m] * T(a+1, m+1) and surjections[c][m] = m!**2 * S(c, m)
+    (the integer triangle at q = 1).  The sum is symmetric in a and b, so
+    a runs along the longer side and b along the shorter.  The vectors
+    z(., c) are multiplied by each factor in turn, one downward pass per
+    factor; the pass for j leaves the entries below j alone, so after all
+    passes entry b holds the cells (a, b).
+    """
+    side, longer = min(max_n, max_k), max(max_n, max_k)
+    h = abs(x).bit_length() - 1
+    cols = q_stirling_at("cigler", x, longer + 1, side + 1)
+    # rows[m][a] = T(a+1, m+1) for a <= longer
+    rows = [[0] * m + cols[m + 1] for m in range(side + 1)]
+    grid = []  # grid[c][a] = z(a, c), then the cell (a, c)
+    for weights in surjections:
+        z = repeat(0)
+        for s, row in zip(weights, rows):
+            if s:  # S(c, 0) = 0 for c > 0
+                z = map(add, z, map(mul, row, repeat(s)))
+        grid.append(list(z))
+    for j in range(1, side + 1):
+        # grid[b] += grid[b-1] * x**j for b >= j, from the old grid[b-1]:
+        # q_ring_at's times(v, j), as shifts
+        step = sub if x < 0 and j & 1 else add
+        for b in range(side, j - 1, -1):
+            grid[b] = list(map(step, grid[b], map(lshift, grid[b - 1], repeat(h * j))))
+    return (lambda n, k: grid[k][n]) if max_k <= max_n else (lambda n, k: grid[n][k])
+
+
 def paired_table(family: str, max_n: int, max_k: int):
     """Yield (n, k, value) for k <= max_k (outer) and n <= max_n (inner),
     the values of a paired-sum family (ordered_q, lonesum_q or
     vesztergombi_q) that its per-cell function gives.
 
-    Every operand is computed directly as an integer at q = x for
-    x = 2**h and x = -2**h, h = 4*width bits: the q-Stirling numbers
-    S(a+1, m+1) by their recurrence on integers (qkernels.q_stirling_at)
-    and the weights w(m) over the integers at x (qkernels.q_ring_at).
-    Evaluation at x is a ring map, so these are the packed pairs of the
-    QPoly operands (exactnum docstring), and no QPoly operand is built.
-    U[n][m] = w(m) * S(n+1, m+1) once per (n, m) on each side, and a cell
-    is the two integer sums over m <= min(n, k) of U[n][m] * S(k+1, m+1),
-    one per side, read back by QPoly.from_packed_pair.  width follows the
-    packed form's rule for nonnegative operands, with one bit to spare:
-    it holds the sum over m of w(m) times the largest S(n+1, m+1) and the
-    largest S(k+1, m+1) at q = 1 in the table (the same operands at
-    x = 1, where every variant is stirling2 and every weight m!**2), so
-    each even and each odd digit holds one coefficient of the cell.  The
-    sum is symmetric in n and k, so a cell whose mirror (k, n) came first
-    reuses its value.  A corner (max_n, max_k) past PAIRED_TABLE_MAX_SIZE
-    raises SizeLimitError.
+    Each cell is computed as two integers, its values at q = x for
+    x = 2**h and x = -2**h, h = 4*width bits, by _split_cells for
+    lonesum_q and _dot_cells for the carlitz families, and read back by
+    QPoly.from_packed_pair.  width follows the packed form's rule for
+    nonnegative coefficients, with one bit to spare: every coefficient of
+    a cell is at most its value at q = 1, which is at most the corner's,
+    classical_pb_negk(max_n, max_k), here summed on the integer triangle
+    at q = 1.  The sum is symmetric in n and k, so a cell whose mirror
+    (k, n) came first reuses its value.  A corner (max_n, max_k) past
+    PAIRED_TABLE_MAX_SIZE raises SizeLimitError.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("paired_table needs max_n, max_k >= 0")
     _check_paired_size(family, max_n, max_k, table=True)
     weight, variant, finish = _PAIRED_SUMS[family]
     side = min(max_n, max_k)
-
-    def operands(x: int) -> tuple[list[list[int]], list[list[int]]]:
-        """At q = x: left[n] = the w(m) * S(n+1, m+1) for n <= max_n and
-        right[k] = the S(k+1, m+1) for k <= max_k, each for m <= min(n, side)
-        or min(k, side)."""
-        times, bracket = q_ring_at(x)
-        factorials = list(accumulate(map(bracket, range(1, side + 1)), mul, initial=1))
-        weights = [weight(m, times, factorials.__getitem__) for m in range(side + 1)]
-        cols = q_stirling_at(variant, x, max(max_n, max_k) + 1, side + 1)
-        rows = [[cols[m + 1][a - m] for m in range(min(a, side) + 1)] for a in range(max(max_n, max_k) + 1)]
-        return [list(map(mul, weights, row)) for row in rows[:max_n + 1]], rows[:max_k + 1]
-
-    def column_max(rows: list[list[int]]) -> list[int]:
-        return [max(rows[a][m] for a in range(m, len(rows))) for m in range(side + 1)]
-
-    # Every weight and coefficient is nonnegative, so the bound is the sum
-    # over m of the largest left and right entries at q = 1.
-    bound = sum(map(mul, *map(column_max, operands(1))))
-    width = (bound.bit_length() + 8) // 8
-    (left_plus, right_plus), (left_minus, right_minus) = map(operands, (1 << 4 * width, -1 << 4 * width))
+    # S(a, m) = classical[m][a-m] for a <= max(max_n, max_k) + 1 and m <= side + 1
+    classical = q_stirling_at("carlitz", 1, max(max_n, max_k) + 1, side + 1)
+    squares = [factorial(m) ** 2 for m in range(side + 1)]
+    corner = sum(squares[m] * classical[m + 1][max_n - m] * classical[m + 1][max_k - m] for m in range(side + 1))
+    width = (corner.bit_length() + 8) // 8
+    if variant == "cigler":
+        surjections = [[squares[m] * classical[m][c - m] for m in range(c + 1)] for c in range(side + 1)]
+        cells = partial(_split_cells, surjections, max_n, max_k)
+    else:
+        cells = partial(_dot_cells, weight, variant, max_n, max_k)
+    plus, minus = cells(1 << 4 * width), cells(-1 << 4 * width)
     mirrored = {}  # cell (k, n) computed as (n, k) before its turn
     for k in range(max_k + 1):
-        plus, minus = right_plus[k], right_minus[k]
         for n in range(max_n + 1):
             value = mirrored.pop((n, k), None)
             if value is None:
-                value = QPoly.from_packed_pair(
-                    sum(map(mul, left_plus[n], plus)), sum(map(mul, left_minus[n], minus)), width)
+                value = QPoly.from_packed_pair(plus(n, k), minus(n, k), width)
                 if finish is not None:
                     value = finish(value, n, k)
                 if k < n <= max_k:

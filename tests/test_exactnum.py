@@ -42,6 +42,26 @@ def test_laurent_unit():
     assert QPoly.q(-1) * QPoly.q(1) == QPoly.one()
 
 
+def test_pow_makes_one_square_per_bit_and_one_product_per_set_bit(monkeypatch):
+    # p ** n for n >= 1 squares once per bit of n below the top one and
+    # multiplies by p once per set bit below it: no square after the last
+    # bit, and no product by one.
+    p = QPoly([2, -1, 0, 3], -1)
+    repeated = [QPoly.one()]
+    for _ in range(8):
+        repeated.append(repeated[-1] * p)
+    products = []
+    mul = QPoly.__mul__
+    monkeypatch.setattr(QPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for n in range(65):
+        products.clear()
+        value = p ** n
+        assert len(products) == (n.bit_length() + n.bit_count() - 2 if n else 0)
+        if n <= 8:
+            assert value == repeated[n]
+    assert QPoly.zero() ** 0 == QPoly.one() and QPoly.zero() ** 3 == QPoly.zero()
+
+
 def test_canonical_trim_and_zero_rep():
     assert QPoly([0, 0, 1, 0], min_exp=-1) == QPoly.q(1)
     z = QPoly([0, 0, 0], min_exp=5)

@@ -433,37 +433,46 @@ PAIRED_FAMILIES = ("ordered_q", "lonesum_q", "vesztergombi_q")
     (0, 0), (0, 5), (5, 0), (2, 7), (7, 2), (16, 16), (12, 12), (9, 20), (20, 9),
     (48, 3), (3, 48), (48, 2), (2, 2), (3, 3), (3, 16), (16, 3),
     (1, 1), (48, 1), (1, 48), (30, 0), (0, 30), (1, 7), (7, 1), (48, 0), (63, 3),
+    (20, 20), (24, 24),
 ], ids=lambda shape: f"{shape[0]}x{shape[1]}")
 def test_paired_table_matches_per_cell(family, shape):
-    # The table route against the per-cell formula, in the order a table
+    # Both table routes against the per-cell formula, in the order a table
     # prints its cells: k outer, n inner, for every shape, the lines and
     # sides below 3 included.  At (16, 16) the largest coefficients take
-    # 99-102 bits, against a bound of 104 bits plus the spare one; the even
-    # and the odd coefficients each fill one digit.
+    # 99-102 bits, against the 104 bits of the corner's classical value
+    # B_16^(-16), plus the spare one; the even and the odd coefficients
+    # each fill one digit.
     max_n, max_k = shape
     fn = F.FAMILIES[family].fn
     expected = [(n, k, fn(n, k)) for k in range(max_k + 1) for n in range(max_n + 1)]
     assert list(F.paired_table(family, max_n, max_k)) == expected
 
 
+@pytest.mark.parametrize("family", ["ordered_q", "lonesum_q"])
 @pytest.mark.parametrize("shape", [(90, 1), (1, 90)], ids=lambda shape: f"{shape[0]}x{shape[1]}")
-def test_paired_table_matches_per_cell_at_the_guard(shape):
-    # The longest lines the table guard admits, 90 x 1 and 1 x 90.
+def test_paired_table_matches_per_cell_at_the_guard(family, shape):
+    # The longest lines the table guard admits, 90 x 1 and 1 x 90, on each
+    # route.
     max_n, max_k = shape
-    expected = [(n, k, F.ordered_q_pb(n, k)) for k in range(max_k + 1) for n in range(max_n + 1)]
-    assert list(F.table("ordered_q", max_n, max_k)) == expected
+    fn = F.FAMILIES[family].fn
+    expected = [(n, k, fn(n, k)) for k in range(max_k + 1) for n in range(max_n + 1)]
+    assert list(F.table(family, max_n, max_k)) == expected
 
 
 @pytest.mark.parametrize("family", PAIRED_FAMILIES)
 def test_paired_table_grows_no_memo(family, monkeypatch):
-    # A paired table computes its operands as integers at q = +-2**h: it
-    # reads and grows neither the q-Stirling memo nor the q-factorial memo.
+    # A paired table computes its operands as integers at q = +-2**h, and
+    # its width and the split's weights on integers at q = 1: it reads and
+    # grows neither the q-Stirling memo, the q-factorial memo nor the
+    # classical Stirling memo.
     monkeypatch.setattr(qkernels, "_q_factorials", [QPoly.one()])
     monkeypatch.setattr(qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS})
+    monkeypatch.setattr(qkernels, "_classical_cols", [[1]])
     for shape in ((9, 4), (40, 1), (1, 1), (0, 6)):
         assert len(list(F.table(family, *shape))) == (shape[0] + 1) * (shape[1] + 1)
     assert qkernels._q_factorials == [QPoly.one()]
     assert qkernels._stirling_tables == {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
+    assert qkernels._classical_cols == [[1]]
 
 
 # variant -> the largest values inside PAIRED_VALUE_MAX_SIZE and the

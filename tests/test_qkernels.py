@@ -117,6 +117,17 @@ def test_cigler_matches_zero_block_weight():
             assert q_stirling("cigler", n, m) == _cigler_oracle(n, m)
 
 
+def test_cigler_zero_block_split():
+    # Element 0's block takes i of the elements 1..n, weighted over the
+    # i-sets by q**C(i+1, 2) * [n choose i]; the rest form m plain blocks.
+    # paired_table builds lonesum_q tables from this split.
+    for n in range(13):
+        for m in range(n + 1):
+            split = sum((QPoly.q(comb(i + 1, 2)) * q_binomial(n, i) * stirling2(n - i, m) for i in range(n + 1)),
+                        QPoly.zero())
+            assert q_stirling("cigler", n + 1, m + 1) == split
+
+
 def test_shifted_is_graded_carlitz():
     for n in range(9):
         for k in range(n + 1):
