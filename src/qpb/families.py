@@ -53,7 +53,7 @@ from . import objects
 from .errors import NotPolynomialError, SizeLimitError
 from .exactnum import QPoly, QRational
 from .qkernels import (cyclotomic, q_factorial, q_int, q_ring_at, q_stirling, q_stirling_at, s2_inv_q,
-                       s2_q, stirling2)
+                       s2_q, surjections)
 
 __all__ = [
     "classical_pb",
@@ -92,23 +92,13 @@ def classical_pb(n: int, k: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("classical_pb needs n >= 0")
-    acc = Fraction(0)
-    for m in range(n + 1):
-        term = Fraction(factorial(m) * stirling2(n, m)) * Fraction(m + 1) ** (-k)
-        acc = acc - term if m % 2 else acc + term
-    return acc if n % 2 == 0 else -acc
-
-
-def _paired_sum(n: int, k: int, w: Callable, s: Callable):
-    """sum over m <= min(n, k) of w(m) * s(n+1,m+1) * s(k+1,m+1).
-
-    The weight w(m), a squared factorial (times q**m for the banded
-    family), scales the product of the two Stirling values once.
-    """
-    total = 0
-    for m in range(min(n, k) + 1):
-        total = total + w(m) * (s(n + 1, m + 1) * s(k + 1, m + 1))
-    return total
+    # An integer sum over the common denominator lcm(1..n+1)**k
+    den = lcm(*range(1, n + 2)) ** k if k > 0 else 1
+    acc = 0
+    for m, c in enumerate(surjections(n, n)):
+        c *= den // (m + 1) ** k if k > 0 else (m + 1) ** -k  # den / (m+1)**k
+        acc = acc - c if m % 2 else acc + c
+    return Fraction(-acc if n % 2 else acc, den)
 
 
 def classical_pb_negk(n: int, k: int) -> int:
@@ -116,7 +106,10 @@ def classical_pb_negk(n: int, k: int) -> int:
     symmetric in n and k."""
     if n < 0 or k < 0:
         raise ValueError("classical_pb_negk needs n, k >= 0")
-    return _paired_sum(n, k, lambda m: factorial(m) ** 2, stirling2)
+    top = min(n, k) + 1
+    # m! * S(n+1, m+1) = (m+1)! * S(n+1, m+1) / (m+1)
+    rows = zip(surjections(n + 1, top), surjections(k + 1, top))
+    return sum(a // m * (b // m) for m, (a, b) in enumerate(rows) if m)
 
 
 def pb_recursion_check(n: int, k: int) -> bool:
@@ -135,11 +128,9 @@ def c_relative(n: int, k: int) -> int:
     """Relative family: sum over m of m! * stirling2(n+1,m+1) * m! * stirling2(k,m)."""
     if n < 0 or k < 0:
         raise ValueError("c_relative needs n, k >= 0")
-    total = 0
-    for m in range(min(n + 1, k) + 1):
-        f = factorial(m)
-        total += f * stirling2(n + 1, m + 1) * f * stirling2(k, m)
-    return total
+    top = min(n + 1, k)
+    rows = zip(surjections(n + 1, top + 1)[1:], surjections(k, top))
+    return sum(a // (m + 1) * b for m, (a, b) in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +238,11 @@ def _paired_q_sum(family: str, n: int, k: int) -> QPoly:
     raises SizeLimitError past PAIRED_VALUE_MAX_SIZE."""
     _check_paired_size(family, n, k)
     weight, variant, finish = _PAIRED_SUMS[family]
-    w = partial(weight, times=QPoly.shift, factorial_q=q_factorial)
-    total = _paired_sum(n, k, w, partial(q_stirling, variant))
+    total = QPoly.zero()
+    for m in range(min(n, k) + 1):
+        # the weight scales the product of the two q-Stirling values once
+        pair = q_stirling(variant, n + 1, m + 1) * q_stirling(variant, k + 1, m + 1)
+        total = total + weight(m, QPoly.shift, q_factorial) * pair
     return total if finish is None else finish(total, n, k)
 
 
@@ -261,21 +255,49 @@ def permmatrix_q_pb(n: int, k: int) -> QPoly:
     return objects.class_poly("perm_matrix", n, k, "ones_minus_cols")
 
 
+# Bound on cenkci_q_pb, for a value and, times its cell count, for a table
+# (k = 0, -1, ..., -max_k) at its corner.  A coefficient has at most
+# bits = n*bitlen(n) + |k|*bitlen(n+1) bits for k <= 0, since m! * S(n, m)
+# <= n**n, and n*bitlen(n) + 3*(n+1)*k/2 for k > 0, since the common
+# denominator lcm(1..n+1)**k is below 2**(1.5*(n+1)*k).  The row of
+# surjections takes about (n+1)**2 / 2 differences of such integers, and for
+# k > 0 the QRational constructor takes a gcd of each of the n+1
+# coefficients with the denominator, quadratic in bits: size =
+# (n+1) * bits * (n+1 + bits // 64).  For k <= 0 the second term
+# over-counts, since no gcd is taken ((10, -262144) took 0.12 s at size
+# 2**37), and caps the value's bits.  One `qpb eval` or `qpb table` (csv)
+# per fresh process, timed inside cli.main (2-vCPU VM): at the bound a
+# value took 0.86 s at (1385, 0), 0.55 s at (100, 948) and 0.90 s at
+# (10, 27075), and a table 0.40 s at 247x0, 0.63 s at 71x71 and 0.18 s at
+# 1x5148; with no guard, 1.2 s at (1600, 0), 1.9 s at (800, 64), 16 s at
+# (800, 256) and 2.7 s for the table 100x100.  Rows in CHANGES.md.
+CENKCI_MAX_SIZE = 2 ** 35
+
+
+def _check_cenkci_size(n: int, k: int, cells: int = 1) -> None:
+    bits = n * n.bit_length() + (3 * (n + 1) * k // 2 if k > 0 else -k * (n + 1).bit_length())
+    size = cells * (n + 1) * bits * (n + 1 + bits // 64)
+    if size > CENKCI_MAX_SIZE:
+        what = "table up to" if cells > 1 else "value at"
+        raise SizeLimitError(f"cenkci_q {what} ({n}, {k}): size {size} exceeds bound {CENKCI_MAX_SIZE}")
+
+
 def cenkci_q_pb(n: int, k: int) -> QPoly | QRational:
     """Explicit-formula family with a q parameter:
     sum over m of stirling2(n,m) * (-q)**(n-m) * m! / (m+1)**k.
 
-    Returns a QPoly for k <= 0 and a QRational otherwise.
+    Returns a QPoly for k <= 0 and a QRational otherwise.  Raises
+    SizeLimitError, before any work, past CENKCI_MAX_SIZE.
     """
     if n < 0:
         raise ValueError("cenkci_q_pb needs n >= 0")
+    _check_cenkci_size(n, k)
     # Integer numerator over the common denominator lcm((m+1)**k);
     # coeffs[n-m] is the coefficient of q**(n-m).
     den = lcm(*((m + 1) ** k for m in range(n + 1))) if k > 0 else 1
     coeffs = [0] * (n + 1)
-    for m in range(n + 1):
-        scale = den // (m + 1) ** k if k > 0 else (m + 1) ** -k  # den / (m+1)**k
-        c = stirling2(n, m) * factorial(m) * scale
+    for m, c in enumerate(surjections(n, n)):
+        c *= den // (m + 1) ** k if k > 0 else (m + 1) ** -k  # den / (m+1)**k
         coeffs[n - m] = -c if (n - m) % 2 else c
     value = QRational(QPoly(coeffs), QPoly.const(den))
     return value.as_qpoly() if k <= 0 else value
@@ -359,7 +381,8 @@ def _carlitz_power_sum(n: int, k: int, s: int) -> QPoly | QRational:
     the map {d: k}, which trial-divides each Phi_d into N: the sum splits
     no denominator and makes no QRational operator call.
     """
-    weights = [factorial(m) * stirling2(n + s, m + s) for m in range(n + 1)]
+    # m! * S(n+s, m+s) = (m+s)! * S(n+s, m+s) / (m+1)**s
+    weights = [c // (m + 1) ** s for m, c in enumerate(surjections(n + s, n + s)[s:])]
     live = [m for m, w in enumerate(weights) if w]
     if k > 0:
         phis = [cyclotomic(d) for d in range(2, n + 2)]
@@ -542,7 +565,7 @@ def _dot_cells(weight: Callable, variant: str, max_n: int, max_k: int, x: int) -
     return lambda n, k: sum(map(mul, left[n], rows[k]))
 
 
-def _split_cells(surjections: list[list[int]], max_n: int, max_k: int, x: int) -> Callable:
+def _split_cells(triangle: list[list[int]], max_n: int, max_k: int, x: int) -> Callable:
     """cell(n, k) = lonesum_q(n, k) at q = x, for x = +-2**h, by the
     zero-block split of the cigler numbers, with no product of two big
     integers.
@@ -553,7 +576,7 @@ def _split_cells(surjections: list[list[int]], max_n: int, max_k: int, x: int) -
     [k choose i] * S(k-i, m).  By the q-binomial theorem, lonesum_q(a, b)
     is then [y**b] of the product over j <= b of (1 + q**j * y) times the
     sum over c of z(a, c) * y**c, with z(a, c) = the sum over m of
-    surjections[c][m] * T(a+1, m+1) and surjections[c][m] = m!**2 * S(c, m)
+    triangle[c][m] * T(a+1, m+1) and triangle[c][m] = m!**2 * S(c, m)
     (the integer triangle at q = 1).  The sum is symmetric in a and b, so
     a runs along the longer side and b along the shorter.  The vectors
     z(., c) are multiplied by each factor in turn, one downward pass per
@@ -566,7 +589,7 @@ def _split_cells(surjections: list[list[int]], max_n: int, max_k: int, x: int) -
     # rows[m][a] = T(a+1, m+1) for a <= longer
     rows = [[0] * m + cols[m + 1] for m in range(side + 1)]
     grid = []  # grid[c][a] = z(a, c), then the cell (a, c)
-    for weights in surjections:
+    for weights in triangle:
         z = repeat(0)
         for s, row in zip(weights, rows):
             if s:  # S(c, 0) = 0 for c > 0
@@ -608,8 +631,8 @@ def paired_table(family: str, max_n: int, max_k: int):
     corner = sum(squares[m] * classical[m + 1][max_n - m] * classical[m + 1][max_k - m] for m in range(side + 1))
     width = (corner.bit_length() + 8) // 8
     if variant == "cigler":
-        surjections = [[squares[m] * classical[m][c - m] for m in range(c + 1)] for c in range(side + 1)]
-        cells = partial(_split_cells, surjections, max_n, max_k)
+        triangle = [[squares[m] * classical[m][c - m] for m in range(c + 1)] for c in range(side + 1)]
+        cells = partial(_split_cells, triangle, max_n, max_k)
     else:
         cells = partial(_dot_cells, weight, variant, max_n, max_k)
     plus, minus = cells(1 << 4 * width), cells(-1 << 4 * width)
@@ -636,8 +659,8 @@ def table(family: str, max_n: int, max_k: int):
     cell, and the corner (max_n, max_k) first: it has the largest n*k, so
     an n*k size guard (permmatrix_q's, in objects) refuses the table
     before any other cell is computed.  A paired sum's table past
-    PAIRED_TABLE_MAX_SIZE, and an at_q table past AT_Q_TABLE_MAX_SIZE, are
-    refused before any cell.
+    PAIRED_TABLE_MAX_SIZE, an at_q table past AT_Q_TABLE_MAX_SIZE and a
+    cenkci_q table past CENKCI_MAX_SIZE are refused before any cell.
     """
     if max_n < 0 or max_k < 0:
         raise ValueError("table needs max_n, max_k >= 0")
@@ -646,6 +669,8 @@ def table(family: str, max_n: int, max_k: int):
         return
     if family == "at_q":
         _check_at_q_table_size(max_n, max_k)
+    if family == "cenkci_q":
+        _check_cenkci_size(max_n, -max_k, (max_n + 1) * (max_k + 1))
     spec = FAMILIES[family]
     sign = -1 if spec.signed else 1
     corner = spec.fn(max_n, sign * max_k)

@@ -12,9 +12,10 @@ multiple of [1]**k, ..., [n+1]**k is the product of Phi_d**k for
 2 <= d <= n+1: denominators known before any sum is taken, and passed to
 QRational as the map {d: e} of those exponents.
 
-The three Stirling deformations and the classical table share one
-recurrence T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1 and
-T(n,0) = 0 for n > 0; the weights (a, b) define each of them:
+The three Stirling deformations share one recurrence
+T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1 and T(n,0) = 0 for
+n > 0; the weights (a, b) define each of them, and at q = 1 each is the
+classical table, weights (1, m):
 
 * carlitz   (1, [m]); tracks the partition inversion statistic Inv*.
 * cigler    (1, q**(n-1) + m - 1); weights each partition of
@@ -22,29 +23,28 @@ T(n,0) = 0 for n > 0; the weights (a, b) define each of them:
             with 0): element n-1 joins the 0-block, joins one of the
             m-1 other blocks, or opens a new block.
 * shifted   (q**(m-1), [m]); equals q**C(m,2) times the carlitz value.
-* stirling2 (1, m), over the integers: carlitz at q = 1.
 
 The weights are written once, over a ring of q-values given by two
 operations: times(v, e) = v * q**e and bracket(m) = [m].  q_stirling runs
 the recurrence over QPoly (QPoly.shift, q_int).  q_ring_at(x) gives the
 two operations on the integers at q = x, for x = +-2**h, where times is a
 shift; q_stirling_at runs the recurrence there, which is the ring map
-p -> p(x) applied to the whole triangle, and stirling2 runs it at q = 1.
+p -> p(x) applied to the whole triangle.  A classical value reads one
+row: surjections(n, top), m! * S(n, m) for m <= top by differences.
 
-All kernels return canonical QPoly/QRational values.  q_factorial,
-q_stirling and stirling2 are memoised (as is exactnum.cyclotomic);
-q_int, q_binomial, q_stirling_at, s2_q, s2_inv_q and q_exponential
-compute on every call, from the memoised kernels where they read one.
-Each memoised triangle is stored by column, cols[j][i] = T(j+i, j), so a
-request for T(n, m) grows columns 0..m, in order, to index n-m and
+All kernels return canonical QPoly/QRational values.  q_factorial and
+q_stirling are memoised (as is exactnum.cyclotomic); the others compute
+on every call, from the memoised kernels where they read one.
+Each q-Stirling triangle is stored by column, cols[j][i] = T(j+i, j), so
+a request for T(n, m) grows columns 0..m, in order, to index n-m and
 builds no column to the right of m: a tall request that reads only the
 first columns never pays for the rest of the triangle.  The memo tables
 (q-factorials, the triangles' columns) only grow and never change an
-entry.  q_factorial and _grow_columns each grow their table in one loop
+entry.  q_factorial and q_stirling each grow their table in one loop
 held under one module lock, which reads the lengths once the lock is
 held, so concurrent callers never append an entry twice; a read of an
-entry that already exists takes no lock.  The Phi_d memo in exactnum follows the same rule
-under its own lock.
+entry that already exists takes no lock.  The Phi_d memo in exactnum
+follows the same rule under its own lock.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "q_stirling",
     "q_ring_at",
     "q_stirling_at",
+    "surjections",
     "stirling2",
     "s2_q",
     "s2_inv_q",
@@ -76,7 +77,6 @@ STIRLING_VARIANTS = ("carlitz", "cigler", "shifted")
 _q_factorials: list[QPoly] = [QPoly.one()]
 # Column tables: cols[j][i] = T(j+i, j); each starts as column 0 = [T(0,0)].
 _stirling_tables: dict[str, list[list[QPoly]]] = {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
-_classical_cols: list[list[int]] = [[1]]
 _grow_lock = threading.Lock()
 
 
@@ -158,14 +158,6 @@ def _fill_columns(cols: list, n: int, m: int, step, zero):
     return cols[m][top]
 
 
-def _grow_columns(cols: list, n: int, m: int, step, zero):
-    """_fill_columns on a memo table.  The whole growth runs under the
-    lock, so step must not call a memoised kernel: the lock is not
-    reentrant."""
-    with _grow_lock:
-        return _fill_columns(cols, n, m, step, zero)
-
-
 def q_stirling(variant: str, n: int, m: int) -> QPoly:
     """q-Stirling number of the second kind in the given variant.
 
@@ -181,7 +173,10 @@ def q_stirling(variant: str, n: int, m: int) -> QPoly:
     if m < len(cols) and n - m < len(cols[m]):
         return cols[m][n - m]
     step = partial(_STIRLING_STEPS[variant], times=QPoly.shift, bracket=q_int)
-    return _grow_columns(cols, n, m, step, QPoly.zero())
+    # The whole growth runs under the lock, which is not reentrant: the
+    # step calls no memoised kernel.
+    with _grow_lock:
+        return _fill_columns(cols, n, m, step, QPoly.zero())
 
 
 def q_stirling_at(variant: str, x: int, n: int, m: int) -> list[list[int]]:
@@ -204,17 +199,27 @@ def q_stirling_at(variant: str, x: int, n: int, m: int) -> list[list[int]]:
     return cols
 
 
+def surjections(n: int, top: int) -> list[int]:
+    """[m! * S(n, m) for m <= top], the surjections of an n-set onto an
+    m-set: the m-th forward difference of j**n at j = 0, from j <= min(n,
+    top), since those past n vanish.  Nothing is kept between calls."""
+    if n < 0 or top < 0:
+        raise ValueError("surjections needs n, top >= 0")
+    row = [j ** n for j in range(min(n, top) + 1)]
+    last = len(row) - 1
+    for m in range(1, last + 1):
+        # row[i] = m-th difference at i - m, for i >= m, in place
+        for i in range(last, m - 1, -1):
+            row[i] -= row[i - 1]
+    return row + [0] * (top - last)
+
+
 def stirling2(n: int, k: int) -> int:
-    """Classical Stirling number of the second kind."""
+    """Classical Stirling number of the second kind, entry k of the row
+    surjections(n, k) over k!."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs n, k >= 0")
-    if k > n:
-        return 0
-    cols = _classical_cols
-    if k < len(cols) and n - k < len(cols[k]):
-        return cols[k][n - k]
-    times, bracket = q_ring_at(1)
-    return _grow_columns(cols, n, k, partial(_STIRLING_STEPS["carlitz"], times=times, bracket=bracket), 0)
+    return surjections(n, k)[k] // factorial(k)
 
 
 def s2_q(n: int, j: int) -> QPoly:

@@ -10,7 +10,9 @@ the matrix classes, found by their recognizers, nu_weight and
 ones_minus_cols; inversions; gr_inv).  The tests compare the two routes.
 Each listing generator raises where its oracle does, through the
 oracle's own size guard.  from_terms, terms and count_class are the
-small readers the tests share.
+small readers the tests share.  stirling_columns is the classical
+Stirling triangle by its column recurrence, the reference for the row
+kernel qkernels.surjections and its readers.
 """
 
 from dataclasses import dataclass
@@ -58,6 +60,18 @@ def terms(p: QPoly) -> Iterator[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # partitions and the inversion statistic
 # ---------------------------------------------------------------------------
+
+def stirling_columns(n: int, m: int) -> list[list[int]]:
+    """cols[j][i] = S(j+i, j) for j <= min(n, m) and j + i <= n, column j
+    from column j-1 by S(j+i, j) = S(j+i-1, j-1) + j * S(j+i-1, j)."""
+    cols = [[1] + [0] * n]
+    for j in range(1, min(n, m) + 1):
+        col = []
+        for i in range(n - j + 1):
+            col.append(cols[j - 1][i] + j * (col[-1] if i else 0))
+        cols.append(col)
+    return cols
+
 
 def inv_star(blocks: Sequence[Sequence[int]]) -> int:
     """Partition inversions: pairs (b, B_j) with b in an earlier block and

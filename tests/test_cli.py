@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -306,6 +307,55 @@ def test_at_q_table_is_bounded_by_its_own_measure(capsys, monkeypatch):
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == k + 2
     assert len(sums) == 2 * 401 + 51 + 11 * 51 + 16 * 31 + 5001
+
+
+def _cenkci_size(n, k, cells=1):
+    bits = n * n.bit_length() + (3 * (n + 1) * k // 2 if k > 0 else -k * (n + 1).bit_length())
+    return cells * (n + 1) * bits * (n + 1 + bits // 64)
+
+
+# The last cenkci_q value or table inside families.CENKCI_MAX_SIZE along a
+# line, and the first past it: tall and wide, k > 0 and k < 0, and tables
+# tall, square and wide.
+CENKCI_EDGES = [
+    ("eval", (1385, 0), (1386, 0)),
+    ("eval", (100, 948), (100, 949)),
+    ("eval", (10, -111685), (10, -111686)),
+    ("table", (247, 0), (248, 0)),
+    ("table", (71, 71), (72, 72)),
+    ("table", (1, 5148), (1, 5149)),
+]
+
+
+def _cenkci_argv(command, n, k):
+    flags = ("--n", "--k") if command == "eval" else ("--max-n", "--max-k")
+    return (command, "--family", "cenkci_q", flags[0], str(n), flags[1], str(k))
+
+
+def test_cenkci_q_is_bounded_by_its_row_cost(capsys, monkeypatch):
+    # A refusal comes before any work, in a few ms; the values at the bound
+    # took 0.18-0.90 s each (CHANGES.md).
+    bound = families.CENKCI_MAX_SIZE
+    assert bound == 2 ** 35
+    for command, _inside, (n, k) in CENKCI_EDGES:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *_cenkci_argv(command, n, k))
+        assert time.perf_counter() - start < 0.05
+        assert (code, out) == (3, "")
+        if command == "eval":
+            what, size = "value at", _cenkci_size(n, k)
+        else:
+            what, size, k = "table up to", _cenkci_size(n, -k, (n + 1) * (k + 1)), -k
+        assert size > bound
+        assert err.splitlines() == [f"size limit: cenkci_q {what} ({n}, {k}): size {size} exceeds bound {bound}"]
+    # the values at the bound pass the guard; their rows are stubbed out
+    rows = []
+    monkeypatch.setattr(families, "surjections", lambda n, top: rows.append(n) or [0] * (top + 1))
+    for command, inside, _past in CENKCI_EDGES:
+        code, out, err = run_cli(capsys, *_cenkci_argv(command, *inside), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[-1])
+    assert len(rows) == 3 + 248 + 72 * 72 + 2 * 5149
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex", "json"])

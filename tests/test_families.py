@@ -1,16 +1,18 @@
 """Family-level tests: reference values, symmetries, collapses, triangles."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
 
-from qpb import families as F
+from qpb import exactnum, families as F
 from qpb import qkernels
 from qpb.errors import SizeLimitError
 from qpb.exactnum import QPoly, QRational
 from qpb.qkernels import STIRLING_VARIANTS, q_factorial, q_int, q_stirling, stirling2
-from reference_objects import from_terms, terms
+from reference_objects import from_terms, stirling_columns, terms
 
 NEGK_TABLE = (
     (1, 1, 1, 1, 1, 1),
@@ -463,16 +465,13 @@ def test_paired_table_matches_per_cell_at_the_guard(family, shape):
 def test_paired_table_grows_no_memo(family, monkeypatch):
     # A paired table computes its operands as integers at q = +-2**h, and
     # its width and the split's weights on integers at q = 1: it reads and
-    # grows neither the q-Stirling memo, the q-factorial memo nor the
-    # classical Stirling memo.
+    # grows neither the q-Stirling memo nor the q-factorial memo.
     monkeypatch.setattr(qkernels, "_q_factorials", [QPoly.one()])
     monkeypatch.setattr(qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS})
-    monkeypatch.setattr(qkernels, "_classical_cols", [[1]])
     for shape in ((9, 4), (40, 1), (1, 1), (0, 6)):
         assert len(list(F.table(family, *shape))) == (shape[0] + 1) * (shape[1] + 1)
     assert qkernels._q_factorials == [QPoly.one()]
     assert qkernels._stirling_tables == {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
-    assert qkernels._classical_cols == [[1]]
 
 
 # variant -> the largest values inside PAIRED_VALUE_MAX_SIZE and the
@@ -505,9 +504,9 @@ def test_paired_size_guard(family, monkeypatch):
     for n, k in past + [(100, 100)]:
         with pytest.raises(SizeLimitError):
             fn(n, k)
-    # the edge values inside the bound pass the guard; their sums are
-    # stubbed out, since the largest take over a second
-    monkeypatch.setattr(F, "_paired_sum", lambda *args: QPoly.one())
+    # the edge values inside the bound pass the guard; their q-Stirling
+    # values are stubbed out, since the largest sums take over a second
+    monkeypatch.setattr(F, "q_stirling", lambda *args: QPoly.zero())
     for n, k in inside:
         fn(n, k)
 
@@ -547,3 +546,91 @@ def test_table_matches_per_cell(family, shape):
 def test_table_domain():
     with pytest.raises(ValueError):
         list(F.table("classical_negk", -1, 2))
+
+
+# ---------------------------------------------------------------------------
+# classical numbers by rows
+# ---------------------------------------------------------------------------
+
+# tall, wide and square shapes up to n = 300, and a full small grid
+ROW_SHAPES = [(300, 1), (300, 7), (1, 300), (7, 300), (120, 120), (300, 300)]
+ROW_SHAPES += [(n, k) for n in range(9) for k in range(9)]
+
+
+def test_classical_callers_match_the_column_recurrence():
+    # Each caller's defining sum over the triangle built column by column.
+    cols = stirling_columns(302, 302)
+
+    def S(n, m):
+        return cols[m][n - m] if m <= n else 0
+
+    def paired(n, k, shift):
+        return sum(factorial(m) ** 2 * S(n + 1, m + 1) * S(k + shift, m + shift) for m in range(min(n, k) + 2))
+
+    for n, k in ROW_SHAPES:
+        assert F.classical_pb_negk(n, k) == paired(n, k, 1)
+        assert F.c_relative(n, k) == paired(n, k, 0)
+        for sign in (-1, 1):
+            if (n, sign * k) == (300, 300):
+                continue  # past CENKCI_MAX_SIZE
+            # the coefficient of q**(n-m) in cenkci_q; at q = 1 their sum is classical_pb
+            want = [(-1) ** (n - m) * factorial(m) * S(n, m) * Fraction(m + 1) ** (-sign * k) for m in range(n + 1)]
+            assert F.classical_pb(n, sign * k) == sum(want)
+            value = F.cenkci_q_pb(n, sign * k)
+            den = lcm(*(c.denominator for c in want))
+            assert value * den == QPoly([int(c * den) for c in want[::-1]])
+    # _carlitz_power_sum's width weights m! * S(n+s, m+s): at q = 1 its value
+    # is the sum of (-1)**m * m! * S(n+s, m+s) / (m+1)**k
+    for n in range(25):
+        for s in (0, 1):
+            for k in (-1, 0, 1):
+                want = sum((-1) ** m * factorial(m) * S(n + s, m + s) * Fraction(m + 1) ** -k for m in range(n + 1))
+                assert F._carlitz_power_sum(n, k, s).eval_rational(1) == want
+
+
+def test_classical_row_keeps_no_memory():
+    # A classical value holds one row while it runs and nothing after it:
+    # the column memo this replaced kept 42.6 MB here.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = F.classical_pb(600, 0)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak - before < 4_000_000
+    assert after - before < 100_000
+
+
+def _containers():
+    """The length of every module-level list and dict of qpb, and of every
+    list or dict inside one."""
+    def shape(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        return (len(value), [shape(v) for v in value if isinstance(v, (list, dict))])
+
+    return {(name, attr): shape(value)
+            for name, module in list(sys.modules.items()) if name == "qpb" or name.startswith("qpb.")
+            for attr, value in vars(module).items() if isinstance(value, (list, dict))}
+
+
+def test_classical_reads_grow_no_module_state(monkeypatch):
+    before = _containers()
+    for n, k in ((40, 3), (3, 40), (30, 30)):
+        F.classical_pb(n, k), F.classical_pb(n, -k), F.classical_pb_negk(n, k), F.c_relative(n, k)
+        F.cenkci_q_pb(n, k), F.cenkci_q_pb(n, -k)
+        qkernels.stirling2(n, k), qkernels.surjections(n, k), qkernels.s2_q(n, k)
+    assert _containers() == before
+    # _carlitz_power_sum grows only the q-factorial, q-Stirling and Phi_d
+    # memos, which it reads for the q-values themselves.
+    q_memos = {("qpb.qkernels", "_q_factorials"), ("qpb.qkernels", "_stirling_tables"),
+               ("qpb.exactnum", "_cyclotomics")}
+    monkeypatch.setattr(qkernels, "_q_factorials", [QPoly.one()])
+    monkeypatch.setattr(qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS})
+    monkeypatch.setattr(exactnum, "_cyclotomics", [QPoly((-1, 1))])
+    before = _containers()
+    F.at_q_pb(12, 1), F.at_q_pb(12, -2), F.carlitz_beta(12)
+    after = _containers()
+    assert {key for key in after if after[key] != before[key]} == q_memos

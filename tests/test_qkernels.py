@@ -23,8 +23,9 @@ from qpb.qkernels import (
     s2_inv_q,
     s2_q,
     stirling2,
+    surjections,
 )
-from reference_objects import from_terms, gen_set_partitions, inv_star
+from reference_objects import from_terms, gen_set_partitions, inv_star, stirling_columns
 
 
 def test_cyclotomic_factors_q_power_minus_one():
@@ -142,6 +143,34 @@ def test_stirling2_matches_explicit_sum():
             assert factorial(k) * stirling2(n, k) == alternating
 
 
+def test_row_kernel_matches_the_column_recurrence():
+    # Every entry for n <= 40, then whole rows and columns up to n = 300:
+    # tall (m small), wide (m = n) and past the diagonal.
+    cols = stirling_columns(302, 302)
+
+    def S(n, m):
+        return cols[m][n - m] if m <= n else 0
+
+    for n in range(41):
+        for m in range(n + 3):
+            assert stirling2(n, m) == S(n, m)
+        assert surjections(n, n + 2) == [factorial(m) * S(n, m) for m in range(n + 3)]
+    for n in (150, 299, 300):
+        for top in (0, 1, 7, n // 2, n, n + 2):
+            assert surjections(n, top) == [factorial(m) * S(n, m) for m in range(top + 1)]
+    for m in (0, 1, 2, 3, 150, 300, 301):
+        assert stirling2(300, m) == S(300, m)
+    # s2_q reads column j of the triangle, rows j..n
+    for n, j in ((40, 3), (40, 20), (40, 40)):
+        assert s2_q(n, j) == sum((QPoly.q(n - i) * (comb(n, i) * S(i, j)) for i in range(j, n + 1)),
+                                 QPoly.zero())
+    for bad in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            surjections(*bad)
+        with pytest.raises(ValueError):
+            stirling2(*bad)
+
+
 def test_all_variants_collapse_to_classical():
     for variant in ("carlitz", "cigler", "shifted"):
         for n in range(31):
@@ -224,19 +253,16 @@ def _fresh_memo_tables(monkeypatch):
     monkeypatch.setattr(
         qkernels, "_stirling_tables", {v: [[QPoly.one()]] for v in STIRLING_VARIANTS}
     )
-    monkeypatch.setattr(qkernels, "_classical_cols", [[1]])
     monkeypatch.setattr(exactnum, "_cyclotomics", [QPoly((-1, 1))])
 
 
 def _grow_all(top):
     # (top, 1) first, so the sweep below extends columns that already exist.
-    stirling2(top, 1)
     for variant in STIRLING_VARIANTS:
         q_stirling(variant, top, 1)
     for n in range(top + 1):
         q_factorial(n)
         cyclotomic(n + 1)
-        stirling2(n, n // 2)
         for variant in STIRLING_VARIANTS:
             q_stirling(variant, n, n // 2)
 
@@ -246,7 +272,6 @@ def _memo_snapshot():
     return (
         list(qkernels._q_factorials),
         {v: [list(col) for col in cols] for v, cols in qkernels._stirling_tables.items()},
-        [list(col) for col in qkernels._classical_cols],
         list(exactnum._cyclotomics),
     )
 
@@ -289,8 +314,6 @@ def test_column_memo_builds_only_the_requested_columns(monkeypatch):
         q_stirling(variant, 49, 2)
         # columns 0..2, each to index 49 - 2
         assert [len(col) for col in qkernels._stirling_tables[variant]] == [48, 48, 48]
-    stirling2(49, 2)
-    assert [len(col) for col in qkernels._classical_cols] == [48, 48, 48]
 
 
 def _row_recurrence_tables(top):
@@ -299,12 +322,11 @@ def _row_recurrence_tables(top):
         "carlitz": lambda n, m: (1, q_int(m)),
         "cigler": lambda n, m: (1, QPoly.q(n - 1) + (m - 1)),
         "shifted": lambda n, m: (QPoly.q(m - 1), q_int(m)),
-        "classical": lambda n, m: (1, m),
     }
     tables = {}
     for name, weight in weights.items():
-        zero = 0 if name == "classical" else QPoly.zero()
-        t = {(0, 0): 1 if name == "classical" else QPoly.one()}
+        zero = QPoly.zero()
+        t = {(0, 0): QPoly.one()}
         for n in range(1, top + 1):
             t[(n, 0)] = zero
             for m in range(1, n + 1):
@@ -324,7 +346,6 @@ def test_column_memo_matches_row_recurrence_in_any_order(monkeypatch):
     for order in (shuffled, decreasing):
         _fresh_memo_tables(monkeypatch)
         for n, m in order:
-            assert stirling2(n, m) == tables["classical"][(n, m)]
             for variant in STIRLING_VARIANTS:
                 assert q_stirling(variant, n, m) == tables[variant][(n, m)]
 
