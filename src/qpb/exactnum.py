@@ -6,10 +6,10 @@ Four carriers, all immutable and exact (no floats anywhere):
 * ``QRational``       normalized ratio of a QPoly and a denominator that
                       is a positive integer times a product of cyclotomic
                       polynomials Phi_d (``cyclotomic``, memoised here),
-                      kept as the map {d: e} of their exponents; a QPoly
-                      denominator is split, and the normal form reached,
-                      by exact division by the Phi_d alone, with no
-                      polynomial gcd.
+                      given and kept as the map {d: e} of their exponents;
+                      the normal form is reached by exact division by the
+                      Phi_d alone, with no polynomial gcd and no
+                      factoring.
 * ``TruncatedSeries`` power series in one formal variable, truncated at a
                       fixed order, coefficients in any exact coefficient
                       ring (Fraction or QRational in practice).
@@ -69,7 +69,6 @@ and every operation returns a new object and never mutates its inputs.
 from __future__ import annotations
 
 import threading
-from contextlib import suppress
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import gcd, lcm, prod
@@ -251,7 +250,7 @@ class QPoly:
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
-            raise ValueError("negative power of a QPoly; use QRational")
+            raise ValueError("negative power of a QPoly; give QRational its denominator map {d: e}")
         if not n:
             return QPoly.one()
         # Over the bits of n below the top one: a square per bit and a
@@ -556,18 +555,6 @@ def cyclotomic(d: int) -> QPoly:
     return phis[d - 1]
 
 
-def _totient(d: int) -> int:
-    """Euler's phi(d), the degree of Phi_d, from the prime factors of d."""
-    out, p = d, 2
-    while p * p <= d:
-        if d % p == 0:
-            out -= out // p
-            while d % p == 0:
-                d //= p
-        p += 1
-    return out - out // d if d > 1 else out
-
-
 def _strip(num: QPoly, phis: dict[int, int]) -> tuple[QPoly, dict[int, int]]:
     """num divided by each Phi_d of phis = {d: e} as often as it divides,
     at most e times, and the map of the copies not divided (no zero
@@ -598,40 +585,6 @@ def _strip(num: QPoly, phis: dict[int, int]) -> tuple[QPoly, dict[int, int]]:
         if e:
             left[d] = e
     return num, left
-
-
-def _split(p: QPoly) -> tuple[int, dict[int, int]]:
-    """(k, {d: e}) with p = q**p.min_exp * k * (the product of Phi_d**e),
-    for a nonzero p; ValueError when p has no such form.
-
-    Every Phi_d but Phi_1 = q - 1 reads the same backwards, and Phi_1
-    reads backwards as its negative, so a p that does neither is refused
-    at once.  Otherwise d runs up from 1 until the rest is a constant, and
-    the rest is divided exactly by Phi_d while the division is exact.  A
-    Phi_d whose degree phi(d) exceeds the rest's degree is skipped without
-    being built, so a refusal builds no Phi_d of higher degree than p.
-    Past d = max(6, deg**2) no Phi_d can divide a rest of degree deg, since
-    phi(d) >= sqrt(d) for d > 6.
-    """
-    cs = p.coeffs
-    symmetric = cs[::-1] in (cs, tuple(map(neg, cs)))
-    rest = _canonical(cs, 0)
-    phis = {}
-    d = 0
-    while len(rest.coeffs) > 1:
-        deg = len(rest.coeffs) - 1
-        d += 1
-        if not symmetric or d > max(6, deg * deg):
-            raise ValueError(f"the denominator {p} is not q**s times an integer times "
-                             "a product of cyclotomic polynomials")
-        if _totient(d) > deg:
-            continue
-        phi = cyclotomic(d)
-        with suppress(ValueError):  # Phi_d does not divide the rest (again)
-            while len(phi.coeffs) <= len(rest.coeffs):
-                rest = rest.exact_div(phi)
-                phis[d] = phis.get(d, 0) + 1
-    return rest.coeffs[0], phis
 
 
 def _settle(num: QPoly, c: int) -> tuple[QPoly, int]:
@@ -673,15 +626,14 @@ class QRational:
     polynomial with positive leading coefficient, coprime to num over the
     rationals and sharing no integer content with it.
 
-    The constructor takes the denominator as a nonzero QPoly or as a map
-    {d: e}.  A QPoly is split over the Phi_d (_split); one that is not q**s
-    times an integer times a product of Phi_d raises ValueError.  Every
-    denominator qpb builds has that form: [j] is the product of Phi_d over
-    the divisors d > 1 of j.  num is then divided by each Phi_d of the map
-    as often as it divides (_strip), and the integer content and sign are
-    settled (_settle).
+    The constructor takes the denominator only as the map {d: e}, which
+    every qpb caller knows before it sums: [j] is the product of Phi_d over
+    the divisors d > 1 of j.  An integer denominator c comes from a
+    Fraction factor (x * Fraction(1, c)), and a power q**s from num's
+    shift.  num is divided by each Phi_d of the map as often as it divides
+    (_strip); c is 1, so no integer content is left to settle.
 
-    The operators never split a denominator.  For x = a/(c*B) and
+    The operators never factor a polynomial.  For x = a/(c*B) and
     y = b/(c'*D), B and D products of Phi_d:
 
     * x * y tries each Phi_d of B against b and each of D against a, the
@@ -690,29 +642,24 @@ class QRational:
       each Phi_d and t = a*(l/c)*(M/B) + b*(l/c')*(M/D); a Phi_d whose
       exponents in B and D differ divides one term of t and not the other,
       so only the Phi_d with equal exponents are tried against t;
-    * x / y and x ** -n multiply by 1/y, whose denominator is b split over
-      the Phi_d, so they raise ValueError when b does not split; x ** n for
-      n >= 0 is a**n over c**n and n times each exponent, already normal.
+    * x ** n for n >= 0 is a**n over c**n and n times each exponent,
+      already normal.  There is no division and no negative power: a
+      reciprocal's denominator would be a numerator, which need not be a
+      product of Phi_d.
 
     Every result then loses the integer content its two parts share.
     """
 
     __slots__ = ("num", "c", "phis")
 
-    def __init__(self, num: QPoly, den: "QPoly | dict[int, int]" = _ONE):
-        if isinstance(den, QPoly):
-            if den.is_zero:
-                raise ZeroDivisionError("zero denominator")
-            c, phis = _split(den)
-            num = num.shift(-den.min_exp)
-        else:
-            if any(d < 1 or e < 0 for d, e in den.items()):
-                raise ValueError(f"a cyclotomic denominator {{d: e}} needs d >= 1 and e >= 0, got {den}")
-            c, phis = 1, {d: e for d, e in den.items() if e}
-        if num.is_zero:
-            c, phis = 1, {}
+    def __init__(self, num: QPoly, den: dict[int, int] = {}):  # den is read, never kept
+        if not isinstance(den, dict):
+            raise TypeError(f"a QRational denominator is the map {{d: e}} of its Phi_d, got {den!r}")
+        if any(d < 1 or e < 0 for d, e in den.items()):
+            raise ValueError(f"a cyclotomic denominator {{d: e}} needs d >= 1 and e >= 0, got {den}")
+        phis = {d: e for d, e in den.items() if e} if not num.is_zero else {}
         num, phis = _strip(num, phis)
-        _fill(self, *_settle(num, c), phis)
+        _fill(self, num, 1, phis)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("QRational is immutable")
@@ -800,25 +747,9 @@ class QRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "QRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero QRational")
-        return _product(self, _reciprocal(o))
-
-    def __rtruediv__(self, other) -> "QRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __pow__(self, n: int) -> "QRational":
         if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return _reciprocal(self) ** (-n)
+            raise ValueError("negative power of a QRational; give the denominator as its map {d: e}")
         phis = {d: e * n for d, e in self.phis.items()} if n else {}
         return _new(self.num ** n, self.c ** n, phis)
 
@@ -878,14 +809,6 @@ def _fill(r: QRational, num: QPoly, c: int, phis: dict[int, int]) -> QRational:
 def _new(num: QPoly, c: int, phis: dict[int, int]) -> QRational:
     """A QRational from parts already in normal form, without reducing."""
     return _fill(object.__new__(QRational), num, c, phis)
-
-
-def _reciprocal(x: QRational) -> QRational:
-    """1/x for a nonzero x: x's numerator, split over the Phi_d, is the new
-    denominator, coprime to the new numerator c*B.  ValueError when it
-    does not split."""
-    k, phis = _split(x.num)
-    return _new(*_settle(x.den.shift(-x.num.min_exp), k), phis)
 
 
 def _product(x: QRational, y: QRational) -> QRational:
@@ -976,9 +899,6 @@ class TruncatedSeries:
             [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
         )
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
-
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs])
@@ -993,17 +913,6 @@ class TruncatedSeries:
                 if b:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out)
-
-    def __rmul__(self, other) -> "TruncatedSeries":
-        return self * other
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"

@@ -92,13 +92,21 @@ def classical_pb(n: int, k: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("classical_pb needs n >= 0")
-    # An integer sum over the common denominator lcm(1..n+1)**k
+    terms, den = _classical_terms(n, k)
+    return Fraction(sum(terms), den)
+
+
+def _classical_terms(n: int, k: int) -> tuple[list[int], int]:
+    """(terms, den): terms[m] = (-1)**(n-m) * m! * stirling2(n,m) * den /
+    (m+1)**k over the common denominator den = lcm(1..n+1)**k for k > 0,
+    and den = 1 for k <= 0.  classical_pb sums the row; cenkci_q_pb lays it
+    out by powers of q."""
     den = lcm(*range(1, n + 2)) ** k if k > 0 else 1
-    acc = 0
+    terms = []
     for m, c in enumerate(surjections(n, n)):
         c *= den // (m + 1) ** k if k > 0 else (m + 1) ** -k  # den / (m+1)**k
-        acc = acc - c if m % 2 else acc + c
-    return Fraction(-acc if n % 2 else acc, den)
+        terms.append(-c if (n - m) % 2 else c)
+    return terms, den
 
 
 def classical_pb_negk(n: int, k: int) -> int:
@@ -261,8 +269,8 @@ def permmatrix_q_pb(n: int, k: int) -> QPoly:
 # <= n**n, and n*bitlen(n) + 3*(n+1)*k/2 for k > 0, since the common
 # denominator lcm(1..n+1)**k is below 2**(1.5*(n+1)*k).  The row of
 # surjections takes about (n+1)**2 / 2 differences of such integers, and for
-# k > 0 the QRational constructor takes a gcd of each of the n+1
-# coefficients with the denominator, quadratic in bits: size =
+# k > 0 the product by Fraction(1, den) takes a gcd of each of the n+1
+# coefficients with den, quadratic in bits: size =
 # (n+1) * bits * (n+1 + bits // 64).  For k <= 0 the second term
 # over-counts, since no gcd is taken ((10, -262144) took 0.12 s at size
 # 2**37), and caps the value's bits.  One `qpb eval` or `qpb table` (csv)
@@ -292,15 +300,9 @@ def cenkci_q_pb(n: int, k: int) -> QPoly | QRational:
     if n < 0:
         raise ValueError("cenkci_q_pb needs n >= 0")
     _check_cenkci_size(n, k)
-    # Integer numerator over the common denominator lcm((m+1)**k);
-    # coeffs[n-m] is the coefficient of q**(n-m).
-    den = lcm(*((m + 1) ** k for m in range(n + 1))) if k > 0 else 1
-    coeffs = [0] * (n + 1)
-    for m, c in enumerate(surjections(n, n)):
-        c *= den // (m + 1) ** k if k > 0 else (m + 1) ** -k  # den / (m+1)**k
-        coeffs[n - m] = -c if (n - m) % 2 else c
-    value = QRational(QPoly(coeffs), QPoly.const(den))
-    return value.as_qpoly() if k <= 0 else value
+    terms, den = _classical_terms(n, k)
+    num = QPoly(terms[::-1])  # term m is the coefficient of q**(n-m)
+    return QRational(num) * Fraction(1, den) if k > 0 else num
 
 
 def cenkci_recursion_check(n: int, k: int) -> bool:
@@ -529,8 +531,11 @@ def akiyama_tanigawa(rule: str, initial: Sequence, n_rows: int) -> Triangle:
 
 
 def q_power_row(k: int, length: int) -> list[QRational]:
-    """The row m -> [m+1]**k for m < length (reciprocals for negative k)."""
-    return [QRational(q_int(m + 1)) ** k for m in range(length)]
+    """The row m -> [m+1]**k for m < length.  For k < 0 the denominator is
+    the map of [m+1]**-k: Phi_d**-k for each divisor d > 1 of m+1."""
+    if k >= 0:
+        return [QRational(q_int(m + 1)) ** k for m in range(length)]
+    return [QRational(QPoly.one(), {d: -k for d in range(2, m + 2) if (m + 1) % d == 0}) for m in range(length)]
 
 
 def carlitz_beta(n: int) -> QRational:

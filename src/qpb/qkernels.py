@@ -10,7 +10,8 @@ The cyclotomic polynomials factor the q-integers into irreducibles:
 product of Phi_d**(k // d) for 2 <= d <= k, and the least common
 multiple of [1]**k, ..., [n+1]**k is the product of Phi_d**k for
 2 <= d <= n+1: denominators known before any sum is taken, and passed to
-QRational as the map {d: e} of those exponents.
+QRational as the map {d: e} of those exponents, the only form of
+denominator it takes (q_exponential's [k]! is one).
 
 The three Stirling deformations share one recurrence
 T(n,m) = a*T(n-1,m-1) + b*T(n-1,m) with T(0,0) = 1 and T(n,0) = 0 for

@@ -179,11 +179,12 @@ def gf_check_ernst(m: int, order: int) -> CheckReport:
     diagonal), as exact QRational identities."""
     if m > 4 or order > 8:
         raise ValueError("bounds: m <= 4, order <= 8")
-    denom = QRational(q_factorial(m) * QPoly.q(comb(m, 2)))
+    factorial_map = {d: m // d for d in range(2, m + 1)}  # [m]!, as q_exponential writes it
     zero = QRational.from_int(0)
     total = TruncatedSeries([zero] * (order + 1))
     for i in range(m + 1):
-        scale = QRational(q_binomial(m, i) * QPoly.q(comb(i, 2)) * ((-1) ** i)) / denom
+        # (-1)**i * q**C(i,2) * [m choose i] over [m]! * q**C(m,2)
+        scale = QRational(q_binomial(m, i) * QPoly.q(comb(i, 2) - comb(m, 2)) * ((-1) ** i), factorial_map)
         total = total + q_exponential(q_int(m - i), order) * scale
     got = (total.coefficient(n) * QRational(q_factorial(n)) for n in range(order + 1))
     want = (QRational(q_stirling("carlitz", n, m)) if n >= m else zero for n in range(order + 1))

@@ -444,7 +444,8 @@ def test_byte_identical_across_processes():
         proc = subprocess.run(
             [sys.executable, "-m", "qpb", "verify", "--suite", "golden"],
             capture_output=True,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin", "PYTHONPATH": src},
+            # no bytecode: a run must leave no __pycache__ in the source tree
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin", "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout

@@ -422,23 +422,43 @@ def test_add_matches_termwise_sum(ca, ea, cb, eb):
 # QRational
 # ---------------------------------------------------------------------------
 
-# Denominators as qpb builds them: a nonzero integer times q**s times a
-# product of cyclotomic polynomials Phi_d.
-cyclotomic_polys = st.builds(
-    lambda k, s, factors: QPoly.q(s) * k * prod((cyclotomic(d) ** e for d, e in factors), start=QPoly.one()),
+# Denominators as qpb builds them: a nonzero integer c times q**s times a
+# product of cyclotomic polynomials Phi_d, as the triple (c, s, {d: e}).
+denominators = st.tuples(
     st.integers(min_value=-6, max_value=6).filter(bool),
     st.integers(min_value=0, max_value=3),
-    st.lists(st.tuples(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=2)), max_size=3),
+    st.dictionaries(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=2), max_size=3),
 )
 
 
-def splits(p: QPoly) -> bool:
-    """Whether p can be a denominator: q**s times an integer times Phi_d's."""
-    try:
-        QRational(QPoly.one(), p)
-    except ValueError:
-        return False
-    return True
+def _product(phis: dict) -> QPoly:
+    return prod((cyclotomic(d) ** e for d, e in phis.items()), start=QPoly.one())
+
+
+def den_poly(den: tuple) -> QPoly:
+    """The denominator (c, s, {d: e}) as a polynomial."""
+    c, s, phis = den
+    return QPoly.q(s) * c * _product(phis)
+
+
+def den_times(x: tuple, y: tuple) -> tuple:
+    """The product of two denominators (c, s, {d: e})."""
+    phis = dict(x[2])
+    for d, e in y[2].items():
+        phis[d] = phis.get(d, 0) + e
+    return x[0] * y[0], x[1] + y[1], phis
+
+
+def over(num: QPoly, den: tuple) -> QRational:
+    """num / (c * q**s * the product of Phi_d**e): the map goes to the
+    constructor, q**s to num, and c to a Fraction factor."""
+    c, s, phis = den
+    return QRational(num.shift(-s), phis) * Fraction(1, c)
+
+
+def den_of(r: QRational) -> tuple:
+    """r's denominator as (c, s, {d: e})."""
+    return r.c, 0, r.phis
 
 
 def assert_invariants(r: QRational) -> None:
@@ -454,27 +474,27 @@ def assert_invariants(r: QRational) -> None:
 
 
 def test_qrational_normalization_unique():
-    a = QRational(QPoly([0, 1, 1], -1), QPoly([2, 2]))  # (q^-1)(q + q^2) / (2 + 2q)
-    b = QRational(QPoly([1]), QPoly([2]))
+    a = over(QPoly([0, 1, 1], -1), (2, 0, {2: 1}))  # (q^-1)(q + q^2) / (2 + 2q)
+    b = QRational(QPoly([1])) * Fraction(1, 2)
     assert a == b
     assert hash(a) == hash(b)
     # from_int and from_fraction build their parts directly, as the
-    # constructor would reduce them
+    # constructor and a Fraction factor would reduce them
     for built, reduced in ((QRational.from_int(0), QRational(QPoly.zero())),
                            (QRational.from_int(-4), QRational(QPoly.const(-4))),
-                           (QRational.from_fraction(Fraction(-6, 4)), QRational(QPoly.const(-6), QPoly.const(4)))):
+                           (QRational.from_fraction(Fraction(-6, 4)), QRational(QPoly.const(-6)) * Fraction(1, 4))):
         assert (built.num, built.c, built.phis) == (reduced.num, reduced.c, reduced.phis)
 
 
 def test_qrational_den_has_constant_term():
-    r = QRational(QPoly.one(), QPoly([0, 1, 1]))  # 1 / (q + q^2)
+    r = over(QPoly.one(), (1, 1, {2: 1}))  # 1 / (q + q^2)
     assert r.den.min_exp == 0
     assert r.den.coeff(0) != 0
-    assert r == QRational(QPoly([1], -1), QPoly([1, 1]))
+    assert r == QRational(QPoly([1], -1), {2: 1})
 
 
 def test_qrational_sign_normalization():
-    r = QRational(QPoly([1]), QPoly([-1, -1]))
+    r = over(QPoly([1]), (-1, 0, {2: 1}))  # 1 / (-1 - q)
     assert r.den == QPoly([1, 1])
     assert r.num == QPoly([-1])
 
@@ -483,45 +503,37 @@ def test_qrational_arithmetic():
     half = QRational.from_fraction(Fraction(1, 2))
     third = QRational.from_fraction(Fraction(1, 3))
     assert (half + third).as_fraction() == Fraction(5, 6)
-    q = QRational(QPoly.q(1))
-    one_plus_q = QRational(QPoly([1, 1]))
-    assert q / one_plus_q + 1 / one_plus_q == QRational.from_int(1)
+    assert QRational(QPoly.q(1), {2: 1}) + QRational(QPoly.one(), {2: 1}) == QRational.from_int(1)
 
 
 def test_qrational_pow_negative():
+    # a negative power is refused, as QPoly's is: its denominator would be
+    # the numerator, so the caller gives the map instead
     r = QRational(QPoly([1, 1]))
-    assert r ** -2 == QRational(QPoly.one(), QPoly([1, 2, 1]))
+    for x in (r, QRational(QPoly.one(), {2: 1}), QRational.from_int(0)):
+        with pytest.raises(ValueError):
+            x ** -2
+    with pytest.raises(ValueError):
+        QPoly([1, 1]) ** -2
+    assert QRational(QPoly.one(), {2: 1}) ** 2 == QRational(QPoly.one(), {2: 2})
 
 
 def test_qrational_as_qpoly():
-    assert QRational(QPoly([2, 2]), QPoly([2])).as_qpoly() == QPoly([1, 1])
+    assert (QRational(QPoly([2, 2])) * Fraction(1, 2)).as_qpoly() == QPoly([1, 1])
     with pytest.raises(ValueError):
-        QRational(QPoly([1]), QPoly([1, 1])).as_qpoly()
+        QRational(QPoly([1]), {2: 1}).as_qpoly()
 
 
-@pytest.mark.parametrize("den", [
-    QPoly([2, 1]), QPoly([1, 0, 2]), QPoly([3, 1, 0, 1]), QPoly([2, 1], 3),
-    QPoly([1, 3, 1]), QPoly([2, 1, 2]), QPoly([1, 3, 1]) * cyclotomic(5) * cyclotomic(1),
-    QPoly([1] + [3] * 29 + [1]),
-])
-def test_a_denominator_that_is_not_cyclotomic_is_refused(den, monkeypatch):
-    # 2 + q, 1 + 2q^2, 3 + q + q^3 and q^3(2 + q) do not read the same
-    # backwards up to sign; 1 + 3q + q^2, 2 + q + 2q^2 (its roots on the unit
-    # circle), (1 + 3q + q^2)(q^5 - 1) and 1 + 3q + ... + 3q^29 + q^30 do,
-    # and the scan over d refuses them.  The scan builds no Phi_d of higher
-    # degree than den: at degree 30 the Phi_d memo stops at Phi_90, not at
-    # Phi_900, the scan's last d.
-    monkeypatch.setattr(exactnum, "_cyclotomics", [QPoly((-1, 1))])
-    named = pytest.raises(ValueError, match=re.escape(str(den)))
-    with named:
-        QRational(QPoly([1, 1]), den)
-    with named:
-        QRational(QPoly([1, 1]), {2: 1}) / QRational(den)
-    with named:
-        QRational(den) ** -2
-    with named:
-        1 / QRational(den)
-    assert len(exactnum._cyclotomics[-1].coeffs) <= len(den.coeffs)
+def test_a_denominator_is_only_a_map():
+    # no polynomial is factored back into its Phi_d: a QPoly or an integer
+    # denominator is refused, and there is no division
+    for den in (QPoly([1, 1]), QPoly([2]), 2):
+        with pytest.raises(TypeError):
+            QRational(QPoly([1, 1]), den)
+    x, y = QRational(QPoly([1, 1])), QRational(QPoly.one(), {2: 1})
+    for divide in (lambda: x / y, lambda: 1 / x, lambda: x / 2):
+        with pytest.raises(TypeError):
+            divide()
 
 
 def test_a_denominator_map_needs_d_at_least_one_and_no_negative_power():
@@ -531,9 +543,9 @@ def test_a_denominator_map_needs_d_at_least_one_and_no_negative_power():
 
 
 @settings(max_examples=40)
-@given(small_polys, cyclotomic_polys)
+@given(small_polys, denominators)
 def test_zero_powers_and_differences_leave_an_empty_map(a, b):
-    x = QRational(a, b)
+    x = over(a, b)
     for got, want in ((x ** 0, 1), (x - x, 0), (x * 0, 0), (0 * x, 0), (x + (-x), 0)):
         assert got.phis == {} and got.c == 1
         assert got == QRational.from_int(want)
@@ -541,11 +553,11 @@ def test_zero_powers_and_differences_leave_an_empty_map(a, b):
 
 
 @settings(max_examples=150)
-@given(small_polys, cyclotomic_polys, rational_points)
+@given(small_polys, denominators, rational_points)
 def test_qrational_eval_rational_matches_fraction_horner(a, den, v):
     # den's value is read from c and the Phi_d values; the reference
     # evaluates the built den.  Phi_1 vanishes at 1 and Phi_2 at -1.
-    x = QRational(a, den)
+    x = over(a, den)
     d = _fraction_horner(x.den, v)
     if d == 0 or (v == 0 and x.num.min_exp < 0):
         with pytest.raises(PoleError):
@@ -562,24 +574,20 @@ def test_eval_at_a_root_of_a_denominator_phi_is_a_pole():
 
 
 @settings(max_examples=60)
-@given(small_polys, cyclotomic_polys, cyclotomic_polys)
+@given(small_polys, denominators, denominators)
 def test_qrational_normal_form_unique(a, den, mult):
     # common factors never leak into the normal form
-    direct = QRational(a, den)
-    scaled = QRational(a * mult, den * mult)
+    direct = over(a, den)
+    scaled = over(a * den_poly(mult), den_times(den, mult))
     assert direct == scaled
     assert direct.num == scaled.num and direct.den == scaled.den
     assert_invariants(direct)
 
 
 @settings(max_examples=80)
-@given(small_polys, cyclotomic_polys, cyclotomic_polys)
+@given(small_polys, denominators, denominators)
 def test_qrational_cancels_any_common_factor(a, b, c):
-    assert QRational(a * c, b * c) == QRational(a, b)
-
-
-def _product(phis: dict) -> QPoly:
-    return prod((cyclotomic(d) ** e for d, e in phis.items()), start=QPoly.one())
+    assert over(a * den_poly(c), den_times(b, c)) == over(a, b)
 
 
 def test_factored_denominator_cancelling_and_coprime_cases():
@@ -587,14 +595,14 @@ def test_factored_denominator_cancelling_and_coprime_cases():
     phis = {2: 3, 3: 1, 4: 2}
     den = _product(phis)
     # cancelling: two copies of phi2 and the one phi3 divide the numerator
-    num = QPoly([3, -1, 4], 1) * phi2 ** 2 * phi3 * 6
-    got = QRational(num, phis)
-    assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
+    rest = QPoly([3, -1, 4], 1) * 6
+    got = QRational(rest * phi2 ** 2 * phi3, phis)
+    assert got.num == rest and got.c == 1
     assert got.den == phi2 * phi4 ** 2 and got.phis == {2: 1, 4: 2}
     # coprime: nothing divides, so the denominator is the whole product
     num = QPoly([5, 0, -2, 7], -2)
     got = QRational(num, phis)
-    assert (got.num, got.den) == (QRational(num, den).num, QRational(num, den).den)
+    assert got.num == num
     assert got.den == den and got.phis == phis
     assert QRational(QPoly.zero(), phis) == QRational.from_int(0)
     assert QRational(QPoly.const(4), {}) == QRational.from_int(4)
@@ -602,10 +610,9 @@ def test_factored_denominator_cancelling_and_coprime_cases():
 
 
 def test_factored_denominator_settles_the_sign_and_content():
-    # -3 * (q - 1)**2 * Phi_6 as a polynomial: its sign goes to the
-    # numerator, and 3 leaves both parts; the map form has neither
-    den = cyclotomic(1) ** 2 * cyclotomic(6) * -3
-    got = QRational(QPoly([6, 12]), den)
+    # over -3 * (q - 1)**2 * Phi_6: the sign goes to the numerator, and 3
+    # leaves both parts
+    got = over(QPoly([6, 12]), (-3, 0, {1: 2, 6: 1}))
     assert (got.num, got.c, got.phis) == (QPoly([-2, -4]), 1, {1: 2, 6: 1})
     assert got.den.coeffs[-1] > 0
     mapped = QRational(QPoly([-2, -4]), {1: 2, 6: 1})
@@ -619,8 +626,7 @@ def test_factored_denominator_confirms_a_packed_coincidence():
     num = QPoly([(-1) ** i for i in range(257)])
     assert num.packed(1) % 257 == 0
     got = QRational(num, {2: 1})
-    assert (got.num, got.den) == (num, QPoly([1, 1]))
-    assert QRational(num, QPoly([1, 1])).phis == {2: 1}
+    assert (got.num, got.den, got.phis) == (num, QPoly([1, 1]), {2: 1})
 
 
 @settings(max_examples=80)
@@ -630,12 +636,12 @@ def test_factored_denominator_confirms_a_packed_coincidence():
     st.dictionaries(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=3), max_size=4),
 )
 def test_factored_denominator_matches_the_polynomial_form(a, shared, phis):
-    # a times some of the factors (and others) over the factors, against the
-    # same denominator given as a polynomial and split by the constructor
+    # a times some of the factors (and others) over the factors: the same
+    # value as the polynomial ratio, by cross multiplication, in normal form
     num = a * _product(shared)
     got = QRational(num, phis)
-    want = QRational(num, _product(phis))
-    assert (got.num, got.c, got.phis, got.den) == (want.num, want.c, want.phis, want.den)
+    assert got.num * _product(phis) == num * got.den
+    assert_invariants(got)
 
 
 def _sympy_parts(expr, q) -> tuple[QPoly, QPoly]:
@@ -654,8 +660,8 @@ def _sympy_parts(expr, q) -> tuple[QPoly, QPoly]:
 
 
 @settings(max_examples=50, deadline=None)
-@given(small_polys, cyclotomic_polys, st.one_of(small_polys, cyclotomic_polys), cyclotomic_polys,
-       st.integers(min_value=-3, max_value=3))
+@given(small_polys, denominators, st.one_of(small_polys, denominators.map(den_poly)), denominators,
+       st.integers(min_value=0, max_value=3))
 def test_qrational_matches_sympy_cancel(a, b, c, d, n):
     # an independent reference for the constructor and every operator
     sympy = pytest.importorskip("sympy")
@@ -664,30 +670,26 @@ def test_qrational_matches_sympy_cancel(a, b, c, d, n):
     def sym(p: QPoly):
         return sum((coef * q ** e for e, coef in terms(p)), sympy.Integer(0))
 
-    x, y = QRational(a, b), QRational(c, d)
-    xs, ys = sym(a) / sym(b), sym(c) / sym(d)
-    cases = [(x, xs), (y, ys), (x + y, xs + ys), (x - y, xs - ys), (x * y, xs * ys), (x ** abs(n), xs ** abs(n))]
-    if y and splits(c):
-        cases += [(x / y, xs / ys), (y ** n, ys ** n)]
-    elif y:
-        with pytest.raises(ValueError):
-            x / y
+    x, y = over(a, b), over(c, d)
+    xs, ys = sym(a) / sym(den_poly(b)), sym(c) / sym(den_poly(d))
+    cases = [(x, xs), (y, ys), (x + y, xs + ys), (x - y, xs - ys), (x * y, xs * ys), (x ** n, xs ** n)]
     for got, expr in cases:
         assert_invariants(got)
         assert (got.num, got.den) == _sympy_parts(expr, q), (got, expr)
 
 
 @settings(max_examples=40)
-@given(small_polys, cyclotomic_polys, cyclotomic_polys, cyclotomic_polys)
+@given(small_polys, denominators, small_polys, denominators)
 def test_qrational_field_axioms(a, b, c, d):
-    x = QRational(a, b)
-    y = QRational(c, d)
+    x = over(a, b)
+    y = over(c, d)
     assert (x + y) - y == x
-    assert (x / y) * y == x
+    assert x * y == y * x
+    assert (x + y) * y == x * y + y * y
 
 
-# The operators reduce over the operands' parts; the constructor, which
-# splits the plain cross product's denominator, is their reference.
+# The operators reduce over the operands' parts; the constructor, given the
+# plain cross product's numerator and denominator map, is their reference.
 PLANTED = (
     QPoly([1, 1]), QPoly([1, 1, 1]), QPoly([1, 0, 1]), QPoly.q(1),
     QPoly.const(2), QPoly.const(3), QPoly.const(-1), QPoly([2, 2]),
@@ -706,38 +708,39 @@ def planted_poly(rng: random.Random, laurent: bool) -> QPoly:
     return p
 
 
-def cyclotomic_poly(rng: random.Random) -> QPoly:
+def cyclotomic_den(rng: random.Random) -> tuple:
     """An integer times q**s times up to three Phi_d, d <= 8, some shared
-    with PLANTED."""
-    p = QPoly.q(rng.randint(0, 2)) * rng.choice((1, 2, -3, 6))
+    with PLANTED, as (c, s, {d: e})."""
+    phis: dict[int, int] = {}
     for _ in range(rng.randint(0, 3)):
-        p = p * cyclotomic(rng.randint(1, 8))
-    return p
+        d = rng.randint(1, 8)
+        phis[d] = phis.get(d, 0) + 1
+    return rng.choice((1, 2, -3, 6)), rng.randint(0, 2), phis
 
 
 def random_operand_pair(rng: random.Random) -> tuple[QRational, QRational]:
-    def den() -> QPoly:
-        return QPoly.one() if rng.random() < 0.2 else cyclotomic_poly(rng)
+    def den() -> tuple:
+        return (1, 0, {}) if rng.random() < 0.2 else cyclotomic_den(rng)
 
     def num() -> QPoly:
-        # a numerator that splits, so that it can divide, or any other
-        return cyclotomic_poly(rng) if rng.random() < 0.3 else planted_poly(rng, True)
+        # a numerator made of Phi_d, so that they can cancel, or any other
+        return den_poly(cyclotomic_den(rng)) if rng.random() < 0.3 else planted_poly(rng, True)
 
-    x = QRational(num(), den())
+    x = over(num(), den())
     shape = rng.randrange(7)
     if shape == 0:  # mostly equal denominators
-        y = QRational(num(), x.den)
+        y = over(num(), den_of(x))
     elif shape == 1:  # denominators with a common factor
-        y = QRational(num(), x.den * cyclotomic_poly(rng))
+        y = over(num(), den_times(den_of(x), cyclotomic_den(rng)))
     elif shape == 2:  # zero results: x - x, x + (-x)
         y = rng.choice((x, -x))
     elif shape == 3:  # a polynomial operand
         y = QRational(num())
     elif shape == 4:  # y = z - x, so that x + y cancels x's denominator
-        z = QRational(num(), den())
-        y = QRational(z.num * x.den - x.num * z.den, z.den * x.den)
+        z = over(num(), den())
+        y = over(z.num * x.den - x.num * z.den, den_times(den_of(z), den_of(x)))
     else:
-        y = QRational(num(), den())
+        y = over(num(), den())
     return (x, y) if rng.random() < 0.5 else (y, x)
 
 
@@ -745,52 +748,38 @@ def normal_form(r: QRational) -> tuple:
     return r.num.min_exp, r.num.coeffs, r.den.min_exp, r.den.coeffs
 
 
-def assert_ops_match_constructor(x: QRational, y: QRational) -> int:
-    """The operators against the constructor on the cross products; the
-    number of divisions checked, those by a numerator that splits."""
+def assert_ops_match_constructor(x: QRational, y: QRational) -> None:
+    """The operators against the constructor on the cross products."""
     a, b, c, d = x.num, x.den, y.num, y.den
+    bd = den_times(den_of(x), den_of(y))
     cases = [
-        ("+", lambda: x + y, a * d + c * b, b * d),
-        ("-", lambda: x - y, a * d - c * b, b * d),
-        ("*", lambda: x * y, a * c, b * d),
+        ("+", lambda: x + y, a * d + c * b, bd),
+        ("-", lambda: x - y, a * d - c * b, bd),
+        ("*", lambda: x * y, a * c, bd),
     ]
-    if not y.is_zero:
-        cases.append(("/", lambda: x / y, a * d, b * c))
     for n in range(4):
-        cases.append((f"**{n}", lambda n=n: x ** n, a ** n, b ** n))
-        if n and not x.is_zero:
-            cases.append((f"**-{n}", lambda n=n: x ** -n, b ** n, a ** n))
-    divisions = 0
+        cases.append((f"**{n}", lambda n=n: x ** n, a ** n, (x.c ** n, 0, {e: f * n for e, f in x.phis.items()})))
     for op, got, num, den in cases:
-        if splits(den):
-            assert normal_form(got()) == normal_form(QRational(num, den)), (x, op, y)
-            divisions += op[0] == "/" or op.startswith("**-")
-        else:  # a divisor whose numerator does not split
-            with pytest.raises(ValueError):
-                got()
-    return divisions
+        assert normal_form(got()) == normal_form(over(num, den)), (x, op, y)
 
 
 def test_qrational_ops_match_constructor_on_cross_products():
     rng = random.Random(20261018)
-    divisions = sum(assert_ops_match_constructor(*random_operand_pair(rng)) for _ in range(1500))
-    assert divisions > 1500  # the divisions by a numerator that splits are not rare
+    for _ in range(1500):
+        assert_ops_match_constructor(*random_operand_pair(rng))
 
 
 def test_qrational_ops_with_int_fraction_and_qpoly_operands():
     rng = random.Random(7)
     for _ in range(200):
         x, _ = random_operand_pair(rng)
-        p = cyclotomic_poly(rng)
+        p = den_poly(cyclotomic_den(rng))
         k = rng.choice((-2, 3, 6))
         f = Fraction(rng.choice((-3, 2)), rng.choice((4, 9)))
         for other, y in ((p, QRational(p)), (k, QRational.from_int(k)), (f, QRational.from_fraction(f))):
             assert_ops_match_constructor(x, y)
             pairs = [(x + other, x + y), (other + x, y + x), (x - other, x - y),
-                     (other - x, y - x), (x * other, x * y), (other * x, y * x),
-                     (x / other, x / y)]
-            if not x.is_zero and splits(x.num):
-                pairs.append((other / x, y / x))
+                     (other - x, y - x), (x * other, x * y), (other * x, y * x)]
             for got, want in pairs:
                 assert normal_form(got) == normal_form(want), (x, other)
 
@@ -801,10 +790,10 @@ def test_equal_values_hash_equal_across_types():
         0, 1, 5, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5),
         QPoly.zero(), QPoly.one(), QPoly.const(5), QPoly.const(-3), QPoly([1, 1]),
         QPoly.q(-1), QRational.from_int(0), QRational.from_int(5),
-        QRational(QPoly([2, 2]), QPoly([2])), half, half * 2,
-        QRational(QPoly([-14]), QPoly([6])), QRational(QPoly.q(-1)),
-        QRational(QPoly([1, 1]), QPoly([2])), QRational(QPoly.one(), QPoly([1, 1])),
-        QRational(QPoly.one(), {2: 1}), QRational.from_int(1) / QRational(QPoly([1, 1])),
+        QRational(QPoly([2, 2])) * Fraction(1, 2), half, half * 2,
+        QRational(QPoly([-14])) * Fraction(1, 6), QRational(QPoly.q(-1)),
+        QRational(QPoly([1, 1])) * Fraction(1, 2), QRational(QPoly([1, 1]), {2: 2}),
+        QRational(QPoly.one(), {2: 1}), QRational(QPoly([-1, 0, 1]), {1: 1, 2: 2}),
     ]
     cross_type = 0
     for u in values:

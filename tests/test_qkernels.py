@@ -226,7 +226,7 @@ def test_s2_inv_q_matches_generating_function():
 def test_q_exponential_coefficients():
     e = q_exponential(QPoly.one(), 4)
     assert e.coefficient(0) == QRational.from_int(1)
-    assert e.coefficient(2) == QRational(QPoly.one(), QPoly([1, 1]))
+    assert e.coefficient(2) == QRational(QPoly.one(), {2: 1})  # 1 / [2]!
     for k in range(5):
         assert e.coefficient(k).eval_rational(1) == Fraction(1, factorial(k))
     zero_arg = q_exponential(QPoly.zero(), 3)
